@@ -11,7 +11,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ensembles import ModelKind, ModelSpec, ModelValidationError
+from .dynamics import KERNELS, default_burn_in, default_thin
+from .ensembles import ModelSpec, ModelValidationError
 from .pareto import ParetoError, ParetoSpec
 
 TASKS = ("analytic", "simulate", "transform", "pareto", "sweep")
@@ -121,7 +122,7 @@ _TOP_LEVEL: dict[str, tuple[set[str], set[str]]] = {
     "transform": ({"model"}, {"cycle", "free_expansion_factor", "fractional_reserve",
                               "identity_grid"}),
     "pareto": ({"pareto", "temperature"}, {"direct_samples", "dynamics", "scan", "write_samples"}),
-    "sweep": ({"base", "grid"}, {"seeds", "workers"}),
+    "sweep": ({"base", "grid"}, {"seeds"}),
 }
 _COMMON_OPTIONAL = {"task", "seed", "outputs"}
 
@@ -143,18 +144,31 @@ def validate_config(raw: dict) -> None:
         _positive_list(raw["temperatures"], "temperatures")
     elif task == "simulate":
         model = build_model(raw["model"])
+        if model.kind not in KERNELS:
+            raise ConfigError(f"model kind {model.kind.value!r} has no exchange dynamics to simulate")
+        n = model.n_agents
+        if n < 2:
+            raise ConfigError(f"pair exchange needs n_agents >= 2, got {n}")
         run = raw["run"]
         _check_keys(run, {"policy", "total", "steps", "burn_in", "thin"},
                     {"policy", "total", "steps"}, "run block")
         if run["policy"] not in ("equal", "uniform-random"):
             raise ConfigError(f"policy must be 'equal' or 'uniform-random', got {run['policy']!r}")
         steps = run["steps"]
-        burn_in = run.get("burn_in", 100 * model.n_agents)
-        if not isinstance(steps, int) or steps <= burn_in:
-            raise ConfigError(f"steps must be an integer above burn_in, got {steps!r}")
-        if run.get("thin", 1) < 1:
-            raise ConfigError("thin must be >= 1")
-        if raw.get("replicas", 1) < 1:
+        burn_in = run.get("burn_in", default_burn_in(n))
+        thin = run.get("thin", default_thin(n))
+        replicas = raw.get("replicas", 1)
+        for name, value in (("steps", steps), ("burn_in", burn_in), ("thin", thin),
+                            ("replicas", replicas)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if burn_in < 0 or steps <= burn_in:
+            raise ConfigError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
+        if thin < 1 or (steps - burn_in) // thin < 1:
+            raise ConfigError(
+                f"thin must lie in [1, steps - burn_in] so the run records samples, got {thin}"
+            )
+        if replicas < 1:
             raise ConfigError("replicas must be >= 1")
     elif task == "transform":
         build_model(raw["model"])

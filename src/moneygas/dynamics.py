@@ -16,20 +16,25 @@ compensating cash leg, and lending/repayment enter the equilibrium chain
 as a matched pair ("turnover") so total credit stays on its conserved
 shell while the composition mixes.
 
-``run_chain`` advances whole sweeps of disjoint events drawn from a random
-pairing, which is statistically identical to repeated single events and
-fast enough for 1e7-event runs; ``step`` applies exactly one event.
+``KERNELS`` holds one entry per simulable model kind: its initial
+configurations, its moves, its recorded coordinates, its conserved value
+and bounds, and the marginals fitted to its samples. A move acts on arrays
+of agent indices, one array per role in the event. ``run_chain`` advances
+whole sweeps of disjoint events drawn from a random permutation, which is
+statistically identical to repeated single events and fast enough for
+1e7-event runs; ``step`` applies the same move to one group of agents.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .ensembles import ModelKind, ModelSpec, ModelValidationError
+from .ensembles import ModelKind, ModelSpec
 
 AUDIT_INTERVAL = 100_000
 CONSERVATION_RTOL = 1e-9
@@ -69,24 +74,13 @@ class Population:
         return self.spec.n_agents
 
     def net_positions(self) -> np.ndarray:
-        if self.spec.kind is not ModelKind.CREDIT_MARKET:
+        if self.assets is None:
             raise DynamicsError("net positions are defined for the credit-market model")
         return self.cash + self.assets - self.liabilities
 
     def conserved_value(self) -> float:
         """Compensated re-summation of the model's conserved money function."""
-        kind = self.spec.kind
-        if kind is ModelKind.CASH_ONLY:
-            return math.fsum(self.cash)
-        if kind is ModelKind.OVERDRAFT:
-            return math.fsum(self.accounts)
-        if kind in (ModelKind.COMBINED, ModelKind.RESTRICTED):
-            return math.fsum(self.cash) + math.fsum(self.accounts)
-        if kind is ModelKind.CREDIT_MARKET:
-            return math.fsum(self.assets)
-        if kind is ModelKind.MULTI_ASSET:
-            return math.fsum(self.accounts.ravel())
-        raise DynamicsError(f"no exchange dynamics for model kind {kind.value}")
+        return _kernel(self.spec).conserved(self)
 
     def coordinate_scale(self) -> float:
         """Magnitude reference for relative drift when the total is near zero."""
@@ -94,56 +88,20 @@ class Population:
         return max(abs(self.conserved_total), float(sum(parts)), 1.0)
 
     def check_invariants(self) -> None:
-        spec = self.spec
-        kind = spec.kind
         if self.cash is not None and self.cash.min() < 0:
             raise ConservationError(f"negative cash: {self.cash.min()}")
-        if kind in (ModelKind.OVERDRAFT, ModelKind.COMBINED, ModelKind.RESTRICTED):
-            if self.accounts.min() < -spec.overdraft:
-                raise ConservationError(
-                    f"account below the overdraft floor: {self.accounts.min()} < {-spec.overdraft}"
-                )
-        if kind is ModelKind.RESTRICTED and self.accounts.max() > 0:
-            raise ConservationError(f"positive account in the no-credit model: {self.accounts.max()}")
-        if kind is ModelKind.MULTI_ASSET and self.accounts.min() < 0:
-            raise ConservationError(f"negative asset holding: {self.accounts.min()}")
-        if kind is ModelKind.CREDIT_MARKET:
-            for name, arr in (("assets", self.assets), ("liabilities", self.liabilities)):
-                if arr.min() < 0:
-                    raise ConservationError(f"negative {name}: {arr.min()}")
+        _kernel(self.spec).bounds(self)
         drift = abs(self.conserved_value() - self.conserved_total)
         if drift > CONSERVATION_RTOL * self.coordinate_scale():
             raise ConservationError(
                 f"conserved total drifted by {drift} (tolerance "
                 f"{CONSERVATION_RTOL * self.coordinate_scale()})"
             )
-        if kind is ModelKind.CREDIT_MARKET:
-            base = spec.volume_x
-            cash_total = math.fsum(self.cash)
-            if abs(cash_total - base) > CONSERVATION_RTOL * max(base, 1.0):
-                raise ConservationError(f"monetary base drifted: {cash_total} != {base}")
-            net = math.fsum(self.assets) - math.fsum(self.liabilities)
-            if abs(net) > CONSERVATION_RTOL * max(math.fsum(self.assets), 1.0):
-                raise ConservationError(f"aggregate credit/debt mismatch: {net}")
-            shift = np.abs(self.net_positions() - self.initial_net_positions)
-            scale = max(1.0, float(np.abs(self.initial_net_positions).max()))
-            if shift.max() > CONSERVATION_RTOL * scale:
-                raise ConservationError(f"per-agent net position drifted by {shift.max()}")
 
-    def copy(self) -> "Population":
-        return Population(
-            spec=self.spec,
-            conserved_total=self.conserved_total,
-            cash=None if self.cash is None else self.cash.copy(),
-            accounts=None if self.accounts is None else self.accounts.copy(),
-            assets=None if self.assets is None else self.assets.copy(),
-            liabilities=None if self.liabilities is None else self.liabilities.copy(),
-            initial_net_positions=(
-                None if self.initial_net_positions is None else self.initial_net_positions.copy()
-            ),
-            events_applied=self.events_applied,
-            rejected_events=self.rejected_events,
-        )
+
+# ---------------------------------------------------------------------------
+# Initial configurations
+# ---------------------------------------------------------------------------
 
 
 def _simplex_sample(rng: np.random.Generator, size: int, total: float) -> np.ndarray:
@@ -152,6 +110,73 @@ def _simplex_sample(rng: np.random.Generator, size: int, total: float) -> np.nda
         return np.array([total], dtype=float)
     spacings = rng.standard_exponential(size)
     return spacings * (total / spacings.sum())
+
+
+def _init_cash(pop: Population, policy: str, rng: np.random.Generator) -> None:
+    n, total = pop.n_agents, pop.conserved_total
+    if total < 0:
+        raise DynamicsError(f"infeasible total {total}: cash cannot be negative")
+    pop.cash = np.full(n, total / n) if policy == "equal" else _simplex_sample(rng, n, total)
+
+
+def _init_accounts(pop: Population, policy: str, rng: np.random.Generator) -> None:
+    n, d, total = pop.n_agents, pop.spec.overdraft, pop.conserved_total
+    if total < -n * d:
+        raise DynamicsError(f"infeasible total {total}: floor is {-n * d}")
+    if policy == "equal":
+        pop.accounts = np.full(n, total / n)
+    else:
+        pop.accounts = _simplex_sample(rng, n, total + n * d) - d
+
+
+def _init_cash_and_accounts(
+    pop: Population, policy: str, rng: np.random.Generator, capped: bool
+) -> None:
+    """Cash plus one account per agent; ``capped`` keeps accounts at or below zero."""
+    n, d, total = pop.n_agents, pop.spec.overdraft, pop.conserved_total
+    if total < -n * d or (capped and total <= -n * d):
+        raise DynamicsError(f"infeasible total {total}: floor is {-n * d}")
+    if policy == "equal":
+        per_agent = total / n
+        if per_agent >= 0:
+            pop.cash, pop.accounts = np.full(n, per_agent), np.zeros(n)
+        else:
+            pop.cash, pop.accounts = np.zeros(n), np.full(n, per_agent)
+    elif not capped:
+        slots = _simplex_sample(rng, 2 * n, total + n * d)
+        pop.cash, pop.accounts = slots[:n], slots[n:] - d
+    else:
+        pop.accounts = -d * rng.random(n)
+        cash_total = total - math.fsum(pop.accounts)
+        if cash_total < 0:
+            raise DynamicsError(f"infeasible total {total} for the drawn account balances")
+        pop.cash = _simplex_sample(rng, n, cash_total)
+
+
+def _init_credit(pop: Population, policy: str, rng: np.random.Generator) -> None:
+    """Total credit is the conserved total; the monetary base is split as cash."""
+    n, total, base = pop.n_agents, pop.conserved_total, pop.spec.volume_x
+    if total < 0:
+        raise DynamicsError(f"infeasible credit total {total}")
+    if policy == "equal":
+        pop.cash = np.full(n, base / n)
+        pop.assets = np.full(n, total / n)
+        pop.liabilities = np.full(n, total / n)
+    else:
+        pop.cash = _simplex_sample(rng, n, base)
+        pop.assets = _simplex_sample(rng, n, total)
+        pop.liabilities = _simplex_sample(rng, n, total)
+    pop.initial_net_positions = pop.net_positions()
+
+
+def _init_classes(pop: Population, policy: str, rng: np.random.Generator) -> None:
+    n, total, classes = pop.n_agents, pop.conserved_total, pop.spec.asset_classes
+    if total < 0:
+        raise DynamicsError(f"infeasible total {total}")
+    if policy == "equal":
+        pop.accounts = np.full((n, classes), total / (n * classes))
+    else:
+        pop.accounts = _simplex_sample(rng, n * classes, total).reshape(n, classes)
 
 
 def init_population(
@@ -167,355 +192,328 @@ def init_population(
     """
     if policy not in ("equal", "uniform-random"):
         raise DynamicsError(f"unknown init policy {policy!r}")
+    kernel = _kernel(spec)
     if rng is None:
         rng = np.random.default_rng(seed)
-    n = spec.n_agents
-    d = spec.overdraft
-    kind = spec.kind
     pop = Population(spec=spec, conserved_total=float(total))
-    if kind is ModelKind.CASH_ONLY:
-        if total < 0:
-            raise DynamicsError(f"infeasible total {total}: cash cannot be negative")
-        pop.cash = np.full(n, total / n) if policy == "equal" else _simplex_sample(rng, n, total)
-    elif kind is ModelKind.OVERDRAFT:
-        if total < -n * d:
-            raise DynamicsError(f"infeasible total {total}: floor is {-n * d}")
-        if policy == "equal":
-            pop.accounts = np.full(n, total / n)
-        else:
-            pop.accounts = _simplex_sample(rng, n, total + n * d) - d
-    elif kind in (ModelKind.COMBINED, ModelKind.RESTRICTED):
-        if total < -n * d or (kind is ModelKind.RESTRICTED and total <= -n * d):
-            raise DynamicsError(f"infeasible total {total}: floor is {-n * d}")
-        if policy == "equal":
-            per_agent = total / n
-            if per_agent >= 0:
-                pop.cash = np.full(n, per_agent)
-                pop.accounts = np.zeros(n)
-            else:
-                pop.cash = np.zeros(n)
-                pop.accounts = np.full(n, per_agent)
-        elif kind is ModelKind.COMBINED:
-            slots = _simplex_sample(rng, 2 * n, total + n * d)
-            pop.cash = slots[:n]
-            pop.accounts = slots[n:] - d
-        else:
-            pop.accounts = -d * rng.random(n)
-            cash_total = total - math.fsum(pop.accounts)
-            if cash_total < 0:
-                raise DynamicsError(f"infeasible total {total} for the drawn account balances")
-            pop.cash = _simplex_sample(rng, n, cash_total)
-    elif kind is ModelKind.CREDIT_MARKET:
-        if total < 0:
-            raise DynamicsError(f"infeasible credit total {total}")
-        base = spec.volume_x
-        if policy == "equal":
-            pop.cash = np.full(n, base / n)
-            pop.assets = np.full(n, total / n)
-            pop.liabilities = np.full(n, total / n)
-        else:
-            pop.cash = _simplex_sample(rng, n, base)
-            pop.assets = _simplex_sample(rng, n, total)
-            pop.liabilities = _simplex_sample(rng, n, total)
-        pop.initial_net_positions = pop.net_positions().copy()
-    elif kind is ModelKind.MULTI_ASSET:
-        if total < 0:
-            raise DynamicsError(f"infeasible total {total}")
-        classes = spec.asset_classes
-        if policy == "equal":
-            pop.accounts = np.full((n, classes), total / (n * classes))
-        else:
-            pop.accounts = _simplex_sample(rng, n * classes, total).reshape(n, classes)
-    else:
-        raise DynamicsError(f"no exchange dynamics for model kind {kind.value}")
+    kernel.init(pop, policy, rng)
     pop.check_invariants()
     return pop
 
 
 # ---------------------------------------------------------------------------
-# Event primitives
+# Moves: each acts on one agent-index array per role (a permutation slice in
+# a sweep, one agent in a step; ``slice(None)`` for whole-population
+# resplits) and returns the number of rejected events.
 # ---------------------------------------------------------------------------
 
 
-def pair_reshuffle(a: float, b: float, u: float) -> tuple[float, float]:
-    """Uniform split of the pair total: (u*s, s - u*s) with s = a + b."""
-    s = a + b
-    first = u * s
-    return first, s - first
+@dataclass(frozen=True)
+class Move:
+    name: str
+    arity: int  # agents per event; 1 means every agent resplits in one sweep
+    apply: Callable[..., int]
 
 
-def lend(pop: Population, lender: int, borrower: int, amount: float) -> None:
-    """Credit-market lending event: cash moves against a new claim/debt pair."""
-    if pop.spec.kind is not ModelKind.CREDIT_MARKET:
-        raise DynamicsError("lend applies to the credit-market model")
-    if amount < 0:
-        raise DynamicsError(f"negative amount {amount}")
-    if pop.cash[lender] < amount:
-        raise DynamicsError(f"lender {lender} holds {pop.cash[lender]} < {amount}")
-    pop.cash[lender] -= amount
-    pop.assets[lender] += amount
-    pop.cash[borrower] += amount
-    pop.liabilities[borrower] += amount
+def _cash_pair(pop: Population, rng: np.random.Generator, j, k) -> int:
+    s = pop.cash[j] + pop.cash[k]
+    first = rng.random(s.size) * s
+    pop.cash[j] = first
+    pop.cash[k] = s - first
+    return 0
 
 
-def repay(pop: Population, lender: int, borrower: int, amount: float) -> None:
-    """Reverse of :func:`lend`: the borrower redeems debt held by the lender."""
-    if pop.spec.kind is not ModelKind.CREDIT_MARKET:
-        raise DynamicsError("repay applies to the credit-market model")
-    if amount < 0:
-        raise DynamicsError(f"negative amount {amount}")
-    if pop.assets[lender] < amount:
-        raise DynamicsError(f"lender {lender} has claims {pop.assets[lender]} < {amount}")
-    if pop.cash[borrower] < amount or pop.liabilities[borrower] < amount:
-        raise DynamicsError(f"borrower {borrower} cannot repay {amount}")
-    pop.cash[lender] += amount
-    pop.assets[lender] -= amount
-    pop.cash[borrower] -= amount
-    pop.liabilities[borrower] -= amount
+def _account_pair(pop: Population, rng: np.random.Generator, j, k) -> int:
+    """Uniform split of the pair total in the shifted coordinate z = y + d."""
+    d = pop.spec.overdraft
+    s = (pop.accounts[j] + d) + (pop.accounts[k] + d)
+    first = rng.random(s.size) * s
+    pop.accounts[j] = first - d
+    pop.accounts[k] = (s - first) - d
+    return 0
+
+
+def _pair_resample(pop: Population, rng: np.random.Generator, j, k, capped: bool) -> int:
+    """Dirichlet redraw of both agents' (cash, shifted account) slots.
+
+    ``capped`` rejects draws that push an account above zero (no credit).
+    """
+    d = pop.spec.overdraft
+    s = (pop.cash[j] + pop.accounts[j] + d) + (pop.cash[k] + pop.accounts[k] + d)
+    g = rng.standard_exponential((s.size, 4))
+    g *= (s / g.sum(axis=1))[:, None]
+    if capped:
+        accept = (g[:, 1] <= d) & (g[:, 3] <= d)
+        j, k, g = j[accept], k[accept], g[accept]
+    pop.cash[j] = g[:, 0]
+    pop.accounts[j] = g[:, 1] - d
+    pop.cash[k] = g[:, 2]
+    pop.accounts[k] = g[:, 3] - d
+    return s.size - j.size
+
+
+def _resplit(pop: Population, rng: np.random.Generator, i, capped: bool) -> int:
+    """Uniform split of each agent's own wealth between cash and account."""
+    d = pop.spec.overdraft
+    w = pop.cash[i] + pop.accounts[i] + d
+    z_new = rng.random(w.size) * (np.minimum(d, w) if capped else w)
+    pop.cash[i] = w - z_new
+    pop.accounts[i] = z_new - d
+    return 0
 
 
 def _credit_transfer(
-    holdings: np.ndarray, cash: np.ndarray, j: int, k: int, u: float, cash_sign: float
-) -> bool:
+    pop: Population, rng: np.random.Generator, j, k, holdings: str, cash_sign: float
+) -> int:
     """Reshuffle holdings[j] + holdings[k] with a compensating cash leg.
 
     cash_sign=-1 for asset claims (buyer pays cash), +1 for liabilities
-    (the agent taking on more debt receives cash). Returns acceptance.
+    (the agent taking on more debt receives cash).
     """
-    s = holdings[j] + holdings[k]
-    new_j = u * s
-    delta = new_j - holdings[j]
-    cash_j = cash[j] + cash_sign * delta
-    cash_k = cash[k] - cash_sign * delta
-    if cash_j < 0 or cash_k < 0:
-        return False
-    holdings[j] += delta
-    holdings[k] -= delta
-    cash[j] = cash_j
-    cash[k] = cash_k
-    return True
+    held = getattr(pop, holdings)
+    s = held[j] + held[k]
+    delta = rng.random(s.size) * s - held[j]
+    cash_j = pop.cash[j] + cash_sign * delta
+    cash_k = pop.cash[k] - cash_sign * delta
+    accept = (cash_j >= 0) & (cash_k >= 0)
+    ja, ka, da = j[accept], k[accept], delta[accept]
+    held[ja] += da
+    held[ka] -= da
+    pop.cash[ja] = cash_j[accept]
+    pop.cash[ka] = cash_k[accept]
+    return s.size - ja.size
+
+
+def _turnover(pop: Population, rng: np.random.Generator, g0, g1, g2, g3) -> int:
+    """g0 lends to g1 while g3 repays g2 the same amount; total credit stays put."""
+    scale = 2.0 * pop.conserved_total / pop.n_agents
+    amount = rng.random(g0.size) * scale
+    accept = (
+        (pop.cash[g0] >= amount)
+        & (pop.assets[g2] >= amount)
+        & (pop.cash[g3] >= amount)
+        & (pop.liabilities[g3] >= amount)
+    )
+    a = amount[accept]
+    i0, i1, i2, i3 = g0[accept], g1[accept], g2[accept], g3[accept]
+    pop.cash[i0] -= a
+    pop.assets[i0] += a
+    pop.cash[i1] += a
+    pop.liabilities[i1] += a
+    pop.cash[i2] += a
+    pop.assets[i2] -= a
+    pop.cash[i3] -= a
+    pop.liabilities[i3] -= a
+    return g0.size - a.size
+
+
+def _class_pair(pop: Population, rng: np.random.Generator, j, k) -> int:
+    """Uniform split of one randomly chosen asset class per pair."""
+    c = rng.integers(pop.spec.asset_classes, size=j.size)
+    s = pop.accounts[j, c] + pop.accounts[k, c]
+    first = rng.random(j.size) * s
+    pop.accounts[j, c] = first
+    pop.accounts[k, c] = s - first
+    return 0
+
+
+def _class_resplit(pop: Population, rng: np.random.Generator, i) -> int:
+    totals = pop.accounts[i].sum(axis=1)
+    g = rng.standard_exponential((totals.size, pop.spec.asset_classes))
+    pop.accounts[i] = g * (totals / g.sum(axis=1))[:, None]
+    return 0
+
+
+_CASH_PAIR = Move("pair_reshuffle", 2, _cash_pair)
+_ACCOUNT_PAIR = Move("pair_reshuffle_shifted", 2, _account_pair)
+_LOAN_SALE = Move("loan_sale", 2, partial(_credit_transfer, holdings="assets", cash_sign=-1.0))
+_DEBT_ASSUMPTION = Move(
+    "debt_assumption", 2, partial(_credit_transfer, holdings="liabilities", cash_sign=1.0)
+)
+_TURNOVER = Move("turnover", 4, _turnover)
+_CLASS_PAIR = Move("pair_reshuffle_class", 2, _class_pair)
+_CLASS_RESPLIT = Move("class_resplit", 1, _class_resplit)
+
+
+def _cash_and_account_moves(capped: bool) -> tuple[Move, ...]:
+    return (
+        Move("pair_resample", 2, partial(_pair_resample, capped=capped)),
+        Move("resplit", 1, partial(_resplit, capped=capped)),
+    )
 
 
 # ---------------------------------------------------------------------------
-# Single-event step
+# Bounds beyond nonnegative cash and the conserved total
+# ---------------------------------------------------------------------------
+
+
+def _account_floor(pop: Population) -> None:
+    if pop.accounts.min() < -pop.spec.overdraft:
+        raise ConservationError(
+            f"account below its floor: {pop.accounts.min()} < {-pop.spec.overdraft}"
+        )
+
+
+def _no_credit(pop: Population) -> None:
+    _account_floor(pop)
+    if pop.accounts.max() > 0:
+        raise ConservationError(f"positive account in the no-credit model: {pop.accounts.max()}")
+
+
+def _credit_ledger(pop: Population) -> None:
+    for name, arr in (("assets", pop.assets), ("liabilities", pop.liabilities)):
+        if arr.min() < 0:
+            raise ConservationError(f"negative {name}: {arr.min()}")
+    base = pop.spec.volume_x
+    cash_total = math.fsum(pop.cash)
+    if abs(cash_total - base) > CONSERVATION_RTOL * max(base, 1.0):
+        raise ConservationError(f"monetary base drifted: {cash_total} != {base}")
+    net = math.fsum(pop.assets) - math.fsum(pop.liabilities)
+    if abs(net) > CONSERVATION_RTOL * max(math.fsum(pop.assets), 1.0):
+        raise ConservationError(f"aggregate credit/debt mismatch: {net}")
+    shift = np.abs(pop.net_positions() - pop.initial_net_positions)
+    scale = max(1.0, float(np.abs(pop.initial_net_positions).max()))
+    if shift.max() > CONSERVATION_RTOL * scale:
+        raise ConservationError(f"per-agent net position drifted by {shift.max()}")
+
+
+# ---------------------------------------------------------------------------
+# The kernel table
+# ---------------------------------------------------------------------------
+
+
+def _pooled_mean(coords: dict[str, np.ndarray]) -> float:
+    """Money per agent when the coordinates share one law (classes pooled)."""
+    return float(np.concatenate([v.ravel() for v in coords.values()]).mean()) * len(coords)
+
+
+def _sum_of_means(coords: dict[str, np.ndarray]) -> float:
+    return float(sum(v.mean() for v in coords.values()))
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """Everything the chains and the runner need to know about one model kind."""
+
+    init: Callable[[Population, str, np.random.Generator], None]
+    moves: Callable[[ModelSpec], tuple[Move, ...]]  # rotated one per sweep or step
+    coordinates: Callable[[Population], dict[str, np.ndarray]]  # recorded copies
+    conserved: Callable[[Population], float]
+    bounds: Callable[[Population], None]
+    marginals: Callable[[ModelSpec], list[tuple[str, list[str], float]]]  # (label, names, floor)
+    money_per_agent: Callable[[dict[str, np.ndarray]], float]
+
+
+KERNELS: dict[ModelKind, Kernel] = {
+    ModelKind.CASH_ONLY: Kernel(
+        init=_init_cash,
+        moves=lambda spec: (_CASH_PAIR,),
+        coordinates=lambda pop: {"x": pop.cash.copy()},
+        conserved=lambda pop: math.fsum(pop.cash),
+        bounds=lambda pop: None,
+        marginals=lambda spec: [("x", ["x"], 0.0)],
+        money_per_agent=_pooled_mean,
+    ),
+    ModelKind.OVERDRAFT: Kernel(
+        init=_init_accounts,
+        moves=lambda spec: (_ACCOUNT_PAIR,),
+        coordinates=lambda pop: {"z": pop.accounts + pop.spec.overdraft},
+        conserved=lambda pop: math.fsum(pop.accounts),
+        bounds=_account_floor,
+        marginals=lambda spec: [("z", ["z"], 0.0)],
+        money_per_agent=_pooled_mean,
+    ),
+    ModelKind.COMBINED: Kernel(
+        init=partial(_init_cash_and_accounts, capped=False),
+        moves=lambda spec: _cash_and_account_moves(capped=False),
+        coordinates=lambda pop: {"x": pop.cash.copy(), "y": pop.accounts.copy()},
+        conserved=lambda pop: math.fsum(pop.cash) + math.fsum(pop.accounts),
+        bounds=_account_floor,
+        marginals=lambda spec: [("x", ["x"], 0.0), ("y", ["y"], -spec.overdraft)],
+        money_per_agent=_sum_of_means,
+    ),
+    ModelKind.RESTRICTED: Kernel(
+        init=partial(_init_cash_and_accounts, capped=True),
+        moves=lambda spec: _cash_and_account_moves(capped=True),
+        coordinates=lambda pop: {"x": pop.cash.copy(), "y": pop.accounts.copy()},
+        conserved=lambda pop: math.fsum(pop.cash) + math.fsum(pop.accounts),
+        bounds=_no_credit,
+        marginals=lambda spec: [("x", ["x"], 0.0)],
+        money_per_agent=_sum_of_means,
+    ),
+    ModelKind.CREDIT_MARKET: Kernel(
+        init=_init_credit,
+        # Turnover needs four distinct agents; smaller markets only trade.
+        moves=lambda spec: (
+            _LOAN_SALE, _DEBT_ASSUMPTION, _TURNOVER if spec.n_agents >= 4 else _LOAN_SALE
+        ),
+        coordinates=lambda pop: {"assets": pop.assets.copy()},
+        conserved=lambda pop: math.fsum(pop.assets),
+        bounds=_credit_ledger,
+        marginals=lambda spec: [("assets", ["assets"], 0.0)],
+        money_per_agent=_pooled_mean,
+    ),
+    ModelKind.MULTI_ASSET: Kernel(
+        init=_init_classes,
+        # A single class has nothing to resplit.
+        moves=lambda spec: (
+            (_CLASS_PAIR, _CLASS_RESPLIT) if spec.asset_classes > 1 else (_CLASS_PAIR,)
+        ),
+        coordinates=lambda pop: {
+            f"y_{c}": pop.accounts[:, c].copy() for c in range(pop.spec.asset_classes)
+        },
+        conserved=lambda pop: math.fsum(pop.accounts.ravel()),
+        bounds=_account_floor,
+        marginals=lambda spec: [("y_pooled", [f"y_{c}" for c in range(spec.asset_classes)], 0.0)],
+        money_per_agent=_pooled_mean,
+    ),
+}
+
+
+def _kernel(spec: ModelSpec) -> Kernel:
+    try:
+        return KERNELS[spec.kind]
+    except KeyError:
+        raise DynamicsError(f"no exchange dynamics for model kind {spec.kind.value}") from None
+
+
+def _moves(spec: ModelSpec) -> tuple[Move, ...]:
+    if spec.n_agents < 2:
+        raise DynamicsError("pair exchange needs at least 2 agents")
+    return _kernel(spec).moves(spec)
+
+
+# ---------------------------------------------------------------------------
+# Single events and sweeps
 # ---------------------------------------------------------------------------
 
 
 def step(pop: Population, rng: np.random.Generator) -> EventRecord:
     """Apply exactly one exchange event in place and report it.
 
-    Models with several sub-move types rotate them deterministically with
-    the population's event counter so a step sequence matches the sweep
-    dynamics in law.
+    The event is the sweep's move applied to one group of distinct agents.
+    Moves rotate with the population's event counter, so a step sequence
+    matches the sweep dynamics in law.
     """
-    n = pop.n_agents
-    kind = pop.spec.kind
-    d = pop.spec.overdraft
-    phase = pop.events_applied
+    moves = _moves(pop.spec)
+    move = moves[pop.events_applied % len(moves)]
     pop.events_applied += 1
-    if n < 2:
-        raise DynamicsError("pair exchange needs at least 2 agents")
-
-    def pick_pair() -> tuple[int, int]:
-        j, k = rng.choice(n, size=2, replace=False)
-        return int(j), int(k)
-
-    if kind is ModelKind.CASH_ONLY:
-        j, k = pick_pair()
-        pop.cash[j], pop.cash[k] = pair_reshuffle(pop.cash[j], pop.cash[k], rng.random())
-        return EventRecord("pair_reshuffle", (j, k), True)
-
-    if kind is ModelKind.OVERDRAFT:
-        j, k = pick_pair()
-        zj, zk = pair_reshuffle(pop.accounts[j] + d, pop.accounts[k] + d, rng.random())
-        pop.accounts[j], pop.accounts[k] = zj - d, zk - d
-        return EventRecord("pair_reshuffle_shifted", (j, k), True)
-
-    if kind in (ModelKind.COMBINED, ModelKind.RESTRICTED):
-        capped = kind is ModelKind.RESTRICTED
-        if phase % 2 == 0:
-            j, k = pick_pair()
-            s = (pop.cash[j] + pop.accounts[j] + d) + (pop.cash[k] + pop.accounts[k] + d)
-            g = rng.standard_exponential(4)
-            g *= s / g.sum()
-            if capped and (g[1] > d or g[3] > d):
-                pop.rejected_events += 1
-                return EventRecord("pair_resample", (j, k), False)
-            pop.cash[j], pop.accounts[j] = g[0], g[1] - d
-            pop.cash[k], pop.accounts[k] = g[2], g[3] - d
-            return EventRecord("pair_resample", (j, k), True)
-        i = int(rng.integers(n))
-        w = pop.cash[i] + pop.accounts[i] + d
-        z_new = rng.random() * (min(d, w) if capped else w)
-        pop.cash[i], pop.accounts[i] = w - z_new, z_new - d
-        return EventRecord("resplit", (i,), True)
-
-    if kind is ModelKind.CREDIT_MARKET:
-        move = phase % 3
-        if move == 2 and n < 4:
-            move = 0
-        if move == 0:
-            j, k = pick_pair()
-            ok = _credit_transfer(pop.assets, pop.cash, j, k, rng.random(), -1.0)
-            if not ok:
-                pop.rejected_events += 1
-            return EventRecord("loan_sale", (j, k), ok)
-        if move == 1:
-            j, k = pick_pair()
-            ok = _credit_transfer(pop.liabilities, pop.cash, j, k, rng.random(), +1.0)
-            if not ok:
-                pop.rejected_events += 1
-            return EventRecord("debt_assumption", (j, k), ok)
-        g0, g1, g2, g3 = (int(i) for i in rng.choice(n, size=4, replace=False))
-        scale = 2.0 * pop.conserved_total / n
-        amount = rng.random() * scale
-        ok = (
-            pop.cash[g0] >= amount
-            and pop.assets[g2] >= amount
-            and pop.cash[g3] >= amount
-            and pop.liabilities[g3] >= amount
-        )
-        if ok:
-            lend(pop, g0, g1, amount)
-            repay(pop, g2, g3, amount)
-        else:
-            pop.rejected_events += 1
-        return EventRecord("turnover", (g0, g1, g2, g3), ok)
-
-    if kind is ModelKind.MULTI_ASSET:
-        classes = pop.spec.asset_classes
-        if phase % 2 == 0 or classes == 1:
-            j, k = pick_pair()
-            c = int(rng.integers(classes))
-            pop.accounts[j, c], pop.accounts[k, c] = pair_reshuffle(
-                pop.accounts[j, c], pop.accounts[k, c], rng.random()
-            )
-            return EventRecord("pair_reshuffle_class", (j, k), True)
-        i = int(rng.integers(n))
-        total = pop.accounts[i].sum()
-        g = rng.standard_exponential(classes)
-        pop.accounts[i] = g * (total / g.sum())
-        return EventRecord("class_resplit", (i,), True)
-
-    raise DynamicsError(f"no exchange dynamics for model kind {kind.value}")
+    agents = rng.choice(pop.n_agents, size=move.arity, replace=False)
+    rejected = move.apply(pop, rng, *agents[:, None])
+    pop.rejected_events += rejected
+    return EventRecord(move.name, tuple(agents.tolist()), rejected == 0)
 
 
-# ---------------------------------------------------------------------------
-# Vectorized sweeps
-# ---------------------------------------------------------------------------
-
-
-def _paired_indices(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    perm = rng.permutation(n)
-    pairs = n // 2
-    return perm[:pairs], perm[pairs : 2 * pairs]
-
-
-def _sweep(pop: Population, rng: np.random.Generator, phase: int) -> int:
+def _sweep(pop: Population, rng: np.random.Generator, move: Move) -> int:
     """One sweep of disjoint events; returns the number of events applied."""
     n = pop.n_agents
-    kind = pop.spec.kind
-    d = pop.spec.overdraft
-
-    if kind is ModelKind.CASH_ONLY:
-        j, k = _paired_indices(rng, n)
-        s = pop.cash[j] + pop.cash[k]
-        first = rng.random(j.size) * s
-        pop.cash[j] = first
-        pop.cash[k] = s - first
-        return j.size
-
-    if kind is ModelKind.OVERDRAFT:
-        j, k = _paired_indices(rng, n)
-        s = (pop.accounts[j] + d) + (pop.accounts[k] + d)
-        first = rng.random(j.size) * s
-        pop.accounts[j] = first - d
-        pop.accounts[k] = (s - first) - d
-        return j.size
-
-    if kind in (ModelKind.COMBINED, ModelKind.RESTRICTED):
-        capped = kind is ModelKind.RESTRICTED
-        if phase % 2 == 0:
-            j, k = _paired_indices(rng, n)
-            s = (pop.cash[j] + pop.accounts[j] + d) + (pop.cash[k] + pop.accounts[k] + d)
-            g = rng.standard_exponential((j.size, 4))
-            g *= (s / g.sum(axis=1))[:, None]
-            accept = (g[:, 1] <= d) & (g[:, 3] <= d) if capped else np.ones(j.size, bool)
-            ja, ka = j[accept], k[accept]
-            ga = g[accept]
-            pop.cash[ja] = ga[:, 0]
-            pop.accounts[ja] = ga[:, 1] - d
-            pop.cash[ka] = ga[:, 2]
-            pop.accounts[ka] = ga[:, 3] - d
-            pop.rejected_events += int(j.size - ja.size)
-            return j.size
-        w = pop.cash + pop.accounts + d
-        z_new = rng.random(n) * (np.minimum(d, w) if capped else w)
-        pop.cash = w - z_new
-        pop.accounts = z_new - d
-        return n
-
-    if kind is ModelKind.CREDIT_MARKET:
-        move = phase % 3
-        if move == 2 and n < 4:
-            move = 0
-        if move in (0, 1):
-            holdings = pop.assets if move == 0 else pop.liabilities
-            sign = -1.0 if move == 0 else 1.0
-            j, k = _paired_indices(rng, n)
-            s = holdings[j] + holdings[k]
-            delta = rng.random(j.size) * s - holdings[j]
-            cash_j = pop.cash[j] + sign * delta
-            cash_k = pop.cash[k] - sign * delta
-            accept = (cash_j >= 0) & (cash_k >= 0)
-            ja, ka, da = j[accept], k[accept], delta[accept]
-            holdings[ja] += da
-            holdings[ka] -= da
-            pop.cash[ja] = cash_j[accept]
-            pop.cash[ka] = cash_k[accept]
-            pop.rejected_events += int(j.size - ja.size)
-            return j.size
-        groups = n // 4
-        perm = rng.permutation(n)
-        g0, g1 = perm[:groups], perm[groups : 2 * groups]
-        g2, g3 = perm[2 * groups : 3 * groups], perm[3 * groups : 4 * groups]
-        scale = 2.0 * pop.conserved_total / n
-        amount = rng.random(groups) * scale
-        accept = (
-            (pop.cash[g0] >= amount)
-            & (pop.assets[g2] >= amount)
-            & (pop.cash[g3] >= amount)
-            & (pop.liabilities[g3] >= amount)
-        )
-        a = amount[accept]
-        i0, i1, i2, i3 = g0[accept], g1[accept], g2[accept], g3[accept]
-        pop.cash[i0] -= a
-        pop.assets[i0] += a
-        pop.cash[i1] += a
-        pop.liabilities[i1] += a
-        pop.cash[i2] += a
-        pop.assets[i2] -= a
-        pop.cash[i3] -= a
-        pop.liabilities[i3] -= a
-        pop.rejected_events += int(groups - a.size)
-        return groups
-
-    if kind is ModelKind.MULTI_ASSET:
-        classes = pop.spec.asset_classes
-        if phase % 2 == 0 or classes == 1:
-            j, k = _paired_indices(rng, n)
-            c = rng.integers(classes, size=j.size)
-            s = pop.accounts[j, c] + pop.accounts[k, c]
-            first = rng.random(j.size) * s
-            pop.accounts[j, c] = first
-            pop.accounts[k, c] = s - first
-            return j.size
-        totals = pop.accounts.sum(axis=1)
-        g = rng.standard_exponential((n, classes))
-        pop.accounts = g * (totals / g.sum(axis=1))[:, None]
-        return n
-
-    raise DynamicsError(f"no exchange dynamics for model kind {kind.value}")
+    if move.arity == 1:
+        groups, events = (slice(None),), n
+    else:
+        events = n // move.arity
+        groups = rng.permutation(n)[: events * move.arity].reshape(move.arity, events)
+    pop.rejected_events += move.apply(pop, rng, *groups)
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +536,28 @@ class ChainMeta:
     max_drift: float
 
 
+def samples_csv(record_steps, coords: dict[str, np.ndarray]) -> bytes:
+    """Long-format CSV ``step,agent,coord_name,value``: records, then names, then agents.
+
+    ``coords`` maps each coordinate name to an (n_records, N) array. Values
+    are Python float literals, so ``float(value)`` restores every recorded
+    double exactly.
+    """
+    names = sorted(coords)
+    n_agents = coords[names[0]].shape[1] if names else 0
+    tails = {name: [f",{agent},{name}," for agent in range(n_agents)] for name in names}
+    chunks = [b"step,agent,coord_name,value\n"]
+    for r, step_index in enumerate(record_steps):
+        head = str(step_index)
+        for name in names:
+            row = coords[name][r].tolist()
+            chunks.append(
+                "".join([f"{head}{tail}{value!r}\n" for tail, value in zip(tails[name], row)])
+                .encode()
+            )
+    return b"".join(chunks)
+
+
 @dataclass
 class SampleSet:
     """Thinned equilibrium records: one array (n_records, N) per coordinate."""
@@ -554,34 +574,8 @@ class SampleSet:
         picked = self.coords if names is None else {k: self.coords[k] for k in names}
         return np.concatenate([v.ravel() for v in picked.values()])
 
-    def to_csv(self, path_or_file) -> None:
-        """Long-format CSV: step, agent, coord_name, value."""
-        close = False
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            handle = open(path_or_file, "w", newline="")
-            close = True
-        else:
-            handle = path_or_file
-        try:
-            handle.write("step,agent,coord_name,value\n")
-            names = sorted(self.coords)
-            for r, step_index in enumerate(self.record_steps):
-                for name in names:
-                    row = self.coords[name][r]
-                    handle.write(
-                        "".join(
-                            f"{int(step_index)},{agent},{name},{value!r}\n"
-                            for agent, value in enumerate(row)
-                        )
-                    )
-        finally:
-            if close:
-                handle.close()
-
     def csv_bytes(self) -> bytes:
-        buffer = io.StringIO()
-        self.to_csv(buffer)
-        return buffer.getvalue().encode()
+        return samples_csv(self.record_steps.tolist(), self.coords)
 
 
 def default_burn_in(n_agents: int) -> int:
@@ -594,18 +588,7 @@ def default_thin(n_agents: int) -> int:
 
 def recorded_coordinates(pop: Population) -> dict[str, np.ndarray]:
     """Model-relevant marginal coordinates, copied out of the population."""
-    kind = pop.spec.kind
-    if kind is ModelKind.CASH_ONLY:
-        return {"x": pop.cash.copy()}
-    if kind is ModelKind.OVERDRAFT:
-        return {"z": pop.accounts + pop.spec.overdraft}
-    if kind in (ModelKind.COMBINED, ModelKind.RESTRICTED):
-        return {"x": pop.cash.copy(), "y": pop.accounts.copy()}
-    if kind is ModelKind.CREDIT_MARKET:
-        return {"assets": pop.assets.copy()}
-    if kind is ModelKind.MULTI_ASSET:
-        return {f"y_{c}": pop.accounts[:, c].copy() for c in range(pop.spec.asset_classes)}
-    raise DynamicsError(f"no recorded coordinates for model kind {kind.value}")
+    return _kernel(pop.spec).coordinates(pop)
 
 
 def advance(
@@ -616,9 +599,10 @@ def advance(
     Returns (events applied, next phase) so callers can interleave their
     own audits or recording with further calls.
     """
+    moves = _moves(pop.spec)
     events = 0
     while events < n_events:
-        events += _sweep(pop, rng, phase)
+        events += _sweep(pop, rng, moves[phase % len(moves)])
         phase += 1
     pop.events_applied += events
     return events, phase
@@ -656,6 +640,7 @@ def run_chain(
         raise DynamicsError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
     if thin < 1:
         raise DynamicsError(f"thin must be >= 1, got {thin}")
+    moves = _moves(spec)
     rng = np.random.default_rng(seed)
     pop = init_population(spec, policy, total, rng=rng)
 
@@ -669,7 +654,7 @@ def run_chain(
     max_drift = 0.0
     scale = pop.coordinate_scale()
     while events < steps or next_record < n_records:
-        events += _sweep(pop, rng, phase)
+        events += _sweep(pop, rng, moves[phase % len(moves)])
         phase += 1
         while next_record < n_records and burn_in + (next_record + 1) * thin <= events:
             record_steps[next_record] = burn_in + (next_record + 1) * thin
@@ -716,6 +701,4 @@ def free_expansion(pop: Population, volume_y_new: float) -> Population:
         raise DynamicsError(
             f"free expansion cannot shrink the volume: {volume_y_new} < {pop.spec.volume_y}"
         )
-    expanded = pop.copy()
-    expanded.spec = replace(pop.spec, volume_y=float(volume_y_new))
-    return expanded
+    return replace(pop, spec=replace(pop.spec, volume_y=float(volume_y_new)), cash=pop.cash.copy())

@@ -495,3 +495,10 @@ def invert_temperature_restricted(spec: ModelSpec, total_money: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def temperature_from_total(spec: ModelSpec, conserved_total: float) -> float:
+    """Temperature implied by the conserved total, by inversion for the restricted model."""
+    if spec.kind is ModelKind.RESTRICTED:
+        return invert_temperature_restricted(spec, conserved_total)
+    return temperature_closed_form(spec, conserved_total)

@@ -20,12 +20,11 @@ from .ensembles import (
     UnsupportedModelError,
     chemical_potential_closed_form,
     entropy_closed_form,
-    invert_temperature_restricted,
     log_partition,
     mean_money_closed_form,
     model_volume,
     pressure_closed_form,
-    temperature_closed_form,
+    temperature_from_total,
 )
 
 # Asymptotic 1% critical value of the Kolmogorov distribution, sqrt(n)-scaled.
@@ -168,12 +167,6 @@ def histogram(samples, rule: str = "freedman-diaconis", width: float | None = No
 # ---------------------------------------------------------------------------
 
 
-def _temperature_from_total(spec: ModelSpec, total: float) -> float:
-    if spec.kind is ModelKind.RESTRICTED:
-        return invert_temperature_restricted(spec, total)
-    return temperature_closed_form(spec, total)
-
-
 def _relative(value: float, reference: float, scale: float) -> float:
     return abs(value - reference) / max(abs(reference), scale)
 
@@ -224,8 +217,8 @@ def finite_diff_thermo_residuals(
     # (dS/dm)^-1 = T, differentiating S(m) through the temperature map.
     dm = h * money_scale
     m0 = mean_money_at(t)
-    s_plus = entropy_at(_temperature_from_total(spec, m0 + dm))
-    s_minus = entropy_at(_temperature_from_total(spec, m0 - dm))
+    s_plus = entropy_at(temperature_from_total(spec, m0 + dm))
+    s_minus = entropy_at(temperature_from_total(spec, m0 - dm))
     ds_dm = (s_plus - s_minus) / (2.0 * dm)
     residuals["inv_dS_dm_vs_T"] = _relative(1.0 / ds_dm, t, h * t)
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .ensembles import ModelValidationError
+from .dynamics import default_burn_in, default_thin, run_chain, samples_csv
+from .ensembles import ModelSpec
 
 
 class ParetoError(ValueError):
@@ -87,10 +88,6 @@ def pareto_entropy(spec: ParetoSpec, temperature: float) -> float:
     )
 
 
-def pareto_free_energy(spec: ParetoSpec, temperature: float) -> float:
-    return -temperature * pareto_log_partition(spec, temperature)
-
-
 def pareto_mean_logincome(spec: ParetoSpec, temperature: float) -> float:
     """Per-agent Legendre mean: Y/N = T + t_max ln(J/t_max) + T^2/(t_max - T)."""
     _check_window(spec, temperature)
@@ -118,12 +115,11 @@ def pareto_direct_sample(
     spec: ParetoSpec, temperature: float, n_samples: int, seed: int = 0
 ) -> np.ndarray:
     """Inverse-CDF draws from p(I) ~ I^(-a) on [J, inf), a = t_max/T."""
-    a = _check_window(spec, temperature)
+    _check_window(spec, temperature)
     if n_samples < 1:
         raise ParetoError(f"n_samples must be positive, got {n_samples}")
     rng = np.random.default_rng(seed)
-    u = rng.random(n_samples)
-    return spec.floor_j * (1.0 - u) ** (-1.0 / (a - 1.0))
+    return pareto_quantile(spec, temperature, rng.random(n_samples))
 
 
 def pareto_quantile(spec: ParetoSpec, temperature: float, u) -> np.ndarray:
@@ -137,43 +133,6 @@ def pareto_quantile(spec: ParetoSpec, temperature: float, u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def multiplicative_exchange(
-    income_j: float, income_k: float, growth: float
-) -> tuple[float, float]:
-    """One zero-sum multiplicative event: (I_j * g, I_k / g); product conserved."""
-    if growth <= 0:
-        raise ParetoError(f"growth factor must be positive, got {growth}")
-    return income_j * growth, income_k / growth
-
-
-def init_incomes(spec: ParetoSpec, mean_log_excess: float) -> np.ndarray:
-    """Every agent at I = J e^theta, so Y starts at N (ln J + theta)."""
-    if mean_log_excess < 0:
-        raise ParetoError("mean log excess cannot be negative (incomes sit above J)")
-    return np.full(spec.n_agents, spec.floor_j * math.exp(mean_log_excess))
-
-
-def pareto_pair_step(incomes: np.ndarray, floor_j: float, rng: np.random.Generator) -> EventTuple:
-    """Uniform reshuffle of one pair's log-excess; conserves the income product.
-
-    In z = ln(I/J) >= 0 the move splits z_j + z_k uniformly, which keeps
-    the shell measure of the conserved-Y ensemble invariant; incomes never
-    fall below the floor, so nothing is ever rejected.
-    """
-    n = incomes.size
-    if n < 2:
-        raise ParetoError("pair exchange needs at least 2 agents")
-    j, k = (int(i) for i in rng.choice(n, size=2, replace=False))
-    z_total = math.log(incomes[j] / floor_j) + math.log(incomes[k] / floor_j)
-    z_j = rng.random() * z_total
-    incomes[j] = floor_j * math.exp(z_j)
-    incomes[k] = floor_j * math.exp(z_total - z_j)
-    return (j, k)
-
-
-EventTuple = tuple[int, int]
-
-
 def run_income_chain(
     spec: ParetoSpec,
     mean_log_excess: float,
@@ -182,47 +141,32 @@ def run_income_chain(
     thin: int | None = None,
     seed: int = 0,
 ) -> "IncomeSampleSet":
-    """Conserved-Y chain of pairwise log reshuffles; returns thinned incomes."""
+    """Conserved-Y chain of pairwise log reshuffles; returns thinned incomes.
+
+    In z = ln(I/J) >= 0 the total Y = N ln J + sum_i z_i is a cash total, so
+    the chain is the cash-only kernel on z: a uniform split of z_j + z_k keeps
+    the shell measure of the conserved-Y ensemble invariant, and incomes never
+    fall below the floor. Every agent starts at I = J e^theta.
+    """
     n = spec.n_agents
     if n < 2:
         raise ParetoError("need at least 2 agents")
     if burn_in is None:
-        burn_in = 100 * n
+        burn_in = default_burn_in(n)
     if thin is None:
-        thin = n
+        thin = default_thin(n)
     if burn_in < 0 or steps <= burn_in:
         raise ParetoError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
     if thin < 1:
         raise ParetoError(f"thin must be >= 1, got {thin}")
-    rng = np.random.default_rng(seed)
-    z = np.full(n, float(mean_log_excess))
     if mean_log_excess < 0:
         raise ParetoError("mean log excess cannot be negative")
-    y_initial = math.fsum(z) + n * math.log(spec.floor_j)
-
-    n_records = (steps - burn_in) // thin
-    records = np.empty((n_records, n))
-    next_record = 0
-    events = 0
-    pairs = n // 2
-    max_drift = 0.0
-    while events < steps or next_record < n_records:
-        perm = rng.permutation(n)
-        j, k = perm[:pairs], perm[pairs : 2 * pairs]
-        s = z[j] + z[k]
-        first = rng.random(pairs) * s
-        z[j] = first
-        z[k] = s - first
-        events += pairs
-        while next_record < n_records and burn_in + (next_record + 1) * thin <= events:
-            records[next_record] = spec.floor_j * np.exp(z)
-            next_record += 1
-    y_final = math.fsum(z) + n * math.log(spec.floor_j)
-    max_drift = abs(y_final - y_initial) / max(abs(y_initial), 1.0)
+    chain = run_chain(ModelSpec.cash_only(n, 1.0), "equal", n * float(mean_log_excess),
+                      steps, burn_in, thin, seed)
     return IncomeSampleSet(
-        incomes=records,
-        conserved_y=y_initial,
-        y_drift=max_drift,
+        incomes=spec.floor_j * np.exp(chain.coords["x"]),
+        conserved_y=chain.meta.total + n * math.log(spec.floor_j),
+        y_drift=chain.meta.max_drift,
         seed=seed,
         steps=steps,
         burn_in=burn_in,
@@ -235,7 +179,7 @@ def run_income_chain(
 class IncomeSampleSet:
     incomes: np.ndarray
     conserved_y: float
-    y_drift: float
+    y_drift: float  # the chain's largest audited relative drift of the z total
     seed: int
     steps: int
     burn_in: int
@@ -247,14 +191,8 @@ class IncomeSampleSet:
 
     def csv_bytes(self) -> bytes:
         """Long-format CSV matching the exchange-chain sample layout."""
-        lines = ["step,agent,coord_name,value"]
-        for r in range(self.incomes.shape[0]):
-            step_index = self.burn_in + (r + 1) * self.thin
-            row = self.incomes[r]
-            lines.extend(
-                f"{step_index},{agent},income,{value!r}" for agent, value in enumerate(row)
-            )
-        return ("\n".join(lines) + "\n").encode()
+        steps = [self.burn_in + (r + 1) * self.thin for r in range(self.incomes.shape[0])]
+        return samples_csv(steps, {"income": self.incomes})
 
 
 def transition_scan(spec: ParetoSpec, t_grid) -> list[tuple[float, float, float]]:

@@ -21,14 +21,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, build_model, build_pareto, get_by_path, set_by_path
-from .dynamics import SampleSet, run_chain
-from .ensembles import (
-    ModelKind,
-    ModelSpec,
-    invert_temperature_restricted,
-    temperature_closed_form,
-    thermo_state,
-)
+from .dynamics import KERNELS, SampleSet, run_chain
+from .ensembles import ModelSpec, temperature_from_total, thermo_state
 from .estimation import (
     finite_diff_thermo_residuals,
     fit_shifted_exponential,
@@ -79,36 +73,6 @@ def derive_seed(base_seed: int, index: int) -> int:
     return x
 
 
-def target_temperature(spec: ModelSpec, total: float) -> float:
-    """Closed-form temperature implied by the conserved total."""
-    if spec.kind is ModelKind.RESTRICTED:
-        return invert_temperature_restricted(spec, total)
-    return temperature_closed_form(spec, total)
-
-
-def fit_marginals(spec: ModelSpec) -> list[tuple[str, list[str], float]]:
-    """(label, coordinate names to pool, floor) of the exponential marginals."""
-    kind = spec.kind
-    if kind is ModelKind.CASH_ONLY:
-        return [("x", ["x"], 0.0)]
-    if kind is ModelKind.OVERDRAFT:
-        return [("z", ["z"], 0.0)]
-    if kind is ModelKind.COMBINED:
-        return [("x", ["x"], 0.0), ("y", ["y"], -spec.overdraft)]
-    if kind is ModelKind.RESTRICTED:
-        return [("x", ["x"], 0.0)]
-    if kind is ModelKind.CREDIT_MARKET:
-        return [("assets", ["assets"], 0.0)]
-    if kind is ModelKind.MULTI_ASSET:
-        names = [f"y_{c}" for c in range(spec.asset_classes)]
-        return [("y_pooled", names, 0.0)]
-    raise ConfigError(f"no fit marginal for model kind {kind.value}")
-
-
-def primary_marginal_label(spec: ModelSpec) -> str:
-    return fit_marginals(spec)[0][0]
-
-
 def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: float) -> tuple[dict, SampleSet]:
     samples = run_chain(
         spec,
@@ -119,8 +83,9 @@ def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: floa
         run_block.get("thin"),
         seed=seed,
     )
+    kernel = KERNELS[spec.kind]
     fits = {}
-    for label, names, floor in fit_marginals(spec):
+    for label, names, floor in kernel.marginals(spec):
         data = samples.pooled(names)
         fit = fit_shifted_exponential(data, floor)
         ks_d, ks_ok = ks_statistic_exponential(data, floor, predicted)
@@ -132,16 +97,10 @@ def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: floa
             "ks_d": ks_d,
             "ks_pass_1pct": ks_ok,
         }
-    if spec.kind in (ModelKind.COMBINED, ModelKind.RESTRICTED):
-        mean_per_agent = float(sum(samples.coords[name].mean() for name in samples.coords))
-    elif spec.kind is ModelKind.MULTI_ASSET:
-        mean_per_agent = float(samples.pooled().mean()) * spec.asset_classes
-    else:
-        mean_per_agent = float(samples.pooled().mean())
     report = {
         "seed": seed,
         "fits": fits,
-        "mean_money_per_agent": mean_per_agent,
+        "mean_money_per_agent": kernel.money_per_agent(samples.coords),
         "max_drift": samples.meta.max_drift,
         "rejected_events": samples.meta.rejected_events,
         "events_run": samples.meta.events_run,
@@ -161,7 +120,7 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[i
     raw = config.raw
     spec = build_model(raw["model"])
     run_block = raw["run"]
-    predicted = target_temperature(spec, float(run_block["total"]))
+    predicted = temperature_from_total(spec, float(run_block["total"]))
     seeds = [derive_seed(config.seed, i) for i in range(config.replicas)]
     payloads = [
         (raw["model"], run_block, seed, predicted, index == 0)
@@ -175,7 +134,7 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[i
     replica_reports = [r for r, _ in results]
     first_samples = results[0][1]
 
-    primary = primary_marginal_label(spec)
+    primary, primary_names, _ = KERNELS[spec.kind].marginals(spec)[0]
     t_hats = [r["fits"][primary]["t_hat"] for r in replica_reports]
     ks_passes = [r["fits"][primary]["ks_pass_1pct"] for r in replica_reports]
     t_hat_mean = float(np.mean(t_hats))
@@ -203,8 +162,7 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[i
     extra_files: dict[str, bytes] = {}
     if raw.get("write_samples", True) and first_samples is not None:
         extra_files["samples.csv"] = first_samples.csv_bytes()
-        label, names, floor = fit_marginals(spec)[0]
-        hist = histogram(first_samples.pooled(names), rule="freedman-diaconis")
+        hist = histogram(first_samples.pooled(primary_names), rule="freedman-diaconis")
         lines = ["bin_left\tbin_right\tdensity"]
         lines += [f"{left!r}\t{right!r}\t{dens!r}" for left, right, dens in hist.tsv_rows()]
         extra_files["histogram.tsv"] = ("\n".join(lines) + "\n").encode()

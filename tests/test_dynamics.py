@@ -10,9 +10,6 @@ from moneygas.dynamics import (
     advance,
     free_expansion,
     init_population,
-    lend,
-    pair_reshuffle,
-    repay,
     run_chain,
     step,
 )
@@ -65,11 +62,21 @@ def web_seed(spec) -> int:
     return hash(spec.kind.value) % 100_000
 
 
+def turnover_step(pop, rng):
+    """Advance the step counter to the turnover phase and apply one event."""
+    pop.events_applied = 2
+    return step(pop, rng)
+
+
 class TestPrimitives:
     def test_pair_reshuffle_conserves_total(self):
-        assert pair_reshuffle(5.0, 3.0, 0.25) == (2.0, 6.0)
-        a, b = pair_reshuffle(1.7, 2.9, 0.613)
-        assert a + b == pytest.approx(4.6, rel=1e-15)
+        pop = init_population(ModelSpec.cash_only(2, 1.0), "equal", 4.6)
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            record = step(pop, rng)
+            assert record.kind == "pair_reshuffle" and sorted(record.agents) == [0, 1]
+            assert pop.cash.min() >= 0.0
+            assert pop.cash.sum() == pytest.approx(4.6, rel=1e-15)
 
     def test_overdraft_step_respects_floor(self):
         spec = ModelSpec.overdraft_model(2, 1.0, 2.0)
@@ -82,33 +89,44 @@ class TestPrimitives:
             assert pop.accounts.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_lend_keeps_net_positions(self):
-        pop = init_population(ModelSpec.credit_market(2, 3.0), "equal", 0.0)
-        pop.cash[:] = [2.0, 1.0]
-        pop.initial_net_positions = pop.net_positions().copy()
-        lend(pop, 0, 1, 1.0)
-        assert list(pop.cash) == [1.0, 2.0]
-        assert list(pop.assets) == [1.0, 0.0]
-        assert list(pop.liabilities) == [0.0, 1.0]
-        assert list(pop.net_positions()) == [2.0, 1.0]
-
-    def test_repay_reverses_lend_bitwise_for_dyadic_amounts(self):
-        pop = init_population(ModelSpec.credit_market(4, 16.0), "equal", 2.0)
+        # A turnover lends g0 -> g1 and repays g2 <- g3 the same amount.
+        pop = init_population(ModelSpec.credit_market(4, 40.0), "equal", 8.0)
         before = pop.net_positions().copy()
-        for amount in (0.5, 0.25, 1.0, 0.125):
-            lend(pop, 0, 1, amount)
-            assert np.array_equal(pop.net_positions(), before)
-            repay(pop, 0, 1, amount)
-            assert np.array_equal(pop.net_positions(), before)
+        credit = pop.assets.sum()
+        rng = np.random.default_rng(1)
+        lent = 0
+        for _ in range(50):
+            cash = pop.cash.copy()
+            record = turnover_step(pop, rng)
+            assert record.kind == "turnover"
+            if record.accepted:
+                lent += 1
+                g0, g1, g2, g3 = record.agents
+                assert pop.cash[g0] < cash[g0] and pop.cash[g1] > cash[g1]
+            assert np.allclose(pop.net_positions(), before, rtol=0, atol=1e-12)
+            assert pop.assets.sum() == pytest.approx(credit, rel=1e-12)
+            pop.check_invariants()
+        assert lent > 0
 
     def test_lend_requires_cash(self):
-        pop = init_population(ModelSpec.credit_market(2, 2.0), "equal", 0.0)
-        with pytest.raises(DynamicsError):
-            lend(pop, 0, 1, 5.0)
+        pop = init_population(ModelSpec.credit_market(4, 4.0), "equal", 4.0)
+        pop.cash[:] = 0.0
+        pop.initial_net_positions = pop.net_positions().copy()
+        before = (pop.cash.copy(), pop.assets.copy(), pop.liabilities.copy())
+        record = turnover_step(pop, np.random.default_rng(2))
+        assert not record.accepted and pop.rejected_events == 1
+        for arr, old in zip((pop.cash, pop.assets, pop.liabilities), before):
+            assert np.array_equal(arr, old)
 
     def test_repay_requires_feasibility(self):
-        pop = init_population(ModelSpec.credit_market(2, 2.0), "equal", 0.0)
-        with pytest.raises(DynamicsError):
-            repay(pop, 0, 1, 0.5)
+        # With the debt written off nobody can repay, so every turnover fails.
+        pop = init_population(ModelSpec.credit_market(4, 4.0), "equal", 4.0)
+        pop.assets[:] = 0.0
+        pop.liabilities[:] = 0.0
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            assert not turnover_step(pop, rng).accepted
+        assert not pop.assets.any() and not pop.liabilities.any()
 
 
 class TestSingleEventStep:
@@ -148,6 +166,21 @@ class TestRunChain:
             run_chain(spec, "equal", 10.0, steps=100, burn_in=-1, thin=10)
         with pytest.raises(DynamicsError):
             run_chain(spec, "equal", 10.0, steps=100, burn_in=10, thin=0)
+        with pytest.raises(DynamicsError, match="2 agents"):
+            run_chain(ModelSpec.cash_only(1, 1.0), "equal", 10.0, steps=100, burn_in=10, thin=10)
+
+    def test_csv_values_round_trip_exactly(self):
+        spec = ModelSpec.combined(20, 1.0)
+        samples = run_chain(spec, "uniform-random", 60.0, 20000, 2000, 1000, seed=5)
+        header, *rows = samples.csv_bytes().decode().splitlines()
+        assert header == "step,agent,coord_name,value"
+        parsed = [(int(s), int(a), name, float(v)) for s, a, name, v in (r.split(",") for r in rows)]
+        assert parsed == [
+            (step_index, agent, name, value)
+            for r, step_index in enumerate(samples.record_steps.tolist())
+            for name in ("x", "y")
+            for agent, value in enumerate(samples.coords[name][r].tolist())
+        ]
 
     def test_record_count_invariant(self):
         spec = ModelSpec.cash_only(10, 1.0)

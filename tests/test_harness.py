@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,15 @@ from moneygas.runner import compare_report, derive_seed, run_experiment
 
 MODEL = {"kind": "cash_only", "n_agents": 50, "volume_y": 10.0}
 RUN = {"policy": "equal", "total": 500.0, "steps": 60_000, "burn_in": 5_000, "thin": 500}
+
+UNRUNNABLE_SIMULATE = {
+    "multi_account": {"model": {"kind": "multi_account", "n_agents": 2, "accounts_per_agent": [1, 1],
+                                "account_overdrafts": [[1.0], [1.0]]}},
+    "one_agent": {"model": dict(MODEL, n_agents=1)},
+    "fractional_thin": {"run": dict(RUN, thin=2.5)},
+    "fractional_burn_in": {"run": dict(RUN, burn_in=2.5)},
+    "no_records": {"run": dict(RUN, steps=5_100, burn_in=5_000, thin=500)},
+}
 
 
 def simulate_config(seed=7, **extra):
@@ -52,6 +65,11 @@ class TestConfigValidation:
         bad_run = dict(RUN, extra_knob=3)
         with pytest.raises(ConfigError, match="unknown"):
             validate_config(simulate_config(run=bad_run))
+
+    def test_sweep_workers_rejected(self):
+        with pytest.raises(ConfigError, match="unknown"):
+            validate_config({"task": "sweep", "base": simulate_config(),
+                             "grid": {"run.total": [250.0]}, "workers": 2})
 
     def test_unknown_task(self):
         with pytest.raises(ConfigError, match="task"):
@@ -224,3 +242,17 @@ class TestCli:
         assert report["direct"]["hill"] == pytest.approx(2.0, rel=0.1)
         assert report["scan"]["strictly_increasing"]
         assert (out / "scan.tsv").exists()
+
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE_SIMULATE))
+    def test_unrunnable_simulate_exits_2(self, tmp_path, case):
+        config_path = write_config(tmp_path, simulate_config(**UNRUNNABLE_SIMULATE[case]))
+        paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        result = subprocess.run(
+            [sys.executable, "-m", "moneygas.cli", "simulate", "-c", str(config_path),
+             "-o", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("configuration error:")
+        assert "Traceback" not in result.stderr

@@ -9,14 +9,11 @@ from moneygas.estimation import hill_tail_index
 from moneygas.pareto import (
     ParetoError,
     ParetoSpec,
-    init_incomes,
-    multiplicative_exchange,
     pareto_direct_sample,
     pareto_entropy,
     pareto_log_partition,
     pareto_mean_logincome,
     pareto_mean_logincome_sampling,
-    pareto_pair_step,
     pareto_quantile,
     run_income_chain,
     temperature_from_log_excess,
@@ -136,20 +133,25 @@ class TestDirectSampler:
 
 
 class TestIncomeDynamics:
-    def test_multiplicative_exchange_conserves_product(self):
-        assert multiplicative_exchange(2.0, 3.0, 1.5) == (3.0, 2.0)
-        a, b = multiplicative_exchange(1.2, 7.7, 0.43)
-        assert a * b == pytest.approx(1.2 * 7.7, rel=1e-12)
-
     def test_pair_step_conserves_log_total(self):
-        incomes = init_incomes(ParetoSpec(10, 2.0, 3.0), 0.7)
-        rng = np.random.default_rng(4)
-        before = math.fsum(np.log(incomes))
-        for _ in range(500):
-            pareto_pair_step(incomes, 2.0, rng)
-            assert incomes.min() >= 2.0
-        after = math.fsum(np.log(incomes))
-        assert abs(after - before) <= 1e-9 * abs(before)
+        spec = ParetoSpec(10, 2.0, 3.0)
+        chain = run_income_chain(spec, 0.7, steps=5000, burn_in=100, thin=10, seed=4)
+        assert chain.incomes.min() >= 2.0
+        expected = 10 * (math.log(2.0) + 0.7)
+        assert chain.conserved_y == pytest.approx(expected, rel=1e-15)
+        for record in chain.incomes:
+            assert abs(math.fsum(np.log(record)) - expected) <= 1e-9 * expected
+
+    def test_csv_values_round_trip_exactly(self):
+        chain = run_income_chain(ParetoSpec(10, 2.0, 3.0), 0.7, 2000, 1000, 100, seed=6)
+        header, *rows = chain.csv_bytes().decode().splitlines()
+        assert header == "step,agent,coord_name,value"
+        parsed = [(int(s), int(a), name, float(v)) for s, a, name, v in (r.split(",") for r in rows)]
+        assert parsed == [
+            (1000 + (r + 1) * 100, agent, "income", value)
+            for r, row in enumerate(chain.incomes.tolist())
+            for agent, value in enumerate(row)
+        ]
 
     def test_chain_tail_matches_matched_canonical_exponent(self):
         spec = ParetoSpec(1000, 1.0, 3.0)
@@ -171,6 +173,8 @@ class TestIncomeDynamics:
             run_income_chain(spec, 0.5, steps=100, burn_in=100, thin=10)
         with pytest.raises(ParetoError):
             run_income_chain(spec, -0.5, steps=1000, burn_in=10, thin=10)
+        with pytest.raises(ParetoError):
+            run_income_chain(ParetoSpec(1, 1.0, 2.0), 0.5, steps=1000, burn_in=10, thin=10)
 
 
 class TestTransitionScan:
