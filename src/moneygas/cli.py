@@ -9,7 +9,7 @@ One verb per pipeline plus the acceptance driver:
     moneygas sweep     -c config.json -o outdir
     moneygas check     -r report.json -e expectations.json
 
-Exit codes: 0 success, 1 acceptance failure, 2 configuration error.
+Exit codes: 0 success, 1 acceptance failure, 2 an input that cannot be run.
 Relative output paths resolve under $MONEYGAS_OUT_ROOT when it is set.
 """
 
@@ -20,7 +20,7 @@ import json
 import sys
 
 from .config import ConfigError, load_config
-from .ensembles import ModelValidationError
+from .ensembles import MoneygasError
 from .runner import compare_report, run_experiment
 
 
@@ -81,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _run_check(args.report, args.expect)
         return _run_task(args.command, args.config, args.out)
-    except (ConfigError, ModelValidationError) as exc:
+    except MoneygasError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

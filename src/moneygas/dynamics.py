@@ -34,13 +34,13 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import ModelKind, ModelSpec
+from .ensembles import ModelKind, ModelSpec, MoneygasError
 
 AUDIT_INTERVAL = 100_000
 CONSERVATION_RTOL = 1e-9
 
 
-class DynamicsError(ValueError):
+class DynamicsError(MoneygasError):
     """Invalid dynamics request (infeasible totals, bad window parameters)."""
 
 

@@ -15,10 +15,10 @@ sensitivity analyses treat N and V as continuous parameters.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from scipy.special import gammaln
 
@@ -35,11 +35,15 @@ class ModelKind(enum.Enum):
     MULTI_ASSET = "multi_asset"
 
 
-class ModelValidationError(ValueError):
+class MoneygasError(ValueError):
+    """Base of the errors that mean an input cannot be run; the CLI exits 2 on them."""
+
+
+class ModelValidationError(MoneygasError):
     """A model description violates its constraints."""
 
 
-class UnsupportedModelError(ValueError):
+class UnsupportedModelError(MoneygasError):
     """The requested quantity has no closed form for this model kind."""
 
 
@@ -77,11 +81,10 @@ class ModelSpec:
             if value is not None and not value > 0:
                 raise ModelValidationError(f"{name} must be positive, got {value}")
         kind = self.kind
-        if kind is ModelKind.CASH_ONLY and self.volume_y is None:
-            raise ModelValidationError("cash_only requires volume_y")
+        volume_field = getattr(PARTITION_FUNCTIONS.get(kind), "volume_field", None)
+        if volume_field is not None and getattr(self, volume_field) is None:
+            raise ModelValidationError(f"{kind.value} requires {volume_field}")
         if kind is ModelKind.OVERDRAFT:
-            if self.volume_x is None:
-                raise ModelValidationError("overdraft model requires volume_x")
             if self.q0 is not None and self.overdraft < -self.q0 / self.n_agents:
                 raise ModelValidationError(
                     f"overdraft d={self.overdraft} with q0={self.q0} gives a negative temperature;"
@@ -106,13 +109,10 @@ class ModelSpec:
                 raise ModelValidationError("per-account overdrafts must be >= 0")
         if kind is ModelKind.MULTI_ASSET and self.asset_classes < 1:
             raise ModelValidationError("asset_classes must be >= 1")
-        if kind is ModelKind.CREDIT_MARKET:
-            if self.volume_x is None:
-                raise ModelValidationError("credit_market requires volume_x (the monetary base)")
-            if self.q0 not in (None, 0, 0.0):
-                raise ModelValidationError(
-                    "credit_market fixes q0 = 0 so credit and debt distributions coincide"
-                )
+        if kind is ModelKind.CREDIT_MARKET and self.q0 not in (None, 0, 0.0):
+            raise ModelValidationError(
+                "credit_market fixes q0 = 0 so credit and debt distributions coincide"
+            )
 
     # -- factories ---------------------------------------------------------
 
@@ -156,29 +156,6 @@ class ModelSpec:
     def multi_asset(cls, n_agents: int, asset_classes: int) -> "ModelSpec":
         return cls(ModelKind.MULTI_ASSET, n_agents, asset_classes=asset_classes)
 
-    # -- conveniences ------------------------------------------------------
-
-    @property
-    def monetary_base(self) -> float:
-        if self.kind is not ModelKind.CREDIT_MARKET:
-            raise UnsupportedModelError("monetary_base is defined for the credit-market model")
-        assert self.volume_x is not None
-        return self.volume_x
-
-    @property
-    def total_accounts(self) -> int:
-        if self.kind is not ModelKind.MULTI_ACCOUNT:
-            raise UnsupportedModelError("total_accounts is defined for the multi-account model")
-        return int(sum(self.accounts_per_agent))
-
-    def with_volume(self, volume: float) -> "ModelSpec":
-        """Copy of this model spec with its volume variable replaced."""
-        if self.kind is ModelKind.CASH_ONLY:
-            return dataclasses.replace(self, volume_y=volume)
-        if self.kind in (ModelKind.OVERDRAFT, ModelKind.CREDIT_MARKET):
-            return dataclasses.replace(self, volume_x=volume)
-        raise UnsupportedModelError(f"{self.kind.value} has no volume variable")
-
 
 @dataclass(frozen=True)
 class ThermoState:
@@ -203,37 +180,96 @@ def _check_temperature(temperature: float) -> None:
         raise ModelValidationError(f"temperature must be positive, got {temperature}")
 
 
-def _require_kind(spec: ModelSpec, *kinds: ModelKind) -> None:
-    if spec.kind not in kinds:
-        wanted = ", ".join(k.value for k in kinds)
-        raise UnsupportedModelError(f"operation requires model kind in {{{wanted}}}, got {spec.kind.value}")
+def _require_kind(spec: ModelSpec, kind: ModelKind) -> None:
+    if spec.kind is not kind:
+        raise UnsupportedModelError(f"operation requires model kind {kind.value}, got {spec.kind.value}")
 
 
-def _log_expm1(u: float) -> float:
-    """log(e^u - 1), stable for u anywhere in (0, inf)."""
-    if u > 36.0:
-        return u + math.log1p(-math.exp(-u))
-    value = math.expm1(u)
-    if value <= 0.0:
-        raise ModelValidationError("degenerate account range: exp(d/T) - 1 underflows to zero")
-    return math.log(value)
+def _no_floor(temperature: float, overdraft: float) -> tuple[float, float]:
+    return 0.0, 0.0
 
 
-def _floor_occupation(temperature: float, overdraft: float) -> float:
-    """The term d·e^{d/T}/(e^{d/T}-1); tends to T as d/T -> 0."""
+def _linear_floor(temperature: float, overdraft: float) -> tuple[float, float]:
+    """g = d/T: balances unbounded above a floor -d."""
+    return overdraft / temperature, overdraft
+
+
+def _capped_floor(temperature: float, overdraft: float) -> tuple[float, float]:
+    """g = ln(e^{d/T} - 1): balances confined to [-d, 0].
+
+    Both terms are evaluated stably for d/T anywhere in (0, inf); the second,
+    d·e^{d/T}/(e^{d/T}-1), tends to T as d/T -> 0.
+    """
     u = overdraft / temperature
-    if u < _FLOOR_TERM_LIMIT:
-        return temperature
-    return overdraft / (-math.expm1(-u))
+    if u > 36.0:
+        g = u + math.log1p(-math.exp(-u))
+    else:
+        value = math.expm1(u)
+        if value <= 0.0:
+            raise ModelValidationError("degenerate account range: exp(d/T) - 1 underflows to zero")
+        g = math.log(value)
+    occupation = temperature if u < _FLOOR_TERM_LIMIT else overdraft / (-math.expm1(-u))
+    return g, occupation
 
 
-def model_volume(spec: ModelSpec) -> float | None:
-    """The model's volume variable, or None when it has none."""
-    if spec.kind is ModelKind.CASH_ONLY:
-        return spec.volume_y
-    if spec.kind in (ModelKind.OVERDRAFT, ModelKind.CREDIT_MARKET):
-        return spec.volume_x
-    return None
+@dataclass(frozen=True)
+class PartitionFunction:
+    """Per-agent partition function z(T) = V·T^k·e^{g(T)} of one model kind.
+
+    ``volume_field`` names the ModelSpec field holding V (None: V = 1 and the
+    model has no volume variable); ``slots`` gives k, the number of exponential
+    coordinates per agent; ``floor`` maps (T, d) to (g, T²·(-dg/dT)).
+    """
+
+    volume_field: str | None
+    slots: Callable[[ModelSpec], int]
+    floor: Callable[[float, float], tuple[float, float]] = _no_floor
+
+
+# The multi-account model has no entry: its agents differ, so only its
+# temperature has a closed form.
+PARTITION_FUNCTIONS: dict[ModelKind, PartitionFunction] = {
+    ModelKind.CASH_ONLY: PartitionFunction("volume_y", lambda spec: 1),
+    ModelKind.OVERDRAFT: PartitionFunction("volume_x", lambda spec: 1, _linear_floor),
+    ModelKind.COMBINED: PartitionFunction(None, lambda spec: 2, _linear_floor),
+    ModelKind.RESTRICTED: PartitionFunction(None, lambda spec: 2, _capped_floor),
+    ModelKind.CREDIT_MARKET: PartitionFunction("volume_x", lambda spec: 1),
+    ModelKind.MULTI_ASSET: PartitionFunction(None, lambda spec: spec.asset_classes),
+}
+
+
+def _partition_function(spec: ModelSpec) -> PartitionFunction:
+    try:
+        return PARTITION_FUNCTIONS[spec.kind]
+    except KeyError:
+        raise UnsupportedModelError(f"no closed-form partition function for {spec.kind.value}") from None
+
+
+def model_volume(spec: ModelSpec, volume: float | None = None) -> float | None:
+    """The model's volume variable, or ``volume`` when given; None when it has none.
+
+    Overriding the volume of a model without one raises UnsupportedModelError.
+    """
+    entry = PARTITION_FUNCTIONS.get(spec.kind)
+    if entry is None or entry.volume_field is None:
+        if volume is not None:
+            raise UnsupportedModelError(f"{spec.kind.value} has no volume variable")
+        return None
+    return getattr(spec, entry.volume_field) if volume is None else volume
+
+
+def _terms(
+    spec: ModelSpec, temperature: float, n_agents: float | None, volume: float | None
+) -> tuple[float, float | None, float, float]:
+    """(N, V, ln z, mean money per agent k·T - T²·(-g')) at T, N and V overridable."""
+    _check_temperature(temperature)
+    entry = _partition_function(spec)
+    v = model_volume(spec, volume)
+    k = entry.slots(spec)
+    g, floor_money = entry.floor(temperature, spec.overdraft)
+    log_z = k * math.log(temperature) + (0.0 if v is None else math.log(v)) + g
+    n = float(spec.n_agents if n_agents is None else n_agents)
+    return n, v, log_z, k * temperature - floor_money
 
 
 def temperature_closed_form(spec: ModelSpec, conserved_total: float) -> float:
@@ -241,29 +277,24 @@ def temperature_closed_form(spec: ModelSpec, conserved_total: float) -> float:
 
     The total is the model's mean conserved quantity: m for cash-only,
     combined, credit-market and multi-asset models, Q0 for the overdraft
-    and multi-account models. The restricted model has no explicit closed
-    form; use :func:`invert_temperature_restricted`.
+    and multi-account models. Inverting m = count·(k·T - shift) gives
+    T = total/(count·k) + shift/k, where shift = T²·(-g') is constant for
+    the absent and linear floors. The multi-account model counts accounts,
+    one slot each, shifted by their mean overdraft. The restricted model's
+    capped floor leaves T implicit; use :func:`invert_temperature_restricted`.
     """
-    n = spec.n_agents
-    kind = spec.kind
-    if kind is ModelKind.CASH_ONLY or kind is ModelKind.CREDIT_MARKET:
-        t = conserved_total / n
-    elif kind is ModelKind.OVERDRAFT:
-        t = conserved_total / n + spec.overdraft
-    elif kind is ModelKind.MULTI_ACCOUNT:
-        r_total = spec.total_accounts
-        d_total = sum(d for row in spec.account_overdrafts for d in row)
-        t = conserved_total / r_total + d_total / r_total
-    elif kind is ModelKind.COMBINED:
-        t = 0.5 * (conserved_total / n + spec.overdraft)
-    elif kind is ModelKind.MULTI_ASSET:
-        t = conserved_total / (n * spec.asset_classes)
-    elif kind is ModelKind.RESTRICTED:
-        raise UnsupportedModelError(
-            "restricted model temperature is implicit; use invert_temperature_restricted"
-        )
-    else:  # pragma: no cover - enum is exhaustive
-        raise UnsupportedModelError(f"unknown kind {kind}")
+    if spec.kind is ModelKind.MULTI_ACCOUNT:
+        count, slots = sum(spec.accounts_per_agent), 1
+        shift = sum(d for row in spec.account_overdrafts for d in row) / count
+    else:
+        entry = _partition_function(spec)
+        if entry.floor is _capped_floor:
+            raise UnsupportedModelError(
+                f"{spec.kind.value} temperature is implicit; use invert_temperature_restricted"
+            )
+        count, slots = spec.n_agents, entry.slots(spec)
+        shift = entry.floor(1.0, spec.overdraft)[1]
+    t = conserved_total / (count * slots) + shift / slots
     if not t > 0:
         raise ModelValidationError(
             f"closed-form temperature is non-positive ({t}); invalid parameter combination"
@@ -278,27 +309,9 @@ def log_partition(
     n_agents: float | None = None,
     volume: float | None = None,
 ) -> float:
-    """ln Z of the factorized canonical partition function."""
-    _check_temperature(temperature)
-    n = float(spec.n_agents if n_agents is None else n_agents)
-    t = temperature
-    kind = spec.kind
-    if kind is ModelKind.CASH_ONLY:
-        v = spec.volume_y if volume is None else volume
-        return n * (math.log(v) + math.log(t))
-    if kind is ModelKind.OVERDRAFT:
-        v = spec.volume_x if volume is None else volume
-        return n * (math.log(v) + math.log(t) + spec.overdraft / t)
-    if kind is ModelKind.COMBINED:
-        return 2.0 * n * math.log(t) + n * spec.overdraft / t
-    if kind is ModelKind.RESTRICTED:
-        return 2.0 * n * math.log(t) + n * _log_expm1(spec.overdraft / t)
-    if kind is ModelKind.CREDIT_MARKET:
-        v = spec.volume_x if volume is None else volume
-        return n * (math.log(v) + math.log(t))
-    if kind is ModelKind.MULTI_ASSET:
-        return n * spec.asset_classes * math.log(t)
-    raise UnsupportedModelError(f"no closed-form partition function for {kind.value}")
+    """ln Z = N·ln z of the factorized canonical partition function."""
+    n, _, log_z, _ = _terms(spec, temperature, n_agents, volume)
+    return n * log_z
 
 
 def entropy_closed_form(
@@ -308,29 +321,9 @@ def entropy_closed_form(
     n_agents: float | None = None,
     volume: float | None = None,
 ) -> float:
-    """S = -dF/dT from the exact derivative of the closed form."""
-    _check_temperature(temperature)
-    n = float(spec.n_agents if n_agents is None else n_agents)
-    t = temperature
-    kind = spec.kind
-    if kind in (ModelKind.CASH_ONLY, ModelKind.OVERDRAFT, ModelKind.CREDIT_MARKET):
-        v = model_volume(spec) if volume is None else volume
-        assert v is not None
-        return n * math.log(v * t) + n
-    if kind is ModelKind.COMBINED:
-        return 2.0 * n * math.log(t) + 2.0 * n
-    if kind is ModelKind.RESTRICTED:
-        d = spec.overdraft
-        return (
-            2.0 * n * math.log(t)
-            + 2.0 * n
-            + n * _log_expm1(d / t)
-            - n * _floor_occupation(t, d) / t
-        )
-    if kind is ModelKind.MULTI_ASSET:
-        i = spec.asset_classes
-        return n * i * math.log(t) + n * i
-    raise UnsupportedModelError(f"no closed-form entropy for {kind.value}")
+    """S = ln Z + m/T, which equals -dF/dT."""
+    n, _, log_z, money = _terms(spec, temperature, n_agents, volume)
+    return n * log_z + n * money / temperature
 
 
 def mean_money_closed_form(
@@ -339,22 +332,9 @@ def mean_money_closed_form(
     *,
     n_agents: float | None = None,
 ) -> float:
-    """Mean conserved total m(T) = F + T·S."""
-    _check_temperature(temperature)
-    n = float(spec.n_agents if n_agents is None else n_agents)
-    t = temperature
-    kind = spec.kind
-    if kind in (ModelKind.CASH_ONLY, ModelKind.CREDIT_MARKET):
-        return n * t
-    if kind is ModelKind.OVERDRAFT:
-        return n * t - n * spec.overdraft
-    if kind is ModelKind.COMBINED:
-        return 2.0 * n * t - n * spec.overdraft
-    if kind is ModelKind.RESTRICTED:
-        return n * (2.0 * t - _floor_occupation(t, spec.overdraft))
-    if kind is ModelKind.MULTI_ASSET:
-        return n * spec.asset_classes * t
-    raise UnsupportedModelError(f"no closed-form mean money for {kind.value}")
+    """Mean conserved total m(T) = F + T·S = N·(k·T - T²·(-g'))."""
+    n, _, _, money = _terms(spec, temperature, n_agents, None)
+    return n * money
 
 
 def pressure_closed_form(
@@ -364,13 +344,9 @@ def pressure_closed_form(
     n_agents: float | None = None,
     volume: float | None = None,
 ) -> float | None:
-    """P = -dF/dV, or None for models without a volume variable."""
-    _check_temperature(temperature)
-    n = float(spec.n_agents if n_agents is None else n_agents)
-    v = model_volume(spec) if volume is None else volume
-    if v is None:
-        return None
-    return n * temperature / v
+    """P = -dF/dV = NT/V, or None for models without a volume variable."""
+    n, v, _, _ = _terms(spec, temperature, n_agents, volume)
+    return None if v is None else n * temperature / v
 
 
 def chemical_potential_closed_form(
@@ -379,39 +355,18 @@ def chemical_potential_closed_form(
     *,
     volume: float | None = None,
 ) -> float:
-    """mu = dF/dN with N treated as continuous; F is linear in N here."""
-    _check_temperature(temperature)
-    t = temperature
-    kind = spec.kind
-    if kind is ModelKind.CASH_ONLY:
-        v = spec.volume_y if volume is None else volume
-        return -t * math.log(v * t)
-    if kind is ModelKind.OVERDRAFT:
-        v = spec.volume_x if volume is None else volume
-        return -t * math.log(v * t) - spec.overdraft
-    if kind is ModelKind.COMBINED:
-        return -2.0 * t * math.log(t) - spec.overdraft
-    if kind is ModelKind.RESTRICTED:
-        return -2.0 * t * math.log(t) - t * _log_expm1(spec.overdraft / t)
-    if kind is ModelKind.CREDIT_MARKET:
-        v = spec.volume_x if volume is None else volume
-        return -t * math.log(v * t)
-    if kind is ModelKind.MULTI_ASSET:
-        return -t * spec.asset_classes * math.log(t)
-    raise UnsupportedModelError(f"no closed-form chemical potential for {kind.value}")
+    """mu = dF/dN = -T·ln z with N treated as continuous; F is linear in N here."""
+    _, _, log_z, _ = _terms(spec, temperature, None, volume)
+    return -temperature * log_z
 
 
 def thermo_state(spec: ModelSpec, temperature: float) -> ThermoState:
     """Bundle (T, m, S, F, P, V, N, mu) at one operating point."""
-    lnz = log_partition(spec, temperature)
-    free_energy = -temperature * lnz
-    entropy = entropy_closed_form(spec, temperature)
-    mean_money = mean_money_closed_form(spec, temperature)
     return ThermoState(
         temperature=temperature,
-        mean_money=mean_money,
-        entropy=entropy,
-        free_energy=free_energy,
+        mean_money=mean_money_closed_form(spec, temperature),
+        entropy=entropy_closed_form(spec, temperature),
+        free_energy=-temperature * log_partition(spec, temperature),
         pressure=pressure_closed_form(spec, temperature),
         volume=model_volume(spec),
         n_agents=spec.n_agents,
@@ -435,9 +390,7 @@ def microcanonical_entropy(spec: ModelSpec, total_money: float) -> float:
 def mean_money_restricted(spec: ModelSpec, temperature: float) -> float:
     """m(T) = 2NT - N·d·e^{d/T}/(e^{d/T}-1) for the no-credit model."""
     _require_kind(spec, ModelKind.RESTRICTED)
-    _check_temperature(temperature)
-    n, d = spec.n_agents, spec.overdraft
-    return n * (2.0 * temperature - _floor_occupation(temperature, d))
+    return mean_money_closed_form(spec, temperature)
 
 
 def invert_temperature_restricted(spec: ModelSpec, total_money: float) -> float:
@@ -458,7 +411,7 @@ def invert_temperature_restricted(spec: ModelSpec, total_money: float) -> float:
         return total_money / n
 
     def gap(t: float) -> float:
-        return mean_money_restricted(spec, t) - total_money
+        return mean_money_closed_form(spec, t) - total_money
 
     hi = max(total_money / n + d, d, 1e-300)
     previous = gap(hi)

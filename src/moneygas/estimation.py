@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import (
-    ModelKind,
     ModelSpec,
-    ModelValidationError,
-    UnsupportedModelError,
+    MoneygasError,
     chemical_potential_closed_form,
     entropy_closed_form,
     log_partition,
@@ -32,7 +30,7 @@ from .ensembles import (
 KS_1PCT_CONSTANT = 1.63
 
 
-class EstimationError(ValueError):
+class EstimationError(MoneygasError):
     """Raised on degenerate or infeasible estimation input."""
 
 
@@ -193,12 +191,15 @@ def finite_diff_thermo_residuals(
     ``volume`` overrides the model spec's volume variable; ``h`` is the relative
     step. The multi-account model has no closed-form state and is rejected.
     """
-    if spec.kind is ModelKind.MULTI_ACCOUNT:
-        raise UnsupportedModelError("multi-account model has no closed-form state to verify")
-    if not temperature > 0:
-        raise ModelValidationError(f"temperature must be positive, got {temperature}")
-    if volume is None:
-        volume = model_volume(spec)
+    try:
+        return _residuals(spec, temperature, model_volume(spec, volume), h)
+    except ZeroDivisionError as exc:
+        raise EstimationError(
+            f"finite differences at T={temperature}, V={volume} underflow to a zero step or scale"
+        ) from exc
+
+
+def _residuals(spec: ModelSpec, temperature: float, volume: float | None, h: float) -> dict[str, float]:
     n = float(spec.n_agents)
     t = temperature
     money_scale = max(abs(mean_money_closed_form(spec, t)), n * t)

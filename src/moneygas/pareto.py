@@ -24,10 +24,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from .dynamics import default_burn_in, default_thin, run_chain, samples_csv
-from .ensembles import ModelSpec
+from .ensembles import ModelSpec, MoneygasError
 
 
-class ParetoError(ValueError):
+class ParetoError(MoneygasError):
     """Invalid parameters for the power-law income ensemble."""
 
 

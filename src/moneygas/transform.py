@@ -24,6 +24,7 @@ from .ensembles import (
     ModelKind,
     ModelSpec,
     ModelValidationError,
+    MoneygasError,
     UnsupportedModelError,
     chemical_potential_closed_form,
     entropy_closed_form,
@@ -33,17 +34,16 @@ from .ensembles import (
     pressure_closed_form,
 )
 
-_IDEAL_KINDS = (ModelKind.CASH_ONLY, ModelKind.OVERDRAFT, ModelKind.CREDIT_MARKET)
 _QUAD_RTOL = 1e-10
 _CROSSCHECK_RTOL = 1e-8
 
 
-class TransformError(ValueError):
+class TransformError(MoneygasError):
     """Invalid path, state, or parameter for a thermodynamic process."""
 
 
 def _require_ideal(spec: ModelSpec) -> None:
-    if spec.kind not in _IDEAL_KINDS:
+    if model_volume(spec) is None:
         raise TransformError(
             f"process engine needs a model with a volume variable, got {spec.kind.value}"
         )
@@ -62,6 +62,8 @@ class Segment:
     def __post_init__(self) -> None:
         if self.v_start <= 0 or self.v_end <= 0 or self.t_start <= 0 or self.t_end <= 0:
             raise TransformError("segment volumes and temperatures must be positive")
+        if not 0 < self.v_end / self.v_start < math.inf:
+            raise TransformError("segment volume ratio is out of floating-point range")
         if self.kind == "isothermal":
             if self.t_start != self.t_end:
                 raise TransformError("isothermal segment with changing temperature")
@@ -133,7 +135,7 @@ def _segment_work(n: float, segment: Segment) -> float:
     else:  # adiabatic: T(v) = T_start * v_start / v, so P = N*T_start*v_start/v^2
         c = segment.t_start * segment.v_start
         closed = n * (segment.t_start - segment.t_end)
-        numeric, _ = quad(lambda v: n * c / v**2, segment.v_start, segment.v_end, epsrel=_QUAD_RTOL)
+        numeric, _ = quad(lambda v: n * c / (v * v), segment.v_start, segment.v_end, epsrel=_QUAD_RTOL)
     return _crosscheck(closed, numeric, n * segment.t_start)
 
 
@@ -408,8 +410,7 @@ def gibbs_duhem_residual(
     """
     if not temperature > 0:
         raise ModelValidationError(f"temperature must be positive, got {temperature}")
-    if volume is None:
-        volume = model_volume(spec)
+    volume = model_volume(spec, volume)
     rel_t, rel_v, rel_n = deltas
     if volume is None and rel_v != 0.0:
         raise UnsupportedModelError(f"{spec.kind.value} has no volume to vary")
@@ -452,8 +453,7 @@ def first_law_residual(
     """First-order residual of T dS - dm - P dV + mu dN along an increment."""
     if not temperature > 0:
         raise ModelValidationError(f"temperature must be positive, got {temperature}")
-    if volume is None:
-        volume = model_volume(spec)
+    volume = model_volume(spec, volume)
     rel_t, rel_v, rel_n = deltas
     if volume is None and rel_v != 0.0:
         raise UnsupportedModelError(f"{spec.kind.value} has no volume to vary")

@@ -1,0 +1,91 @@
+"""Fuzz the CLI with mutated configuration documents.
+
+Every document, however malformed, must end in a return code (0 success,
+1 acceptance failure, 2 input that cannot be run) and never in an escaping
+exception. The documents are the shipped analytic and transform configs and
+one model block per kind, each mutated by replacing, deleting or adding
+fields with arbitrary JSON values.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from datetime import timedelta
+from functools import reduce
+from operator import getitem
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from moneygas.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BASES = [json.loads((CONFIGS / name).read_text())
+         for name in ("analytic_grid.json", "carnot_transform.json")]
+MODEL_BLOCKS = [
+    {"kind": "cash_only", "n_agents": 10, "volume_y": 50.0},
+    {"kind": "overdraft", "n_agents": 10, "volume_x": 100.0, "overdraft": 5.0, "q0": 100.0},
+    {"kind": "multi_account", "n_agents": 2, "accounts_per_agent": [1, 2],
+     "account_overdrafts": [[1.0], [0.0, 2.0]]},
+    {"kind": "combined", "n_agents": 10, "overdraft": 10.0},
+    {"kind": "restricted", "n_agents": 10, "overdraft": 1.0},
+    {"kind": "credit_market", "n_agents": 10, "volume_x": 1000.0},
+    {"kind": "multi_asset", "n_agents": 10, "asset_classes": 3},
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# Numbers in place of numbers get past the type checks into the pipelines.
+REPLACEMENTS = st.floats() | st.integers() | st.lists(st.floats(), min_size=1, max_size=3) | JSON_VALUES
+
+
+def _paths(node, prefix=()):
+    """Every non-root path into a JSON document, as key/index tuples."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    document = copy.deepcopy(draw(st.sampled_from(BASES)))
+    verb = document["task"]
+    if draw(st.booleans()):
+        document["model"] = copy.deepcopy(draw(st.sampled_from(MODEL_BLOCKS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(document))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = reduce(getitem, path[:-1], document)
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[path[-1]] = draw(REPLACEMENTS)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.text(max_size=8))] = draw(JSON_VALUES)
+        else:
+            parent.insert(path[-1], draw(JSON_VALUES))
+    return verb, document
+
+
+# derandomize: every run draws the same documents, so a failure reproduces as is.
+@settings(max_examples=200, deadline=timedelta(seconds=10), derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=mutated_documents())
+def test_mutated_documents_end_in_an_exit_code(case):
+    verb, document = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(document))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([verb, "-c", str(path), "-o", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)

@@ -15,10 +15,35 @@ from moneygas.ensembles import (
     mean_money_closed_form,
     mean_money_restricted,
     microcanonical_entropy,
+    pressure_closed_form,
     temperature_closed_form,
     thermo_state,
 )
 from moneygas.estimation import finite_diff_thermo_residuals
+from moneygas.transform import gibbs_duhem_residual
+
+
+# (mean_money, entropy, free_energy, pressure, volume, chemical_potential) of
+# all_closed_form_specs(n) at temperature t, computed from the per-kind
+# closed forms written out one kind at a time.
+PINNED_STATES = {
+    (7, 0.37): [
+        (2.59, 7.730520107269698, -0.27029243968978905, 0.8633333333333333, 3.0, -0.038613205669969786),
+        (-7.91, 4.892264350512549, -9.720137809689644, 1.295, 2.0, -1.388591115669949),
+        (-8.82, 0.08046817318586363, -8.84977322407877, None, None, -1.2642533177255384),
+        (-2.3228735050457443, -1.764280932830566, -1.6700895598984349, None, None, -0.2385842228426336),
+        (2.59, 13.661605129980124, -2.464793898092646, 0.37, 7.0, -0.35211341401323515),
+        (10.36, 0.16093634637172727, 10.30045355184246, None, None, 1.471493364548923),
+    ],
+    (1000, 12.5): [
+        (12500.0, 4624.340932976365, -45304.261662204575, 4166.666666666667, 3.0, -45.30426166220457),
+        (11000.0, 4218.875824868201, -41735.947810852515, 6250.0, 2.0, -41.73594781085251),
+        (23000.0, 7051.4572886165115, -65143.216107706394, None, None, -65.1432161077064),
+        (11993.334044336101, 3525.4620203010327, -32074.941209426815, None, None, -32.07494120942681),
+        (12500.0, 5471.638793363569, -55895.48491704461, 1785.7142857142858, 7.0, -55.89548491704461),
+        (50000.0, 14102.914577233023, -126286.43221541279, None, None, -126.28643221541279),
+    ],
+}
 
 
 def all_closed_form_specs(n):
@@ -142,6 +167,21 @@ class TestThermoState:
             assert state.pressure is None
             assert state.volume is None
 
+    @pytest.mark.parametrize("index", range(6))
+    @pytest.mark.parametrize("n,t", sorted(PINNED_STATES))
+    def test_pinned_values(self, n, t, index):
+        # The identity tests hold for any self-consistent ln z; these pin the table entries.
+        spec = all_closed_form_specs(n)[index]
+        state = thermo_state(spec, t)
+        got = (state.mean_money, state.entropy, state.free_energy, state.pressure,
+               state.volume, state.chemical_potential)
+        for value, expected in zip(got, PINNED_STATES[n, t][index]):
+            if expected is None:
+                assert value is None
+            else:
+                assert value == pytest.approx(expected, rel=1e-12)
+        assert (state.temperature, state.n_agents) == (t, n)
+
     @pytest.mark.parametrize("n", [1, 10, 1000])
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 100.0])
     def test_free_energy_identity_everywhere(self, n, t):
@@ -149,6 +189,25 @@ class TestThermoState:
             state = thermo_state(spec, t)
             lhs = state.free_energy + t * state.entropy
             assert abs(lhs - state.mean_money) <= 1e-9 * max(abs(state.mean_money), n * t)
+
+
+class TestVolumeOverride:
+    def test_volume_model_takes_the_override(self):
+        spec = ModelSpec.credit_market(10, 7.0)
+        assert pressure_closed_form(spec, 2.0, volume=5.0) == 4.0
+        assert entropy_closed_form(spec, 2.0, volume=5.0) == pytest.approx(10 * math.log(10.0) + 10)
+
+    @pytest.mark.parametrize("index", [2, 3, 5])
+    def test_volumeless_model_rejects_the_override(self, index):
+        spec = all_closed_form_specs(10)[index]
+        with pytest.raises(UnsupportedModelError):
+            pressure_closed_form(spec, 2.0, volume=5.0)
+        with pytest.raises(UnsupportedModelError):
+            log_partition(spec, 2.0, volume=5.0)
+        with pytest.raises(UnsupportedModelError):
+            gibbs_duhem_residual(spec, 2.0, (1e-5, 0.0, 0.0), volume=5.0)
+        with pytest.raises(UnsupportedModelError):
+            finite_diff_thermo_residuals(spec, 2.0, volume=5.0)
 
 
 class TestMicrocanonicalEntropy:

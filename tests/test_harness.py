@@ -20,6 +20,38 @@ UNRUNNABLE_SIMULATE = {
     "fractional_thin": {"run": dict(RUN, thin=2.5)},
     "fractional_burn_in": {"run": dict(RUN, burn_in=2.5)},
     "no_records": {"run": dict(RUN, steps=5_100, burn_in=5_000, thin=500)},
+    "too_few_values_for_ks": {"model": dict(MODEL, n_agents=2),
+                              "run": dict(RUN, steps=2_000, burn_in=1_000, thin=1_000)},
+}
+
+COMBINED = {"kind": "combined", "n_agents": 10, "overdraft": 1.0}
+MULTI_ACCOUNT = {"kind": "multi_account", "n_agents": 2, "accounts_per_agent": [1, 1],
+                 "account_overdrafts": [[1.0], [1.0]]}
+CYCLE = {"t_hot": 4.0, "t_cold": 2.0, "v1": 1.0, "v2": 2.0}
+PARETO = {"task": "pareto", "pareto": {"n_agents": 10, "floor_j": 1.0, "t_max": 3.0},
+          "temperature": 1.0}
+DYNAMICS = {"mean_log_excess": 0.5, "steps": 4_000, "burn_in": 1_000, "thin": 100}
+# Inputs other verbs cannot run, each with a model or block the runner used to
+# accept, crash on, or silently reinterpret.
+UNRUNNABLE_INPUTS = {
+    "cycle_on_volumeless_model": {"task": "transform", "model": COMBINED, "cycle": CYCLE},
+    "grid_volumes_on_volumeless_model": {
+        "task": "transform", "model": COMBINED,
+        "identity_grid": {"temperatures": [1.0], "volumes": [5.0]}},
+    "analytic_on_multi_account": {"task": "analytic", "model": MULTI_ACCOUNT, "temperatures": [1.0]},
+    "transform_on_multi_account": {
+        "task": "transform", "model": MULTI_ACCOUNT, "identity_grid": {"temperatures": [1.0]}},
+    "credit_market_nonzero_q0": {
+        "task": "analytic", "temperatures": [1.0],
+        "model": {"kind": "credit_market", "n_agents": 10, "volume_x": 100.0, "q0": 5.0}},
+    "fractional_asset_classes": {
+        "task": "analytic", "temperatures": [1.0],
+        "model": {"kind": "multi_asset", "n_agents": 10, "asset_classes": 2.7}},
+    "string_q0": {
+        "task": "analytic", "temperatures": [1.0],
+        "model": {"kind": "overdraft", "n_agents": 10, "volume_x": 1.0, "overdraft": 1.0, "q0": "abc"}},
+    "pareto_burn_in_past_steps": dict(PARETO, dynamics=dict(DYNAMICS, steps=100, burn_in=1_000)),
+    "pareto_fractional_thin": dict(PARETO, dynamics=dict(DYNAMICS, thin=2.5)),
 }
 
 
@@ -79,6 +111,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="sweep path"):
             validate_config({"task": "sweep", "base": simulate_config(),
                              "grid": {"run.nonexistent": [1, 2]}})
+        analytic = {"task": "analytic", "model": MODEL, "temperatures": [1.0, 2.0]}
+        for path in ("temperatures.a", "temperatures.a.b", "temperatures.-1"):
+            with pytest.raises(ConfigError, match="sweep path"):
+                validate_config({"task": "sweep", "base": analytic, "grid": {path: [1.0]}})
 
 
 class TestSeeds:
@@ -256,3 +292,10 @@ class TestCli:
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("configuration error:")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE_INPUTS))
+    def test_unrunnable_input_exits_2(self, tmp_path, capsys, case):
+        document = UNRUNNABLE_INPUTS[case]
+        config_path = write_config(tmp_path, document)
+        assert main([document["task"], "-c", str(config_path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
