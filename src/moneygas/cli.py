@@ -1,13 +1,10 @@
 """Command-line interface.
 
-One verb per pipeline plus the acceptance driver:
+One verb per entry of the task table (``runner.TASKS``) plus the
+acceptance driver:
 
-    moneygas analytic  -c config.json -o outdir
-    moneygas simulate  -c config.json -o outdir
-    moneygas transform -c config.json -o outdir
-    moneygas pareto    -c config.json -o outdir
-    moneygas sweep     -c config.json -o outdir
-    moneygas check     -r report.json -e expectations.json
+    moneygas VERB  -c config.json -o outdir
+    moneygas check -r report.json -e expectations.json
 
 Exit codes: 0 success, 1 acceptance failure, 2 an input that cannot be run.
 Relative output paths resolve under $MONEYGAS_OUT_ROOT when it is set.
@@ -18,27 +15,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import ConfigError
 from .ensembles import MoneygasError
-from .runner import compare_report, run_experiment
-
-
-def _add_run_command(subparsers, name: str, help_text: str) -> None:
-    parser = subparsers.add_parser(name, help=help_text)
-    parser.add_argument("-c", "--config", required=True, help="path to the JSON configuration")
-    parser.add_argument("-o", "--out", default=None, help="output directory (default: config 'outputs' or ./out)")
+from .runner import TASKS, compare_report, load_config, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="moneygas", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    _add_run_command(subparsers, "analytic", "closed-form states and identity residuals")
-    _add_run_command(subparsers, "simulate", "exchange-chain runs with fits and KS checks")
-    _add_run_command(subparsers, "transform", "cycles, reserve relations, identity grids")
-    _add_run_command(subparsers, "pareto", "power-law income ensemble pipelines")
-    _add_run_command(subparsers, "sweep", "grid of runs over parameter overrides")
+    for verb, task in TASKS.items():
+        run = subparsers.add_parser(verb, help=task.help)
+        run.add_argument("-c", "--config", required=True, help="path to the JSON configuration")
+        run.add_argument("-o", "--out", default=None, help="output directory (default: config 'outputs' or ./out)")
     check = subparsers.add_parser("check", help="compare a report against expectations")
     check.add_argument("-r", "--report", required=True, help="path to report.json")
     check.add_argument("-e", "--expect", required=True, help="path to the expectations JSON")
@@ -62,9 +53,9 @@ def _run_task(command: str, config_path: str, out: str | None) -> int:
 
 def _run_check(report_path: str, expect_path: str) -> int:
     try:
-        report = json.loads(open(report_path).read())
-        expectations = json.loads(open(expect_path).read())
-    except (OSError, json.JSONDecodeError) as exc:
+        report = json.loads(Path(report_path).read_text())
+        expectations = json.loads(Path(expect_path).read_text())
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read inputs: {exc}") from exc
     failures = compare_report(report, expectations)
     if failures:

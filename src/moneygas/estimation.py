@@ -192,11 +192,16 @@ def finite_diff_thermo_residuals(
     step. The multi-account model has no closed-form state and is rejected.
     """
     try:
-        return _residuals(spec, temperature, model_volume(spec, volume), h)
+        residuals = _residuals(spec, temperature, model_volume(spec, volume), h)
     except ZeroDivisionError as exc:
         raise EstimationError(
             f"finite differences at T={temperature}, V={volume} underflow to a zero step or scale"
         ) from exc
+    if not all(map(math.isfinite, residuals.values())):
+        raise EstimationError(
+            f"finite differences at T={temperature}, V={volume} give a non-finite residual"
+        )
+    return residuals
 
 
 def _residuals(spec: ModelSpec, temperature: float, volume: float | None, h: float) -> dict[str, float]:

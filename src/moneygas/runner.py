@@ -1,28 +1,55 @@
-"""Experiment runner: deterministic pipelines, reports, manifests.
+"""Experiment runner: the task table, deterministic pipelines, reports, manifests.
 
-Every run writes ``report.json`` (and task-specific CSV/TSV companions)
-followed by ``manifest.json`` carrying the configuration echo, the
-implementation version, the derived per-replica seeds and SHA-256 digests
-of every written file. Nothing in the outputs depends on wall-clock time,
-so re-running a configuration reproduces the bytes exactly.
+``TASKS`` holds one entry per CLI verb: its help line, the schema of its
+configuration document, the cross-field check run after the schema, and its
+pipeline. Every run writes ``report.json`` (and task-specific CSV/TSV
+companions) followed by ``manifest.json`` carrying the configuration echo,
+the implementation version, the derived per-replica seeds and SHA-256
+digests of every written file. Nothing in the outputs depends on wall-clock
+time, so re-running a configuration reproduces the bytes exactly.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import hashlib
+import itertools
 import json
 import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, build_model, build_pareto, get_by_path, set_by_path
+from .config import (
+    ConfigError,
+    boolean,
+    build_model,
+    build_pareto,
+    check_document,
+    check_window,
+    get_by_path,
+    integer,
+    items,
+    json_object,
+    number,
+    positive_numbers,
+    set_by_path,
+    string,
+)
 from .dynamics import KERNELS, SampleSet, run_chain
-from .ensembles import ModelSpec, temperature_from_total, thermo_state
+from .ensembles import (
+    PARTITION_FUNCTIONS,
+    ModelSpec,
+    MoneygasError,
+    model_volume,
+    temperature_from_total,
+    thermo_state,
+)
 from .estimation import (
     finite_diff_thermo_residuals,
     fit_shifted_exponential,
@@ -42,14 +69,12 @@ from .pareto import (
     transition_scan,
 )
 from .transform import (
-    ProcessPath,
-    adiabatic,
     carnot_cycle,
+    carnot_path,
     cycle_with_free_expansion,
     first_law_residual,
     fractional_reserve,
     gibbs_duhem_residual,
-    isothermal,
     isothermal_base,
     path_table,
     policy_bound_check,
@@ -71,6 +96,25 @@ def derive_seed(base_seed: int, index: int) -> int:
     x = (x * 0x94D049BB133111EB) & _MASK64
     x ^= x >> 31
     return x
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A validated configuration document, kept exactly for echoing."""
+
+    raw: dict
+
+    @property
+    def task(self) -> str:
+        return self.raw["task"]
+
+    @property
+    def seed(self) -> int:
+        return self.raw.get("seed", 0)
+
+    @property
+    def outputs(self) -> str | None:
+        return self.raw.get("outputs")
 
 
 def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: float) -> tuple[dict, SampleSet]:
@@ -116,18 +160,25 @@ def _replica_task(payload: tuple) -> tuple[dict, SampleSet | None]:
     return report, samples if keep_samples else None
 
 
-def _run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[int], dict[str, bytes]]:
+def _tsv(header: tuple[str, ...], rows) -> bytes:
+    lines = ["\t".join(header), *("\t".join(map(repr, row)) for row in rows)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, bytes]]:
     raw = config.raw
     spec = build_model(raw["model"])
     run_block = raw["run"]
+    replicas = raw.get("replicas", 1)
     predicted = temperature_from_total(spec, float(run_block["total"]))
-    seeds = [derive_seed(config.seed, i) for i in range(config.replicas)]
+    seeds = [derive_seed(config.seed, i) for i in range(replicas)]
     payloads = [
         (raw["model"], run_block, seed, predicted, index == 0)
         for index, seed in enumerate(seeds)
     ]
-    if config.workers > 1 and len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = raw.get("workers", 1)
+    if workers > 1 and len(payloads) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replica_task, payloads))
     else:
         results = [_replica_task(p) for p in payloads]
@@ -155,21 +206,19 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list[i
             "t_hat": t_hat_mean,
             "rel_error": abs(t_hat_mean - predicted) / predicted,
             "ks_pass_fraction": float(np.mean(ks_passes)),
-            "replicas": config.replicas,
+            "replicas": replicas,
         },
     }
 
-    extra_files: dict[str, bytes] = {}
-    if raw.get("write_samples", True) and first_samples is not None:
-        extra_files["samples.csv"] = first_samples.csv_bytes()
+    files: dict[str, bytes] = {}
+    if raw.get("write_samples", True):
+        files["samples.csv"] = first_samples.csv_bytes()
         hist = histogram(first_samples.pooled(primary_names), rule="freedman-diaconis")
-        lines = ["bin_left\tbin_right\tdensity"]
-        lines += [f"{left!r}\t{right!r}\t{dens!r}" for left, right, dens in hist.tsv_rows()]
-        extra_files["histogram.tsv"] = ("\n".join(lines) + "\n").encode()
-    return report, seeds, extra_files
+        files["histogram.tsv"] = _tsv(("bin_left", "bin_right", "density"), hist.tsv_rows())
+    return report, seeds, files
 
 
-def _run_analytic(config: ExperimentConfig) -> dict:
+def _run_analytic(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, bytes]]:
     raw = config.raw
     spec = build_model(raw["model"])
     h = float(raw.get("fd_step", 1e-5))
@@ -188,34 +237,22 @@ def _run_analytic(config: ExperimentConfig) -> dict:
                 "max_residual": worst,
             }
         )
-    return {"task": "analytic", "model": raw["model"], "points": points, "max_residual": overall}
+    return {"task": "analytic", "model": raw["model"], "points": points, "max_residual": overall}, [], {}
 
 
-def _run_transform(config: ExperimentConfig) -> tuple[dict, dict[str, bytes]]:
+def _run_transform(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, bytes]]:
     raw = config.raw
     spec = build_model(raw["model"])
     report: dict = {"task": "transform", "model": raw["model"]}
-    extra_files: dict[str, bytes] = {}
+    files: dict[str, bytes] = {}
     if "cycle" in raw:
         cyc = raw["cycle"]
         t_hot, t_cold = float(cyc["t_hot"]), float(cyc["t_cold"])
         v1, v2 = float(cyc["v1"]), float(cyc["v2"])
         cycle = carnot_cycle(spec, t_hot, t_cold, v1, v2)
         report["cycle"] = cycle.as_dict()
-        ratio = t_hot / t_cold
-        path = ProcessPath(
-            spec,
-            (
-                isothermal(t_hot, v1, v2),
-                adiabatic(t_hot, v2, v2 * ratio),
-                isothermal(t_cold, v2 * ratio, v1 * ratio),
-                adiabatic(t_cold, v1 * ratio, v1),
-            ),
-        )
-        rows = path_table(path)
-        lines = ["volume\ttemperature\tpressure\tentropy"]
-        lines += [f"{v!r}\t{t!r}\t{p!r}\t{s!r}" for v, t, p, s in rows]
-        extra_files["path.tsv"] = ("\n".join(lines) + "\n").encode()
+        rows = path_table(carnot_path(spec, t_hot, t_cold, v1, v2))
+        files["path.tsv"] = _tsv(("volume", "temperature", "pressure", "entropy"), rows)
         if "free_expansion_factor" in raw:
             spoiled = cycle_with_free_expansion(
                 spec, t_hot, t_cold, v1, v2, float(raw["free_expansion_factor"])
@@ -269,14 +306,15 @@ def _run_transform(config: ExperimentConfig) -> tuple[dict, dict[str, bytes]]:
             "max_first_law": worst_fl,
             "max_state_residual": worst_state,
         }
-    return report, extra_files
+    return report, [], files
 
 
-def _run_pareto(config: ExperimentConfig) -> tuple[dict, dict[str, bytes]]:
+def _run_pareto(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, bytes]]:
     raw = config.raw
     spec = build_pareto(raw["pareto"])
     temperature = float(raw["temperature"])
     exponent = spec.t_max / temperature
+    seeds = [derive_seed(config.seed, 0), derive_seed(config.seed, 1)]  # direct sampler, chain
     report: dict = {
         "task": "pareto",
         "pareto": raw["pareto"],
@@ -290,15 +328,14 @@ def _run_pareto(config: ExperimentConfig) -> tuple[dict, dict[str, bytes]]:
             "tail_index": exponent - 1.0,
         },
     }
-    extra_files: dict[str, bytes] = {}
-    n_direct = int(raw.get("direct_samples", 0))
+    files: dict[str, bytes] = {}
+    n_direct = raw.get("direct_samples", 0)
     if n_direct > 0:
-        seed = derive_seed(config.seed, 0)
-        draws = pareto_direct_sample(spec, temperature, n_direct, seed=seed)
+        draws = pareto_direct_sample(spec, temperature, n_direct, seed=seeds[0])
         k = hill_default_k(n_direct)
         report["direct"] = {
             "n": n_direct,
-            "seed": seed,
+            "seed": seeds[0],
             "hill": hill_tail_index(draws, k),
             "hill_k": k,
             "mean_log_excess": float(np.mean(np.log(draws / spec.floor_j))),
@@ -311,7 +348,7 @@ def _run_pareto(config: ExperimentConfig) -> tuple[dict, dict[str, bytes]]:
             int(dyn["steps"]),
             dyn.get("burn_in"),
             dyn.get("thin"),
-            seed=derive_seed(config.seed, 1),
+            seed=seeds[1],
         )
         pooled = chain.pooled()
         theta = float(np.mean(np.log(pooled / spec.floor_j)))
@@ -322,12 +359,10 @@ def _run_pareto(config: ExperimentConfig) -> tuple[dict, dict[str, bytes]]:
             "matched_temperature": temperature_from_log_excess(spec, theta),
         }
         if raw.get("write_samples", True):
-            extra_files["samples.csv"] = chain.csv_bytes()
+            files["samples.csv"] = chain.csv_bytes()
     if "scan" in raw:
         rows = transition_scan(spec, [float(t) for t in raw["scan"]["temperatures"]])
-        lines = ["temperature\tentropy\tt_dS_dT"]
-        lines += [f"{t!r}\t{s!r}\t{r!r}" for t, s, r in rows]
-        extra_files["scan.tsv"] = ("\n".join(lines) + "\n").encode()
+        files["scan.tsv"] = _tsv(("temperature", "entropy", "t_dS_dT"), rows)
         increasing = all(b[2] > a[2] for a, b in zip(rows, rows[1:]))
         report["scan"] = {
             "rows": len(rows),
@@ -335,11 +370,160 @@ def _run_pareto(config: ExperimentConfig) -> tuple[dict, dict[str, bytes]]:
             "first": {"temperature": rows[0][0], "t_dS_dT": rows[0][2]},
             "last": {"temperature": rows[-1][0], "t_dS_dT": rows[-1][2]},
         }
-    return report, extra_files
+    return report, seeds, files
+
+
+# ---------------------------------------------------------------------------
+# The task table: one entry per CLI verb
+# ---------------------------------------------------------------------------
+
+
+def _check_closed_form(doc: dict) -> None:
+    """analytic, transform: the kind has a closed-form state; fd_step lies in (0, 1)."""
+    if doc["model"].kind not in PARTITION_FUNCTIONS:
+        raise ConfigError(f"{doc['task']} needs a closed-form state;"
+                          f" {doc['model'].kind.value!r} has none")
+    for block in (doc, doc.get("identity_grid", {})):
+        if not 0 < block.get("fd_step", 1e-5) < 1:
+            raise ConfigError("fd_step must lie in (0, 1)")
+
+
+def _check_transform(doc: dict) -> None:
+    _check_closed_form(doc)
+    if ("cycle" in doc or "volumes" in doc.get("identity_grid", {})) and model_volume(doc["model"]) is None:
+        raise ConfigError(f"a cycle or identity_grid volumes need a model with a volume;"
+                          f" {doc['model'].kind.value!r} has none")
+
+
+def _check_simulate(doc: dict) -> None:
+    model, run = doc["model"], doc["run"]
+    if model.kind not in KERNELS:
+        raise ConfigError(f"model kind {model.kind.value!r} has no exchange dynamics to simulate")
+    if run["policy"] not in ("equal", "uniform-random"):
+        raise ConfigError(f"policy must be 'equal' or 'uniform-random', got {run['policy']!r}")
+    check_window(run, model.n_agents)
+    if doc.get("replicas", 1) < 1:
+        raise ConfigError("replicas must be >= 1")
+
+
+def _check_pareto(doc: dict) -> None:
+    spec = doc["pareto"]
+    for temperature in (doc["temperature"], *doc.get("scan", {}).get("temperatures", ())):
+        if not 0 < temperature < spec.t_max:
+            raise ConfigError(f"temperature must lie in (0, t_max), got {temperature}")
+    if "dynamics" in doc:
+        check_window(doc["dynamics"], spec.n_agents)
+
+
+def _sweep_documents(raw: dict):
+    """Each run document of a sweep, in run order: the base with one
+    combination of grid values (paths in sorted order) and one seed."""
+    base, paths = raw["base"], sorted(raw["grid"])
+    for values in itertools.product(*(raw["grid"][path] for path in paths)):
+        for seed in raw.get("seeds") or [base.get("seed", raw.get("seed", 0))]:
+            document = copy.deepcopy(base)
+            for path, value in zip(paths, values):  # copied: a deeper path may write into it
+                set_by_path(document, path, copy.deepcopy(value))
+            document["seed"] = seed
+            yield document
+
+
+def _check_sweep(doc: dict) -> None:
+    """Every run document is checked before the first run."""
+    if not doc["grid"] or not all(isinstance(v, list) and v for v in doc["grid"].values()):
+        raise ConfigError("sweep grid must map dotted paths to non-empty value lists")
+    for document in _sweep_documents(doc):
+        if document.get("task") == "sweep":
+            raise ConfigError("sweep runs must be non-sweep configurations")
+        validate_config(document)
+
+
+@dataclass(frozen=True)
+class Task:
+    """One CLI verb: help line, document schema, cross-field check, pipeline."""
+
+    help: str
+    schema: dict  # key -> checker; "key?" is optional, a dict is a nested block
+    check: Callable[[dict], None]  # on the checked, converted fields
+    # Returns (report, replica seeds, companion files); None for sweep, which
+    # run_experiment runs itself.
+    pipeline: Callable[[ExperimentConfig], tuple[dict, list[int], dict[str, bytes]]] | None
+
+
+_COMMON = {"task": string, "seed?": integer, "outputs?": string}
+_MODEL = {"model": lambda block, _: build_model(block)}
+_WINDOW = {"steps": integer, "burn_in?": integer, "thin?": integer}
+
+TASKS: dict[str, Task] = {
+    "analytic": Task(
+        "closed-form states and identity residuals",
+        {**_MODEL, "temperatures": positive_numbers, "fd_step?": number},
+        _check_closed_form,
+        _run_analytic,
+    ),
+    "simulate": Task(
+        "exchange-chain runs with fits and KS checks",
+        {**_MODEL, "run": {"policy": string, "total": number, **_WINDOW},
+         "replicas?": integer, "workers?": integer, "write_samples?": boolean},
+        _check_simulate,
+        _run_simulate,
+    ),
+    "transform": Task(
+        "cycles, reserve relations, identity grids",
+        {**_MODEL, "cycle?": dict.fromkeys(("t_hot", "t_cold", "v1", "v2"), number),
+         "free_expansion_factor?": number,
+         "fractional_reserve?": {"reserve_ratio": number, "volume": number, "n_agents": integer,
+                                 "reserve_ratio_new?": number},
+         "identity_grid?": {"temperatures": positive_numbers, "volumes?": positive_numbers,
+                            "fd_step?": number}},
+        _check_transform,
+        _run_transform,
+    ),
+    "pareto": Task(
+        "power-law income ensemble pipelines",
+        {"pareto": lambda block, _: build_pareto(block), "temperature": number,
+         "direct_samples?": integer, "dynamics?": {"mean_log_excess": number, **_WINDOW},
+         "scan?": {"temperatures": positive_numbers}, "write_samples?": boolean},
+        _check_pareto,
+        _run_pareto,
+    ),
+    "sweep": Task(
+        "grid of runs over parameter overrides",
+        {"base": json_object, "grid": json_object, "seeds?": items(integer)},
+        _check_sweep,
+        None,
+    ),
+}
+
+
+def validate_config(raw: dict) -> None:
+    """Validate the whole document; raises ConfigError on the first defect."""
+    task = json_object(raw, "configuration").get("task")
+    if not isinstance(task, str) or task not in TASKS:
+        raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
+    TASKS[task].check(check_document(raw, _COMMON | TASKS[task].schema, "configuration"))
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read, parse and validate a configuration file."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
+    validate_config(raw)
+    return ExperimentConfig(raw)
+
+
+# ---------------------------------------------------------------------------
+# Outputs
+# ---------------------------------------------------------------------------
 
 
 def _json_bytes(document: dict) -> bytes:
-    return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()
+    try:
+        return (json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+    except ValueError as exc:
+        raise MoneygasError(f"a result is not finite and has no JSON form ({exc})") from exc
 
 
 def _digest(data: bytes) -> str:
@@ -359,80 +543,42 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Execute one configuration, write its outputs, return the manifest."""
     out_path = resolve_out_dir(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    task = config.task
-    seeds: list[int] = []
-    extra_files: dict[str, bytes] = {}
-    if task == "simulate":
-        report, seeds, extra_files = _run_simulate(config, out_path)
-    elif task == "analytic":
-        report = _run_analytic(config)
-    elif task == "transform":
-        report, extra_files = _run_transform(config)
-    elif task == "pareto":
-        report, extra_files = _run_pareto(config)
-        seeds = [derive_seed(config.seed, 0), derive_seed(config.seed, 1)]
-    elif task == "sweep":
+    if config.task == "sweep":
         return _run_sweep(config, out_path)
-    else:  # pragma: no cover - validation rejects other tasks
-        raise ConfigError(f"unknown task {task!r}")
-
-    files: dict[str, str] = {}
-    report_bytes = _json_bytes(report)
-    (out_path / "report.json").write_bytes(report_bytes)
-    files["report.json"] = _digest(report_bytes)
-    for name, data in sorted(extra_files.items()):
-        (out_path / name).write_bytes(data)
-        files[name] = _digest(data)
+    report, seeds, files = TASKS[config.task].pipeline(config)
+    outputs = {"report.json": _json_bytes(report), **files}
     manifest = {
         "version": __version__,
-        "task": task,
+        "task": config.task,
         "config": config.raw,
         "base_seed": config.seed,
         "replica_seeds": seeds,
-        "files": files,
+        "files": {name: _digest(data) for name, data in outputs.items()},
     }
-    (out_path / "manifest.json").write_bytes(_json_bytes(manifest))
+    manifest_bytes = _json_bytes(manifest)
+    for name, data in outputs.items():
+        (out_path / name).write_bytes(data)
+    (out_path / "manifest.json").write_bytes(manifest_bytes)
     return manifest
 
 
 def _run_sweep(config: ExperimentConfig, out_path: Path) -> dict:
-    raw = config.raw
-    base = raw["base"]
-    grid = raw["grid"]
-    seeds = raw.get("seeds") or [int(base.get("seed", config.seed))]
-    paths = sorted(grid)
-    combos: list[dict] = []
-    for values in _product([grid[p] for p in paths]):
-        for seed in seeds:
-            document = json.loads(json.dumps(base))
-            for path_name, value in zip(paths, values):
-                set_by_path(document, path_name, value)
-            document["seed"] = seed
-            combos.append(document)
-
     entries = []
-    for index, document in enumerate(combos):
-        from .config import validate_config
-
-        validate_config(document)
-        sub_config = ExperimentConfig(
-            task=document["task"], raw=document, seed=int(document.get("seed", 0)),
-            outputs=document.get("outputs"),
-        )
-        run_dir = out_path / f"run_{index:03d}"
-        manifest = run_experiment(sub_config, run_dir)
+    for index, document in enumerate(_sweep_documents(config.raw)):
+        run = f"run_{index:03d}"
+        manifest = run_experiment(ExperimentConfig(document), out_path / run)
         entries.append(
             {
-                "run": f"run_{index:03d}",
-                "seed": sub_config.seed,
-                "overrides": {p: get_by_path(document, p) for p in paths},
+                "run": run,
+                "seed": document["seed"],
+                "overrides": {path: get_by_path(document, path) for path in config.raw["grid"]},
                 "files": manifest["files"],
             }
         )
     top = {
         "version": __version__,
         "task": "sweep",
-        "config": raw,
+        "config": config.raw,
         "base_seed": config.seed,
         "runs": entries,
     }
@@ -440,56 +586,41 @@ def _run_sweep(config: ExperimentConfig, out_path: Path) -> dict:
     return top
 
 
-def _product(lists: list[list]):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product(lists[1:]):
-            yield (head, *tail)
-
-
 # ---------------------------------------------------------------------------
 # Acceptance comparison
 # ---------------------------------------------------------------------------
+
+_EXPECTATIONS = items(lambda item, name: check_document(
+    item, {"name": string, "value": number, "tolerance": number, "absolute?": boolean}, name))
 
 
 def compare_report(report: dict, expectations) -> list[str]:
     """Match (name, value, tolerance) expectations against report fields.
 
-    Tolerances are relative unless the expectation sets "absolute": true.
-    Returns a list of human-readable failure lines; unknown fields raise
-    ConfigError.
+    ``expectations`` is the list or the document holding it under
+    "expectations". Tolerances are relative unless the expectation sets
+    "absolute": true. Returns a list of human-readable failure lines;
+    malformed expectations and unknown fields raise ConfigError.
     """
     if isinstance(expectations, dict):
-        if set(expectations) != {"expectations"}:
-            raise ConfigError("expectations document must hold a single 'expectations' list")
-        expectations = expectations["expectations"]
-    if not isinstance(expectations, list):
-        raise ConfigError("expectations must be a list")
+        expectations = check_document(expectations, {"expectations": _EXPECTATIONS},
+                                      "expectations document")["expectations"]
+    else:
+        expectations = _EXPECTATIONS(expectations, "expectations")
     failures = []
     for item in expectations:
-        if not isinstance(item, dict) or not {"name", "value", "tolerance"} <= set(item):
-            raise ConfigError(f"malformed expectation {item!r}")
-        unknown = set(item) - {"name", "value", "tolerance", "absolute"}
-        if unknown:
-            raise ConfigError(f"unknown expectation field(s) {sorted(unknown)} in {item['name']!r}")
-        name = item["name"]
+        name, expected, tolerance = item["name"], item["value"], item["tolerance"]
+        absolute = item.get("absolute", False)
         try:
             got = get_by_path(report, name)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
         if isinstance(got, bool) or not isinstance(got, (int, float)):
             raise ConfigError(f"field {name!r} is not numeric: {got!r}")
-        expected = float(item["value"])
-        tolerance = float(item["tolerance"])
-        if item.get("absolute", False):
-            limit = tolerance
-        else:
-            limit = tolerance * max(abs(expected), 1e-300)
+        limit = tolerance if absolute else tolerance * max(abs(expected), 1e-300)
         if not math.isfinite(got) or abs(got - expected) > limit:
             failures.append(
                 f"{name}: got {got!r}, expected {expected!r} within "
-                f"{'absolute' if item.get('absolute') else 'relative'} tolerance {tolerance!r}"
+                f"{'absolute' if absolute else 'relative'} tolerance {tolerance!r}"
             )
     return failures

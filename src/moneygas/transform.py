@@ -228,6 +228,21 @@ class CycleReport:
         }
 
 
+def carnot_path(spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: float) -> ProcessPath:
+    """The Carnot cycle's four legs: the hot isotherm from v1 to v2, the
+    adiabat down to t_cold, the cold isotherm and the adiabat back to v1."""
+    ratio = t_hot / t_cold
+    return ProcessPath(
+        spec,
+        (
+            isothermal(t_hot, v1, v2),
+            adiabatic(t_hot, v2, v2 * ratio),
+            isothermal(t_cold, v2 * ratio, v1 * ratio),
+            adiabatic(t_cold, v1 * ratio, v1),
+        ),
+    )
+
+
 def carnot_cycle(
     spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: float
 ) -> CycleReport:
@@ -250,17 +265,7 @@ def carnot_cycle(
     if not (v2 > v1 > 0):
         raise TransformError(f"need v2 > v1 > 0, got {v1}, {v2}")
     n = float(spec.n_agents)
-    ratio = t_hot / t_cold
-    path = ProcessPath(
-        spec,
-        (
-            isothermal(t_hot, v1, v2),
-            adiabatic(t_hot, v2, v2 * ratio),
-            isothermal(t_cold, v2 * ratio, v1 * ratio),
-            adiabatic(t_cold, v1 * ratio, v1),
-        ),
-    )
-    work = work_along_path(path)
+    work = work_along_path(carnot_path(spec, t_hot, t_cold, v1, v2))
     delta_s_hot = n * math.log(v2 / v1)
     credit_hot = t_hot * delta_s_hot
     credit_cold = t_cold * -delta_s_hot

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from moneygas.cli import main
-from moneygas.config import load_config
 from moneygas.dynamics import advance, init_population, run_chain
 from moneygas.ensembles import (
     ModelSpec,
@@ -35,7 +34,7 @@ from moneygas.pareto import (
     temperature_from_log_excess,
     transition_scan,
 )
-from moneygas.runner import derive_seed, run_experiment
+from moneygas.runner import derive_seed, load_config, run_experiment
 from moneygas.transform import (
     carnot_cycle,
     cycle_with_free_expansion,

@@ -2,9 +2,11 @@
 
 Every document, however malformed, must end in a return code (0 success,
 1 acceptance failure, 2 input that cannot be run) and never in an escaping
-exception. The documents are the shipped analytic and transform configs and
-one model block per kind, each mutated by replacing, deleting or adding
-fields with arbitrary JSON values.
+exception, and every JSON file it writes must be strict JSON (no NaN or
+Infinity). The documents are the shipped analytic and transform configs,
+small simulate, pareto and sweep documents, and one model block per kind,
+each mutated by replacing, deleting or adding fields with arbitrary JSON
+values.
 """
 
 import contextlib
@@ -23,8 +25,16 @@ from hypothesis import strategies as st
 from moneygas.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SIMULATE = {"task": "simulate", "seed": 1, "model": {"kind": "cash_only", "n_agents": 10, "volume_y": 50.0},
+            "run": {"policy": "equal", "total": 100.0, "steps": 3_000, "burn_in": 1_000, "thin": 100}}
 BASES = [json.loads((CONFIGS / name).read_text())
-         for name in ("analytic_grid.json", "carnot_transform.json")]
+         for name in ("analytic_grid.json", "carnot_transform.json")] + [
+    SIMULATE,
+    {"task": "pareto", "seed": 1, "pareto": {"n_agents": 10, "floor_j": 1.0, "t_max": 3.0},
+     "temperature": 1.0, "direct_samples": 1_000, "scan": {"temperatures": [0.5, 1.5, 2.5]},
+     "dynamics": {"mean_log_excess": 0.5, "steps": 3_000, "burn_in": 1_000, "thin": 100}},
+    {"task": "sweep", "base": SIMULATE, "grid": {"run.total": [50.0, 100.0]}, "seeds": [1, 2]},
+]
 MODEL_BLOCKS = [
     {"kind": "cash_only", "n_agents": 10, "volume_y": 50.0},
     {"kind": "overdraft", "n_agents": 10, "volume_x": 100.0, "overdraft": 5.0, "q0": 100.0},
@@ -36,13 +46,16 @@ MODEL_BLOCKS = [
     {"kind": "multi_asset", "n_agents": 10, "asset_classes": 3},
 ]
 
+# Small integers keep a valid chain, replica count or sample count inside the
+# deadline; 10**400 lies outside float range, which every type check rejects.
+INTEGERS = st.integers(-3, 50) | st.just(10**400)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | INTEGERS | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
 # Numbers in place of numbers get past the type checks into the pipelines.
-REPLACEMENTS = st.floats() | st.integers() | st.lists(st.floats(), min_size=1, max_size=3) | JSON_VALUES
+REPLACEMENTS = st.floats() | INTEGERS | st.lists(st.floats(), min_size=1, max_size=3) | JSON_VALUES
 
 
 def _paths(node, prefix=()):
@@ -57,7 +70,7 @@ def _paths(node, prefix=()):
 def mutated_documents(draw):
     document = copy.deepcopy(draw(st.sampled_from(BASES)))
     verb = document["task"]
-    if draw(st.booleans()):
+    if "model" in document and draw(st.booleans()):
         document["model"] = copy.deepcopy(draw(st.sampled_from(MODEL_BLOCKS)))
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(document))
@@ -88,4 +101,11 @@ def test_mutated_documents_end_in_an_exit_code(case):
         path.write_text(json.dumps(document))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([verb, "-c", str(path), "-o", str(Path(tmp) / "out")])
+        # Only the outputs: the input document itself may hold Infinity.
+        for written in (Path(tmp) / "out").rglob("*.json"):
+            json.loads(written.read_text(), parse_constant=_reject_constant)
     assert code in (0, 1, 2)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")

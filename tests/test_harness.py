@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from moneygas.cli import main
-from moneygas.config import ConfigError, build_model, load_config, validate_config
-from moneygas.runner import compare_report, derive_seed, run_experiment
+from moneygas.config import ConfigError, build_model
+from moneygas.runner import compare_report, derive_seed, load_config, run_experiment, validate_config
 
 MODEL = {"kind": "cash_only", "n_agents": 50, "volume_y": 10.0}
 RUN = {"policy": "equal", "total": 500.0, "steps": 60_000, "burn_in": 5_000, "thin": 500}
@@ -27,6 +27,7 @@ UNRUNNABLE_SIMULATE = {
 COMBINED = {"kind": "combined", "n_agents": 10, "overdraft": 1.0}
 MULTI_ACCOUNT = {"kind": "multi_account", "n_agents": 2, "accounts_per_agent": [1, 1],
                  "account_overdrafts": [[1.0], [1.0]]}
+CREDIT_MARKET = {"kind": "credit_market", "n_agents": 100, "volume_x": 1000.0}
 CYCLE = {"t_hot": 4.0, "t_cold": 2.0, "v1": 1.0, "v2": 2.0}
 PARETO = {"task": "pareto", "pareto": {"n_agents": 10, "floor_j": 1.0, "t_max": 3.0},
           "temperature": 1.0}
@@ -52,7 +53,16 @@ UNRUNNABLE_INPUTS = {
         "model": {"kind": "overdraft", "n_agents": 10, "volume_x": 1.0, "overdraft": 1.0, "q0": "abc"}},
     "pareto_burn_in_past_steps": dict(PARETO, dynamics=dict(DYNAMICS, steps=100, burn_in=1_000)),
     "pareto_fractional_thin": dict(PARETO, dynamics=dict(DYNAMICS, thin=2.5)),
+    "string_write_samples": {"task": "simulate", "model": MODEL, "run": RUN, "write_samples": "false"},
+    "numeric_outputs": {"task": "simulate", "model": MODEL, "run": RUN, "outputs": 5},
+    # Finite differences at T near the smallest float overflow to a non-finite residual.
+    "analytic_residual_overflow": {"task": "analytic", "model": CREDIT_MARKET, "temperatures": [1e-308]},
+    "transform_residual_overflow": {
+        "task": "transform", "model": CREDIT_MARKET, "identity_grid": {"temperatures": [1e-308]}},
 }
+# Expectations whose fields have the wrong JSON type; each used to crash or be misread.
+MISTYPED_EXPECTATIONS = {"string_value": {"value": "abc"}, "null_tolerance": {"tolerance": None},
+                         "string_absolute": {"absolute": "no"}}
 
 
 def simulate_config(seed=7, **extra):
@@ -228,6 +238,10 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"task": "simulate"}))
         assert main(["simulate", "-c", str(path)]) == 2
+        assert main(["simulate", "-c", str(tmp_path / "missing.json")]) == 2
+        path.write_bytes(b"\xff\xfe")  # not UTF-8
+        assert main(["simulate", "-c", str(path)]) == 2
+        assert main(["check", "-r", str(path), "-e", str(path)]) == 2
 
     def test_task_command_mismatch(self, tmp_path):
         config_path = write_config(tmp_path, simulate_config())
@@ -298,4 +312,22 @@ class TestCli:
         document = UNRUNNABLE_INPUTS[case]
         config_path = write_config(tmp_path, document)
         assert main([document["task"], "-c", str(config_path), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_EXPECTATIONS))
+    def test_mistyped_expectation_exits_2(self, tmp_path, capsys, case):
+        report = write_config(tmp_path, {"aggregate": {"t_hat": 10.0}}, "report.json")
+        expectation = dict({"name": "aggregate.t_hat", "value": 10.0, "tolerance": 0.03},
+                           **MISTYPED_EXPECTATIONS[case])
+        expect = write_config(tmp_path, {"expectations": [expectation]}, "expect.json")
+        assert main(["check", "-r", str(report), "-e", str(expect)]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_sweep_checks_every_run_before_the_first(self, tmp_path, capsys):
+        document = {"task": "sweep", "base": simulate_config(write_samples=False),
+                    "grid": {"run.thin": [10, 2.5]}}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "-c", str(write_config(tmp_path, document)), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not list(out.glob("run_*"))
