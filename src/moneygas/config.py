@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 from .dynamics import default_burn_in, default_thin
 from .ensembles import ModelKind, ModelSpec, ModelValidationError, MoneygasError
 from .pareto import ParetoError, ParetoSpec
@@ -117,12 +119,23 @@ def build_pareto(block: dict) -> ParetoSpec:
         raise ConfigError(f"infeasible income model: {exc}") from exc
 
 
-def check_window(block: dict, n_agents: int) -> None:
-    """Check a chain's window: N >= 2, steps > burn_in >= 0 (burn_in and thin
-    default to 100·N and N), and enough records that the N·records pooled
-    values reach the 10 the KS check needs."""
+# numpy refuses an array of more bytes than its largest index; chains and samplers hold 8-byte values.
+MAX_ARRAY_VALUES = np.iinfo(np.intp).max // 8
+
+
+def check_array_size(count: int, what: str) -> None:
+    if count > MAX_ARRAY_VALUES:
+        raise ConfigError(f"{what} needs an array of {count} values; numpy holds at most {MAX_ARRAY_VALUES}")
+
+
+def check_window(block: dict, n_agents: int, slots: int = 1) -> None:
+    """Check a chain's window: 2 <= N with N·slots values in one array,
+    steps > burn_in >= 0 (burn_in and thin default to 100·N and N), and
+    enough records that the N·records pooled values reach the 10 the KS
+    check needs."""
     if n_agents < 2:
         raise ConfigError(f"pair exchange needs n_agents >= 2, got {n_agents}")
+    check_array_size(n_agents * slots, f"a chain of {n_agents} agents with {slots} slot(s) each")
     steps = block["steps"]
     burn_in = block.get("burn_in", default_burn_in(n_agents))
     thin = block.get("thin", default_thin(n_agents))

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.special import gammaln
-
 
 class ModelKind(enum.Enum):
     """Supported money-function variants."""
@@ -374,17 +372,22 @@ def thermo_state(spec: ModelSpec, temperature: float) -> ThermoState:
     )
 
 
-def microcanonical_entropy(spec: ModelSpec, total_money: float) -> float:
-    """Fixed-total entropy of the cash-only model, S = N ln(m V_y) - ln N!.
+def log_factorial(n: int) -> float:
+    """ln n! by log-gamma, within an ulp of exact; inf past the float range (n > ~2.5e305)."""
+    try:
+        return math.lgamma(n + 1)
+    except OverflowError:
+        return math.inf
 
-    ln N! goes through log-gamma so that N up to 1e9 stays representable.
-    """
+
+def microcanonical_entropy(spec: ModelSpec, total_money: float) -> float:
+    """Fixed-total entropy of the cash-only model, S = N ln(m V_y) - ln N!."""
     _require_kind(spec, ModelKind.CASH_ONLY)
     if not total_money > 0:
         raise ModelValidationError(f"total money must be positive, got {total_money}")
     n = spec.n_agents
     assert spec.volume_y is not None
-    return n * (math.log(total_money) + math.log(spec.volume_y)) - float(gammaln(n + 1))
+    return n * (math.log(total_money) + math.log(spec.volume_y)) - log_factorial(n)
 
 
 def mean_money_restricted(spec: ModelSpec, temperature: float) -> float:

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dynamics import default_burn_in, default_thin, run_chain, samples_csv
-from .ensembles import ModelSpec, MoneygasError
+from .ensembles import ModelSpec, MoneygasError, log_factorial
 
 
 class ParetoError(MoneygasError):
@@ -68,7 +67,7 @@ def pareto_log_partition(spec: ParetoSpec, temperature: float) -> float:
         - math.log(a - 1.0)
         + math.log(spec.volume)
     )
-    return spec.n_agents * per_agent - float(gammaln(spec.n_agents + 1))
+    return spec.n_agents * per_agent - log_factorial(spec.n_agents)
 
 
 def pareto_entropy(spec: ParetoSpec, temperature: float) -> float:

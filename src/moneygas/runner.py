@@ -30,6 +30,7 @@ from .config import (
     boolean,
     build_model,
     build_pareto,
+    check_array_size,
     check_document,
     check_window,
     get_by_path,
@@ -401,7 +402,7 @@ def _check_simulate(doc: dict) -> None:
         raise ConfigError(f"model kind {model.kind.value!r} has no exchange dynamics to simulate")
     if run["policy"] not in ("equal", "uniform-random"):
         raise ConfigError(f"policy must be 'equal' or 'uniform-random', got {run['policy']!r}")
-    check_window(run, model.n_agents)
+    check_window(run, model.n_agents, model.asset_classes)
     if doc.get("replicas", 1) < 1:
         raise ConfigError("replicas must be >= 1")
 
@@ -413,6 +414,7 @@ def _check_pareto(doc: dict) -> None:
             raise ConfigError(f"temperature must lie in (0, t_max), got {temperature}")
     if "dynamics" in doc:
         check_window(doc["dynamics"], spec.n_agents)
+    check_array_size(doc.get("direct_samples", 0), "direct_samples")
 
 
 def _sweep_documents(raw: dict):
@@ -541,7 +543,10 @@ def resolve_out_dir(out: str | os.PathLike) -> Path:
 
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Execute one configuration, write its outputs, return the manifest."""
-    out_path = resolve_out_dir(out_dir)
+    return _run_in(config, resolve_out_dir(out_dir))
+
+
+def _run_in(config: ExperimentConfig, out_path: Path) -> dict:
     out_path.mkdir(parents=True, exist_ok=True)
     if config.task == "sweep":
         return _run_sweep(config, out_path)
@@ -566,7 +571,7 @@ def _run_sweep(config: ExperimentConfig, out_path: Path) -> dict:
     entries = []
     for index, document in enumerate(_sweep_documents(config.raw)):
         run = f"run_{index:03d}"
-        manifest = run_experiment(ExperimentConfig(document), out_path / run)
+        manifest = _run_in(ExperimentConfig(document), out_path / run)
         entries.append(
             {
                 "run": run,

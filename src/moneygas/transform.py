@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .dynamics import Population
 from .ensembles import (
     ModelKind,
@@ -127,6 +125,7 @@ def _crosscheck(closed: float, numeric: float, scale: float) -> float:
 def _segment_work(n: float, segment: Segment) -> float:
     if segment.kind == "isochoric":
         return 0.0
+    from scipy.integrate import quad  # here, so that only the transform verb loads scipy
     if segment.kind == "isothermal":
         closed = n * segment.t_start * math.log(segment.v_end / segment.v_start)
         numeric, _ = quad(

@@ -11,6 +11,7 @@ from moneygas.ensembles import (
     UnsupportedModelError,
     entropy_closed_form,
     invert_temperature_restricted,
+    log_factorial,
     log_partition,
     mean_money_closed_form,
     mean_money_restricted,
@@ -208,6 +209,16 @@ class TestVolumeOverride:
             gibbs_duhem_residual(spec, 2.0, (1e-5, 0.0, 0.0), volume=5.0)
         with pytest.raises(UnsupportedModelError):
             finite_diff_thermo_residuals(spec, 2.0, volume=5.0)
+
+
+class TestLogFactorial:
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 170, 1000, 1001, 10**4])
+    def test_matches_exact(self, n):
+        assert log_factorial(n) == pytest.approx(math.log(math.factorial(n)), rel=1e-15, abs=1e-15)
+
+    def test_past_int64_and_past_float_range(self):
+        assert log_factorial(2**100) == pytest.approx(2**100 * (100 * math.log(2) - 1), rel=1e-12)
+        assert log_factorial(10**306) == math.inf
 
 
 class TestMicrocanonicalEntropy:

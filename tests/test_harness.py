@@ -32,6 +32,7 @@ CYCLE = {"t_hot": 4.0, "t_cold": 2.0, "v1": 1.0, "v2": 2.0}
 PARETO = {"task": "pareto", "pareto": {"n_agents": 10, "floor_j": 1.0, "t_max": 3.0},
           "temperature": 1.0}
 DYNAMICS = {"mean_log_excess": 0.5, "steps": 4_000, "burn_in": 1_000, "thin": 100}
+ONE_RECORD = dict(RUN, steps=2, burn_in=1, thin=1)
 # Inputs other verbs cannot run, each with a model or block the runner used to
 # accept, crash on, or silently reinterpret.
 UNRUNNABLE_INPUTS = {
@@ -59,10 +60,29 @@ UNRUNNABLE_INPUTS = {
     "analytic_residual_overflow": {"task": "analytic", "model": CREDIT_MARKET, "temperatures": [1e-308]},
     "transform_residual_overflow": {
         "task": "transform", "model": CREDIT_MARKET, "identity_grid": {"temperatures": [1e-308]}},
+    # Counts that size a chain or sampler array beyond numpy's largest array.
+    "n_agents_beyond_numpy_dimension": {
+        "task": "simulate", "model": dict(MODEL, n_agents=2**100), "run": ONE_RECORD},
+    "n_agents_beyond_numpy_bytes": {"task": "simulate", "model": dict(MODEL, n_agents=2**62), "run": ONE_RECORD},
+    "asset_slots_beyond_numpy_bytes": {
+        "task": "simulate", "model": {"kind": "multi_asset", "n_agents": 10, "asset_classes": 2**61},
+        "run": ONE_RECORD},
+    "pareto_chain_beyond_numpy_bytes": dict(
+        PARETO, pareto=dict(PARETO["pareto"], n_agents=2**62), dynamics=dict(DYNAMICS, burn_in=0, thin=1)),
+    "direct_samples_beyond_numpy_dimension": dict(PARETO, direct_samples=2**100),
+    "direct_samples_beyond_numpy_bytes": dict(PARETO, direct_samples=2**62),
+    # ln N! passes the float range, so ln Z is not finite.
+    "pareto_log_factorial_overflow": dict(PARETO, pareto=dict(PARETO["pareto"], n_agents=10**306)),
 }
 # Expectations whose fields have the wrong JSON type; each used to crash or be misread.
 MISTYPED_EXPECTATIONS = {"string_value": {"value": "abc"}, "null_tolerance": {"tolerance": None},
                          "string_absolute": {"absolute": "no"}}
+
+
+def child_env():
+    """Environment for a child interpreter that imports this checkout's package."""
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 def simulate_config(seed=7, **extra):
@@ -193,6 +213,16 @@ class TestRunExperiment:
         run_experiment(config, "nested/out")
         assert (tmp_path / "root" / "nested" / "out" / "report.json").exists()
 
+    def test_sweep_applies_a_relative_output_root_once(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MONEYGAS_OUT_ROOT", "rel")
+        document = {"task": "sweep", "base": simulate_config(write_samples=False),
+                    "grid": {"run.total": [250.0]}}
+        run_experiment(load_config(write_config(tmp_path, document)), "out_sw")
+        top = tmp_path / "rel" / "out_sw"
+        assert (top / "manifest.json").exists()
+        assert (top / "run_000" / "manifest.json").exists()
+
 
 class TestCompareReport:
     REPORT = {"aggregate": {"t_hat": 10.0, "list": [1.0, 2.5]}}
@@ -296,12 +326,10 @@ class TestCli:
     @pytest.mark.parametrize("case", sorted(UNRUNNABLE_SIMULATE))
     def test_unrunnable_simulate_exits_2(self, tmp_path, case):
         config_path = write_config(tmp_path, simulate_config(**UNRUNNABLE_SIMULATE[case]))
-        paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         result = subprocess.run(
             [sys.executable, "-m", "moneygas.cli", "simulate", "-c", str(config_path),
              "-o", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=child_env(), capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("configuration error:")
@@ -314,6 +342,29 @@ class TestCli:
         assert main([document["task"], "-c", str(config_path), "-o", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    def test_common_verbs_load_no_scipy(self, tmp_path):
+        # A child interpreter, because this one has imported scipy already.
+        documents = {
+            "simulate": simulate_config(write_samples=False),
+            "analytic": {"task": "analytic", "model": CREDIT_MARKET, "temperatures": [1.0, 2.0]},
+            "pareto": dict(PARETO, direct_samples=1_000, dynamics=DYNAMICS, scan={"temperatures": [1.0, 2.0]}),
+            "sweep": {"task": "sweep", "base": simulate_config(write_samples=False),
+                      "grid": {"run.total": [250.0]}},
+        }
+        argvs = [[verb, "-c", str(write_config(tmp_path, document, f"{verb}.json")), "-o", str(tmp_path / verb)]
+                 for verb, document in documents.items()]
+        expect = write_config(tmp_path, {"expectations": [
+            {"name": "closed_form_temperature", "value": 10.0, "tolerance": 1e-12}]}, "expect.json")
+        argvs.append(["check", "-r", str(tmp_path / "simulate" / "report.json"), "-e", str(expect)])
+        script = ("import json, sys\n"
+                  "from moneygas.cli import main\n"
+                  "assert [main(argv) for argv in json.loads(sys.argv[1])] == [0] * 5\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        result = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=child_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("case", sorted(MISTYPED_EXPECTATIONS))
     def test_mistyped_expectation_exits_2(self, tmp_path, capsys, case):

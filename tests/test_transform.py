@@ -115,6 +115,18 @@ class TestAdiabat:
         assert abs(after - before) <= 1e-10 * abs(before)
 
 
+class TestQuadratureCrossCheck:
+    @pytest.mark.parametrize("segment", [isothermal(2.0, 1.0, math.e), adiabatic(4.0, 1.0, 2.0)])
+    def test_wrong_quadrature_raises(self, monkeypatch, segment):
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **options: (1e6, 0.0))
+        with pytest.raises(TransformError, match="quadrature"):
+            work_along_path(ProcessPath(CREDIT, (segment,)))
+        with pytest.raises(TransformError, match="quadrature"):
+            carnot_cycle(CREDIT, 4.0, 2.0, 1.0, math.e)
+
+
 class TestCarnot:
     def test_reference_cycle(self):
         report = carnot_cycle(CREDIT, 4.0, 2.0, 1.0, math.e)
