@@ -1,100 +1,22 @@
-"""moneygas: statistical ensembles and exchange dynamics for money and credit."""
+"""moneygas: statistical ensembles and exchange dynamics for money and credit.
 
-from .dynamics import (
-    Population,
-    SampleSet,
-    free_expansion,
-    init_population,
-    run_chain,
-    step,
-)
-from .ensembles import (
-    ModelKind,
-    ModelSpec,
-    ModelValidationError,
-    ThermoState,
-    UnsupportedModelError,
-    invert_temperature_restricted,
-    log_partition,
-    mean_money_restricted,
-    microcanonical_entropy,
-    temperature_closed_form,
-    thermo_state,
-)
-from .estimation import (
-    FitReport,
-    finite_diff_thermo_residuals,
-    fit_shifted_exponential,
-    hill_tail_index,
-    histogram,
-    ks_statistic_exponential,
-)
-from .pareto import (
-    ParetoSpec,
-    pareto_direct_sample,
-    pareto_entropy,
-    pareto_log_partition,
-    pareto_mean_logincome,
-    run_income_chain,
-    transition_scan,
-)
-from .transform import (
-    CycleReport,
-    ProcessPath,
-    adiabat_solve,
-    carnot_cycle,
-    credit_along_path,
-    cycle_with_free_expansion,
-    fractional_reserve,
-    gibbs_duhem_residual,
-    policy_bound_check,
-    spontaneous_expansion_audit,
-    work_along_path,
-)
+The package namespace holds the names of the README quick tour plus
+``mean_money_restricted``; everything else is imported from its module.
+"""
+
+from .dynamics import run_chain
+from .ensembles import ModelSpec, mean_money_restricted, temperature_closed_form
+from .estimation import fit_shifted_exponential
+from .transform import carnot_cycle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycleReport",
-    "FitReport",
-    "ModelKind",
     "ModelSpec",
-    "ModelValidationError",
-    "ParetoSpec",
-    "Population",
-    "ProcessPath",
-    "SampleSet",
-    "ThermoState",
-    "UnsupportedModelError",
-    "adiabat_solve",
     "carnot_cycle",
-    "credit_along_path",
-    "cycle_with_free_expansion",
-    "finite_diff_thermo_residuals",
     "fit_shifted_exponential",
-    "fractional_reserve",
-    "free_expansion",
-    "gibbs_duhem_residual",
-    "hill_tail_index",
-    "histogram",
-    "init_population",
-    "invert_temperature_restricted",
-    "ks_statistic_exponential",
-    "log_partition",
     "mean_money_restricted",
-    "microcanonical_entropy",
-    "pareto_direct_sample",
-    "pareto_entropy",
-    "pareto_log_partition",
-    "pareto_mean_logincome",
-    "policy_bound_check",
     "run_chain",
-    "run_income_chain",
-    "spontaneous_expansion_audit",
-    "step",
     "temperature_closed_form",
-    "thermo_state",
-    "transition_scan",
-    "work_along_path",
     "__version__",
 ]

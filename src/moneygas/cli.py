@@ -6,7 +6,8 @@ acceptance driver:
     moneygas VERB  -c config.json -o outdir
     moneygas check -r report.json -e expectations.json
 
-Exit codes: 0 success, 1 acceptance failure, 2 an input that cannot be run.
+Exit codes: 0 success, 1 acceptance failure, 2 an input that cannot be run
+(invalid, or too large for the available memory).
 Relative output paths resolve under $MONEYGAS_OUT_ROOT when it is set.
 """
 
@@ -74,6 +75,10 @@ def main(argv: list[str] | None = None) -> int:
         return _run_task(args.command, args.config, args.out)
     except MoneygasError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"configuration error: the run does not fit in memory: {str(exc) or 'MemoryError'}",
+              file=sys.stderr)
         return 2
 
 

@@ -28,7 +28,7 @@ statistically identical to repeated single events and fast enough for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -616,7 +616,6 @@ def run_chain(
     burn_in: int | None = None,
     thin: int | None = None,
     seed: int = 0,
-    audit_every: int = AUDIT_INTERVAL,
 ) -> SampleSet:
     """Run an exchange chain and return thinned equilibrium samples.
 
@@ -626,7 +625,8 @@ def run_chain(
     steps : total number of exchange events.
     burn_in, thin : recording window in events; default to 100*N and N.
     seed : seeds one PCG64 stream driving init and every event.
-    audit_every : events between compensated conservation audits.
+
+    A compensated conservation audit runs every AUDIT_INTERVAL events.
 
     Records fire at event counts burn_in + k*thin (k >= 1, up to steps);
     identical arguments reproduce identical samples byte for byte.
@@ -650,7 +650,7 @@ def run_chain(
     next_record = 0
     events = 0
     phase = 0
-    next_audit = audit_every
+    next_audit = AUDIT_INTERVAL
     max_drift = 0.0
     scale = pop.coordinate_scale()
     while events < steps or next_record < n_records:
@@ -663,7 +663,7 @@ def run_chain(
         if events >= next_audit:
             pop.check_invariants()
             max_drift = max(max_drift, abs(pop.conserved_value() - pop.conserved_total) / scale)
-            next_audit += audit_every
+            next_audit += AUDIT_INTERVAL
     pop.check_invariants()
     max_drift = max(max_drift, abs(pop.conserved_value() - pop.conserved_total) / scale)
     pop.events_applied = events
@@ -686,19 +686,3 @@ def run_chain(
         max_drift=max_drift,
     )
     return SampleSet(coords=coords, record_steps=record_steps, meta=meta)
-
-
-def free_expansion(pop: Population, volume_y_new: float) -> Population:
-    """Instantaneous widening of the credit ceiling V_y at fixed coordinates.
-
-    The cash configuration, the total and hence the temperature are all
-    untouched; only the model volume grows. Entropy bookkeeping for the
-    irreversible step lives in the transform module.
-    """
-    if pop.spec.kind is not ModelKind.CASH_ONLY:
-        raise DynamicsError("free expansion is defined for the cash-only model")
-    if volume_y_new < pop.spec.volume_y:
-        raise DynamicsError(
-            f"free expansion cannot shrink the volume: {volume_y_new} < {pop.spec.volume_y}"
-        )
-    return replace(pop, spec=replace(pop.spec, volume_y=float(volume_y_new)), cash=pop.cash.copy())

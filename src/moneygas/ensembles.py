@@ -380,16 +380,6 @@ def log_factorial(n: int) -> float:
         return math.inf
 
 
-def microcanonical_entropy(spec: ModelSpec, total_money: float) -> float:
-    """Fixed-total entropy of the cash-only model, S = N ln(m V_y) - ln N!."""
-    _require_kind(spec, ModelKind.CASH_ONLY)
-    if not total_money > 0:
-        raise ModelValidationError(f"total money must be positive, got {total_money}")
-    n = spec.n_agents
-    assert spec.volume_y is not None
-    return n * (math.log(total_money) + math.log(spec.volume_y)) - log_factorial(n)
-
-
 def mean_money_restricted(spec: ModelSpec, temperature: float) -> float:
     """m(T) = 2NT - N·d·e^{d/T}/(e^{d/T}-1) for the no-credit model."""
     _require_kind(spec, ModelKind.RESTRICTED)

@@ -42,8 +42,6 @@ class FitReport:
     stderr: float
     floor: float
     n: int
-    ks_d: float | None = None
-    ks_pass_1pct: bool | None = None
 
 
 def fit_shifted_exponential(samples, floor: float = 0.0) -> FitReport:
@@ -137,24 +135,12 @@ class Histogram:
         ]
 
 
-def histogram(samples, rule: str = "freedman-diaconis", width: float | None = None) -> Histogram:
-    """Density histogram under Freedman-Diaconis or fixed-width binning."""
+def histogram(samples) -> Histogram:
+    """Density histogram with Freedman-Diaconis binning."""
     data = np.asarray(samples, dtype=float).ravel()
     if data.size == 0:
         raise EstimationError("cannot histogram an empty sample")
-    if width is not None:
-        if not width > 0:
-            raise EstimationError(f"bin width must be positive, got {width}")
-        start = math.floor(data.min() / width) * width
-        n_bins = max(1, int(math.ceil((data.max() - start) / width)))
-        if start + n_bins * width <= data.max():
-            n_bins += 1
-        edges = start + width * np.arange(n_bins + 1)
-    elif rule == "freedman-diaconis":
-        edges = np.histogram_bin_edges(data, bins="fd")
-    else:
-        raise EstimationError(f"unknown binning rule {rule!r}")
-    counts, edges = np.histogram(data, bins=edges)
+    counts, edges = np.histogram(data, bins=np.histogram_bin_edges(data, bins="fd"))
     widths = np.diff(edges)
     densities = counts / (data.size * widths)
     return Histogram(edges=edges, counts=counts, densities=densities, n=int(data.size))

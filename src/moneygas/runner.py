@@ -177,8 +177,9 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, 
         (raw["model"], run_block, seed, predicted, index == 0)
         for index, seed in enumerate(seeds)
     ]
-    workers = raw.get("workers", 1)
-    if workers > 1 and len(payloads) > 1:
+    # More workers than replicas or cores would only add idle processes.
+    workers = min(raw.get("workers", 1), replicas, os.cpu_count() or 1)
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replica_task, payloads))
     else:
@@ -214,7 +215,7 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, 
     files: dict[str, bytes] = {}
     if raw.get("write_samples", True):
         files["samples.csv"] = first_samples.csv_bytes()
-        hist = histogram(first_samples.pooled(primary_names), rule="freedman-diaconis")
+        hist = histogram(first_samples.pooled(primary_names))
         files["histogram.tsv"] = _tsv(("bin_left", "bin_right", "density"), hist.tsv_rows())
     return report, seeds, files
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .dynamics import Population
 from .ensembles import (
-    ModelKind,
     ModelSpec,
     ModelValidationError,
     MoneygasError,
@@ -27,13 +26,13 @@ from .ensembles import (
     chemical_potential_closed_form,
     entropy_closed_form,
     mean_money_closed_form,
-    microcanonical_entropy,
     model_volume,
     pressure_closed_form,
 )
 
 _QUAD_RTOL = 1e-10
 _CROSSCHECK_RTOL = 1e-8
+PATH_POINTS = 25
 
 
 class TransformError(MoneygasError):
@@ -51,7 +50,7 @@ def _require_ideal(spec: ModelSpec) -> None:
 class Segment:
     """One quasi-static leg with explicit endpoint states."""
 
-    kind: str  # "isothermal" | "adiabatic" | "isochoric"
+    kind: str  # "isothermal" | "adiabatic"
     v_start: float
     v_end: float
     t_start: float
@@ -71,9 +70,6 @@ class Segment:
                 raise TransformError(
                     f"adiabatic segment must keep T*V fixed: expected T_end {expected}"
                 )
-        elif self.kind == "isochoric":
-            if self.v_start != self.v_end:
-                raise TransformError("isochoric segment with changing volume")
         else:
             raise TransformError(f"unknown segment kind {self.kind!r}")
 
@@ -84,10 +80,6 @@ def isothermal(temperature: float, v_start: float, v_end: float) -> Segment:
 
 def adiabatic(t_start: float, v_start: float, v_end: float) -> Segment:
     return Segment("adiabatic", v_start, v_end, t_start, t_start * v_start / v_end)
-
-
-def isochoric(volume: float, t_start: float, t_end: float) -> Segment:
-    return Segment("isochoric", volume, volume, t_start, t_end)
 
 
 @dataclass(frozen=True)
@@ -107,12 +99,6 @@ class ProcessPath:
             ):
                 raise TransformError("adjacent segments must share endpoint states")
 
-    def is_closed(self) -> bool:
-        first, last = self.segments[0], self.segments[-1]
-        return math.isclose(first.v_start, last.v_end, rel_tol=1e-12) and math.isclose(
-            first.t_start, last.t_end, rel_tol=1e-12
-        )
-
 
 def _crosscheck(closed: float, numeric: float, scale: float) -> float:
     if abs(closed - numeric) > _CROSSCHECK_RTOL * max(abs(closed), scale):
@@ -123,8 +109,6 @@ def _crosscheck(closed: float, numeric: float, scale: float) -> float:
 
 
 def _segment_work(n: float, segment: Segment) -> float:
-    if segment.kind == "isochoric":
-        return 0.0
     from scipy.integrate import quad  # here, so that only the transform verb loads scipy
     if segment.kind == "isothermal":
         closed = n * segment.t_start * math.log(segment.v_end / segment.v_start)
@@ -138,69 +122,27 @@ def _segment_work(n: float, segment: Segment) -> float:
     return _crosscheck(closed, numeric, n * segment.t_start)
 
 
-def _segment_credit(n: float, segment: Segment) -> float:
-    if segment.kind == "adiabatic":
-        return 0.0
-    if segment.kind == "isothermal":
-        delta_s = n * math.log(segment.v_end / segment.v_start)
-        return segment.t_start * delta_s
-    # isochoric: dS = N dT / T, so T dS = N dT
-    return n * (segment.t_end - segment.t_start)
-
-
 def work_along_path(path: ProcessPath) -> float:
     """Central-bank work L = integral of P dV along the path."""
     n = float(path.spec.n_agents)
     return math.fsum(_segment_work(n, s) for s in path.segments)
 
 
-def credit_along_path(path: ProcessPath) -> float:
-    """Credit heat C = integral of T dS along the quasi-static path."""
-    n = float(path.spec.n_agents)
-    return math.fsum(_segment_credit(n, s) for s in path.segments)
-
-
-def path_table(path: ProcessPath, points_per_segment: int = 25) -> list[tuple[float, float, float, float]]:
-    """(V, T, P, S) rows along the path, for plotting."""
-    if points_per_segment < 2:
-        raise TransformError("need at least 2 points per segment")
+def path_table(path: ProcessPath) -> list[tuple[float, float, float, float]]:
+    """(V, T, P, S) rows along the path, PATH_POINTS evenly spaced volumes per segment."""
     rows = []
     for segment in path.segments:
-        for i in range(points_per_segment):
-            frac = i / (points_per_segment - 1)
+        for i in range(PATH_POINTS):
+            frac = i / (PATH_POINTS - 1)
             v = segment.v_start + frac * (segment.v_end - segment.v_start)
             if segment.kind == "isothermal":
                 t = segment.t_start
-            elif segment.kind == "adiabatic":
-                t = segment.t_start * segment.v_start / v
             else:
-                t = segment.t_start + frac * (segment.t_end - segment.t_start)
+                t = segment.t_start * segment.v_start / v
             pressure = pressure_closed_form(path.spec, t, volume=v)
             entropy = entropy_closed_form(path.spec, t, volume=v)
             rows.append((v, t, pressure, entropy))
     return rows
-
-
-def adiabat_solve(
-    spec: ModelSpec, state: tuple[float, float], v_end: float
-) -> tuple[float, float]:
-    """Endpoint (T', V') of the adiabat through ``state`` = (T, V).
-
-    Constant entropy means T·V stays fixed; the money/work audit
-    dm + L = 0 is verified by quadrature before returning.
-    """
-    _require_ideal(spec)
-    t_start, v_start = state
-    if t_start <= 0 or v_start <= 0 or v_end <= 0:
-        raise TransformError("temperatures and volumes must be positive")
-    t_end = t_start * v_start / v_end
-    segment = adiabatic(t_start, v_start, v_end)
-    n = float(spec.n_agents)
-    work = _segment_work(n, segment)
-    delta_m = n * (t_end - t_start)
-    if abs(delta_m + work) > 1e-8 * max(n * t_start, 1.0):
-        raise TransformError(f"adiabatic energy audit failed: dm={delta_m}, L={work}")
-    return t_end, v_end
 
 
 @dataclass(frozen=True)
@@ -328,8 +270,6 @@ class PolicyBoundVerdict:
     credit_ratio: float
     temperature_ratio: float
     satisfies_temperature_bound: bool
-    money_ratio: float | None = None
-    satisfies_money_bound: bool | None = None
 
 
 def policy_bound_check(
@@ -337,27 +277,18 @@ def policy_bound_check(
     credit_hot: float,
     t_cold: float,
     t_hot: float,
-    m_cold: float | None = None,
-    m_hot: float | None = None,
 ) -> PolicyBoundVerdict:
-    """Check |C_c|/|C_h| >= T_c/T_h (and m_c/m_h at constant N, if given)."""
+    """Check |C_c|/|C_h| >= T_c/T_h."""
     if credit_hot == 0:
         raise TransformError("credit_hot must be nonzero")
     if t_cold <= 0 or t_hot <= 0:
         raise TransformError("temperatures must be positive")
     credit_ratio = abs(credit_cold) / abs(credit_hot)
     temperature_ratio = t_cold / t_hot
-    money_ratio = None
-    money_ok = None
-    if m_cold is not None and m_hot is not None:
-        money_ratio = m_cold / m_hot
-        money_ok = credit_ratio >= money_ratio - 1e-12
     return PolicyBoundVerdict(
         credit_ratio=credit_ratio,
         temperature_ratio=temperature_ratio,
         satisfies_temperature_bound=credit_ratio >= temperature_ratio - 1e-12,
-        money_ratio=money_ratio,
-        satisfies_money_bound=money_ok,
     )
 
 
@@ -395,6 +326,45 @@ def isothermal_base(reserve_ratio: float, volume: float, reserve_ratio_new: floa
     return volume_new
 
 
+def _balance_residual(
+    spec: ModelSpec,
+    temperature: float,
+    deltas: tuple[float, float, float],
+    volume: float | None,
+    state: Callable[[float, float | None, float], tuple[float, ...]],
+    terms: Callable[..., list[float]],
+) -> float:
+    """Relative residual of a first-order balance along a central increment.
+
+    ``deltas`` are relative steps in (T, V, N). ``state(T, V, N)`` gives the
+    quantities whose central differences enter the balance, and
+    ``terms(volume, *differences)`` its terms at the resolved volume. The
+    residual is |sum of terms| over the largest term, 0 for a zero increment.
+    """
+    if not temperature > 0:
+        raise ModelValidationError(f"temperature must be positive, got {temperature}")
+    volume = model_volume(spec, volume)
+    rel_t, rel_v, rel_n = deltas
+    if volume is None and rel_v != 0.0:
+        raise UnsupportedModelError(f"{spec.kind.value} has no volume to vary")
+    if rel_t == rel_v == rel_n == 0.0:
+        return 0.0
+    n = float(spec.n_agents)
+
+    def at(sign: float) -> tuple[float, ...]:
+        return state(
+            temperature * (1.0 + sign * rel_t),
+            None if volume is None else volume * (1.0 + sign * rel_v),
+            n * (1.0 + sign * rel_n),
+        )
+
+    found = terms(volume, *(plus - minus for plus, minus in zip(at(+1.0), at(-1.0))))
+    scale = max(abs(term) for term in found)
+    if scale == 0.0:
+        return 0.0
+    return abs(math.fsum(found)) / scale
+
+
 def gibbs_duhem_residual(
     spec: ModelSpec,
     temperature: float,
@@ -412,40 +382,23 @@ def gibbs_duhem_residual(
     (T, V, N), applied centrally; the residual is normalized by the
     largest participating term and vanishes to second order.
     """
-    if not temperature > 0:
-        raise ModelValidationError(f"temperature must be positive, got {temperature}")
-    volume = model_volume(spec, volume)
-    rel_t, rel_v, rel_n = deltas
-    if volume is None and rel_v != 0.0:
-        raise UnsupportedModelError(f"{spec.kind.value} has no volume to vary")
+    rel_t, _, rel_n = deltas
     n = float(spec.n_agents)
-    t = temperature
-    if rel_t == rel_v == rel_n == 0.0:
-        return 0.0
 
-    def at(sign: float) -> tuple[float, float, float]:
-        tt = t * (1.0 + sign * rel_t)
-        vv = None if volume is None else volume * (1.0 + sign * rel_v)
-        nn = n * (1.0 + sign * rel_n)
-        pressure = pressure_closed_form(spec, tt, n_agents=nn, volume=vv)
-        mu = chemical_potential_closed_form(spec, tt, volume=vv)
-        money = mean_money_closed_form(spec, tt, n_agents=nn)
+    def state(t: float, v: float | None, nn: float) -> tuple[float, float, float]:
+        pressure = pressure_closed_form(spec, t, n_agents=nn, volume=v)
+        mu = chemical_potential_closed_form(spec, t, volume=v)
+        money = mean_money_closed_form(spec, t, n_agents=nn)
         return (0.0 if pressure is None else pressure), mu, money
 
-    p_plus, mu_plus, m_plus = at(+1.0)
-    p_minus, mu_minus, m_minus = at(-1.0)
-    entropy0 = entropy_closed_form(spec, t, volume=volume)
-    d_t = 2.0 * t * rel_t
-    d_p = p_plus - p_minus
-    d_mu = mu_plus - mu_minus
-    d_m = m_plus - m_minus
-    terms = [entropy0 * d_t, n * d_mu]
-    if volume is not None:
-        terms += [d_m, -volume * d_p, spec.overdraft * 2.0 * n * rel_n]
-    scale = max(abs(term) for term in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(math.fsum(terms)) / scale
+    def terms(volume: float | None, d_p: float, d_mu: float, d_m: float) -> list[float]:
+        entropy0 = entropy_closed_form(spec, temperature, volume=volume)
+        found = [entropy0 * (2.0 * temperature * rel_t), n * d_mu]
+        if volume is not None:
+            found += [d_m, -volume * d_p, spec.overdraft * 2.0 * n * rel_n]
+        return found
+
+    return _balance_residual(spec, temperature, deltas, volume, state, terms)
 
 
 def first_law_residual(
@@ -455,82 +408,17 @@ def first_law_residual(
     volume: float | None = None,
 ) -> float:
     """First-order residual of T dS - dm - P dV + mu dN along an increment."""
-    if not temperature > 0:
-        raise ModelValidationError(f"temperature must be positive, got {temperature}")
-    volume = model_volume(spec, volume)
-    rel_t, rel_v, rel_n = deltas
-    if volume is None and rel_v != 0.0:
-        raise UnsupportedModelError(f"{spec.kind.value} has no volume to vary")
+    _, rel_v, rel_n = deltas
     n = float(spec.n_agents)
-    t = temperature
-    if rel_t == rel_v == rel_n == 0.0:
-        return 0.0
 
-    def at(sign: float) -> tuple[float, float]:
-        tt = t * (1.0 + sign * rel_t)
-        vv = None if volume is None else volume * (1.0 + sign * rel_v)
-        nn = n * (1.0 + sign * rel_n)
-        entropy = entropy_closed_form(spec, tt, n_agents=nn, volume=vv)
-        money = mean_money_closed_form(spec, tt, n_agents=nn)
-        return entropy, money
+    def state(t: float, v: float | None, nn: float) -> tuple[float, float]:
+        entropy = entropy_closed_form(spec, t, n_agents=nn, volume=v)
+        return entropy, mean_money_closed_form(spec, t, n_agents=nn)
 
-    s_plus, m_plus = at(+1.0)
-    s_minus, m_minus = at(-1.0)
-    pressure0 = pressure_closed_form(spec, t, volume=volume)
-    mu0 = chemical_potential_closed_form(spec, t, volume=volume)
-    d_s = s_plus - s_minus
-    d_m = m_plus - m_minus
-    d_v = 0.0 if volume is None else 2.0 * volume * rel_v
-    d_n = 2.0 * n * rel_n
-    terms = [t * d_s, -d_m, -(pressure0 or 0.0) * d_v, mu0 * d_n]
-    scale = max(abs(term) for term in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(math.fsum(terms)) / scale
+    def terms(volume: float | None, d_s: float, d_m: float) -> list[float]:
+        pressure0 = pressure_closed_form(spec, temperature, volume=volume)
+        mu0 = chemical_potential_closed_form(spec, temperature, volume=volume)
+        d_v = 0.0 if volume is None else 2.0 * volume * rel_v
+        return [temperature * d_s, -d_m, -(pressure0 or 0.0) * d_v, mu0 * (2.0 * n * rel_n)]
 
-
-@dataclass(frozen=True)
-class ExpansionAudit:
-    delta_m: float
-    delta_temperature: float
-    delta_entropy: float
-    credit_integral: float
-    clausius_strict: bool
-
-
-def spontaneous_expansion_audit(pop_before: Population, pop_after: Population) -> ExpansionAudit:
-    """Book the entropy produced by a free expansion of the credit ceiling.
-
-    Confirms the money total and temperature are untouched, computes
-    dS = N ln(V'/V) from the fixed-total entropy, and checks the
-    Clausius-type strict inequality dS > integral(dC/T) = 0 whenever the
-    volume actually grew.
-    """
-    for pop in (pop_before, pop_after):
-        if pop.spec.kind is not ModelKind.CASH_ONLY:
-            raise TransformError("expansion audit applies to the cash-only model")
-    v_before = pop_before.spec.volume_y
-    v_after = pop_after.spec.volume_y
-    if v_after < v_before:
-        raise TransformError("not an expansion: volume shrank")
-    n = pop_before.spec.n_agents
-    m_before = pop_before.conserved_value()
-    m_after = pop_after.conserved_value()
-    delta_m = m_after - m_before
-    delta_t = m_after / n - m_before / n
-    delta_s = microcanonical_entropy(pop_after.spec, m_after) - microcanonical_entropy(
-        pop_before.spec, m_before
-    )
-    tolerance = 1e-9 * max(abs(m_before), 1.0)
-    if abs(delta_m) > tolerance:
-        raise TransformError(f"free expansion changed the money total by {delta_m}")
-    expected = n * math.log(v_after / v_before)
-    if abs(delta_s - expected) > 1e-9 * max(abs(expected), 1.0):
-        raise TransformError(f"entropy change {delta_s} deviates from N ln(V'/V) = {expected}")
-    return ExpansionAudit(
-        delta_m=delta_m,
-        delta_temperature=delta_t,
-        delta_entropy=delta_s,
-        credit_integral=0.0,
-        clausius_strict=delta_s > 0.0,
-    )
+    return _balance_residual(spec, temperature, deltas, volume, state, terms)

@@ -8,7 +8,6 @@ from moneygas.dynamics import (
     DynamicsError,
     Population,
     advance,
-    free_expansion,
     init_population,
     run_chain,
     step,
@@ -233,28 +232,3 @@ class TestRunChain:
         assert math.fsum(pop.assets) - math.fsum(pop.liabilities) == pytest.approx(0.0, abs=1e-9)
         drift = np.abs(pop.net_positions() - pop.initial_net_positions)
         assert drift.max() <= 1e-9 * np.abs(pop.initial_net_positions).max()
-
-
-class TestFreeExpansion:
-    def test_identity_when_volume_unchanged(self):
-        pop = init_population(ModelSpec.cash_only(10, 1.0), "equal", 100.0)
-        expanded = free_expansion(pop, 1.0)
-        assert expanded.spec.volume_y == 1.0
-        assert np.array_equal(expanded.cash, pop.cash)
-
-    def test_coordinates_and_temperature_untouched(self):
-        pop = init_population(ModelSpec.cash_only(10, 1.0), "uniform-random", 100.0, seed=3)
-        expanded = free_expansion(pop, math.e)
-        assert np.array_equal(expanded.cash, pop.cash)
-        assert expanded.conserved_value() == pop.conserved_value()
-        assert expanded.spec.volume_y == math.e
-
-    def test_shrinking_rejected(self):
-        pop = init_population(ModelSpec.cash_only(10, 2.0), "equal", 100.0)
-        with pytest.raises(DynamicsError):
-            free_expansion(pop, 1.0)
-
-    def test_only_cash_only(self):
-        pop = init_population(ModelSpec.combined(10, 1.0), "equal", 100.0)
-        with pytest.raises(DynamicsError):
-            free_expansion(pop, 2.0)

@@ -15,7 +15,6 @@ from moneygas.ensembles import (
     log_partition,
     mean_money_closed_form,
     mean_money_restricted,
-    microcanonical_entropy,
     pressure_closed_form,
     temperature_closed_form,
     thermo_state,
@@ -219,34 +218,6 @@ class TestLogFactorial:
     def test_past_int64_and_past_float_range(self):
         assert log_factorial(2**100) == pytest.approx(2**100 * (100 * math.log(2) - 1), rel=1e-12)
         assert log_factorial(10**306) == math.inf
-
-
-class TestMicrocanonicalEntropy:
-    def test_single_agent(self):
-        assert microcanonical_entropy(ModelSpec.cash_only(1, 1.0), math.e) == pytest.approx(1.0)
-
-    def test_two_agents(self):
-        value = microcanonical_entropy(ModelSpec.cash_only(2, 1.0), 1.0)
-        assert value == pytest.approx(-math.log(2.0), rel=1e-12)
-
-    @pytest.mark.parametrize("scale", [0.5, 2.0, 7.3])
-    def test_scaling_in_money(self, scale):
-        spec = ModelSpec.cash_only(17, 4.0)
-        base = microcanonical_entropy(spec, 3.0)
-        scaled = microcanonical_entropy(spec, 3.0 * scale)
-        assert scaled - base == pytest.approx(17 * math.log(scale), rel=1e-12)
-
-    def test_huge_population_stays_finite(self):
-        value = microcanonical_entropy(ModelSpec.cash_only(10**9, 1.0), 1e12)
-        assert math.isfinite(value)
-
-    def test_nonpositive_money_rejected(self):
-        with pytest.raises(ModelValidationError):
-            microcanonical_entropy(ModelSpec.cash_only(1, 1.0), 0.0)
-
-    def test_kind_restricted_to_cash_only(self):
-        with pytest.raises(UnsupportedModelError):
-            microcanonical_entropy(ModelSpec.combined(1, 1.0), 1.0)
 
 
 class TestRestrictedMeanMoney:

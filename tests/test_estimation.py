@@ -109,12 +109,6 @@ class TestHillEstimator:
 
 
 class TestHistogram:
-    def test_two_unit_bins(self):
-        h = histogram([0.0, 1.0], width=1.0)
-        assert list(h.edges) == [0.0, 1.0, 2.0]
-        assert list(h.densities) == [0.5, 0.5]
-        assert h.tsv_rows() == [(0.0, 1.0, 0.5), (1.0, 2.0, 0.5)]
-
     def test_empty_rejected(self):
         with pytest.raises(EstimationError):
             histogram([])
@@ -122,7 +116,7 @@ class TestHistogram:
     def test_exponential_densities_within_poisson_bands(self):
         rng = np.random.default_rng(31)
         data = rng.exponential(1.0, 1_000_000)
-        h = histogram(data, width=0.1)
+        h = histogram(data)
         outside = 0
         for (left, right, _), count in zip(h.tsv_rows(), h.counts):
             expected = (math.exp(-left) - math.exp(-right)) * data.size

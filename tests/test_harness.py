@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -23,6 +24,13 @@ UNRUNNABLE_SIMULATE = {
     "too_few_values_for_ks": {"model": dict(MODEL, n_agents=2),
                               "run": dict(RUN, steps=2_000, burn_in=1_000, thin=1_000)},
 }
+
+
+def simulate_config(seed=7, **extra):
+    document = {"task": "simulate", "seed": seed, "model": dict(MODEL), "run": dict(RUN)}
+    document.update(extra)
+    return document
+
 
 COMBINED = {"kind": "combined", "n_agents": 10, "overdraft": 1.0}
 MULTI_ACCOUNT = {"kind": "multi_account", "n_agents": 2, "accounts_per_agent": [1, 1],
@@ -74,6 +82,12 @@ UNRUNNABLE_INPUTS = {
     # ln N! passes the float range, so ln Z is not finite.
     "pareto_log_factorial_overflow": dict(PARETO, pareto=dict(PARETO["pareto"], n_agents=10**306)),
 }
+# Counts under numpy's array bound whose arrays (2^59 eight-byte values, 4 EiB)
+# exceed any address space, so the allocation fails before memory is touched.
+BEYOND_MEMORY = {
+    "simulate_n_agents": simulate_config(model=dict(MODEL, n_agents=2**59), run=ONE_RECORD),
+    "pareto_direct_samples": dict(PARETO, direct_samples=2**59),
+}
 # Expectations whose fields have the wrong JSON type; each used to crash or be misread.
 MISTYPED_EXPECTATIONS = {"string_value": {"value": "abc"}, "null_tolerance": {"tolerance": None},
                          "string_absolute": {"absolute": "no"}}
@@ -83,12 +97,6 @@ def child_env():
     """Environment for a child interpreter that imports this checkout's package."""
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-
-
-def simulate_config(seed=7, **extra):
-    document = {"task": "simulate", "seed": seed, "model": dict(MODEL), "run": dict(RUN)}
-    document.update(extra)
-    return document
 
 
 def write_config(tmp_path, document, name="config.json"):
@@ -192,6 +200,32 @@ class TestRunExperiment:
         report_a = json.loads((tmp_path / "serial" / "report.json").read_text())
         report_b = json.loads((tmp_path / "parallel" / "report.json").read_text())
         assert report_a["replicas"] == report_b["replicas"]
+
+    @pytest.mark.parametrize("workers,replicas,cpus,pool_size", [
+        (100_000, 2, 4, 2), (100_000, 8, 3, 3), (100_000, 2, None, None), (1, 4, 4, None)])
+    def test_worker_pool_is_bounded_by_replicas_and_cores(
+            self, tmp_path, monkeypatch, workers, replicas, cpus, pool_size):
+        sizes = []
+
+        class InProcessPool:  # records the pool size and maps in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        document = simulate_config(replicas=replicas, workers=workers, write_samples=False)
+        manifest = run_experiment(load_config(write_config(tmp_path, document)), tmp_path / "out")
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(manifest["replica_seeds"]) == replicas
 
     def test_sweep_manifest_entries(self, tmp_path):
         document = {
@@ -334,6 +368,26 @@ class TestCli:
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("configuration error:")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("case", sorted(BEYOND_MEMORY))
+    def test_input_beyond_memory_exits_2(self, tmp_path, case):
+        document = BEYOND_MEMORY[case]
+        config_path = write_config(tmp_path, document)
+        # The child caps its own address space, so no allocation can reach real memory.
+        script = ("import resource, sys\n"
+                  "soft, hard = 1 << 32, resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                  "if hard != resource.RLIM_INFINITY:\n"
+                  "    soft = min(soft, hard)\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+                  "from moneygas.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", script, document["task"], "-c", str(config_path),
+             "-o", str(tmp_path / "out")],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("configuration error:") and result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("case", sorted(UNRUNNABLE_INPUTS))
     def test_unrunnable_input_exits_2(self, tmp_path, capsys, case):
