@@ -121,6 +121,8 @@ def build_pareto(block: dict) -> ParetoSpec:
 
 # numpy refuses an array of more bytes than its largest index; chains and samplers hold 8-byte values.
 MAX_ARRAY_VALUES = np.iinfo(np.intp).max // 8
+# Each replica adds one report entry and one manifest seed, so both stay finite.
+MAX_REPLICAS = 10**6
 
 
 def check_array_size(count: int, what: str) -> None:
@@ -130,9 +132,10 @@ def check_array_size(count: int, what: str) -> None:
 
 def check_window(block: dict, n_agents: int, slots: int = 1) -> None:
     """Check a chain's window: 2 <= N with N·slots values in one array,
-    steps > burn_in >= 0 (burn_in and thin default to 100·N and N), and
+    steps > burn_in >= 0 (burn_in and thin default to 100·N and N),
     enough records that the N·records pooled values reach the 10 the KS
-    check needs."""
+    check needs, and few enough that the records·N·slots recorded values
+    fit numpy's largest array."""
     if n_agents < 2:
         raise ConfigError(f"pair exchange needs n_agents >= 2, got {n_agents}")
     check_array_size(n_agents * slots, f"a chain of {n_agents} agents with {slots} slot(s) each")
@@ -144,6 +147,9 @@ def check_window(block: dict, n_agents: int, slots: int = 1) -> None:
     if thin < 1 or (steps - burn_in) // thin * n_agents < 10:
         raise ConfigError(f"thin={thin} must be >= 1 and record at least 10 values"
                           f" ((steps - burn_in) // thin records of {n_agents} agents)")
+    records = (steps - burn_in) // thin
+    check_array_size(records * n_agents * slots, f"recording {records} records of {n_agents} agents"
+                     f" with {slots} slot(s) each")
 
 
 def _resolve_parent(document: dict, dotted: str):

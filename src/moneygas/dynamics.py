@@ -382,9 +382,15 @@ def _credit_ledger(pop: Population) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _pool(arrays) -> np.ndarray:
+    """The arrays' values in one 1-D array; a view when there is one array."""
+    flat = [v.ravel() for v in arrays]
+    return flat[0] if len(flat) == 1 else np.concatenate(flat)
+
+
 def _pooled_mean(coords: dict[str, np.ndarray]) -> float:
     """Money per agent when the coordinates share one law (classes pooled)."""
-    return float(np.concatenate([v.ravel() for v in coords.values()]).mean()) * len(coords)
+    return float(_pool(coords.values()).mean()) * len(coords)
 
 
 def _sum_of_means(coords: dict[str, np.ndarray]) -> float:
@@ -536,17 +542,18 @@ class ChainMeta:
     max_drift: float
 
 
-def samples_csv(record_steps, coords: dict[str, np.ndarray]) -> bytes:
+def samples_csv(record_steps, coords: dict[str, np.ndarray], header: bool = True) -> bytes:
     """Long-format CSV ``step,agent,coord_name,value``: records, then names, then agents.
 
     ``coords`` maps each coordinate name to an (n_records, N) array. Values
     are Python float literals, so ``float(value)`` restores every recorded
-    double exactly.
+    double exactly. ``header`` False leaves out the header line, so the CSV
+    of consecutive record ranges concatenates to the CSV of all of them.
     """
     names = sorted(coords)
     n_agents = coords[names[0]].shape[1] if names else 0
     tails = {name: [f",{agent},{name}," for agent in range(n_agents)] for name in names}
-    chunks = [b"step,agent,coord_name,value\n"]
+    chunks = [b"step,agent,coord_name,value\n"] if header else []
     for r, step_index in enumerate(record_steps):
         head = str(step_index)
         for name in names:
@@ -571,11 +578,14 @@ class SampleSet:
         return int(self.record_steps.size)
 
     def pooled(self, names: list[str] | None = None) -> np.ndarray:
-        picked = self.coords if names is None else {k: self.coords[k] for k in names}
-        return np.concatenate([v.ravel() for v in picked.values()])
+        """The picked coordinates' values in one array; a view when one is picked."""
+        return _pool(self.coords[k] for k in (self.coords if names is None else names))
 
-    def csv_bytes(self) -> bytes:
-        return samples_csv(self.record_steps.tolist(), self.coords)
+    def csv_bytes(self, start: int = 0, stop: int | None = None) -> bytes:
+        """``samples_csv`` of records start..stop; the header only when start is 0."""
+        return samples_csv(self.record_steps[start:stop].tolist(),
+                           {name: v[start:stop] for name, v in self.coords.items()},
+                           header=start == 0)
 
 
 def default_burn_in(n_agents: int) -> int:
@@ -628,8 +638,10 @@ def run_chain(
 
     A compensated conservation audit runs every AUDIT_INTERVAL events.
 
-    Records fire at event counts burn_in + k*thin (k >= 1, up to steps);
-    identical arguments reproduce identical samples byte for byte.
+    Records fire at event counts burn_in + k*thin (k >= 1, up to steps)
+    and are copied into one (n_records, N) array per coordinate, allocated
+    before the first sweep; identical arguments reproduce identical samples
+    byte for byte.
     """
     n = spec.n_agents
     if burn_in is None:
@@ -645,7 +657,8 @@ def run_chain(
     pop = init_population(spec, policy, total, rng=rng)
 
     n_records = (steps - burn_in) // thin
-    snapshots: list[dict[str, np.ndarray]] = []
+    coords = {name: np.empty((n_records, *values.shape)) for name, values in
+              recorded_coordinates(pop).items()}
     record_steps = np.empty(n_records, dtype=np.int64)
     next_record = 0
     events = 0
@@ -658,7 +671,8 @@ def run_chain(
         phase += 1
         while next_record < n_records and burn_in + (next_record + 1) * thin <= events:
             record_steps[next_record] = burn_in + (next_record + 1) * thin
-            snapshots.append(recorded_coordinates(pop))
+            for name, values in recorded_coordinates(pop).items():
+                coords[name][next_record] = values
             next_record += 1
         if events >= next_audit:
             pop.check_invariants()
@@ -668,10 +682,6 @@ def run_chain(
     max_drift = max(max_drift, abs(pop.conserved_value() - pop.conserved_total) / scale)
     pop.events_applied = events
 
-    coords = {
-        name: np.stack([snap[name] for snap in snapshots]) if snapshots else np.empty((0, n))
-        for name in (snapshots[0] if snapshots else recorded_coordinates(pop))
-    }
     meta = ChainMeta(
         seed=seed,
         kernel=spec.kind.value,

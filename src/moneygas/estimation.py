@@ -28,6 +28,8 @@ from .ensembles import (
 # Asymptotic 1% critical value of the Kolmogorov distribution, sqrt(n)-scaled.
 # Used with a fully specified null; with an estimated scale it is conservative.
 KS_1PCT_CONSTANT = 1.63
+# Ranks per block of the KS maxima, bounding their temporaries at 512 KiB each.
+KS_BLOCK = 65_536
 
 
 class EstimationError(MoneygasError):
@@ -67,19 +69,29 @@ def ks_statistic_exponential(samples, floor: float, temperature: float) -> tuple
     """Kolmogorov-Smirnov distance to Exp(temperature) shifted by ``floor``.
 
     Returns (D, pass) where pass means D < 1.63/sqrt(n), the asymptotic 1%
-    critical value.
+    critical value. Besides the sorted copy of the samples it holds only
+    KS_BLOCK values at a time: the copy becomes the CDF in place, and the
+    rank differences are taken block by block.
     """
     if not temperature > 0:
         raise EstimationError(f"temperature must be positive, got {temperature}")
-    data = np.sort(np.asarray(samples, dtype=float).ravel())
-    n = data.size
+    cdf = np.sort(np.asarray(samples, dtype=float).ravel())
+    n = cdf.size
     if n < 10:
         raise EstimationError(f"need at least 10 samples for the KS check, got {n}")
-    cdf = -np.expm1(-(data - floor) / temperature)
-    ranks = np.arange(1, n + 1, dtype=float)
-    d_plus = float(np.max(ranks / n - cdf))
-    d_minus = float(np.max(cdf - (ranks - 1.0) / n))
-    d = max(d_plus, d_minus)
+    # -expm1(-(x - floor) / T), one operation at a time in the same order.
+    np.subtract(cdf, floor, out=cdf)
+    np.negative(cdf, out=cdf)
+    np.divide(cdf, temperature, out=cdf)
+    np.expm1(cdf, out=cdf)
+    np.negative(cdf, out=cdf)
+    d_plus = d_minus = -np.inf  # np.maximum, unlike max(), keeps a NaN as np.max would
+    for start in range(0, n, KS_BLOCK):
+        block = cdf[start:start + KS_BLOCK]
+        ranks = np.arange(start + 1, start + block.size + 1, dtype=float)
+        d_plus = np.maximum(d_plus, np.max(ranks / n - block))
+        d_minus = np.maximum(d_minus, np.max(block - (ranks - 1.0) / n))
+    d = max(float(d_plus), float(d_minus))
     return d, d < KS_1PCT_CONSTANT / math.sqrt(n)
 
 

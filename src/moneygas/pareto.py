@@ -162,8 +162,10 @@ def run_income_chain(
         raise ParetoError("mean log excess cannot be negative")
     chain = run_chain(ModelSpec.cash_only(n, 1.0), "equal", n * float(mean_log_excess),
                       steps, burn_in, thin, seed)
+    incomes = np.exp(chain.coords["x"], out=chain.coords["x"])  # in place: no full-size copy
+    incomes *= spec.floor_j
     return IncomeSampleSet(
-        incomes=spec.floor_j * np.exp(chain.coords["x"]),
+        incomes=incomes,
         conserved_y=chain.meta.total + n * math.log(spec.floor_j),
         y_drift=chain.meta.max_drift,
         seed=seed,
@@ -188,10 +190,16 @@ class IncomeSampleSet:
     def pooled(self) -> np.ndarray:
         return self.incomes.ravel()
 
-    def csv_bytes(self) -> bytes:
-        """Long-format CSV matching the exchange-chain sample layout."""
-        steps = [self.burn_in + (r + 1) * self.thin for r in range(self.incomes.shape[0])]
-        return samples_csv(steps, {"income": self.incomes})
+    @property
+    def n_records(self) -> int:
+        return self.incomes.shape[0]
+
+    def csv_bytes(self, start: int = 0, stop: int | None = None) -> bytes:
+        """Long-format CSV of records start..stop, matching the exchange-chain
+        sample layout; the header only when start is 0."""
+        incomes = self.incomes[start:stop]
+        steps = [self.burn_in + (start + r + 1) * self.thin for r in range(incomes.shape[0])]
+        return samples_csv(steps, {"income": incomes}, header=start == 0)
 
 
 def transition_scan(spec: ParetoSpec, t_grid) -> list[tuple[float, float, float]]:

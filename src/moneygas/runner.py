@@ -7,6 +7,10 @@ companions) followed by ``manifest.json`` carrying the configuration echo,
 the implementation version, the derived per-replica seeds and SHA-256
 digests of every written file. Nothing in the outputs depends on wall-clock
 time, so re-running a configuration reproduces the bytes exactly.
+
+A pipeline hands each companion file over as bytes or as an iterable of
+byte chunks; ``samples.csv`` is formatted a block of records at a time while
+it is written and hashed, so it is never held whole in memory.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import itertools
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -26,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    MAX_REPLICAS,
     ConfigError,
     boolean,
     build_model,
@@ -82,6 +88,11 @@ from .transform import (
 )
 
 _MASK64 = (1 << 64) - 1
+# Recorded values formatted per samples.csv chunk (about 2 MB of CSV).
+CSV_BLOCK_VALUES = 1 << 16
+
+# A companion file: its bytes, or byte chunks to be written in order.
+FileData = bytes | Iterable[bytes]
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -166,15 +177,24 @@ def _tsv(header: tuple[str, ...], rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, bytes]]:
+def _csv_chunks(samples, values_per_record: int) -> Iterator[bytes]:
+    """``samples.csv_bytes`` over consecutive record ranges of about
+    CSV_BLOCK_VALUES values; the chunks concatenate to ``csv_bytes()``."""
+    block = max(1, CSV_BLOCK_VALUES // values_per_record)
+    for start in range(0, max(samples.n_records, 1), block):  # no records: the header alone
+        yield samples.csv_bytes(start, start + block)
+
+
+def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
     raw = config.raw
     spec = build_model(raw["model"])
     run_block = raw["run"]
     replicas = raw.get("replicas", 1)
     predicted = temperature_from_total(spec, float(run_block["total"]))
+    write_samples = raw.get("write_samples", True)
     seeds = [derive_seed(config.seed, i) for i in range(replicas)]
     payloads = [
-        (raw["model"], run_block, seed, predicted, index == 0)
+        (raw["model"], run_block, seed, predicted, write_samples and index == 0)
         for index, seed in enumerate(seeds)
     ]
     # More workers than replicas or cores would only add idle processes.
@@ -212,15 +232,16 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, 
         },
     }
 
-    files: dict[str, bytes] = {}
-    if raw.get("write_samples", True):
-        files["samples.csv"] = first_samples.csv_bytes()
+    files: dict[str, FileData] = {}
+    if write_samples:
+        width = len(first_samples.coords) * spec.n_agents
+        files["samples.csv"] = _csv_chunks(first_samples, width)
         hist = histogram(first_samples.pooled(primary_names))
         files["histogram.tsv"] = _tsv(("bin_left", "bin_right", "density"), hist.tsv_rows())
     return report, seeds, files
 
 
-def _run_analytic(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, bytes]]:
+def _run_analytic(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
     raw = config.raw
     spec = build_model(raw["model"])
     h = float(raw.get("fd_step", 1e-5))
@@ -242,11 +263,11 @@ def _run_analytic(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, 
     return {"task": "analytic", "model": raw["model"], "points": points, "max_residual": overall}, [], {}
 
 
-def _run_transform(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, bytes]]:
+def _run_transform(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
     raw = config.raw
     spec = build_model(raw["model"])
     report: dict = {"task": "transform", "model": raw["model"]}
-    files: dict[str, bytes] = {}
+    files: dict[str, FileData] = {}
     if "cycle" in raw:
         cyc = raw["cycle"]
         t_hot, t_cold = float(cyc["t_hot"]), float(cyc["t_cold"])
@@ -311,7 +332,7 @@ def _run_transform(config: ExperimentConfig) -> tuple[dict, list[int], dict[str,
     return report, [], files
 
 
-def _run_pareto(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, bytes]]:
+def _run_pareto(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
     raw = config.raw
     spec = build_pareto(raw["pareto"])
     temperature = float(raw["temperature"])
@@ -330,7 +351,7 @@ def _run_pareto(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, by
             "tail_index": exponent - 1.0,
         },
     }
-    files: dict[str, bytes] = {}
+    files: dict[str, FileData] = {}
     n_direct = raw.get("direct_samples", 0)
     if n_direct > 0:
         draws = pareto_direct_sample(spec, temperature, n_direct, seed=seeds[0])
@@ -361,7 +382,7 @@ def _run_pareto(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, by
             "matched_temperature": temperature_from_log_excess(spec, theta),
         }
         if raw.get("write_samples", True):
-            files["samples.csv"] = chain.csv_bytes()
+            files["samples.csv"] = _csv_chunks(chain, spec.n_agents)
     if "scan" in raw:
         rows = transition_scan(spec, [float(t) for t in raw["scan"]["temperatures"]])
         files["scan.tsv"] = _tsv(("temperature", "entropy", "t_dS_dT"), rows)
@@ -404,8 +425,8 @@ def _check_simulate(doc: dict) -> None:
     if run["policy"] not in ("equal", "uniform-random"):
         raise ConfigError(f"policy must be 'equal' or 'uniform-random', got {run['policy']!r}")
     check_window(run, model.n_agents, model.asset_classes)
-    if doc.get("replicas", 1) < 1:
-        raise ConfigError("replicas must be >= 1")
+    if not 1 <= doc.get("replicas", 1) <= MAX_REPLICAS:
+        raise ConfigError(f"replicas must lie in [1, {MAX_REPLICAS}], got {doc['replicas']}")
 
 
 def _check_pareto(doc: dict) -> None:
@@ -450,7 +471,7 @@ class Task:
     check: Callable[[dict], None]  # on the checked, converted fields
     # Returns (report, replica seeds, companion files); None for sweep, which
     # run_experiment runs itself.
-    pipeline: Callable[[ExperimentConfig], tuple[dict, list[int], dict[str, bytes]]] | None
+    pipeline: Callable[[ExperimentConfig], tuple[dict, list[int], dict[str, FileData]]] | None
 
 
 _COMMON = {"task": string, "seed?": integer, "outputs?": string}
@@ -529,8 +550,22 @@ def _json_bytes(document: dict) -> bytes:
         raise MoneygasError(f"a result is not finite and has no JSON form ({exc})") from exc
 
 
-def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+def _write(path: Path, data: FileData) -> str:
+    """Write bytes or byte chunks to ``path`` through ``<name>.tmp``, hashing
+    them on the way; returns the SHA-256 digest. A failure removes the
+    ``.tmp`` file and leaves ``path`` as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as handle:
+            for chunk in [data] if isinstance(data, bytes) else data:
+                digest.update(chunk)
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return "sha256:" + digest.hexdigest()
 
 
 def resolve_out_dir(out: str | os.PathLike) -> Path:
@@ -552,19 +587,16 @@ def _run_in(config: ExperimentConfig, out_path: Path) -> dict:
     if config.task == "sweep":
         return _run_sweep(config, out_path)
     report, seeds, files = TASKS[config.task].pipeline(config)
-    outputs = {"report.json": _json_bytes(report), **files}
+    outputs = {"report.json": _json_bytes(report), **files}  # encoded before anything is written
     manifest = {
         "version": __version__,
         "task": config.task,
         "config": config.raw,
         "base_seed": config.seed,
         "replica_seeds": seeds,
-        "files": {name: _digest(data) for name, data in outputs.items()},
+        "files": {name: _write(out_path / name, data) for name, data in outputs.items()},
     }
-    manifest_bytes = _json_bytes(manifest)
-    for name, data in outputs.items():
-        (out_path / name).write_bytes(data)
-    (out_path / "manifest.json").write_bytes(manifest_bytes)
+    _write(out_path / "manifest.json", _json_bytes(manifest))
     return manifest
 
 
@@ -588,7 +620,7 @@ def _run_sweep(config: ExperimentConfig, out_path: Path) -> dict:
         "base_seed": config.seed,
         "runs": entries,
     }
-    (out_path / "manifest.json").write_bytes(_json_bytes(top))
+    _write(out_path / "manifest.json", _json_bytes(top))
     return top
 
 

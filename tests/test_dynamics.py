@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from moneygas.dynamics import (
-    ConservationError,
     DynamicsError,
-    Population,
     advance,
     init_population,
+    recorded_coordinates,
     run_chain,
     step,
 )
@@ -180,6 +179,36 @@ class TestRunChain:
             for name in ("x", "y")
             for agent, value in enumerate(samples.coords[name][r].tolist())
         ]
+
+    def test_csv_record_ranges_concatenate(self):
+        samples = run_chain(ModelSpec.combined(20, 1.0), "uniform-random", 60.0, 20000, 2000, 1000, seed=5)
+        whole = samples.csv_bytes()
+        for cut in (1, 7, samples.n_records, samples.n_records + 3):
+            assert samples.csv_bytes(0, cut) + samples.csv_bytes(cut) == whole
+
+    def test_records_match_a_replay_of_the_sweeps(self):
+        # The reference: sweep by sweep, stacking a copy of the coordinates at each due record.
+        spec, total, steps, burn_in, thin = ModelSpec.multi_asset(10, 3), 60.0, 3000, 1000, 250
+        samples = run_chain(spec, "uniform-random", total, steps, burn_in, thin, seed=8)
+        rng = np.random.default_rng(8)
+        pop = init_population(spec, "uniform-random", total, rng=rng)
+        n_records = (steps - burn_in) // thin
+        snapshots, events, phase = [], 0, 0
+        while len(snapshots) < n_records:
+            done, phase = advance(pop, rng, 1, phase)
+            events += done
+            while len(snapshots) < n_records and burn_in + (len(snapshots) + 1) * thin <= events:
+                snapshots.append(recorded_coordinates(pop))
+        assert list(samples.coords) == list(snapshots[0])
+        for name, records in samples.coords.items():
+            assert np.array_equal(records, np.stack([snap[name] for snap in snapshots]))
+
+    def test_pooled_views_a_single_coordinate(self):
+        samples = run_chain(ModelSpec.combined(20, 1.0), "equal", 60.0, 20000, 2000, 1000, seed=5)
+        assert np.shares_memory(samples.pooled(["x"]), samples.coords["x"])
+        assert np.array_equal(samples.pooled(["y"]), samples.coords["y"].ravel())
+        assert np.array_equal(samples.pooled(), np.concatenate(
+            [samples.coords["x"].ravel(), samples.coords["y"].ravel()]))
 
     def test_record_count_invariant(self):
         spec = ModelSpec.cash_only(10, 1.0)

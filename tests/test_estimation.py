@@ -5,6 +5,7 @@ import pytest
 
 from moneygas.ensembles import ModelSpec
 from moneygas.estimation import (
+    KS_1PCT_CONSTANT,
     EstimationError,
     finite_diff_thermo_residuals,
     fit_shifted_exponential,
@@ -75,6 +76,21 @@ class TestKolmogorovSmirnov:
             ks_statistic_exponential([1.0] * 5, 0.0, 1.0)
         with pytest.raises(EstimationError):
             ks_statistic_exponential([1.0] * 20, 0.0, 0.0)
+
+
+    @pytest.mark.parametrize("n", [10, 65_536, 65_537, 200_000])
+    @pytest.mark.parametrize("floor", [0.0, -2.5])
+    def test_blocked_statistic_is_bit_identical_to_the_full_expression(self, n, floor):
+        samples = floor + np.random.default_rng(n).exponential(3.0, n)
+        unsorted = samples.copy()
+        data = np.sort(samples)
+        cdf = -np.expm1(-(data - floor) / 3.2)
+        ranks = np.arange(1, n + 1, dtype=float)
+        expected = max(float(np.max(ranks / n - cdf)), float(np.max(cdf - (ranks - 1.0) / n)))
+        d, ok = ks_statistic_exponential(samples, floor, 3.2)
+        assert d == expected
+        assert ok == (expected < KS_1PCT_CONSTANT / math.sqrt(n))
+        assert np.array_equal(samples, unsorted)  # the input is not sorted or overwritten
 
 
 class TestHillEstimator:

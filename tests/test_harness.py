@@ -1,4 +1,6 @@
 import concurrent.futures
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -7,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from moneygas import runner
 from moneygas.cli import main
-from moneygas.config import ConfigError, build_model
+from moneygas.config import MAX_REPLICAS, ConfigError, build_model, build_pareto
+from moneygas.dynamics import SampleSet, run_chain
+from moneygas.pareto import IncomeSampleSet, run_income_chain
 from moneygas.runner import compare_report, derive_seed, load_config, run_experiment, validate_config
 
 MODEL = {"kind": "cash_only", "n_agents": 50, "volume_y": 10.0}
@@ -87,6 +92,9 @@ UNRUNNABLE_INPUTS = {
 BEYOND_MEMORY = {
     "simulate_n_agents": simulate_config(model=dict(MODEL, n_agents=2**59), run=ONE_RECORD),
     "pareto_direct_samples": dict(PARETO, direct_samples=2**59),
+    # The chain allocates its records array, 2^58 records of 2 agents, before the first sweep.
+    "simulate_records": simulate_config(model=dict(MODEL, n_agents=2),
+                                        run=dict(RUN, steps=2**58, burn_in=0, thin=1)),
 }
 # Expectations whose fields have the wrong JSON type; each used to crash or be misread.
 MISTYPED_EXPECTATIONS = {"string_value": {"value": "abc"}, "null_tolerance": {"tolerance": None},
@@ -144,6 +152,21 @@ class TestConfigValidation:
     def test_unknown_task(self):
         with pytest.raises(ConfigError, match="task"):
             validate_config({"task": "frobnicate"})
+
+    def test_replicas_bounded(self):
+        # 2**60 replicas used to build a seed list of that length before any chain ran.
+        with pytest.raises(ConfigError, match="replicas") as info:
+            validate_config(simulate_config(replicas=2**60))
+        assert "\n" not in str(info.value)
+        validate_config(simulate_config(replicas=MAX_REPLICAS))
+
+    def test_records_array_bounded(self):
+        # The records of a window this long exceed numpy's largest array.
+        with pytest.raises(ConfigError, match="records") as info:
+            validate_config(simulate_config(run=dict(RUN, steps=2**62, burn_in=0, thin=1)))
+        assert "\n" not in str(info.value)
+        with pytest.raises(ConfigError, match="records"):
+            validate_config(dict(PARETO, dynamics=dict(DYNAMICS, steps=2**62, burn_in=0, thin=1)))
 
     def test_sweep_path_must_exist(self):
         with pytest.raises(ConfigError, match="sweep path"):
@@ -256,6 +279,61 @@ class TestRunExperiment:
         top = tmp_path / "rel" / "out_sw"
         assert (top / "manifest.json").exists()
         assert (top / "run_000" / "manifest.json").exists()
+
+
+class TestStreamedOutputs:
+    # 80 values per samples.csv chunk: 2 records of 20 agents' (x, y), 4 of 20 incomes.
+    BLOCK_VALUES = 80
+    DOCUMENTS = {
+        "simulate": (simulate_config(model=dict(COMBINED, n_agents=20), run=dict(RUN, total=100.0)), 2),
+        "pareto": (dict(PARETO, seed=3, pareto=dict(PARETO["pareto"], n_agents=20), dynamics=DYNAMICS), 4),
+    }
+
+    @staticmethod
+    def whole_samples(document):
+        if document["task"] == "simulate":
+            run = document["run"]
+            return run_chain(build_model(document["model"]), run["policy"], run["total"], run["steps"],
+                             run["burn_in"], run["thin"], seed=derive_seed(document["seed"], 0))
+        dyn = document["dynamics"]
+        return run_income_chain(build_pareto(document["pareto"]), dyn["mean_log_excess"], dyn["steps"],
+                                dyn["burn_in"], dyn["thin"], seed=derive_seed(document["seed"], 1))
+
+    @pytest.mark.parametrize("task", sorted(DOCUMENTS))
+    def test_samples_stream_in_blocks_through_tmp_files(self, tmp_path, monkeypatch, task):
+        calls = []
+        for cls in (SampleSet, IncomeSampleSet):
+            def counted(self, start=0, stop=None, inner=cls.csv_bytes):
+                calls.append((start, stop))
+                return inner(self, start, stop)
+            monkeypatch.setattr(cls, "csv_bytes", counted)
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", self.BLOCK_VALUES)
+        document, block = self.DOCUMENTS[task]
+        out = tmp_path / "out"
+        manifest = run_experiment(load_config(write_config(tmp_path, document)), out)
+        whole = self.whole_samples(document)
+        assert calls == [(start, start + block) for start in range(0, whole.n_records, block)]
+        assert (out / "samples.csv").read_bytes() == whole.csv_bytes()
+        for name, digest in manifest["files"].items():
+            assert digest == "sha256:" + hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"], "manifest.json"])
+
+    def test_a_failing_chunk_stream_leaves_no_tmp_file_and_no_manifest(self, tmp_path, monkeypatch):
+        def pipeline(config):
+            def chunks():
+                yield b"step,agent,coord_name,value\n"
+                raise RuntimeError("formatting failed")
+            return {"task": "simulate"}, [], {"samples.csv": chunks()}
+
+        monkeypatch.setitem(runner.TASKS, "simulate",
+                            dataclasses.replace(runner.TASKS["simulate"], pipeline=pipeline))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "samples.csv").write_bytes(b"an earlier run")
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            run_experiment(load_config(write_config(tmp_path, simulate_config())), out)
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "samples.csv"]
+        assert (out / "samples.csv").read_bytes() == b"an earlier run"
 
 
 class TestCompareReport:

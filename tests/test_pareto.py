@@ -153,6 +153,12 @@ class TestIncomeDynamics:
             for agent, value in enumerate(row)
         ]
 
+    def test_csv_record_ranges_concatenate(self):
+        chain = run_income_chain(ParetoSpec(10, 2.0, 3.0), 0.7, 2000, 1000, 100, seed=6)
+        whole = chain.csv_bytes()
+        for cut in (1, 4, chain.n_records, chain.n_records + 3):
+            assert chain.csv_bytes(0, cut) + chain.csv_bytes(cut) == whole
+
     def test_chain_tail_matches_matched_canonical_exponent(self):
         spec = ParetoSpec(1000, 1.0, 3.0)
         theta = 0.5

@@ -4,7 +4,6 @@ import pytest
 
 from moneygas.ensembles import ModelSpec
 from moneygas.transform import (
-    CycleReport,
     ProcessPath,
     PATH_POINTS,
     TransformError,
