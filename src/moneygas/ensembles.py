@@ -274,23 +274,30 @@ def temperature_closed_form(spec: ModelSpec, conserved_total: float) -> float:
     """Temperature as a function of the conserved money-function total.
 
     The total is the model's mean conserved quantity: m for cash-only,
-    combined, credit-market and multi-asset models, Q0 for the overdraft
-    and multi-account models. Inverting m = count·(k·T - shift) gives
-    T = total/(count·k) + shift/k, where shift = T²·(-g') is constant for
-    the absent and linear floors. The multi-account model counts accounts,
-    one slot each, shifted by their mean overdraft. The restricted model's
-    capped floor leaves T implicit; use :func:`invert_temperature_restricted`.
+    combined, restricted, credit-market and multi-asset models, Q0 for the
+    overdraft and multi-account models. Inverting m = count·(k·T - shift)
+    gives T = total/(count·k) + shift/k, where shift = T²·(-g') is constant
+    for the absent and linear floors. The multi-account model counts
+    accounts, one slot each, shifted by their mean overdraft. The capped
+    floor leaves T implicit, so m(T) = total is solved by bisection; the
+    attainable totals are (-N·d, inf).
     """
     if spec.kind is ModelKind.MULTI_ACCOUNT:
         count, slots = sum(spec.accounts_per_agent), 1
         shift = sum(d for row in spec.account_overdrafts for d in row) / count
     else:
         entry = _partition_function(spec)
-        if entry.floor is _capped_floor:
-            raise UnsupportedModelError(
-                f"{spec.kind.value} temperature is implicit; use invert_temperature_restricted"
-            )
         count, slots = spec.n_agents, entry.slots(spec)
+        if entry.floor is _capped_floor:
+            d = spec.overdraft
+            if conserved_total <= -count * d:
+                raise ModelValidationError(f"total {conserved_total} is at or below the floor {-count * d}")
+            if conserved_total > 0 and d < _FLOOR_TERM_LIMIT * (conserved_total / count):
+                # Same regime in which the floor term collapses to T: m = N·(k-1)·T.
+                return conserved_total / (count * (slots - 1))
+            # m(start) exceeds the total, so only the lower end moves while bracketing.
+            start = max(conserved_total / count + d, d, 1e-300)
+            return invert_increasing(lambda t: mean_money_closed_form(spec, t), conserved_total, start)
         shift = entry.floor(1.0, spec.overdraft)[1]
     t = conserved_total / (count * slots) + shift / slots
     if not t > 0:
@@ -298,6 +305,55 @@ def temperature_closed_form(spec: ModelSpec, conserved_total: float) -> float:
             f"closed-form temperature is non-positive ({t}); invalid parameter combination"
         )
     return t
+
+
+def invert_increasing(f: Callable[[float], float], target: float, start: float) -> float:
+    """The x > 0 with f(x) = target, for f strictly increasing on (0, inf).
+
+    From ``start`` > 0 the upper end doubles (at most 600 times) and the lower
+    end halves (at most 4000 times) until they bracket the target, checking on
+    the way that f increases; then bisection runs to a width of 1e-13 of the
+    upper end, past the 1e-10 that callers need, so difference quotients are
+    not limited by inversion noise. Raises ModelValidationError when f fails
+    to increase or no bracket is found within the caps.
+    """
+
+    def gap(x: float) -> float:
+        return f(x) - target
+
+    hi = start
+    previous = gap(hi)
+    for _ in range(600):
+        if previous >= 0:
+            break
+        hi *= 2.0
+        current = gap(hi)
+        if not current > previous:
+            raise ModelValidationError("the function failed to increase while bracketing")
+        previous = current
+    else:
+        raise ModelValidationError(f"no sign change while bracketing above {hi}")
+    lo = start
+    previous = gap(lo)
+    for _ in range(4000):
+        if previous <= 0:
+            break
+        lo *= 0.5
+        current = gap(lo)
+        if not current < previous:
+            raise ModelValidationError("the function failed to decrease while bracketing")
+        previous = current
+    else:
+        raise ModelValidationError(f"no sign change while bracketing below {lo}")
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if gap(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def log_partition(
@@ -384,67 +440,3 @@ def mean_money_restricted(spec: ModelSpec, temperature: float) -> float:
     """m(T) = 2NT - N·d·e^{d/T}/(e^{d/T}-1) for the no-credit model."""
     _require_kind(spec, ModelKind.RESTRICTED)
     return mean_money_closed_form(spec, temperature)
-
-
-def invert_temperature_restricted(spec: ModelSpec, total_money: float) -> float:
-    """The unique T > 0 whose restricted-model mean money equals the total.
-
-    Bracketing plus bisection to 1e-10 relative width; m(T) is strictly
-    increasing in T (checked while bracketing), so the root is unique.
-    Raises when the total lies outside the attainable range (-N·d, inf).
-    """
-    _require_kind(spec, ModelKind.RESTRICTED)
-    n, d = spec.n_agents, spec.overdraft
-    if total_money <= -n * d:
-        raise ModelValidationError(
-            f"total money {total_money} is at or below the floor {-n * d}; no solution"
-        )
-    if total_money > 0 and d < _FLOOR_TERM_LIMIT * (total_money / n):
-        # Same regime in which the forward map collapses to m = N·T.
-        return total_money / n
-
-    def gap(t: float) -> float:
-        return mean_money_closed_form(spec, t) - total_money
-
-    hi = max(total_money / n + d, d, 1e-300)
-    previous = gap(hi)
-    for _ in range(600):
-        if previous >= 0:
-            break
-        hi *= 2.0
-        current = gap(hi)
-        if not current > previous:
-            raise ModelValidationError("mean money failed to increase with T while bracketing")
-        previous = current
-    else:
-        raise ModelValidationError(f"no sign change while bracketing above T={hi}")
-    lo = hi
-    previous = gap(lo)
-    for _ in range(4000):
-        if previous <= 0:
-            break
-        lo *= 0.5
-        current = gap(lo)
-        if not current < previous:
-            raise ModelValidationError("mean money failed to decrease with T while bracketing")
-        previous = current
-    else:
-        raise ModelValidationError(f"no sign change while bracketing below T={lo}")
-    # Iterate past the guaranteed 1e-10 so downstream difference quotients
-    # are not limited by inversion noise.
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def temperature_from_total(spec: ModelSpec, conserved_total: float) -> float:
-    """Temperature implied by the conserved total, by inversion for the restricted model."""
-    if spec.kind is ModelKind.RESTRICTED:
-        return invert_temperature_restricted(spec, conserved_total)
-    return temperature_closed_form(spec, conserved_total)

@@ -18,11 +18,12 @@ from .ensembles import (
     MoneygasError,
     chemical_potential_closed_form,
     entropy_closed_form,
+    invert_increasing,
     log_partition,
     mean_money_closed_form,
     model_volume,
     pressure_closed_form,
-    temperature_from_total,
+    temperature_closed_form,
 )
 
 # Asymptotic 1% critical value of the Kolmogorov distribution, sqrt(n)-scaled.
@@ -221,8 +222,8 @@ def _residuals(spec: ModelSpec, temperature: float, volume: float | None, h: flo
     # (dS/dm)^-1 = T, differentiating S(m) through the temperature map.
     dm = h * money_scale
     m0 = mean_money_at(t)
-    s_plus = entropy_at(temperature_from_total(spec, m0 + dm))
-    s_minus = entropy_at(temperature_from_total(spec, m0 - dm))
+    s_plus = entropy_at(temperature_closed_form(spec, m0 + dm))
+    s_minus = entropy_at(temperature_closed_form(spec, m0 - dm))
     ds_dm = (s_plus - s_minus) / (2.0 * dm)
     residuals["inv_dS_dm_vs_T"] = _relative(1.0 / ds_dm, t, h * t)
 
@@ -246,20 +247,9 @@ def _residuals(spec: ModelSpec, temperature: float, volume: float | None, h: flo
     residuals["dF_dN_vs_mu"] = _relative(df_dn, mu, t)
 
     # Maxwell relation: (dm/dN) at constant (S, V) equals mu. The entropy is
-    # strictly increasing in T, so invert it by bisection at each N.
+    # strictly increasing in T, so invert it at each N.
     def temperature_at_entropy(nn: float) -> float:
-        lo, hi = t, t
-        while entropy_at(hi, nn=nn) < entropy0:
-            hi *= 2.0
-        while entropy_at(lo, nn=nn) > entropy0:
-            lo *= 0.5
-        while hi - lo > 1e-13 * hi:
-            mid = 0.5 * (lo + hi)
-            if entropy_at(mid, nn=nn) < entropy0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return invert_increasing(lambda tt: entropy_at(tt, nn=nn), entropy0, t)
 
     m_plus = mean_money_at(temperature_at_entropy(n + dn), nn=n + dn)
     m_minus = mean_money_at(temperature_at_entropy(n - dn), nn=n - dn)

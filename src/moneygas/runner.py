@@ -15,7 +15,6 @@ it is written and hashed, so it is never held whole in memory.
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import hashlib
 import itertools
@@ -54,7 +53,7 @@ from .ensembles import (
     ModelSpec,
     MoneygasError,
     model_volume,
-    temperature_from_total,
+    temperature_closed_form,
     thermo_state,
 )
 from .estimation import (
@@ -90,6 +89,8 @@ from .transform import (
 _MASK64 = (1 << 64) - 1
 # Recorded values formatted per samples.csv chunk (about 2 MB of CSV).
 CSV_BLOCK_VALUES = 1 << 16
+# Relative step of the finite-difference identity checks.
+FD_STEP = 1e-5
 
 # A companion file: its bytes, or byte chunks to be written in order.
 FileData = bytes | Iterable[bytes]
@@ -165,13 +166,6 @@ def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: floa
     return report, samples
 
 
-def _replica_task(payload: tuple) -> tuple[dict, SampleSet | None]:
-    model_block, run_block, seed, predicted, keep_samples = payload
-    spec = build_model(model_block)
-    report, samples = _replica_report(spec, run_block, seed, predicted)
-    return report, samples if keep_samples else None
-
-
 def _tsv(header: tuple[str, ...], rows) -> bytes:
     lines = ["\t".join(header), *("\t".join(map(repr, row)) for row in rows)]
     return ("\n".join(lines) + "\n").encode()
@@ -190,22 +184,18 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, 
     spec = build_model(raw["model"])
     run_block = raw["run"]
     replicas = raw.get("replicas", 1)
-    predicted = temperature_from_total(spec, float(run_block["total"]))
+    predicted = temperature_closed_form(spec, float(run_block["total"]))
     write_samples = raw.get("write_samples", True)
     seeds = [derive_seed(config.seed, i) for i in range(replicas)]
-    payloads = [
-        (raw["model"], run_block, seed, predicted, write_samples and index == 0)
-        for index, seed in enumerate(seeds)
-    ]
-    # More workers than replicas or cores would only add idle processes.
-    workers = min(raw.get("workers", 1), replicas, os.cpu_count() or 1)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replica_task, payloads))
-    else:
-        results = [_replica_task(p) for p in payloads]
-    replica_reports = [r for r, _ in results]
-    first_samples = results[0][1]
+    # Replicas run one after another in this process. Only the first one's
+    # samples are kept, and only when they are written.
+    replica_reports, first_samples = [], None
+    for seed in seeds:
+        replica, samples = _replica_report(spec, run_block, seed, predicted)
+        replica_reports.append(replica)
+        if write_samples and first_samples is None:
+            first_samples = samples
+        del samples  # freed before the next replica's chain is recorded
 
     primary, primary_names, _ = KERNELS[spec.kind].marginals(spec)[0]
     t_hats = [r["fits"][primary]["t_hat"] for r in replica_reports]
@@ -244,12 +234,11 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, 
 def _run_analytic(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
     raw = config.raw
     spec = build_model(raw["model"])
-    h = float(raw.get("fd_step", 1e-5))
     points = []
     overall = 0.0
     for temperature in raw["temperatures"]:
         state = thermo_state(spec, float(temperature))
-        residuals = finite_diff_thermo_residuals(spec, float(temperature), h=h)
+        residuals = finite_diff_thermo_residuals(spec, float(temperature), h=FD_STEP)
         worst = max(residuals.values())
         overall = max(overall, worst)
         points.append(
@@ -273,7 +262,7 @@ def _run_transform(config: ExperimentConfig) -> tuple[dict, list[int], dict[str,
         t_hot, t_cold = float(cyc["t_hot"]), float(cyc["t_cold"])
         v1, v2 = float(cyc["v1"]), float(cyc["v2"])
         cycle = carnot_cycle(spec, t_hot, t_cold, v1, v2)
-        report["cycle"] = cycle.as_dict()
+        report["cycle"] = asdict(cycle)
         rows = path_table(carnot_path(spec, t_hot, t_cold, v1, v2))
         files["path.tsv"] = _tsv(("volume", "temperature", "pressure", "entropy"), rows)
         if "free_expansion_factor" in raw:
@@ -283,7 +272,7 @@ def _run_transform(config: ExperimentConfig) -> tuple[dict, list[int], dict[str,
             verdict = policy_bound_check(
                 spoiled.credit_out_cold, spoiled.credit_in_hot, t_cold, t_hot
             )
-            report["free_expansion_cycle"] = spoiled.as_dict()
+            report["free_expansion_cycle"] = asdict(spoiled)
             report["policy_bound"] = {
                 "credit_ratio": verdict.credit_ratio,
                 "temperature_ratio": verdict.temperature_ratio,
@@ -308,7 +297,7 @@ def _run_transform(config: ExperimentConfig) -> tuple[dict, list[int], dict[str,
         report["fractional_reserve"] = entry
     if "identity_grid" in raw:
         grid = raw["identity_grid"]
-        h = float(grid.get("fd_step", 1e-5))
+        h = FD_STEP
         volumes = grid.get("volumes", [None])
         worst_gd = worst_fl = worst_state = 0.0
         count = 0
@@ -330,6 +319,12 @@ def _run_transform(config: ExperimentConfig) -> tuple[dict, list[int], dict[str,
             "max_state_residual": worst_state,
         }
     return report, [], files
+
+
+def _mean_log_ratio(values: np.ndarray, floor: float) -> float:
+    """mean(log(values / floor)) through one temporary, the log taken in place."""
+    ratios = np.divide(values, floor)
+    return float(np.mean(np.log(ratios, out=ratios)))
 
 
 def _run_pareto(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
@@ -361,7 +356,7 @@ def _run_pareto(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, Fi
             "seed": seeds[0],
             "hill": hill_tail_index(draws, k),
             "hill_k": k,
-            "mean_log_excess": float(np.mean(np.log(draws / spec.floor_j))),
+            "mean_log_excess": _mean_log_ratio(draws, spec.floor_j),
         }
     if "dynamics" in raw:
         dyn = raw["dynamics"]
@@ -374,7 +369,7 @@ def _run_pareto(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, Fi
             seed=seeds[1],
         )
         pooled = chain.pooled()
-        theta = float(np.mean(np.log(pooled / spec.floor_j)))
+        theta = _mean_log_ratio(pooled, spec.floor_j)
         report["dynamics"] = {
             "theta": theta,
             "hill": hill_tail_index(pooled),
@@ -402,13 +397,10 @@ def _run_pareto(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, Fi
 
 
 def _check_closed_form(doc: dict) -> None:
-    """analytic, transform: the kind has a closed-form state; fd_step lies in (0, 1)."""
+    """analytic, transform: the kind has a closed-form state."""
     if doc["model"].kind not in PARTITION_FUNCTIONS:
         raise ConfigError(f"{doc['task']} needs a closed-form state;"
                           f" {doc['model'].kind.value!r} has none")
-    for block in (doc, doc.get("identity_grid", {})):
-        if not 0 < block.get("fd_step", 1e-5) < 1:
-            raise ConfigError("fd_step must lie in (0, 1)")
 
 
 def _check_transform(doc: dict) -> None:
@@ -435,8 +427,14 @@ def _check_pareto(doc: dict) -> None:
         if not 0 < temperature < spec.t_max:
             raise ConfigError(f"temperature must lie in (0, t_max), got {temperature}")
     if "dynamics" in doc:
+        excess = doc["dynamics"]["mean_log_excess"]
+        if not excess > 0:
+            raise ConfigError(f"dynamics.mean_log_excess must be positive, got {excess}")
         check_window(doc["dynamics"], spec.n_agents)
-    check_array_size(doc.get("direct_samples", 0), "direct_samples")
+    direct = doc.get("direct_samples", 0)
+    if direct < 0:
+        raise ConfigError(f"direct_samples must be >= 0, got {direct}")
+    check_array_size(direct, "direct_samples")
 
 
 def _sweep_documents(raw: dict):
@@ -481,14 +479,14 @@ _WINDOW = {"steps": integer, "burn_in?": integer, "thin?": integer}
 TASKS: dict[str, Task] = {
     "analytic": Task(
         "closed-form states and identity residuals",
-        {**_MODEL, "temperatures": positive_numbers, "fd_step?": number},
+        {**_MODEL, "temperatures": positive_numbers},
         _check_closed_form,
         _run_analytic,
     ),
     "simulate": Task(
         "exchange-chain runs with fits and KS checks",
         {**_MODEL, "run": {"policy": string, "total": number, **_WINDOW},
-         "replicas?": integer, "workers?": integer, "write_samples?": boolean},
+         "replicas?": integer, "write_samples?": boolean},
         _check_simulate,
         _run_simulate,
     ),
@@ -498,8 +496,7 @@ TASKS: dict[str, Task] = {
          "free_expansion_factor?": number,
          "fractional_reserve?": {"reserve_ratio": number, "volume": number, "n_agents": integer,
                                  "reserve_ratio_new?": number},
-         "identity_grid?": {"temperatures": positive_numbers, "volumes?": positive_numbers,
-                            "fd_step?": number}},
+         "identity_grid?": {"temperatures": positive_numbers, "volumes?": positive_numbers}},
         _check_transform,
         _run_transform,
     ),

@@ -157,17 +157,6 @@ class CycleReport:
     carnot_eta: float
     irreversible_delta_s: float = 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "work_L": self.work_L,
-            "credit_in_hot": self.credit_in_hot,
-            "credit_out_cold": self.credit_out_cold,
-            "delta_s_hot": self.delta_s_hot,
-            "eta": self.eta,
-            "carnot_eta": self.carnot_eta,
-            "irreversible_delta_s": self.irreversible_delta_s,
-        }
-
 
 def carnot_path(spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: float) -> ProcessPath:
     """The Carnot cycle's four legs: the hot isotherm from v1 to v2, the

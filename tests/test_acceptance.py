@@ -13,7 +13,6 @@ from moneygas.cli import main
 from moneygas.dynamics import advance, init_population, run_chain
 from moneygas.ensembles import (
     ModelSpec,
-    invert_temperature_restricted,
     mean_money_restricted,
     temperature_closed_form,
 )
@@ -97,7 +96,7 @@ def test_criterion_2_restricted_model():
     measured_mean = float(samples.pooled(["x"]).mean() + samples.pooled(["y"]).mean())
     assert abs(measured_mean - m_star / n) <= 0.02 * abs(m_star / n)
 
-    t_from_mean = invert_temperature_restricted(spec, measured_mean * n)
+    t_from_mean = temperature_closed_form(spec, measured_mean * n)
     fit = fit_shifted_exponential(samples.pooled(["x"]), 0.0)
     assert abs(t_from_mean - fit.t_hat) <= 0.05 * fit.t_hat
 

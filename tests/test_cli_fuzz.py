@@ -6,22 +6,18 @@ exception, and every JSON file it writes must be strict JSON (no NaN or
 Infinity). The documents are the shipped analytic and transform configs,
 small simulate, pareto and sweep documents, and one model block per kind,
 each mutated by replacing, deleting or adding fields with arbitrary JSON
-values. Simulate documents also draw ``workers`` and ``replicas``; the
-process pool is replaced by an in-process map, so no worker is started.
+values. Simulate documents also draw ``replicas``.
 """
 
-import concurrent.futures
 import contextlib
 import copy
 import io
 import json
-import os
 import tempfile
 from datetime import timedelta
 from functools import reduce
 from operator import getitem
 from pathlib import Path
-from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -94,10 +90,8 @@ def mutated_documents(draw):
             parent[draw(st.text(max_size=8))] = draw(JSON_VALUES)
         else:
             parent.insert(path[-1], draw(JSON_VALUES))
-    if verb == "simulate":
-        for key in ("workers", "replicas"):
-            if draw(st.booleans()):
-                document[key] = draw(COUNTS)
+    if verb == "simulate" and draw(st.booleans()):
+        document["replicas"] = draw(COUNTS)
     return verb, document
 
 
@@ -105,37 +99,19 @@ def mutated_documents(draw):
 @settings(max_examples=200, deadline=timedelta(seconds=10), derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=mutated_documents())
-@example(case=("simulate", dict(SIMULATE, workers=3, replicas=4)))  # reaches the pool
+@example(case=("simulate", dict(SIMULATE, replicas=4)))
 @example(case=("simulate", dict(SIMULATE, replicas=2**60)))
 def test_mutated_documents_end_in_an_exit_code(case):
     verb, document = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(document))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
-                mock.patch.object(concurrent.futures, "ProcessPoolExecutor", InProcessPool), \
-                mock.patch.object(os, "cpu_count", lambda: 4):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([verb, "-c", str(path), "-o", str(Path(tmp) / "out")])
         # Only the outputs: the input document itself may hold Infinity.
         for written in (Path(tmp) / "out").rglob("*.json"):
             json.loads(written.read_text(), parse_constant=_reject_constant)
     assert code in (0, 1, 2)
-
-
-class InProcessPool:
-    """Stands in for the process pool: maps in this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
 
 
 def _reject_constant(token):

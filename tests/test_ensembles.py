@@ -10,7 +10,7 @@ from moneygas.ensembles import (
     ModelValidationError,
     UnsupportedModelError,
     entropy_closed_form,
-    invert_temperature_restricted,
+    invert_increasing,
     log_factorial,
     log_partition,
     mean_money_closed_form,
@@ -67,10 +67,6 @@ class TestTemperatureClosedForm:
     def test_multi_account(self):
         spec = ModelSpec.multi_account(2, (1, 2), ((1.0,), (2.0, 3.0)))
         assert temperature_closed_form(spec, 3.0) == 3.0
-
-    def test_restricted_has_no_closed_form(self):
-        with pytest.raises(UnsupportedModelError):
-            temperature_closed_form(ModelSpec.restricted(10, 1.0), 5.0)
 
     def test_non_positive_temperature_rejected(self):
         spec = ModelSpec.overdraft_model(10, 1.0, 1.0)
@@ -241,20 +237,20 @@ class TestRestrictedMeanMoney:
             mean_money_restricted(ModelSpec.restricted(1, 1.0), -1.0)
 
 
-class TestInvertTemperatureRestricted:
+class TestRestrictedTemperature:
     def test_reference_point(self):
         spec = ModelSpec.restricted(1, 1.0)
-        assert invert_temperature_restricted(spec, 0.41802329313067355) == pytest.approx(
+        assert temperature_closed_form(spec, 0.41802329313067355) == pytest.approx(
             1.0, abs=1e-6
         )
 
     def test_vanishing_overdraft_is_exact(self):
         spec = ModelSpec.restricted(100, 1e-12)
-        assert invert_temperature_restricted(spec, 500.0) == 5.0
+        assert temperature_closed_form(spec, 500.0) == 5.0
 
     def test_small_overdraft_matches_asymptote(self):
         spec = ModelSpec.restricted(1, 0.01)
-        t = invert_temperature_restricted(spec, 10.0)
+        t = temperature_closed_form(spec, 10.0)
         assert t == pytest.approx(10.005, abs=2e-5)
 
     @pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 10.0, 100.0])
@@ -263,12 +259,33 @@ class TestInvertTemperatureRestricted:
         spec = ModelSpec.restricted(7, d)
         t = ratio * d
         m = mean_money_restricted(spec, t)
-        assert invert_temperature_restricted(spec, m) == pytest.approx(t, rel=1e-8)
+        assert temperature_closed_form(spec, m) == pytest.approx(t, rel=1e-8)
 
     def test_unattainable_total_rejected(self):
         spec = ModelSpec.restricted(3, 1.0)
         with pytest.raises(ModelValidationError):
-            invert_temperature_restricted(spec, -3.0)
+            temperature_closed_form(spec, -3.0)
+
+
+class TestInvertIncreasing:
+    def test_solves_an_increasing_function(self):
+        assert invert_increasing(math.exp, 20.0, 1.0) == pytest.approx(math.log(20.0), rel=1e-12)
+        assert invert_increasing(lambda x: x**3, 1e-6, 5.0) == pytest.approx(1e-2, rel=1e-12)
+
+    @pytest.mark.parametrize("f", [lambda x: -x, lambda x: 1.0, lambda x: math.sin(x)])
+    def test_non_increasing_function_rejected(self, f):
+        with pytest.raises(ModelValidationError, match="failed to"):
+            invert_increasing(f, 2.0, 1.0)
+
+    def test_target_beyond_the_doubling_cap_rejected(self):
+        # log(2^600) is about 416: 600 doublings cannot reach the target.
+        with pytest.raises(ModelValidationError, match="no sign change"):
+            invert_increasing(math.log, 1e6, 1.0)
+
+    def test_target_below_the_attainable_range_rejected(self):
+        # atan(x) > 0 for x > 0: halving ends when atan stops decreasing at underflow.
+        with pytest.raises(ModelValidationError):
+            invert_increasing(math.atan, -1.0, 1.0)
 
 
 class TestDerivativeIdentities:
@@ -310,7 +327,5 @@ class TestValidation:
     def test_mean_money_matches_temperature_inverse(self):
         # temperature_closed_form and mean_money_closed_form are mutual inverses.
         for spec in all_closed_form_specs(12):
-            if spec.kind is ModelKind.RESTRICTED:
-                continue
             m = mean_money_closed_form(spec, 3.7)
             assert temperature_closed_form(spec, m) == pytest.approx(3.7, rel=1e-12)

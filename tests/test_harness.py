@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -67,6 +66,12 @@ UNRUNNABLE_INPUTS = {
         "model": {"kind": "overdraft", "n_agents": 10, "volume_x": 1.0, "overdraft": 1.0, "q0": "abc"}},
     "pareto_burn_in_past_steps": dict(PARETO, dynamics=dict(DYNAMICS, steps=100, burn_in=1_000)),
     "pareto_fractional_thin": dict(PARETO, dynamics=dict(DYNAMICS, thin=2.5)),
+    # These three used to pass validation: the first two ran the samplers before
+    # the chain or the Hill estimator failed, the third skipped the direct block.
+    "pareto_negative_mean_log_excess": dict(PARETO, direct_samples=1_000,
+                                            dynamics=dict(DYNAMICS, mean_log_excess=-0.5)),
+    "pareto_zero_mean_log_excess": dict(PARETO, dynamics=dict(DYNAMICS, mean_log_excess=0)),
+    "pareto_negative_direct_samples": dict(PARETO, direct_samples=-5),
     "string_write_samples": {"task": "simulate", "model": MODEL, "run": RUN, "write_samples": "false"},
     "numeric_outputs": {"task": "simulate", "model": MODEL, "run": RUN, "outputs": 5},
     # Finite differences at T near the smallest float overflow to a non-finite residual.
@@ -144,6 +149,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown"):
             validate_config(simulate_config(run=bad_run))
 
+    def test_simulate_workers_rejected(self):
+        with pytest.raises(ConfigError, match="unknown"):
+            validate_config(simulate_config(replicas=2, workers=2))
+
+    @pytest.mark.parametrize("case", ["pareto_negative_mean_log_excess", "pareto_zero_mean_log_excess",
+                                      "pareto_negative_direct_samples"])
+    def test_pareto_rules_checked_before_running(self, case):
+        with pytest.raises(ConfigError, match="mean_log_excess|direct_samples"):
+            validate_config(UNRUNNABLE_INPUTS[case])
+
     def test_sweep_workers_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             validate_config({"task": "sweep", "base": simulate_config(),
@@ -212,43 +227,14 @@ class TestRunExperiment:
         ks_values = {r["fits"]["x"]["ks_d"] for r in report["replicas"]}
         assert len(ks_values) == 3  # independent streams
 
-    def test_parallel_workers_match_sequential(self, tmp_path):
-        serial = load_config(write_config(tmp_path, simulate_config(replicas=2), "s.json"))
-        parallel = load_config(
-            write_config(tmp_path, simulate_config(replicas=2, workers=2), "p.json")
-        )
-        a = run_experiment(serial, tmp_path / "serial")
-        b = run_experiment(parallel, tmp_path / "parallel")
-        assert a["files"]["report.json"] != ""
-        report_a = json.loads((tmp_path / "serial" / "report.json").read_text())
-        report_b = json.loads((tmp_path / "parallel" / "report.json").read_text())
-        assert report_a["replicas"] == report_b["replicas"]
-
-    @pytest.mark.parametrize("workers,replicas,cpus,pool_size", [
-        (100_000, 2, 4, 2), (100_000, 8, 3, 3), (100_000, 2, None, None), (1, 4, 4, None)])
-    def test_worker_pool_is_bounded_by_replicas_and_cores(
-            self, tmp_path, monkeypatch, workers, replicas, cpus, pool_size):
-        sizes = []
-
-        class InProcessPool:  # records the pool size and maps in this process
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        document = simulate_config(replicas=replicas, workers=workers, write_samples=False)
-        manifest = run_experiment(load_config(write_config(tmp_path, document)), tmp_path / "out")
-        assert sizes == ([] if pool_size is None else [pool_size])
-        assert len(manifest["replica_seeds"]) == replicas
+    def test_samples_come_from_the_first_replica(self, tmp_path):
+        one = run_experiment(load_config(write_config(tmp_path, simulate_config(), "1.json")), tmp_path / "one")
+        two = run_experiment(load_config(write_config(tmp_path, simulate_config(replicas=2), "2.json")),
+                             tmp_path / "two")
+        assert two["files"]["samples.csv"] == one["files"]["samples.csv"]
+        assert two["files"]["histogram.tsv"] == one["files"]["histogram.tsv"]
+        reports = [json.loads((tmp_path / name / "report.json").read_text()) for name in ("one", "two")]
+        assert reports[1]["replicas"][0] == reports[0]["replicas"][0]
 
     def test_sweep_manifest_entries(self, tmp_path):
         document = {
