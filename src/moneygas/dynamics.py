@@ -20,9 +20,20 @@ shell while the composition mixes.
 configurations, its moves, its recorded coordinates, its conserved value
 and bounds, and the marginals fitted to its samples. A move acts on arrays
 of agent indices, one array per role in the event. ``run_chain`` advances
-whole sweeps of disjoint events drawn from a random permutation, which is
-statistically identical to repeated single events and fast enough for
-1e7-event runs; ``step`` applies the same move to one group of agents.
+whole sweeps of disjoint events, which is fast enough for 1e7-event runs;
+``step`` applies the same move to one group of agents drawn at random. The
+two share the stationary law, not the event sequence.
+
+A pair sweep uses "shifted halves" matching. Once per epoch of N // 2 pair
+sweeps, one random permutation splits the agents into halves A and B of
+N // 2 agents each (for odd N the leftover agent sits out that epoch), and
+one call draws a shift r per sweep of the epoch; the sweep pairs A[i] with
+B[(i + r) mod N // 2]. Every pair move resamples its pair given the pair's
+total and is symmetric in its two roles, so any pairing chosen independently
+of the state keeps the uniform law invariant, and the shifts of one split
+already connect all agents. The directed turnover quad (g0 lends to g1 while
+g3 repays g2) is not symmetric in its roles, so turnover sweeps draw a fresh
+permutation each time.
 """
 
 from __future__ import annotations
@@ -56,6 +67,33 @@ class EventRecord:
 
 
 @dataclass
+class PairEpoch:
+    """One split into halves A and B, and the shift of each of its pair sweeps."""
+
+    order: np.ndarray  # a random permutation; A is its first N // 2 agents
+    doubled: np.ndarray  # B, the next N // 2 agents, twice, so B shifted by r is a slice
+    shifts: np.ndarray
+    sweep: int = 0
+
+    @classmethod
+    def draw(cls, n: int, rng: np.random.Generator) -> PairEpoch:
+        half = n // 2
+        order = rng.permutation(n)
+        b = order[half:2 * half]
+        # floor(u * half) is uniform on 0..half-1 (u * half < half for every double u < 1);
+        # rng.integers would map ~0.14 MiB of numpy's bounded-integer code into memory.
+        shifts = (rng.random(half) * half).astype(np.intp)
+        return cls(order, np.concatenate([b, b]), shifts)
+
+    def next_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """A[i] and B[(i + r) mod N // 2] for the next shift r."""
+        half = self.shifts.size
+        r = self.shifts[self.sweep]
+        self.sweep += 1
+        return self.order[:half], self.doubled[r:r + half]
+
+
+@dataclass
 class Population:
     """Mutable per-agent coordinates of one model realization."""
 
@@ -68,6 +106,7 @@ class Population:
     initial_net_positions: np.ndarray | None = None
     events_applied: int = 0
     rejected_events: int = 0
+    pair_epoch: PairEpoch | None = None  # the matching of the current pair sweeps
 
     @property
     def n_agents(self) -> int:
@@ -202,9 +241,9 @@ def init_population(
 
 
 # ---------------------------------------------------------------------------
-# Moves: each acts on one agent-index array per role (a permutation slice in
-# a sweep, one agent in a step; ``slice(None)`` for whole-population
-# resplits) and returns the number of rejected events.
+# Moves: each acts on one agent-index array per role (a half of the matching
+# or a permutation slice in a sweep, one agent in a step; ``slice(None)`` for
+# whole-population resplits) and returns the number of rejected events.
 # ---------------------------------------------------------------------------
 
 
@@ -497,9 +536,10 @@ def _moves(spec: ModelSpec) -> tuple[Move, ...]:
 def step(pop: Population, rng: np.random.Generator) -> EventRecord:
     """Apply exactly one exchange event in place and report it.
 
-    The event is the sweep's move applied to one group of distinct agents.
-    Moves rotate with the population's event counter, so a step sequence
-    matches the sweep dynamics in law.
+    The event is the sweep's move applied to one group of distinct agents,
+    drawn afresh for each step. Moves rotate with the population's event
+    counter, so a step sequence shares the sweeps' stationary law, though
+    not their pairings or random stream.
     """
     moves = _moves(pop.spec)
     move = moves[pop.events_applied % len(moves)]
@@ -515,7 +555,13 @@ def _sweep(pop: Population, rng: np.random.Generator, move: Move) -> int:
     n = pop.n_agents
     if move.arity == 1:
         groups, events = (slice(None),), n
-    else:
+    elif move.arity == 2:
+        epoch = pop.pair_epoch
+        if epoch is None or epoch.sweep == epoch.shifts.size:
+            epoch = pop.pair_epoch = PairEpoch.draw(n, rng)
+        groups = epoch.next_pairs()
+        events = groups[0].size
+    else:  # turnover: a fresh permutation, see the module docstring
         events = n // move.arity
         groups = rng.permutation(n)[: events * move.arity].reshape(move.arity, events)
     pop.rejected_events += move.apply(pop, rng, *groups)

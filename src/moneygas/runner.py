@@ -432,8 +432,8 @@ def _check_pareto(doc: dict) -> None:
             raise ConfigError(f"dynamics.mean_log_excess must be positive, got {excess}")
         check_window(doc["dynamics"], spec.n_agents)
     direct = doc.get("direct_samples", 0)
-    if direct < 0:
-        raise ConfigError(f"direct_samples must be >= 0, got {direct}")
+    if direct < 0 or direct == 1:  # the Hill estimator needs at least 2 draws
+        raise ConfigError(f"direct_samples must be 0 or >= 2, got {direct}")
     check_array_size(direct, "direct_samples")
 
 

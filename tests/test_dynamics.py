@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from moneygas.cli import main
 from moneygas.dynamics import (
     DynamicsError,
+    Move,
+    _sweep,
     advance,
     init_population,
     recorded_coordinates,
@@ -261,3 +265,99 @@ class TestRunChain:
         assert math.fsum(pop.assets) - math.fsum(pop.liabilities) == pytest.approx(0.0, abs=1e-9)
         drift = np.abs(pop.net_positions() - pop.initial_net_positions)
         assert drift.max() <= 1e-9 * np.abs(pop.initial_net_positions).max()
+
+
+def probe(arity):
+    """A move that changes nothing and keeps a copy of every group it is given."""
+    seen = []
+
+    def apply(pop, rng, *groups):
+        seen.append([np.array(g) for g in groups])
+        return 0
+
+    return Move("probe", arity, apply), seen
+
+
+def pair_sweeps(n, sweeps, seed=3):
+    pop = init_population(ModelSpec.cash_only(n, 1.0), "equal", float(n))
+    move, seen = probe(2)
+    rng = np.random.default_rng(seed)
+    events = [_sweep(pop, rng, move) for _ in range(sweeps)]
+    assert events == [n // 2] * sweeps
+    return seen
+
+
+class TestPairMatching:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 1000])
+    def test_pair_groups_are_disjoint(self, n):
+        for j, k in pair_sweeps(n, 3 * (n // 2) + 1):
+            agents = np.concatenate([j, k])
+            assert j.size == k.size == n // 2
+            assert np.unique(agents).size == 2 * (n // 2)
+            assert agents.min() >= 0 and agents.max() < n
+
+    @pytest.mark.parametrize("n", [5, 8, 1000])
+    def test_shifted_halves_within_an_epoch(self, n):
+        # Each epoch of n // 2 sweeps keeps halves A and B and shifts B cyclically.
+        half = n // 2
+        seen = pair_sweeps(n, 2 * half)
+        for epoch in (seen[:half], seen[half:]):
+            a, b = epoch[0]
+            for j, k in epoch:
+                assert np.array_equal(j, a)
+                r = int(np.flatnonzero(b == k[0])[0])
+                assert np.array_equal(k, np.roll(b, -r))
+
+    def test_odd_population_rotates_the_agent_sitting_out(self):
+        n, half = 5, 2
+        out = [set(range(n)).difference(np.concatenate(groups).tolist()) for groups in pair_sweeps(n, 40)]
+        assert all(len(agents) == 1 for agents in out)
+        assert all(out[i] == out[i - i % half] for i in range(len(out)))  # one per epoch
+        assert len(set().union(*out)) > 1
+
+    # Small populations need more epochs: an agent that sits out, or a pair that
+    # stays matched, for every epoch stays disconnected.
+    @pytest.mark.parametrize("n,epochs", [(3, 10), (5, 10), (8, 10), (1000, 2)])
+    def test_pairings_over_a_few_epochs_connect_all_agents(self, n, epochs):
+        parent = list(range(n))
+
+        def root(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for j, k in pair_sweeps(n, epochs * (n // 2)):
+            for a, b in zip(j.tolist(), k.tolist()):
+                parent[root(a)] = root(b)
+        assert len({root(i) for i in range(n)}) == 1
+
+    @pytest.mark.parametrize("n", [4, 7, 1000])
+    def test_turnover_groups_are_four_distinct_agents(self, n):
+        pop = init_population(ModelSpec.credit_market(n, 10.0 * n), "equal", float(n))
+        move, seen = probe(4)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            assert _sweep(pop, rng, move) == n // 4
+        for groups in seen:
+            assert [g.size for g in groups] == [n // 4] * 4
+            assert np.unique(np.concatenate(groups)).size == 4 * (n // 4)
+        assert pop.pair_epoch is None  # turnover leaves the pair matching alone
+        if n > 4:  # a fresh permutation every sweep
+            assert not all(np.array_equal(seen[0][0], groups[0]) for groups in seen[1:])
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "combined", "n_agents": 7, "overdraft": 1.0},
+        {"kind": "credit_market", "n_agents": 9, "volume_x": 90.0},
+    ])
+    def test_same_seed_same_samples_csv(self, tmp_path, model):
+        document = {"task": "simulate", "seed": 21, "model": model,
+                    "run": {"policy": "uniform-random", "total": 20.0, "steps": 20_000,
+                            "burn_in": 2_000, "thin": 500}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        for out in ("a", "b"):
+            assert main(["simulate", "-c", str(config), "-o", str(tmp_path / out)]) == 0
+        first = (tmp_path / "a" / "samples.csv").read_bytes()
+        assert first == (tmp_path / "b" / "samples.csv").read_bytes()
+        assert first.count(b"\n") == 1 + 36 * model["n_agents"] * (2 if model["kind"] == "combined" else 1)

@@ -66,12 +66,14 @@ UNRUNNABLE_INPUTS = {
         "model": {"kind": "overdraft", "n_agents": 10, "volume_x": 1.0, "overdraft": 1.0, "q0": "abc"}},
     "pareto_burn_in_past_steps": dict(PARETO, dynamics=dict(DYNAMICS, steps=100, burn_in=1_000)),
     "pareto_fractional_thin": dict(PARETO, dynamics=dict(DYNAMICS, thin=2.5)),
-    # These three used to pass validation: the first two ran the samplers before
-    # the chain or the Hill estimator failed, the third skipped the direct block.
+    # These four used to pass validation: the first two ran the samplers before
+    # the chain or the Hill estimator failed, the third skipped the direct block,
+    # and one draw ran the direct sampler before the Hill estimator asked for two.
     "pareto_negative_mean_log_excess": dict(PARETO, direct_samples=1_000,
                                             dynamics=dict(DYNAMICS, mean_log_excess=-0.5)),
     "pareto_zero_mean_log_excess": dict(PARETO, dynamics=dict(DYNAMICS, mean_log_excess=0)),
     "pareto_negative_direct_samples": dict(PARETO, direct_samples=-5),
+    "pareto_one_direct_sample": dict(PARETO, direct_samples=1),
     "string_write_samples": {"task": "simulate", "model": MODEL, "run": RUN, "write_samples": "false"},
     "numeric_outputs": {"task": "simulate", "model": MODEL, "run": RUN, "outputs": 5},
     # Finite differences at T near the smallest float overflow to a non-finite residual.
@@ -154,7 +156,7 @@ class TestConfigValidation:
             validate_config(simulate_config(replicas=2, workers=2))
 
     @pytest.mark.parametrize("case", ["pareto_negative_mean_log_excess", "pareto_zero_mean_log_excess",
-                                      "pareto_negative_direct_samples"])
+                                      "pareto_negative_direct_samples", "pareto_one_direct_sample"])
     def test_pareto_rules_checked_before_running(self, case):
         with pytest.raises(ConfigError, match="mean_log_excess|direct_samples"):
             validate_config(UNRUNNABLE_INPUTS[case])
