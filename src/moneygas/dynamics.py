@@ -126,7 +126,9 @@ class Population:
         parts = [np.abs(a).sum() for a in (self.cash, self.accounts, self.assets) if a is not None]
         return max(abs(self.conserved_total), float(sum(parts)), 1.0)
 
-    def check_invariants(self) -> None:
+    def check_invariants(self) -> float:
+        """Raise ConservationError on a violated bound or conserved total;
+        returns the absolute drift of the conserved total."""
         if self.cash is not None and self.cash.min() < 0:
             raise ConservationError(f"negative cash: {self.cash.min()}")
         _kernel(self.spec).bounds(self)
@@ -136,6 +138,7 @@ class Population:
                 f"conserved total drifted by {drift} (tolerance "
                 f"{CONSERVATION_RTOL * self.coordinate_scale()})"
             )
+        return drift
 
 
 # ---------------------------------------------------------------------------
@@ -310,40 +313,35 @@ def _credit_transfer(
     (the agent taking on more debt receives cash).
     """
     held = getattr(pop, holdings)
-    s = held[j] + held[k]
-    delta = rng.random(s.size) * s - held[j]
-    cash_j = pop.cash[j] + cash_sign * delta
-    cash_k = pop.cash[k] - cash_sign * delta
-    accept = (cash_j >= 0) & (cash_k >= 0)
-    ja, ka, da = j[accept], k[accept], delta[accept]
-    held[ja] += da
-    held[ka] -= da
-    pop.cash[ja] = cash_j[accept]
-    pop.cash[ka] = cash_k[accept]
-    return s.size - ja.size
+    held_j, held_k, cash_j, cash_k = held[j], held[k], pop.cash[j], pop.cash[k]
+    delta = rng.random(j.size) * (held_j + held_k) - held_j
+    reject = (cash_j + cash_sign * delta < 0) | (cash_k - cash_sign * delta < 0)
+    delta[reject] = 0.0  # a rejected event writes its coordinates back unchanged
+    held[j] = held_j + delta
+    held[k] = held_k - delta
+    pop.cash[j] = cash_j + cash_sign * delta
+    pop.cash[k] = cash_k - cash_sign * delta
+    return int(np.count_nonzero(reject))
 
 
 def _turnover(pop: Population, rng: np.random.Generator, g0, g1, g2, g3) -> int:
     """g0 lends to g1 while g3 repays g2 the same amount; total credit stays put."""
     scale = 2.0 * pop.conserved_total / pop.n_agents
     amount = rng.random(g0.size) * scale
-    accept = (
-        (pop.cash[g0] >= amount)
-        & (pop.assets[g2] >= amount)
-        & (pop.cash[g3] >= amount)
-        & (pop.liabilities[g3] >= amount)
-    )
-    a = amount[accept]
-    i0, i1, i2, i3 = g0[accept], g1[accept], g2[accept], g3[accept]
-    pop.cash[i0] -= a
-    pop.assets[i0] += a
-    pop.cash[i1] += a
-    pop.liabilities[i1] += a
-    pop.cash[i2] += a
-    pop.assets[i2] -= a
-    pop.cash[i3] -= a
-    pop.liabilities[i3] -= a
-    return g0.size - a.size
+    cash0, cash1, cash2, cash3 = pop.cash[g0], pop.cash[g1], pop.cash[g2], pop.cash[g3]
+    assets0, assets2 = pop.assets[g0], pop.assets[g2]
+    liabilities1, liabilities3 = pop.liabilities[g1], pop.liabilities[g3]
+    reject = (cash0 < amount) | (assets2 < amount) | (cash3 < amount) | (liabilities3 < amount)
+    amount[reject] = 0.0  # a rejected event writes its coordinates back unchanged
+    pop.cash[g0] = cash0 - amount
+    pop.assets[g0] = assets0 + amount
+    pop.cash[g1] = cash1 + amount
+    pop.liabilities[g1] = liabilities1 + amount
+    pop.cash[g2] = cash2 + amount
+    pop.assets[g2] = assets2 - amount
+    pop.cash[g3] = cash3 - amount
+    pop.liabilities[g3] = liabilities3 - amount
+    return int(np.count_nonzero(reject))
 
 
 def _class_pair(pop: Population, rng: np.random.Generator, j, k) -> int:
@@ -721,11 +719,9 @@ def run_chain(
                 coords[name][next_record] = values
             next_record += 1
         if events >= next_audit:
-            pop.check_invariants()
-            max_drift = max(max_drift, abs(pop.conserved_value() - pop.conserved_total) / scale)
+            max_drift = max(max_drift, pop.check_invariants() / scale)
             next_audit += AUDIT_INTERVAL
-    pop.check_invariants()
-    max_drift = max(max_drift, abs(pop.conserved_value() - pop.conserved_total) / scale)
+    max_drift = max(max_drift, pop.check_invariants() / scale)
     pop.events_applied = events
 
     meta = ChainMeta(

@@ -10,7 +10,10 @@ time, so re-running a configuration reproduces the bytes exactly.
 
 A pipeline hands each companion file over as bytes or as an iterable of
 byte chunks; ``samples.csv`` is formatted a block of records at a time while
-it is written and hashed, so it is never held whole in memory.
+it is written and hashed, so it is never held whole in memory. When it has
+two blocks or more, one forked worker process formats every other block and
+streams it back through a pipe, so the formatting runs on two cores; the
+bytes are the same as from one process.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .config import (
     set_by_path,
     string,
 )
+from .csvworker import interleaved_chunks
 from .dynamics import KERNELS, SampleSet, run_chain
 from .ensembles import (
     PARTITION_FUNCTIONS,
@@ -173,10 +177,17 @@ def _tsv(header: tuple[str, ...], rows) -> bytes:
 
 def _csv_chunks(samples, values_per_record: int) -> Iterator[bytes]:
     """``samples.csv_bytes`` over consecutive record ranges of about
-    CSV_BLOCK_VALUES values; the chunks concatenate to ``csv_bytes()``."""
+    CSV_BLOCK_VALUES values, in file order; the chunks concatenate to
+    ``csv_bytes()``. With two blocks or more, a forked worker formats every
+    other block (``csvworker``); without ``os.fork``, or with one block,
+    this process formats them all."""
     block = max(1, CSV_BLOCK_VALUES // values_per_record)
-    for start in range(0, max(samples.n_records, 1), block):  # no records: the header alone
-        yield samples.csv_bytes(start, start + block)
+    starts = range(0, max(samples.n_records, 1), block)  # no records: the header alone
+    if len(starts) < 2 or not hasattr(os, "fork"):
+        for start in starts:
+            yield samples.csv_bytes(start, start + block)
+        return
+    yield from interleaved_chunks(samples, starts, block)
 
 
 def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
@@ -553,15 +564,19 @@ def _write(path: Path, data: FileData) -> str:
     ``.tmp`` file and leaves ``path`` as it was."""
     tmp = path.with_name(path.name + ".tmp")
     digest = hashlib.sha256()
+    chunks = iter([data] if isinstance(data, bytes) else data)
     try:
         with open(tmp, "wb") as handle:
-            for chunk in [data] if isinstance(data, bytes) else data:
+            for chunk in chunks:
                 digest.update(chunk)
                 handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    finally:
+        if hasattr(chunks, "close"):
+            chunks.close()  # a chunk generator's cleanup (its worker) runs now, not when collected
     return "sha256:" + digest.hexdigest()
 
 

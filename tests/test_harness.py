@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from moneygas import runner
 from moneygas.cli import main
 from moneygas.config import MAX_REPLICAS, ConfigError, build_model, build_pareto
 from moneygas.dynamics import SampleSet, run_chain
+from moneygas.ensembles import MoneygasError
 from moneygas.pareto import IncomeSampleSet, run_income_chain
 from moneygas.runner import compare_report, derive_seed, load_config, run_experiment, validate_config
 
@@ -269,38 +271,70 @@ class TestRunExperiment:
         assert (top / "run_000" / "manifest.json").exists()
 
 
+# 80 values per samples.csv chunk: 2 records of 20 agents' (x, y), 4 of 20 incomes;
+# 110 and 30 records, so 55 and 8 blocks.
+BLOCK_VALUES = 80
+STREAMED = {
+    "simulate": (simulate_config(model=dict(COMBINED, n_agents=20), run=dict(RUN, total=100.0)), 2),
+    "pareto": (dict(PARETO, seed=3, pareto=dict(PARETO["pareto"], n_agents=20), dynamics=DYNAMICS), 4),
+}
+
+
+def whole_samples(document):
+    """The recorded samples that a run of ``document`` writes to samples.csv."""
+    if document["task"] == "simulate":
+        run = document["run"]
+        return run_chain(build_model(document["model"]), run["policy"], run["total"], run["steps"],
+                         run["burn_in"], run["thin"], seed=derive_seed(document["seed"], 0))
+    dyn = document["dynamics"]
+    return run_income_chain(build_pareto(document["pareto"]), dyn["mean_log_excess"], dyn["steps"],
+                            dyn["burn_in"], dyn["thin"], seed=derive_seed(document["seed"], 1))
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """Wrap ``os.fork``; the returned list collects the pid of every child forked."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_reaped(pid: int) -> None:
+    with pytest.raises(ChildProcessError):  # no longer a child of this process, not even a zombie
+        os.waitpid(pid, os.WNOHANG)
+
+
 class TestStreamedOutputs:
-    # 80 values per samples.csv chunk: 2 records of 20 agents' (x, y), 4 of 20 incomes.
-    BLOCK_VALUES = 80
-    DOCUMENTS = {
-        "simulate": (simulate_config(model=dict(COMBINED, n_agents=20), run=dict(RUN, total=100.0)), 2),
-        "pareto": (dict(PARETO, seed=3, pareto=dict(PARETO["pareto"], n_agents=20), dynamics=DYNAMICS), 4),
-    }
-
-    @staticmethod
-    def whole_samples(document):
-        if document["task"] == "simulate":
-            run = document["run"]
-            return run_chain(build_model(document["model"]), run["policy"], run["total"], run["steps"],
-                             run["burn_in"], run["thin"], seed=derive_seed(document["seed"], 0))
-        dyn = document["dynamics"]
-        return run_income_chain(build_pareto(document["pareto"]), dyn["mean_log_excess"], dyn["steps"],
-                                dyn["burn_in"], dyn["thin"], seed=derive_seed(document["seed"], 1))
-
-    @pytest.mark.parametrize("task", sorted(DOCUMENTS))
+    @pytest.mark.parametrize("task", sorted(STREAMED))
     def test_samples_stream_in_blocks_through_tmp_files(self, tmp_path, monkeypatch, task):
-        calls = []
+        # Both processes append their calls to one file: the worker's calls
+        # would never reach a list held in this process.
+        log = tmp_path / "calls.log"
         for cls in (SampleSet, IncomeSampleSet):
             def counted(self, start=0, stop=None, inner=cls.csv_bytes):
-                calls.append((start, stop))
+                with open(log, "a") as handle:
+                    handle.write(f"{os.getpid()} {start} {stop}\n")
                 return inner(self, start, stop)
             monkeypatch.setattr(cls, "csv_bytes", counted)
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", self.BLOCK_VALUES)
-        document, block = self.DOCUMENTS[task]
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        document, block = STREAMED[task]
         out = tmp_path / "out"
         manifest = run_experiment(load_config(write_config(tmp_path, document)), out)
-        whole = self.whole_samples(document)
-        assert calls == [(start, start + block) for start in range(0, whole.n_records, block)]
+        whole = whole_samples(document)
+        blocks = [(start, start + block) for start in range(0, whole.n_records, block)]
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert sorted((start, stop) for _, start, stop in calls) == blocks  # each block once
+        by_pid = {}
+        for pid, start, stop in calls:
+            by_pid.setdefault(pid, []).append((start, stop))
+        worker = next(pid for pid in by_pid if pid != os.getpid())
+        assert by_pid == {os.getpid(): blocks[0::2], worker: blocks[1::2]}  # each in ascending order
         assert (out / "samples.csv").read_bytes() == whole.csv_bytes()
         for name, digest in manifest["files"].items():
             assert digest == "sha256:" + hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -322,6 +356,134 @@ class TestStreamedOutputs:
             run_experiment(load_config(write_config(tmp_path, simulate_config())), out)
         assert sorted(p.name for p in out.iterdir()) == ["report.json", "samples.csv"]
         assert (out / "samples.csv").read_bytes() == b"an earlier run"
+
+
+class TestSamplesWorker:
+    """The forked worker that formats the odd blocks of samples.csv."""
+
+    @staticmethod
+    def run(tmp_path, task):
+        """Run the STREAMED document of ``task``; returns (manifest, out dir)."""
+        out = tmp_path / "out"
+        return run_experiment(load_config(write_config(tmp_path, STREAMED[task][0])), out), out
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("task", sorted(STREAMED))
+    def test_any_block_count_writes_the_whole_csv(self, tmp_path, monkeypatch, task, blocks):
+        forks = count_forks(monkeypatch)
+        document, _ = STREAMED[task]
+        whole = whole_samples(document)
+        per_record = BLOCK_VALUES // STREAMED[task][1]
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", -(-whole.n_records // blocks) * per_record)
+        manifest, out = self.run(tmp_path, task)
+        assert (out / "samples.csv").read_bytes() == whole.csv_bytes()
+        assert manifest["files"]["samples.csv"] == "sha256:" + hashlib.sha256(whole.csv_bytes()).hexdigest()
+        assert len(forks) == (0 if blocks == 1 else 1)
+        for pid in forks:
+            assert_reaped(pid)
+
+    @pytest.mark.parametrize("task", sorted(STREAMED))
+    def test_a_failing_worker_fails_the_run(self, tmp_path, monkeypatch, task):
+        forks = count_forks(monkeypatch)
+        parent = os.getpid()
+        for cls in (SampleSet, IncomeSampleSet):
+            def failing(self, start=0, stop=None, inner=cls.csv_bytes):
+                if os.getpid() != parent:
+                    raise RuntimeError("formatting failed in the worker")
+                return inner(self, start, stop)
+            monkeypatch.setattr(cls, "csv_bytes", failing)
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        out = tmp_path / "out"
+        with pytest.raises(MoneygasError, match=r"samples.csv worker stopped .*\(exit code 1\)"):
+            self.run(tmp_path, task)
+        assert not (out / "samples.csv.tmp").exists() and not (out / "manifest.json").exists()
+        assert not (out / "samples.csv").exists()
+        [pid] = forks
+        assert_reaped(pid)
+
+    def test_a_worker_exiting_non_zero_fails_the_run(self, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch)
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(3))  # reached in the worker only
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        with pytest.raises(MoneygasError, match=r"samples.csv worker failed \(exit code 3\)"):
+            self.run(tmp_path, "pareto")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json"]
+        [pid] = forks
+        assert_reaped(pid)
+
+    def test_a_failing_worker_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        forks = count_forks(monkeypatch)
+        parent = os.getpid()
+
+        def failing(self, start=0, stop=None, inner=SampleSet.csv_bytes):
+            if os.getpid() != parent:
+                raise MemoryError
+            return inner(self, start, stop)
+
+        monkeypatch.setattr(SampleSet, "csv_bytes", failing)
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        config = write_config(tmp_path, STREAMED["simulate"][0])
+        assert main(["simulate", "-c", str(config), "-o", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
+        [pid] = forks
+        assert_reaped(pid)
+
+    @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+    def test_a_failing_parent_block_stops_the_worker(self, tmp_path, monkeypatch, error):
+        forks = count_forks(monkeypatch)
+        parent = os.getpid()
+
+        def failing(self, start=0, stop=None, inner=SampleSet.csv_bytes):
+            if os.getpid() == parent and start > 0:  # the parent's second block, block 2
+                raise error("formatting failed here")
+            return inner(self, start, stop)
+
+        monkeypatch.setattr(SampleSet, "csv_bytes", failing)
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        with pytest.raises(error, match="formatting failed here"):
+            self.run(tmp_path, "simulate")
+        assert not (tmp_path / "out" / "samples.csv.tmp").exists()
+        assert not (tmp_path / "out" / "manifest.json").exists()
+        [pid] = forks
+        assert_reaped(pid)
+
+    def test_closing_the_stream_early_kills_the_worker(self, monkeypatch):
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        document, block = STREAMED["simulate"]
+        samples = whole_samples(document)
+        chunks = runner._csv_chunks(samples, BLOCK_VALUES // block)
+        assert next(chunks) == samples.csv_bytes(0, block)
+        [pid] = forks
+        chunks.close()
+        assert_reaped(pid)
+
+    def test_a_failing_consumer_stops_the_worker(self, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        document, block = STREAMED["simulate"]
+        samples = whole_samples(document)
+
+        class FailingDigest:
+            """Takes the first chunk, then fails."""
+            def __init__(self):
+                self.chunks = 0
+
+            def update(self, chunk):
+                self.chunks += 1
+                if self.chunks > 1:
+                    raise OSError("no space left")
+
+        monkeypatch.setattr(runner, "hashlib", types.SimpleNamespace(sha256=FailingDigest))
+        chunks = runner._csv_chunks(samples, BLOCK_VALUES // block)  # still referenced here
+        with pytest.raises(OSError, match="no space left"):
+            runner._write(tmp_path / "samples.csv", chunks)
+        [pid] = forks
+        assert_reaped(pid)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompareReport:
