@@ -10,19 +10,18 @@ per-slot marginal is the exponential law with the model's closed-form
 temperature; infeasible proposals (overdraft caps, cash shortfalls) are
 rejected, never clamped.
 
-The credit market additionally keeps every per-agent net position
-M_i = x_i + assets_i - liabilities_i fixed: credit moves carry a
-compensating cash leg, and lending/repayment enter the equilibrium chain
-as a matched pair ("turnover") so total credit stays on its conserved
-shell while the composition mixes.
+The credit market's two moves, the loan sale and the debt assumption,
+reshuffle one pair's assets or liabilities with a compensating cash leg.
+Each keeps every per-agent net position M_i = x_i + assets_i -
+liabilities_i fixed, as well as total credit and the monetary base, so a
+chain stays on one fibre: the set of states with its initial M_i.
 
 ``KERNELS`` holds one entry per simulable model kind: its initial
 configurations, its moves, its recorded coordinates, its conserved value
-and bounds, and the marginals fitted to its samples. A move acts on arrays
-of agent indices, one array per role in the event. ``run_chain`` advances
-whole sweeps of disjoint events, which is fast enough for 1e7-event runs;
-``step`` applies the same move to one group of agents drawn at random. The
-two share the stationary law, not the event sequence.
+and bounds, and the marginals fitted to its samples. Every move is a pair
+or a single: it acts on the two halves of a matching, or on every agent at
+once. ``run_chain`` advances whole sweeps of disjoint events, which is fast
+enough for 1e7-event runs.
 
 A pair sweep uses "shifted halves" matching. Once per epoch of N // 2 pair
 sweeps, one random permutation splits the agents into halves A and B of
@@ -31,9 +30,7 @@ one call draws a shift r per sweep of the epoch; the sweep pairs A[i] with
 B[(i + r) mod N // 2]. Every pair move resamples its pair given the pair's
 total and is symmetric in its two roles, so any pairing chosen independently
 of the state keeps the uniform law invariant, and the shifts of one split
-already connect all agents. The directed turnover quad (g0 lends to g1 while
-g3 repays g2) is not symmetric in its roles, so turnover sweeps draw a fresh
-permutation each time.
+already connect all agents.
 """
 
 from __future__ import annotations
@@ -57,13 +54,6 @@ class DynamicsError(MoneygasError):
 
 class ConservationError(RuntimeError):
     """A conservation audit found drift beyond tolerance."""
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    kind: str
-    agents: tuple[int, ...]
-    accepted: bool
 
 
 @dataclass
@@ -104,7 +94,6 @@ class Population:
     assets: np.ndarray | None = None
     liabilities: np.ndarray | None = None
     initial_net_positions: np.ndarray | None = None
-    events_applied: int = 0
     rejected_events: int = 0
     pair_epoch: PairEpoch | None = None  # the matching of the current pair sweeps
 
@@ -244,16 +233,16 @@ def init_population(
 
 
 # ---------------------------------------------------------------------------
-# Moves: each acts on one agent-index array per role (a half of the matching
-# or a permutation slice in a sweep, one agent in a step; ``slice(None)`` for
-# whole-population resplits) and returns the number of rejected events.
+# Moves: each acts on one agent-index array per role (a half of the matching;
+# ``slice(None)`` for whole-population resplits) and returns the number of
+# rejected events.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Move:
     name: str
-    arity: int  # agents per event; 1 means every agent resplits in one sweep
+    arity: int  # 2 for a pair move; 1 means every agent resplits in one sweep
     apply: Callable[..., int]
 
 
@@ -324,26 +313,6 @@ def _credit_transfer(
     return int(np.count_nonzero(reject))
 
 
-def _turnover(pop: Population, rng: np.random.Generator, g0, g1, g2, g3) -> int:
-    """g0 lends to g1 while g3 repays g2 the same amount; total credit stays put."""
-    scale = 2.0 * pop.conserved_total / pop.n_agents
-    amount = rng.random(g0.size) * scale
-    cash0, cash1, cash2, cash3 = pop.cash[g0], pop.cash[g1], pop.cash[g2], pop.cash[g3]
-    assets0, assets2 = pop.assets[g0], pop.assets[g2]
-    liabilities1, liabilities3 = pop.liabilities[g1], pop.liabilities[g3]
-    reject = (cash0 < amount) | (assets2 < amount) | (cash3 < amount) | (liabilities3 < amount)
-    amount[reject] = 0.0  # a rejected event writes its coordinates back unchanged
-    pop.cash[g0] = cash0 - amount
-    pop.assets[g0] = assets0 + amount
-    pop.cash[g1] = cash1 + amount
-    pop.liabilities[g1] = liabilities1 + amount
-    pop.cash[g2] = cash2 + amount
-    pop.assets[g2] = assets2 - amount
-    pop.cash[g3] = cash3 - amount
-    pop.liabilities[g3] = liabilities3 - amount
-    return int(np.count_nonzero(reject))
-
-
 def _class_pair(pop: Population, rng: np.random.Generator, j, k) -> int:
     """Uniform split of one randomly chosen asset class per pair."""
     c = rng.integers(pop.spec.asset_classes, size=j.size)
@@ -367,7 +336,6 @@ _LOAN_SALE = Move("loan_sale", 2, partial(_credit_transfer, holdings="assets", c
 _DEBT_ASSUMPTION = Move(
     "debt_assumption", 2, partial(_credit_transfer, holdings="liabilities", cash_sign=1.0)
 )
-_TURNOVER = Move("turnover", 4, _turnover)
 _CLASS_PAIR = Move("pair_reshuffle_class", 2, _class_pair)
 _CLASS_RESPLIT = Move("class_resplit", 1, _class_resplit)
 
@@ -439,7 +407,7 @@ class Kernel:
     """Everything the chains and the runner need to know about one model kind."""
 
     init: Callable[[Population, str, np.random.Generator], None]
-    moves: Callable[[ModelSpec], tuple[Move, ...]]  # rotated one per sweep or step
+    moves: Callable[[ModelSpec], tuple[Move, ...]]  # rotated one per sweep
     coordinates: Callable[[Population], dict[str, np.ndarray]]  # recorded copies
     conserved: Callable[[Population], float]
     bounds: Callable[[Population], None]
@@ -486,10 +454,7 @@ KERNELS: dict[ModelKind, Kernel] = {
     ),
     ModelKind.CREDIT_MARKET: Kernel(
         init=_init_credit,
-        # Turnover needs four distinct agents; smaller markets only trade.
-        moves=lambda spec: (
-            _LOAN_SALE, _DEBT_ASSUMPTION, _TURNOVER if spec.n_agents >= 4 else _LOAN_SALE
-        ),
+        moves=lambda spec: (_LOAN_SALE, _DEBT_ASSUMPTION),
         coordinates=lambda pop: {"assets": pop.assets.copy()},
         conserved=lambda pop: math.fsum(pop.assets),
         bounds=_credit_ledger,
@@ -527,25 +492,8 @@ def _moves(spec: ModelSpec) -> tuple[Move, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Single events and sweeps
+# Sweeps
 # ---------------------------------------------------------------------------
-
-
-def step(pop: Population, rng: np.random.Generator) -> EventRecord:
-    """Apply exactly one exchange event in place and report it.
-
-    The event is the sweep's move applied to one group of distinct agents,
-    drawn afresh for each step. Moves rotate with the population's event
-    counter, so a step sequence shares the sweeps' stationary law, though
-    not their pairings or random stream.
-    """
-    moves = _moves(pop.spec)
-    move = moves[pop.events_applied % len(moves)]
-    pop.events_applied += 1
-    agents = rng.choice(pop.n_agents, size=move.arity, replace=False)
-    rejected = move.apply(pop, rng, *agents[:, None])
-    pop.rejected_events += rejected
-    return EventRecord(move.name, tuple(agents.tolist()), rejected == 0)
 
 
 def _sweep(pop: Population, rng: np.random.Generator, move: Move) -> int:
@@ -553,15 +501,12 @@ def _sweep(pop: Population, rng: np.random.Generator, move: Move) -> int:
     n = pop.n_agents
     if move.arity == 1:
         groups, events = (slice(None),), n
-    elif move.arity == 2:
+    else:
         epoch = pop.pair_epoch
         if epoch is None or epoch.sweep == epoch.shifts.size:
             epoch = pop.pair_epoch = PairEpoch.draw(n, rng)
         groups = epoch.next_pairs()
         events = groups[0].size
-    else:  # turnover: a fresh permutation, see the module docstring
-        events = n // move.arity
-        groups = rng.permutation(n)[: events * move.arity].reshape(move.arity, events)
     pop.rejected_events += move.apply(pop, rng, *groups)
     return events
 
@@ -658,7 +603,6 @@ def advance(
     while events < n_events:
         events += _sweep(pop, rng, moves[phase % len(moves)])
         phase += 1
-    pop.events_applied += events
     return events, phase
 
 
@@ -722,7 +666,6 @@ def run_chain(
             max_drift = max(max_drift, pop.check_invariants() / scale)
             next_audit += AUDIT_INTERVAL
     max_drift = max(max_drift, pop.check_invariants() / scale)
-    pop.events_applied = events
 
     meta = ChainMeta(
         seed=seed,

@@ -4,8 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from moneygas import dynamics
 from moneygas.cli import main
 from moneygas.dynamics import (
+    _ACCOUNT_PAIR,
+    _CASH_PAIR,
+    _DEBT_ASSUMPTION,
+    _LOAN_SALE,
+    KERNELS,
     DynamicsError,
     Move,
     _sweep,
@@ -13,7 +19,6 @@ from moneygas.dynamics import (
     init_population,
     recorded_coordinates,
     run_chain,
-    step,
 )
 from moneygas.ensembles import ModelSpec
 from moneygas.estimation import fit_shifted_exponential
@@ -64,19 +69,23 @@ def web_seed(spec) -> int:
     return hash(spec.kind.value) % 100_000
 
 
-def turnover_step(pop, rng):
-    """Advance the step counter to the turnover phase and apply one event."""
-    pop.events_applied = 2
-    return step(pop, rng)
+def state(pop):
+    return [arr.copy() for arr in (pop.cash, pop.accounts, pop.assets, pop.liabilities)
+            if arr is not None]
+
+
+def unchanged(pop, before):
+    return all(np.array_equal(arr, old) for arr, old in zip(state(pop), before))
 
 
 class TestPrimitives:
+    """One sweep of a named move; at N = 2 a pair sweep is one event."""
+
     def test_pair_reshuffle_conserves_total(self):
         pop = init_population(ModelSpec.cash_only(2, 1.0), "equal", 4.6)
         rng = np.random.default_rng(8)
         for _ in range(100):
-            record = step(pop, rng)
-            assert record.kind == "pair_reshuffle" and sorted(record.agents) == [0, 1]
+            assert _sweep(pop, rng, _CASH_PAIR) == 1
             assert pop.cash.min() >= 0.0
             assert pop.cash.sum() == pytest.approx(4.6, rel=1e-15)
 
@@ -86,77 +95,122 @@ class TestPrimitives:
         pop.accounts[:] = [0.0, 1.0]
         rng = np.random.default_rng(5)
         for _ in range(200):
-            step(pop, rng)
+            assert _sweep(pop, rng, _ACCOUNT_PAIR) == 1
             assert pop.accounts.min() >= -2.0
             assert pop.accounts.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_lend_keeps_net_positions(self):
-        # A turnover lends g0 -> g1 and repays g2 <- g3 the same amount.
+        # A loan sale moves assets against cash, a debt assumption liabilities with cash:
+        # each agent's cash change offsets its credit change exactly.
         pop = init_population(ModelSpec.credit_market(4, 40.0), "equal", 8.0)
         before = pop.net_positions().copy()
         credit = pop.assets.sum()
         rng = np.random.default_rng(1)
-        lent = 0
-        for _ in range(50):
-            cash = pop.cash.copy()
-            record = turnover_step(pop, rng)
-            assert record.kind == "turnover"
-            if record.accepted:
-                lent += 1
-                g0, g1, g2, g3 = record.agents
-                assert pop.cash[g0] < cash[g0] and pop.cash[g1] > cash[g1]
+        traded = 0
+        for sweep in range(50):
+            cash, assets, liabilities = pop.cash.copy(), pop.assets.copy(), pop.liabilities.copy()
+            assert _sweep(pop, rng, (_LOAN_SALE, _DEBT_ASSUMPTION)[sweep % 2]) == 2
+            if sweep % 2 == 0:
+                assert np.allclose(pop.cash - cash, assets - pop.assets, rtol=0, atol=1e-12)
+                assert np.array_equal(pop.liabilities, liabilities)
+            else:
+                assert np.allclose(pop.cash - cash, pop.liabilities - liabilities, rtol=0, atol=1e-12)
+                assert np.array_equal(pop.assets, assets)
+            traded += int(np.count_nonzero(pop.cash != cash)) // 2
             assert np.allclose(pop.net_positions(), before, rtol=0, atol=1e-12)
             assert pop.assets.sum() == pytest.approx(credit, rel=1e-12)
+            assert pop.liabilities.sum() == pytest.approx(credit, rel=1e-12)
             pop.check_invariants()
-        assert lent > 0
+        assert traded > 0
 
     def test_lend_requires_cash(self):
-        pop = init_population(ModelSpec.credit_market(4, 4.0), "equal", 4.0)
+        # Without cash nobody can buy assets or hand on debt, so both moves are rejected.
+        pop = init_population(ModelSpec.credit_market(2, 4.0), "equal", 4.0)
         pop.cash[:] = 0.0
         pop.initial_net_positions = pop.net_positions().copy()
-        before = (pop.cash.copy(), pop.assets.copy(), pop.liabilities.copy())
-        record = turnover_step(pop, np.random.default_rng(2))
-        assert not record.accepted and pop.rejected_events == 1
-        for arr, old in zip((pop.cash, pop.assets, pop.liabilities), before):
-            assert np.array_equal(arr, old)
+        before = state(pop)
+        rng = np.random.default_rng(2)
+        for rejected, move in enumerate((_LOAN_SALE, _DEBT_ASSUMPTION), start=1):
+            assert _sweep(pop, rng, move) == 1
+            assert pop.rejected_events == rejected
+            assert unchanged(pop, before)
 
     def test_repay_requires_feasibility(self):
-        # With the debt written off nobody can repay, so every turnover fails.
-        pop = init_population(ModelSpec.credit_market(4, 4.0), "equal", 4.0)
-        pop.assets[:] = 0.0
-        pop.liabilities[:] = 0.0
+        # Agent 0 owes all the debt and has no cash to pay anyone to take it over.
+        pop = init_population(ModelSpec.credit_market(2, 4.0), "equal", 2.0)
+        pop.cash[:] = [0.0, 4.0]
+        pop.assets[:] = [0.0, 2.0]
+        pop.liabilities[:] = [2.0, 0.0]
+        pop.initial_net_positions = pop.net_positions().copy()
+        pop.check_invariants()
+        before = state(pop)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            assert not turnover_step(pop, rng).accepted
-        assert not pop.assets.any() and not pop.liabilities.any()
+            assert _sweep(pop, rng, _DEBT_ASSUMPTION) == 1
+            assert unchanged(pop, before)
+        assert pop.rejected_events == 20
 
 
 class TestSingleEventStep:
+    """Invariants and rejections checked after every sweep of a small population."""
+
     @pytest.mark.parametrize("spec,total", all_dynamic_specs(8))
     def test_invariants_hold_through_events(self, spec, total):
         pop = init_population(spec, "uniform-random", total, seed=17)
         rng = np.random.default_rng(23)
-        for _ in range(3000):
-            record = step(pop, rng)
-            assert record.kind
-        pop.check_invariants()
-        assert pop.events_applied == 3000
+        events = phase = 0
+        while events < 3000:
+            done, phase = advance(pop, rng, 1, phase)
+            assert done in (4, 8)  # one pair sweep or one resplit of all 8 agents
+            events += done
+            pop.check_invariants()
+        assert pop.rejected_events <= events
 
     def test_rejections_leave_state_unchanged(self):
-        spec = ModelSpec.restricted(6, 0.05)  # tight cap forces pair rejections
-        pop = init_population(spec, "equal", 3.0, seed=2)
+        spec = ModelSpec.restricted(2, 0.05)  # tight cap forces pair rejections
+        pop = init_population(spec, "equal", 1.0, seed=2)
         rng = np.random.default_rng(3)
-        rejected = 0
+        rejected = phase = 0
         for _ in range(2000):
-            before_cash = pop.cash.copy()
-            before_accounts = pop.accounts.copy()
-            record = step(pop, rng)
-            if not record.accepted:
+            before, counted = state(pop), pop.rejected_events
+            _, phase = advance(pop, rng, 1, phase)
+            if pop.rejected_events > counted:  # only the pair move rejects, one event a sweep
                 rejected += 1
-                assert np.array_equal(pop.cash, before_cash)
-                assert np.array_equal(pop.accounts, before_accounts)
+                assert pop.rejected_events == counted + 1
+                assert unchanged(pop, before)
         assert rejected > 0
         assert pop.rejected_events == rejected
+
+
+class TestMoveArity:
+    @pytest.mark.parametrize("n", [2, 3, 4, 1000])
+    def test_every_move_is_a_pair_or_a_single(self, n):
+        specs = [spec for spec, _ in all_dynamic_specs(n)]
+        assert {spec.kind for spec in specs} == set(KERNELS)
+        for spec in specs:
+            assert {move.arity for move in KERNELS[spec.kind].moves(spec)} <= {1, 2}
+
+    def test_credit_market_sweep_sets_the_pair_matching(self):
+        pop = init_population(ModelSpec.credit_market(7, 70.0), "equal", 7.0)
+        assert pop.pair_epoch is None
+        assert advance(pop, np.random.default_rng(5), 1) == (3, 1)
+        assert pop.pair_epoch is not None and pop.pair_epoch.sweep == 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_credit_markets_pass_the_audits(self, n, monkeypatch):
+        # An audit every 500 events: 40 audits of the whole ledger in a 20,000-event chain.
+        audits = []
+        check = dynamics.Population.check_invariants
+        monkeypatch.setattr(dynamics, "AUDIT_INTERVAL", 500)
+        monkeypatch.setattr(dynamics.Population, "check_invariants",
+                            lambda pop: audits.append(pop.n_agents) or check(pop))
+        spec = ModelSpec.credit_market(n, 1.0 * n)  # a small base: cash shortfalls reject trades
+        samples = run_chain(spec, "uniform-random", 5.0 * n, steps=20_000, burn_in=1000,
+                            thin=1000, seed=n)
+        assert len(audits) == 1 + 40 + 1  # at init, every 500 events, at the end
+        assert samples.meta.events_run == 20_000
+        assert samples.meta.max_drift < 1e-9
+        assert samples.meta.rejected_events > 0
 
 
 class TestRunChain:
@@ -331,20 +385,6 @@ class TestPairMatching:
             for a, b in zip(j.tolist(), k.tolist()):
                 parent[root(a)] = root(b)
         assert len({root(i) for i in range(n)}) == 1
-
-    @pytest.mark.parametrize("n", [4, 7, 1000])
-    def test_turnover_groups_are_four_distinct_agents(self, n):
-        pop = init_population(ModelSpec.credit_market(n, 10.0 * n), "equal", float(n))
-        move, seen = probe(4)
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            assert _sweep(pop, rng, move) == n // 4
-        for groups in seen:
-            assert [g.size for g in groups] == [n // 4] * 4
-            assert np.unique(np.concatenate(groups)).size == 4 * (n // 4)
-        assert pop.pair_epoch is None  # turnover leaves the pair matching alone
-        if n > 4:  # a fresh permutation every sweep
-            assert not all(np.array_equal(seen[0][0], groups[0]) for groups in seen[1:])
 
     @pytest.mark.parametrize("model", [
         {"kind": "combined", "n_agents": 7, "overdraft": 1.0},
