@@ -130,12 +130,12 @@ def check_array_size(count: int, what: str) -> None:
         raise ConfigError(f"{what} needs an array of {count} values; numpy holds at most {MAX_ARRAY_VALUES}")
 
 
-def check_window(block: dict, n_agents: int, slots: int = 1) -> None:
+def check_window(block: dict, n_agents: int, slots: int = 1) -> int:
     """Check a chain's window: 2 <= N with N·slots values in one array,
     steps > burn_in >= 0 (burn_in and thin default to 100·N and N),
     enough records that the N·records pooled values reach the 10 the KS
     check needs, and few enough that the records·N·slots recorded values
-    fit numpy's largest array."""
+    fit numpy's largest array. Returns that number of recorded values."""
     if n_agents < 2:
         raise ConfigError(f"pair exchange needs n_agents >= 2, got {n_agents}")
     check_array_size(n_agents * slots, f"a chain of {n_agents} agents with {slots} slot(s) each")
@@ -150,6 +150,7 @@ def check_window(block: dict, n_agents: int, slots: int = 1) -> None:
     records = (steps - burn_in) // thin
     check_array_size(records * n_agents * slots, f"recording {records} records of {n_agents} agents"
                      f" with {slots} slot(s) each")
+    return records * n_agents * slots
 
 
 def _resolve_parent(document: dict, dotted: str):

@@ -10,10 +10,14 @@ time, so re-running a configuration reproduces the bytes exactly.
 
 A pipeline hands each companion file over as bytes or as an iterable of
 byte chunks; ``samples.csv`` is formatted a block of records at a time while
-it is written and hashed, so it is never held whole in memory. When it has
-two blocks or more, one forked worker process formats every other block and
-streams it back through a pipe, so the formatting runs on two cores; the
-bytes are the same as from one process.
+it is written and hashed, so it is never held whole in memory.
+
+Two jobs run on two cores through one forked worker process (``worker``):
+the replicas of ``simulate``, where the worker runs the odd replicas and
+sends back their reports, and the blocks of ``samples.csv``, where it
+formats every other block. Each replica and each block is a pure function of
+its seed or its records, so the outputs are the same as from one process.
+The replica worker is reaped before the samples.csv one is forked.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .config import (
     set_by_path,
     string,
 )
-from .csvworker import interleaved_chunks
 from .dynamics import KERNELS, SampleSet, run_chain
 from .ensembles import (
     PARTITION_FUNCTIONS,
@@ -89,6 +92,7 @@ from .transform import (
     path_table,
     policy_bound_check,
 )
+from .worker import interleaved
 
 _MASK64 = (1 << 64) - 1
 # Recorded values formatted per samples.csv chunk (about 2 MB of CSV).
@@ -179,15 +183,10 @@ def _csv_chunks(samples, values_per_record: int) -> Iterator[bytes]:
     """``samples.csv_bytes`` over consecutive record ranges of about
     CSV_BLOCK_VALUES values, in file order; the chunks concatenate to
     ``csv_bytes()``. With two blocks or more, a forked worker formats every
-    other block (``csvworker``); without ``os.fork``, or with one block,
-    this process formats them all."""
+    other block (``worker``)."""
     block = max(1, CSV_BLOCK_VALUES // values_per_record)
     starts = range(0, max(samples.n_records, 1), block)  # no records: the header alone
-    if len(starts) < 2 or not hasattr(os, "fork"):
-        for start in starts:
-            yield samples.csv_bytes(start, start + block)
-        return
-    yield from interleaved_chunks(samples, starts, block)
+    return interleaved(lambda start: samples.csv_bytes(start, start + block), starts, "samples.csv", "block")
 
 
 def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
@@ -198,15 +197,16 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, 
     predicted = temperature_closed_form(spec, float(run_block["total"]))
     write_samples = raw.get("write_samples", True)
     seeds = [derive_seed(config.seed, i) for i in range(replicas)]
-    # Replicas run one after another in this process. Only the first one's
-    # samples are kept, and only when they are written.
-    replica_reports, first_samples = [], None
-    for seed in seeds:
-        replica, samples = _replica_report(spec, run_block, seed, predicted)
-        replica_reports.append(replica)
-        if write_samples and first_samples is None:
-            first_samples = samples
-        del samples  # freed before the next replica's chain is recorded
+
+    def replica(index: int) -> tuple[dict, SampleSet | None]:
+        report, samples = _replica_report(spec, run_block, seeds[index], predicted)
+        return report, samples if index == 0 and write_samples else None
+
+    # The even replicas run here, the odd ones in the forked worker, which
+    # sends back only their reports. Only replica 0's samples are kept, and
+    # only when they are written.
+    results = list(interleaved(replica, range(replicas), "replica", "replica"))
+    replica_reports, first_samples = [report for report, _ in results], results[0][1]
 
     primary, primary_names, _ = KERNELS[spec.kind].marginals(spec)[0]
     t_hats = [r["fits"][primary]["t_hat"] for r in replica_reports]
@@ -427,7 +427,12 @@ def _check_simulate(doc: dict) -> None:
         raise ConfigError(f"model kind {model.kind.value!r} has no exchange dynamics to simulate")
     if run["policy"] not in ("equal", "uniform-random"):
         raise ConfigError(f"policy must be 'equal' or 'uniform-random', got {run['policy']!r}")
-    check_window(run, model.n_agents, model.asset_classes)
+    values = check_window(run, model.n_agents, model.asset_classes)
+    # A recorded value is at most |total| + 2·N·overdraft in size, and the
+    # fit's mean and the histogram's densities sum or scale all of them.
+    if not math.isfinite(values * (abs(run["total"]) + 2 * model.n_agents * model.overdraft)):
+        raise ConfigError(f"total {run['total']} is too large: the sums over {values} recorded"
+                          f" values leave the floating-point range")
     if not 1 <= doc.get("replicas", 1) <= MAX_REPLICAS:
         raise ConfigError(f"replicas must lie in [1, {MAX_REPLICAS}], got {doc['replicas']}")
 

@@ -12,7 +12,7 @@ import pytest
 from moneygas import runner
 from moneygas.cli import main
 from moneygas.config import MAX_REPLICAS, ConfigError, build_model, build_pareto
-from moneygas.dynamics import SampleSet, run_chain
+from moneygas.dynamics import ConservationError, SampleSet, run_chain
 from moneygas.ensembles import MoneygasError
 from moneygas.pareto import IncomeSampleSet, run_income_chain
 from moneygas.runner import compare_report, derive_seed, load_config, run_experiment, validate_config
@@ -29,6 +29,10 @@ UNRUNNABLE_SIMULATE = {
     "no_records": {"run": dict(RUN, steps=5_100, burn_in=5_000, thin=500)},
     "too_few_values_for_ks": {"model": dict(MODEL, n_agents=2),
                               "run": dict(RUN, steps=2_000, burn_in=1_000, thin=1_000)},
+    # 190 records summing to 1.7e308 each: the pooled sums overflow, and numpy
+    # used to print its overflow warnings before the one-line error.
+    "total_past_float_range": {"model": dict(MODEL, n_agents=10), "replicas": 2,
+                               "run": dict(RUN, total=1.7e308, steps=20_000, burn_in=1_000, thin=100)},
 }
 
 
@@ -292,10 +296,13 @@ def whole_samples(document):
 
 
 def count_forks(monkeypatch) -> list[int]:
-    """Wrap ``os.fork``; the returned list collects the pid of every child forked."""
+    """Wrap ``os.fork``; the returned list collects the pid of every child forked.
+    Each fork first checks that every earlier child has been reaped."""
     pids, fork = [], os.fork
 
     def counted():
+        for earlier in pids:
+            assert_reaped(earlier)
         pid = fork()
         if pid:
             pids.append(pid)
@@ -486,6 +493,96 @@ class TestSamplesWorker:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestReplicaWorker:
+    """The forked worker that runs the odd replicas of simulate."""
+
+    @staticmethod
+    def outputs(tmp_path, document, name):
+        """Run ``document`` through the CLI; returns (exit code, its files' bytes)."""
+        out = tmp_path / name
+        code = main(["simulate", "-c", str(write_config(tmp_path, document, f"{name}.json")), "-o", str(out)])
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("write_samples", [True, False])
+    @pytest.mark.parametrize("replicas", [1, 2, 3, 5])
+    def test_outputs_do_not_depend_on_fork(self, tmp_path, monkeypatch, replicas, write_samples):
+        # 110 records of 50 agents in blocks of 40 records: samples.csv has 3 blocks.
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", 40 * MODEL["n_agents"])
+        document = simulate_config(replicas=replicas, write_samples=write_samples)
+        forks = count_forks(monkeypatch)
+        forked = self.outputs(tmp_path, document, "forked")
+        assert len(forks) == (replicas >= 2) + write_samples  # one worker per phase
+        for pid in forks:
+            assert_reaped(pid)
+        monkeypatch.delattr(os, "fork")
+        assert forked == self.outputs(tmp_path, document, "single")
+        code, files = forked
+        names = {"manifest.json", "report.json", *(("histogram.tsv", "samples.csv") if write_samples else ())}
+        assert code == 0 and set(files) == names
+        assert len(json.loads(files["report.json"])["replicas"]) == replicas
+
+    def test_credit_market_outputs_do_not_depend_on_fork(self, tmp_path, monkeypatch):
+        document = simulate_config(model=CREDIT_MARKET, run=dict(RUN, total=500.0), replicas=3)
+        forks = count_forks(monkeypatch)
+        forked = self.outputs(tmp_path, document, "forked")
+        assert forked[0] == 0 and len(forks) == 1  # samples.csv has one block
+        monkeypatch.delattr(os, "fork")
+        assert forked == self.outputs(tmp_path, document, "single")
+
+    @staticmethod
+    def run_failing(tmp_path, monkeypatch, capsys, index, error):
+        """Run 4 replicas through the CLI with replica ``index``'s chain raising
+        ``error``; returns (exit code, stderr, the forked pids, the out dir)."""
+        failing_seed = derive_seed(7, index)
+
+        def chain(*args, seed, **kwargs):
+            if seed == failing_seed:
+                raise error("the chain failed")
+            return run_chain(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(runner, "run_chain", chain)
+        forks = count_forks(monkeypatch)
+        out = tmp_path / f"out_{index}"
+        config = write_config(tmp_path, simulate_config(replicas=4))
+        code = main(["simulate", "-c", str(config), "-o", str(out)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not (out / "manifest.json").exists() and not list(out.glob("*.tmp"))
+        for pid in forks:
+            assert_reaped(pid)
+        return code, captured.err, forks, out
+
+    @pytest.mark.parametrize("error", [MoneygasError, MemoryError])
+    def test_a_failing_replica_exits_2_with_one_line_in_either_process(self, tmp_path, monkeypatch, capsys,
+                                                                      error):
+        errs = []
+        for index in (1, 2):  # run by the worker, then by this process
+            code, err, forks, _ = self.run_failing(tmp_path, monkeypatch, capsys, index, error)
+            assert code == 2 and len(forks) == 1
+            assert err.startswith("configuration error:") and err.count("\n") == 1
+            assert "the chain failed" in err
+            errs.append(err)
+        assert errs[0] == errs[1]
+
+    def test_another_error_in_the_worker_names_the_replica_and_type(self, tmp_path, monkeypatch, capsys):
+        code, err, forks, out = self.run_failing(tmp_path, monkeypatch, capsys, 3, ConservationError)
+        assert code == 2 and len(forks) == 1
+        assert err == ("configuration error: the replica worker stopped at replica 3 of 4 with"
+                       " ConservationError: the chain failed (exit code 1)\n")
+        assert list(out.iterdir()) == []
+
+    def test_a_worker_exiting_non_zero_fails_the_run(self, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch)
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(3))  # reached in the worker only
+        document = simulate_config(replicas=2, write_samples=False)
+        with pytest.raises(MoneygasError, match=r"replica worker failed \(exit code 3\)"):
+            run_experiment(load_config(write_config(tmp_path, document)), tmp_path / "out")
+        [pid] = forks
+        assert_reaped(pid)
+        assert list((tmp_path / "out").iterdir()) == []
+
+
 class TestCompareReport:
     REPORT = {"aggregate": {"t_hat": 10.0, "list": [1.0, 2.5]}}
 
@@ -594,7 +691,7 @@ class TestCli:
             env=child_env(), capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 2, result.stderr
-        assert result.stderr.startswith("configuration error:")
+        assert result.stderr.startswith("configuration error:") and result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("case", sorted(BEYOND_MEMORY))
