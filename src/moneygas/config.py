@@ -130,15 +130,15 @@ def check_array_size(count: int, what: str) -> None:
         raise ConfigError(f"{what} needs an array of {count} values; numpy holds at most {MAX_ARRAY_VALUES}")
 
 
-def check_window(block: dict, n_agents: int, slots: int = 1) -> int:
-    """Check a chain's window: 2 <= N with N·slots values in one array,
-    steps > burn_in >= 0 (burn_in and thin default to 100·N and N),
+def check_window(block: dict, n_agents: int, width: int) -> int:
+    """Check a chain's window: 2 <= N with ``width`` values per record in one
+    array, steps > burn_in >= 0 (burn_in and thin default to 100·N and N),
     enough records that the N·records pooled values reach the 10 the KS
-    check needs, and few enough that the records·N·slots recorded values
+    check needs, and few enough that the records·width recorded values
     fit numpy's largest array. Returns that number of recorded values."""
     if n_agents < 2:
         raise ConfigError(f"pair exchange needs n_agents >= 2, got {n_agents}")
-    check_array_size(n_agents * slots, f"a chain of {n_agents} agents with {slots} slot(s) each")
+    check_array_size(width, f"a chain of {n_agents} agents")
     steps = block["steps"]
     burn_in = block.get("burn_in", default_burn_in(n_agents))
     thin = block.get("thin", default_thin(n_agents))
@@ -148,9 +148,8 @@ def check_window(block: dict, n_agents: int, slots: int = 1) -> int:
         raise ConfigError(f"thin={thin} must be >= 1 and record at least 10 values"
                           f" ((steps - burn_in) // thin records of {n_agents} agents)")
     records = (steps - burn_in) // thin
-    check_array_size(records * n_agents * slots, f"recording {records} records of {n_agents} agents"
-                     f" with {slots} slot(s) each")
-    return records * n_agents * slots
+    check_array_size(records * width, f"recording {records} records of {width} values")
+    return records * width
 
 
 def _resolve_parent(document: dict, dotted: str):

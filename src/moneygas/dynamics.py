@@ -10,6 +10,16 @@ per-slot marginal is the exponential law with the model's closed-form
 temperature; infeasible proposals (overdraft caps, cash shortfalls) are
 rejected, never clamped.
 
+cash_only, overdraft and multi_account share one kernel: one flat array of
+shifted slots z = balance + d >= 0 in ``Population.cash``, one slot per
+agent, or one per account for multi_account, where d is the slot's
+overdraft (0 for cash). The conserved value is sum(z) - sum(d), the only
+bound is z >= 0, and the one move is the uniform pair split; the matching
+pairs slots, so multi_account's chain runs over its K accounts, and the
+``agent`` column of its ``samples.csv`` holds the account index. Shifting
+the exponential law by the floor is the debt-limit result of Dragulescu and
+Yakovenko (Eur. Phys. J. B 17, 723, 2000).
+
 The credit market's two moves, the loan sale and the debt assumption,
 reshuffle one pair's assets or liabilities with a compensating cash leg.
 Each keeps every per-agent net position M_i = x_i + assets_i -
@@ -24,8 +34,9 @@ once. ``run_chain`` advances whole sweeps of disjoint events, which is fast
 enough for 1e7-event runs.
 
 A pair sweep uses "shifted halves" matching. Once per epoch of N // 2 pair
-sweeps, one random permutation splits the agents into halves A and B of
-N // 2 agents each (for odd N the leftover agent sits out that epoch), and
+sweeps, one random permutation splits the agents (the accounts, for
+multi_account) into halves A and B of N // 2 each (for odd N the leftover
+one sits out that epoch), and
 one call draws a shift r per sweep of the epoch; the sweep pairs A[i] with
 B[(i + r) mod N // 2]. Every pair move resamples its pair given the pair's
 total and is symmetric in its two roles, so any pairing chosen independently
@@ -85,7 +96,8 @@ class PairEpoch:
 
 @dataclass
 class Population:
-    """Mutable per-agent coordinates of one model realization."""
+    """Mutable per-agent coordinates of one model realization; ``cash`` holds
+    the shifted slots of cash_only, overdraft and multi_account."""
 
     spec: ModelSpec
     conserved_total: float
@@ -108,7 +120,7 @@ class Population:
 
     def conserved_value(self) -> float:
         """Compensated re-summation of the model's conserved money function."""
-        return _kernel(self.spec).conserved(self)
+        return KERNELS[self.spec.kind].conserved(self)
 
     def coordinate_scale(self) -> float:
         """Magnitude reference for relative drift when the total is near zero."""
@@ -119,8 +131,8 @@ class Population:
         """Raise ConservationError on a violated bound or conserved total;
         returns the absolute drift of the conserved total."""
         if self.cash is not None and self.cash.min() < 0:
-            raise ConservationError(f"negative cash: {self.cash.min()}")
-        _kernel(self.spec).bounds(self)
+            raise ConservationError(f"negative cash or slot: {self.cash.min()}")
+        KERNELS[self.spec.kind].bounds(self)
         drift = abs(self.conserved_value() - self.conserved_total)
         if drift > CONSERVATION_RTOL * self.coordinate_scale():
             raise ConservationError(
@@ -143,21 +155,13 @@ def _simplex_sample(rng: np.random.Generator, size: int, total: float) -> np.nda
     return spacings * (total / spacings.sum())
 
 
-def _init_cash(pop: Population, policy: str, rng: np.random.Generator) -> None:
-    n, total = pop.n_agents, pop.conserved_total
-    if total < 0:
-        raise DynamicsError(f"infeasible total {total}: cash cannot be negative")
-    pop.cash = np.full(n, total / n) if policy == "equal" else _simplex_sample(rng, n, total)
-
-
-def _init_accounts(pop: Population, policy: str, rng: np.random.Generator) -> None:
-    n, d, total = pop.n_agents, pop.spec.overdraft, pop.conserved_total
-    if total < -n * d:
-        raise DynamicsError(f"infeasible total {total}: floor is {-n * d}")
-    if policy == "equal":
-        pop.accounts = np.full(n, total / n)
-    else:
-        pop.accounts = _simplex_sample(rng, n, total + n * d) - d
+def _init_slots(pop: Population, policy: str, rng: np.random.Generator) -> None:
+    """K shifted slots summing to total + Σd: all equal, or uniform on their simplex."""
+    k, depth = pop.spec.n_accounts, pop.spec.total_overdraft
+    shifted = pop.conserved_total + depth
+    if shifted < 0:
+        raise DynamicsError(f"infeasible total {pop.conserved_total}: total + overdrafts {depth} < 0")
+    pop.cash = np.full(k, shifted / k) if policy == "equal" else _simplex_sample(rng, k, shifted)
 
 
 def _init_cash_and_accounts(
@@ -223,7 +227,7 @@ def init_population(
     """
     if policy not in ("equal", "uniform-random"):
         raise DynamicsError(f"unknown init policy {policy!r}")
-    kernel = _kernel(spec)
+    kernel = KERNELS[spec.kind]
     if rng is None:
         rng = np.random.default_rng(seed)
     pop = Population(spec=spec, conserved_total=float(total))
@@ -251,16 +255,6 @@ def _cash_pair(pop: Population, rng: np.random.Generator, j, k) -> int:
     first = rng.random(s.size) * s
     pop.cash[j] = first
     pop.cash[k] = s - first
-    return 0
-
-
-def _account_pair(pop: Population, rng: np.random.Generator, j, k) -> int:
-    """Uniform split of the pair total in the shifted coordinate z = y + d."""
-    d = pop.spec.overdraft
-    s = (pop.accounts[j] + d) + (pop.accounts[k] + d)
-    first = rng.random(s.size) * s
-    pop.accounts[j] = first - d
-    pop.accounts[k] = (s - first) - d
     return 0
 
 
@@ -331,7 +325,6 @@ def _class_resplit(pop: Population, rng: np.random.Generator, i) -> int:
 
 
 _CASH_PAIR = Move("pair_reshuffle", 2, _cash_pair)
-_ACCOUNT_PAIR = Move("pair_reshuffle_shifted", 2, _account_pair)
 _LOAN_SALE = Move("loan_sale", 2, partial(_credit_transfer, holdings="assets", cash_sign=-1.0))
 _DEBT_ASSUMPTION = Move(
     "debt_assumption", 2, partial(_credit_transfer, holdings="liabilities", cash_sign=1.0)
@@ -415,25 +408,23 @@ class Kernel:
     money_per_agent: Callable[[dict[str, np.ndarray]], float]
 
 
-KERNELS: dict[ModelKind, Kernel] = {
-    ModelKind.CASH_ONLY: Kernel(
-        init=_init_cash,
+def _slot_kernel(name: str) -> Kernel:
+    """The shifted-slot kernel, recording the slots as coordinate ``name``."""
+    return Kernel(
+        init=_init_slots,
         moves=lambda spec: (_CASH_PAIR,),
-        coordinates=lambda pop: {"x": pop.cash.copy()},
-        conserved=lambda pop: math.fsum(pop.cash),
-        bounds=lambda pop: None,
-        marginals=lambda spec: [("x", ["x"], 0.0)],
+        coordinates=lambda pop: {name: pop.cash.copy()},
+        conserved=lambda pop: math.fsum(pop.cash) - pop.spec.total_overdraft,
+        bounds=lambda pop: None,  # z >= 0, which check_invariants tests for cash
+        marginals=lambda spec: [(name, [name], 0.0)],
         money_per_agent=_pooled_mean,
-    ),
-    ModelKind.OVERDRAFT: Kernel(
-        init=_init_accounts,
-        moves=lambda spec: (_ACCOUNT_PAIR,),
-        coordinates=lambda pop: {"z": pop.accounts + pop.spec.overdraft},
-        conserved=lambda pop: math.fsum(pop.accounts),
-        bounds=_account_floor,
-        marginals=lambda spec: [("z", ["z"], 0.0)],
-        money_per_agent=_pooled_mean,
-    ),
+    )
+
+
+KERNELS: dict[ModelKind, Kernel] = {
+    ModelKind.CASH_ONLY: _slot_kernel("x"),
+    ModelKind.OVERDRAFT: _slot_kernel("z"),
+    ModelKind.MULTI_ACCOUNT: _slot_kernel("z"),
     ModelKind.COMBINED: Kernel(
         init=partial(_init_cash_and_accounts, capped=False),
         moves=lambda spec: _cash_and_account_moves(capped=False),
@@ -478,17 +469,10 @@ KERNELS: dict[ModelKind, Kernel] = {
 }
 
 
-def _kernel(spec: ModelSpec) -> Kernel:
-    try:
-        return KERNELS[spec.kind]
-    except KeyError:
-        raise DynamicsError(f"no exchange dynamics for model kind {spec.kind.value}") from None
-
-
 def _moves(spec: ModelSpec) -> tuple[Move, ...]:
     if spec.n_agents < 2:
         raise DynamicsError("pair exchange needs at least 2 agents")
-    return _kernel(spec).moves(spec)
+    return KERNELS[spec.kind].moves(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +482,7 @@ def _moves(spec: ModelSpec) -> tuple[Move, ...]:
 
 def _sweep(pop: Population, rng: np.random.Generator, move: Move) -> int:
     """One sweep of disjoint events; returns the number of events applied."""
-    n = pop.n_agents
+    n = pop.spec.n_accounts
     if move.arity == 1:
         groups, events = (slice(None),), n
     else:
@@ -518,14 +502,9 @@ def _sweep(pop: Population, rng: np.random.Generator, move: Move) -> int:
 
 @dataclass(frozen=True)
 class ChainMeta:
-    seed: int
-    kernel: str
-    steps: int
     burn_in: int
     thin: int
-    policy: str
     total: float
-    spec: ModelSpec
     events_run: int
     rejected_events: int
     max_drift: float
@@ -587,7 +566,7 @@ def default_thin(n_agents: int) -> int:
 
 def recorded_coordinates(pop: Population) -> dict[str, np.ndarray]:
     """Model-relevant marginal coordinates, copied out of the population."""
-    return _kernel(pop.spec).coordinates(pop)
+    return KERNELS[pop.spec.kind].coordinates(pop)
 
 
 def advance(
@@ -668,14 +647,9 @@ def run_chain(
     max_drift = max(max_drift, pop.check_invariants() / scale)
 
     meta = ChainMeta(
-        seed=seed,
-        kernel=spec.kind.value,
-        steps=steps,
         burn_in=burn_in,
         thin=thin,
-        policy=policy,
         total=float(total),
-        spec=spec,
         events_run=events,
         rejected_events=pop.rejected_events,
         max_drift=max_drift,

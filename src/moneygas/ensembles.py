@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 
@@ -79,7 +80,7 @@ class ModelSpec:
             if value is not None and not value > 0:
                 raise ModelValidationError(f"{name} must be positive, got {value}")
         kind = self.kind
-        volume_field = getattr(PARTITION_FUNCTIONS.get(kind), "volume_field", None)
+        volume_field = PARTITION_FUNCTIONS[kind].volume_field
         if volume_field is not None and getattr(self, volume_field) is None:
             raise ModelValidationError(f"{kind.value} requires {volume_field}")
         if kind is ModelKind.OVERDRAFT:
@@ -105,12 +106,29 @@ class ModelSpec:
                 raise ModelValidationError("account_overdrafts must match accounts_per_agent")
             if any(d < 0 for row in self.account_overdrafts for d in row):
                 raise ModelValidationError("per-account overdrafts must be >= 0")
+            if not self.total_overdraft < math.inf:
+                raise ModelValidationError("per-account overdrafts sum past the floating-point range")
         if kind is ModelKind.MULTI_ASSET and self.asset_classes < 1:
             raise ModelValidationError("asset_classes must be >= 1")
         if kind is ModelKind.CREDIT_MARKET and self.q0 not in (None, 0, 0.0):
             raise ModelValidationError(
                 "credit_market fixes q0 = 0 so credit and debt distributions coincide"
             )
+
+    @cached_property
+    def n_accounts(self) -> int:
+        """K, the accounts: accounts_per_agent's sum for multi_account, else one per agent."""
+        return sum(self.accounts_per_agent) if self.kind is ModelKind.MULTI_ACCOUNT else self.n_agents
+
+    @cached_property
+    def total_overdraft(self) -> float:
+        """Σd, the overdrafts summed over the accounts (N·d with one account per agent)."""
+        if self.kind is not ModelKind.MULTI_ACCOUNT:
+            return self.n_agents * self.overdraft
+        try:
+            return math.fsum(d for row in self.account_overdrafts for d in row)
+        except OverflowError:  # the partial sums of nonnegative overdrafts passed the float range
+            return math.inf
 
     # -- factories ---------------------------------------------------------
 
@@ -216,19 +234,24 @@ class PartitionFunction:
 
     ``volume_field`` names the ModelSpec field holding V (None: V = 1 and the
     model has no volume variable); ``slots`` gives k, the number of exponential
-    coordinates per agent; ``floor`` maps (T, d) to (g, T²·(-dg/dT)).
+    coordinates per agent; ``floor`` maps (T, d) to (g, T²·(-dg/dT)), where
+    ``depth`` gives d, the overdraft per agent.
     """
 
     volume_field: str | None
-    slots: Callable[[ModelSpec], int]
+    slots: Callable[[ModelSpec], float]
     floor: Callable[[float, float], tuple[float, float]] = _no_floor
+    depth: Callable[[ModelSpec], float] = lambda spec: spec.overdraft
 
 
-# The multi-account model has no entry: its agents differ, so only its
-# temperature has a closed form.
+# The multi-account model's agents differ, but its ln Z is a sum over the K
+# accounts of ln T + d_a/T: N mean agents of K/N linear-floor slots and depth Σd/N.
 PARTITION_FUNCTIONS: dict[ModelKind, PartitionFunction] = {
     ModelKind.CASH_ONLY: PartitionFunction("volume_y", lambda spec: 1),
     ModelKind.OVERDRAFT: PartitionFunction("volume_x", lambda spec: 1, _linear_floor),
+    ModelKind.MULTI_ACCOUNT: PartitionFunction(
+        None, lambda spec: spec.n_accounts / spec.n_agents, _linear_floor,
+        lambda spec: spec.total_overdraft / spec.n_agents),
     ModelKind.COMBINED: PartitionFunction(None, lambda spec: 2, _linear_floor),
     ModelKind.RESTRICTED: PartitionFunction(None, lambda spec: 2, _capped_floor),
     ModelKind.CREDIT_MARKET: PartitionFunction("volume_x", lambda spec: 1),
@@ -236,20 +259,13 @@ PARTITION_FUNCTIONS: dict[ModelKind, PartitionFunction] = {
 }
 
 
-def _partition_function(spec: ModelSpec) -> PartitionFunction:
-    try:
-        return PARTITION_FUNCTIONS[spec.kind]
-    except KeyError:
-        raise UnsupportedModelError(f"no closed-form partition function for {spec.kind.value}") from None
-
-
 def model_volume(spec: ModelSpec, volume: float | None = None) -> float | None:
     """The model's volume variable, or ``volume`` when given; None when it has none.
 
     Overriding the volume of a model without one raises UnsupportedModelError.
     """
-    entry = PARTITION_FUNCTIONS.get(spec.kind)
-    if entry is None or entry.volume_field is None:
+    entry = PARTITION_FUNCTIONS[spec.kind]
+    if entry.volume_field is None:
         if volume is not None:
             raise UnsupportedModelError(f"{spec.kind.value} has no volume variable")
         return None
@@ -261,10 +277,10 @@ def _terms(
 ) -> tuple[float, float | None, float, float]:
     """(N, V, ln z, mean money per agent k·T - T²·(-g')) at T, N and V overridable."""
     _check_temperature(temperature)
-    entry = _partition_function(spec)
+    entry = PARTITION_FUNCTIONS[spec.kind]
     v = model_volume(spec, volume)
     k = entry.slots(spec)
-    g, floor_money = entry.floor(temperature, spec.overdraft)
+    g, floor_money = entry.floor(temperature, entry.depth(spec))
     log_z = k * math.log(temperature) + (0.0 if v is None else math.log(v)) + g
     n = float(spec.n_agents if n_agents is None else n_agents)
     return n, v, log_z, k * temperature - floor_money
@@ -275,30 +291,25 @@ def temperature_closed_form(spec: ModelSpec, conserved_total: float) -> float:
 
     The total is the model's mean conserved quantity: m for cash-only,
     combined, restricted, credit-market and multi-asset models, Q0 for the
-    overdraft and multi-account models. Inverting m = count·(k·T - shift)
-    gives T = total/(count·k) + shift/k, where shift = T²·(-g') is constant
-    for the absent and linear floors. The multi-account model counts
-    accounts, one slot each, shifted by their mean overdraft. The capped
-    floor leaves T implicit, so m(T) = total is solved by bisection; the
+    overdraft and multi-account models. Inverting m = N·(k·T - shift) gives
+    T = total/(N·k) + shift/k, where shift = T²·(-g') is constant for the
+    absent and linear floors. For the multi-account model, k = K/N and
+    shift = Σd/N, so T = (Q0 + Σd)/K over its K accounts. The capped floor
+    leaves T implicit, so m(T) = total is solved by bisection; the
     attainable totals are (-N·d, inf).
     """
-    if spec.kind is ModelKind.MULTI_ACCOUNT:
-        count, slots = sum(spec.accounts_per_agent), 1
-        shift = sum(d for row in spec.account_overdrafts for d in row) / count
-    else:
-        entry = _partition_function(spec)
-        count, slots = spec.n_agents, entry.slots(spec)
-        if entry.floor is _capped_floor:
-            d = spec.overdraft
-            if conserved_total <= -count * d:
-                raise ModelValidationError(f"total {conserved_total} is at or below the floor {-count * d}")
-            if conserved_total > 0 and d < _FLOOR_TERM_LIMIT * (conserved_total / count):
-                # Same regime in which the floor term collapses to T: m = N·(k-1)·T.
-                return conserved_total / (count * (slots - 1))
-            # m(start) exceeds the total, so only the lower end moves while bracketing.
-            start = max(conserved_total / count + d, d, 1e-300)
-            return invert_increasing(lambda t: mean_money_closed_form(spec, t), conserved_total, start)
-        shift = entry.floor(1.0, spec.overdraft)[1]
+    entry = PARTITION_FUNCTIONS[spec.kind]
+    count, slots, d = spec.n_agents, entry.slots(spec), entry.depth(spec)
+    if entry.floor is _capped_floor:
+        if conserved_total <= -count * d:
+            raise ModelValidationError(f"total {conserved_total} is at or below the floor {-count * d}")
+        if conserved_total > 0 and d < _FLOOR_TERM_LIMIT * (conserved_total / count):
+            # Same regime in which the floor term collapses to T: m = N·(k-1)·T.
+            return conserved_total / (count * (slots - 1))
+        # m(start) exceeds the total, so only the lower end moves while bracketing.
+        start = max(conserved_total / count + d, d, 1e-300)
+        return invert_increasing(lambda t: mean_money_closed_form(spec, t), conserved_total, start)
+    shift = entry.floor(1.0, d)[1]
     t = conserved_total / (count * slots) + shift / slots
     if not t > 0:
         raise ModelValidationError(

@@ -188,7 +188,8 @@ def finite_diff_thermo_residuals(
     - ``first_law_N``:      T * dS/dN + mu = dm/dN at fixed (T, V)
 
     ``volume`` overrides the model spec's volume variable; ``h`` is the relative
-    step. The multi-account model has no closed-form state and is rejected.
+    step. Every model kind has a closed-form state; a multi-account model
+    varies N as a count of mean agents, each with K/N accounts of depth Σd/N.
     """
     try:
         residuals = _residuals(spec, temperature, model_volume(spec, volume), h)

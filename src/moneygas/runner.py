@@ -56,7 +56,6 @@ from .config import (
 )
 from .dynamics import KERNELS, SampleSet, run_chain
 from .ensembles import (
-    PARTITION_FUNCTIONS,
     ModelSpec,
     MoneygasError,
     model_volume,
@@ -407,15 +406,7 @@ def _run_pareto(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, Fi
 # ---------------------------------------------------------------------------
 
 
-def _check_closed_form(doc: dict) -> None:
-    """analytic, transform: the kind has a closed-form state."""
-    if doc["model"].kind not in PARTITION_FUNCTIONS:
-        raise ConfigError(f"{doc['task']} needs a closed-form state;"
-                          f" {doc['model'].kind.value!r} has none")
-
-
 def _check_transform(doc: dict) -> None:
-    _check_closed_form(doc)
     if ("cycle" in doc or "volumes" in doc.get("identity_grid", {})) and model_volume(doc["model"]) is None:
         raise ConfigError(f"a cycle or identity_grid volumes need a model with a volume;"
                           f" {doc['model'].kind.value!r} has none")
@@ -423,14 +414,14 @@ def _check_transform(doc: dict) -> None:
 
 def _check_simulate(doc: dict) -> None:
     model, run = doc["model"], doc["run"]
-    if model.kind not in KERNELS:
-        raise ConfigError(f"model kind {model.kind.value!r} has no exchange dynamics to simulate")
     if run["policy"] not in ("equal", "uniform-random"):
         raise ConfigError(f"policy must be 'equal' or 'uniform-random', got {run['policy']!r}")
-    values = check_window(run, model.n_agents, model.asset_classes)
-    # A recorded value is at most |total| + 2·N·overdraft in size, and the
-    # fit's mean and the histogram's densities sum or scale all of them.
-    if not math.isfinite(values * (abs(run["total"]) + 2 * model.n_agents * model.overdraft)):
+    # One value per account (K of them for multi_account), per asset class.
+    values = check_window(run, model.n_agents, model.n_accounts * model.asset_classes)
+    # A recorded value is at most |total| + 2·Σd in size (Σd = N·overdraft with
+    # one account per agent), and the fit's mean and the histogram's densities
+    # sum or scale all of them.
+    if not math.isfinite(values * (abs(run["total"]) + 2 * model.total_overdraft)):
         raise ConfigError(f"total {run['total']} is too large: the sums over {values} recorded"
                           f" values leave the floating-point range")
     if not 1 <= doc.get("replicas", 1) <= MAX_REPLICAS:
@@ -446,7 +437,7 @@ def _check_pareto(doc: dict) -> None:
         excess = doc["dynamics"]["mean_log_excess"]
         if not excess > 0:
             raise ConfigError(f"dynamics.mean_log_excess must be positive, got {excess}")
-        check_window(doc["dynamics"], spec.n_agents)
+        check_window(doc["dynamics"], spec.n_agents, spec.n_agents)
     direct = doc.get("direct_samples", 0)
     if direct < 0 or direct == 1:  # the Hill estimator needs at least 2 draws
         raise ConfigError(f"direct_samples must be 0 or >= 2, got {direct}")
@@ -496,7 +487,7 @@ TASKS: dict[str, Task] = {
     "analytic": Task(
         "closed-form states and identity residuals",
         {**_MODEL, "temperatures": positive_numbers},
-        _check_closed_form,
+        lambda doc: None,
         _run_analytic,
     ),
     "simulate": Task(

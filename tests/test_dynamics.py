@@ -7,7 +7,6 @@ import pytest
 from moneygas import dynamics
 from moneygas.cli import main
 from moneygas.dynamics import (
-    _ACCOUNT_PAIR,
     _CASH_PAIR,
     _DEBT_ASSUMPTION,
     _LOAN_SALE,
@@ -20,7 +19,7 @@ from moneygas.dynamics import (
     recorded_coordinates,
     run_chain,
 )
-from moneygas.ensembles import ModelSpec
+from moneygas.ensembles import PARTITION_FUNCTIONS, ModelKind, ModelSpec
 from moneygas.estimation import fit_shifted_exponential
 
 
@@ -28,6 +27,8 @@ def all_dynamic_specs(n):
     return [
         (ModelSpec.cash_only(n, 50.0), 10.0 * n),
         (ModelSpec.overdraft_model(n, 10.0, 2.0), 3.0 * n),
+        (ModelSpec.multi_account(n, tuple(1 + i % 3 for i in range(n)),
+                                 tuple((0.5 * (i % 4),) * (1 + i % 3) for i in range(n))), 2.0 * n),
         (ModelSpec.combined(n, 2.0), 8.0 * n),
         (ModelSpec.restricted(n, 1.5), 0.5 * n),
         (ModelSpec.credit_market(n, 100.0 * n), 5.0 * n),
@@ -39,8 +40,11 @@ class TestInit:
     def test_equal_examples(self):
         pop = init_population(ModelSpec.cash_only(4, 1.0), "equal", 8.0)
         assert list(pop.cash) == [2.0, 2.0, 2.0, 2.0]
+        # Overdraft balances are held as shifted slots z = y + d.
         pop = init_population(ModelSpec.overdraft_model(2, 1.0, 1.0), "equal", 0.0)
-        assert list(pop.accounts) == [0.0, 0.0]
+        assert list(pop.cash) == [1.0, 1.0]
+        pop = init_population(ModelSpec.multi_account(2, (1, 2), ((1.0,), (0.0, 2.0))), "equal", 3.0)
+        assert list(pop.cash) == [2.0, 2.0, 2.0]
         pop = init_population(ModelSpec.credit_market(3, 9.0), "equal", 0.0)
         assert list(pop.cash) == [3.0, 3.0, 3.0]
         assert not pop.assets.any() and not pop.liabilities.any()
@@ -58,11 +62,19 @@ class TestInit:
         with pytest.raises(DynamicsError):
             init_population(ModelSpec.overdraft_model(4, 1.0, 1.0), "equal", -8.0)
         with pytest.raises(DynamicsError):
+            init_population(ModelSpec.multi_account(2, (1, 2), ((1.0,), (0.0, 2.0))), "equal", -3.5)
+        with pytest.raises(DynamicsError):
             init_population(ModelSpec.credit_market(4, 8.0), "equal", -1.0)
 
     def test_unknown_policy(self):
         with pytest.raises(DynamicsError):
             init_population(ModelSpec.cash_only(4, 1.0), "random", 8.0)
+
+
+def test_every_kind_has_a_kernel_and_a_partition_function():
+    # A kind missing either entry would pass build_model and then be refused by every verb.
+    for kind in ModelKind:
+        assert kind in KERNELS and kind in PARTITION_FUNCTIONS, kind
 
 
 def web_seed(spec) -> int:
@@ -90,14 +102,27 @@ class TestPrimitives:
             assert pop.cash.sum() == pytest.approx(4.6, rel=1e-15)
 
     def test_overdraft_step_respects_floor(self):
+        # The slots are z = y + d, so the floor y >= -d is z >= 0.
         spec = ModelSpec.overdraft_model(2, 1.0, 2.0)
         pop = init_population(spec, "equal", 1.0)
-        pop.accounts[:] = [0.0, 1.0]
+        pop.cash[:] = [2.0, 3.0]  # balances 0 and 1
         rng = np.random.default_rng(5)
         for _ in range(200):
-            assert _sweep(pop, rng, _ACCOUNT_PAIR) == 1
-            assert pop.accounts.min() >= -2.0
-            assert pop.accounts.sum() == pytest.approx(1.0, abs=1e-12)
+            assert _sweep(pop, rng, _CASH_PAIR) == 1
+            assert (pop.cash - 2.0).min() >= -2.0
+            assert (pop.cash - 2.0).sum() == pytest.approx(1.0, abs=1e-12)
+            assert pop.conserved_value() == pytest.approx(1.0, abs=1e-12)
+
+    def test_multi_account_pairs_accounts(self):
+        # Three accounts of two agents: each sweep pairs one account with another.
+        spec = ModelSpec.multi_account(2, (1, 2), ((1.0,), (0.0, 2.0)))
+        pop = init_population(spec, "uniform-random", 3.0, seed=2)
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            assert _sweep(pop, rng, _CASH_PAIR) == 1
+            assert pop.cash.min() >= 0.0
+            assert pop.cash.sum() - 3.0 == pytest.approx(3.0, abs=1e-12)
+            pop.check_invariants()
 
     def test_lend_keeps_net_positions(self):
         # A loan sale moves assets against cash, a debt assumption liabilities with cash:
@@ -161,7 +186,8 @@ class TestSingleEventStep:
         events = phase = 0
         while events < 3000:
             done, phase = advance(pop, rng, 1, phase)
-            assert done in (4, 8)  # one pair sweep or one resplit of all 8 agents
+            # One pair sweep (of the K accounts for multi_account) or one resplit of all 8 agents.
+            assert done in (spec.n_accounts // 2, 8)
             events += done
             pop.check_invariants()
         assert pop.rejected_events <= events

@@ -109,10 +109,15 @@ class TestLogPartition:
         with pytest.raises(ModelValidationError):
             log_partition(ModelSpec.cash_only(1, 1.0), 0.0)
 
-    def test_multi_account_unsupported(self):
-        spec = ModelSpec.multi_account(1, (2,), ((0.0, 1.0),))
-        with pytest.raises(UnsupportedModelError):
-            log_partition(spec, 1.0)
+    def test_multi_account_against_quadrature_per_account(self):
+        # Independent oracle: ln Z is the sum over accounts of ln ∫_{-d}^∞ e^{-y/T} dy.
+        overdrafts = ((0.5,), (0.0, 2.0), (1.0, 3.0, 0.25))
+        spec = ModelSpec.multi_account(3, (1, 2, 3), overdrafts)
+        t = 1.7
+        per_account = [quad(lambda y: math.exp(-y / t), -d, np.inf)[0]
+                       for row in overdrafts for d in row]
+        assert log_partition(spec, t) == pytest.approx(sum(map(math.log, per_account)), rel=1e-9)
+        assert mean_money_closed_form(spec, t) == pytest.approx(6 * t - 6.75, rel=1e-12)
 
 
 class TestThermoState:
@@ -297,6 +302,12 @@ class TestDerivativeIdentities:
             worst = max(residuals.values())
             assert worst < 1e-6, f"{spec.kind.value} at T={t}, N={n}: {residuals}"
 
+    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 100.0])
+    def test_multi_account_with_unequal_depths(self, t):
+        spec = ModelSpec.multi_account(4, (1, 3, 2, 1), ((2.0,), (0.0, 0.5, 4.0), (1.0, 1.0), (0.0,)))
+        residuals = finite_diff_thermo_residuals(spec, t)
+        assert max(residuals.values()) < 1e-6, residuals
+
 
 class TestValidation:
     def test_restricted_zero_overdraft_is_degenerate(self):
@@ -316,6 +327,11 @@ class TestValidation:
         with pytest.raises(ModelValidationError):
             ModelSpec.multi_account(2, (1, 2), ((0.0,), (1.0,)))
 
+    def test_multi_account_overdrafts_past_float_range(self):
+        # Their sum used to give an infinite temperature without an error.
+        with pytest.raises(ModelValidationError, match="floating-point range"):
+            ModelSpec.multi_account(2, (1, 1), ((1e308,), (1e308,)))
+
     def test_positive_agent_count(self):
         with pytest.raises(ModelValidationError):
             ModelSpec.cash_only(0, 1.0)
@@ -326,6 +342,7 @@ class TestValidation:
 
     def test_mean_money_matches_temperature_inverse(self):
         # temperature_closed_form and mean_money_closed_form are mutual inverses.
-        for spec in all_closed_form_specs(12):
+        multi_account = ModelSpec.multi_account(3, (1, 2, 4), ((1.0,), (0.0, 2.5), (0.5,) * 4))
+        for spec in [*all_closed_form_specs(12), multi_account]:
             m = mean_money_closed_form(spec, 3.7)
             assert temperature_closed_form(spec, m) == pytest.approx(3.7, rel=1e-12)

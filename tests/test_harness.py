@@ -21,8 +21,12 @@ MODEL = {"kind": "cash_only", "n_agents": 50, "volume_y": 10.0}
 RUN = {"policy": "equal", "total": 500.0, "steps": 60_000, "burn_in": 5_000, "thin": 500}
 
 UNRUNNABLE_SIMULATE = {
-    "multi_account": {"model": {"kind": "multi_account", "n_agents": 2, "accounts_per_agent": [1, 1],
-                                "account_overdrafts": [[1.0], [1.0]]}},
+    # 2^59 - 1 records of the K = 3 accounts pass numpy's largest array, though
+    # records times the N = 2 agents do not: numpy used to refuse the allocation.
+    "multi_account_records_beyond_numpy_bytes": {
+        "model": {"kind": "multi_account", "n_agents": 2, "accounts_per_agent": [1, 2],
+                  "account_overdrafts": [[1.0], [1.0, 1.0]]},
+        "run": dict(RUN, steps=2**59 - 1, burn_in=0, thin=1)},
     "one_agent": {"model": dict(MODEL, n_agents=1)},
     "fractional_thin": {"run": dict(RUN, thin=2.5)},
     "fractional_burn_in": {"run": dict(RUN, burn_in=2.5)},
@@ -43,8 +47,9 @@ def simulate_config(seed=7, **extra):
 
 
 COMBINED = {"kind": "combined", "n_agents": 10, "overdraft": 1.0}
-MULTI_ACCOUNT = {"kind": "multi_account", "n_agents": 2, "accounts_per_agent": [1, 1],
-                 "account_overdrafts": [[1.0], [1.0]]}
+# Overdrafts summing past the float range used to give an infinite temperature.
+MULTI_ACCOUNT_OVERFLOW = {"kind": "multi_account", "n_agents": 2, "accounts_per_agent": [1, 1],
+                          "account_overdrafts": [[1e308], [1e308]]}
 CREDIT_MARKET = {"kind": "credit_market", "n_agents": 100, "volume_x": 1000.0}
 CYCLE = {"t_hot": 4.0, "t_cold": 2.0, "v1": 1.0, "v2": 2.0}
 PARETO = {"task": "pareto", "pareto": {"n_agents": 10, "floor_j": 1.0, "t_max": 3.0},
@@ -58,9 +63,10 @@ UNRUNNABLE_INPUTS = {
     "grid_volumes_on_volumeless_model": {
         "task": "transform", "model": COMBINED,
         "identity_grid": {"temperatures": [1.0], "volumes": [5.0]}},
-    "analytic_on_multi_account": {"task": "analytic", "model": MULTI_ACCOUNT, "temperatures": [1.0]},
-    "transform_on_multi_account": {
-        "task": "transform", "model": MULTI_ACCOUNT, "identity_grid": {"temperatures": [1.0]}},
+    "analytic_multi_account_overdrafts_past_float_range": {
+        "task": "analytic", "model": MULTI_ACCOUNT_OVERFLOW, "temperatures": [1.0]},
+    "simulate_multi_account_overdrafts_past_float_range": {
+        "task": "simulate", "model": MULTI_ACCOUNT_OVERFLOW, "run": RUN},
     "credit_market_nonzero_q0": {
         "task": "analytic", "temperatures": [1.0],
         "model": {"kind": "credit_market", "n_agents": 10, "volume_x": 100.0, "q0": 5.0}},
@@ -654,6 +660,39 @@ class TestCli:
         assert main(["analytic", "-c", str(config_path), "-o", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["max_residual"] < 1e-6
+
+    def test_multi_account_verbs(self, tmp_path):
+        # Accounts of unequal depth: closed forms and their identities, and a
+        # chain whose shifted balances pass the KS check against T = (Q0 + Σd)/K.
+        counts = [1 + i % 3 for i in range(60)]
+        model = {"kind": "multi_account", "n_agents": 60, "accounts_per_agent": counts,
+                 "account_overdrafts": [[0.25 * ((i + a) % 5) for a in range(r)]
+                                        for i, r in enumerate(counts)]}
+        documents = {
+            "analytic": {"task": "analytic", "model": model, "temperatures": [0.5, 2.0]},
+            "transform": {"task": "transform", "model": model,
+                          "identity_grid": {"temperatures": [0.5, 2.0]}},
+            "simulate": {"task": "simulate", "seed": 5, "model": model, "replicas": 2,
+                         "run": {"policy": "uniform-random", "total": 100.0, "steps": 40_000,
+                                 "burn_in": 6_000, "thin": 200}},
+        }
+        reports = {}
+        for verb, document in documents.items():
+            out = tmp_path / verb
+            assert main([verb, "-c", str(write_config(tmp_path, document, f"{verb}.json")),
+                         "-o", str(out)]) == 0
+            reports[verb] = json.loads((out / "report.json").read_text())
+        assert reports["analytic"]["max_residual"] <= 1e-6
+        grid = reports["transform"]["identity_grid"]
+        assert max(grid["max_gibbs_duhem"], grid["max_first_law"], grid["max_state_residual"]) <= 1e-6
+        simulate = reports["simulate"]
+        depth = sum(map(sum, model["account_overdrafts"]))
+        assert simulate["closed_form_temperature"] == pytest.approx((100.0 + depth) / sum(counts))
+        assert simulate["aggregate"]["ks_pass_fraction"] == 1.0
+        # One samples.csv row per account and record; the agent column is the account index.
+        rows = (tmp_path / "simulate" / "samples.csv").read_text().splitlines()
+        assert len(rows) == 1 + 170 * sum(counts)
+        assert {row.split(",")[1] for row in rows[1:]} == {str(a) for a in range(sum(counts))}
 
     def test_transform_pipeline(self, tmp_path):
         document = {"task": "transform",
