@@ -9,15 +9,14 @@ digests of every written file. Nothing in the outputs depends on wall-clock
 time, so re-running a configuration reproduces the bytes exactly.
 
 A pipeline hands each companion file over as bytes or as an iterable of
-byte chunks; ``samples.csv`` is formatted a block of records at a time while
-it is written and hashed, so it is never held whole in memory.
+byte chunks; ``samples.csv`` is formatted a block of records at a time, in
+the run's process, while it is written and hashed, so it is never held whole
+in memory.
 
-Two jobs run on two cores through one forked worker process (``worker``):
-the replicas of ``simulate``, where the worker runs the odd replicas and
-sends back their reports, and the blocks of ``samples.csv``, where it
-formats every other block. Each replica and each block is a pure function of
-its seed or its records, so the outputs are the same as from one process.
-The replica worker is reaped before the samples.csv one is forked.
+The replicas of ``simulate`` run on two cores through one forked worker
+process (``worker``): the worker runs the odd replicas and sends back their
+reports. Each replica is a pure function of its seed, so the outputs are the
+same as from one process.
 """
 
 from __future__ import annotations
@@ -94,8 +93,8 @@ from .transform import (
 from .worker import interleaved
 
 _MASK64 = (1 << 64) - 1
-# Recorded values formatted per samples.csv chunk (about 2 MB of CSV).
-CSV_BLOCK_VALUES = 1 << 16
+# Recorded values formatted per samples.csv chunk (about 1 MB of CSV).
+CSV_BLOCK_VALUES = 1 << 15
 # Relative step of the finite-difference identity checks.
 FD_STEP = 1e-5
 
@@ -164,7 +163,7 @@ def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: floa
     report = {
         "seed": seed,
         "fits": fits,
-        "mean_money_per_agent": kernel.money_per_agent(samples.coords),
+        "mean_money_per_agent": kernel.money_per_agent(spec, samples.coords),
         "max_drift": samples.meta.max_drift,
         "rejected_events": samples.meta.rejected_events,
         "events_run": samples.meta.events_run,
@@ -181,11 +180,10 @@ def _tsv(header: tuple[str, ...], rows) -> bytes:
 def _csv_chunks(samples, values_per_record: int) -> Iterator[bytes]:
     """``samples.csv_bytes`` over consecutive record ranges of about
     CSV_BLOCK_VALUES values, in file order; the chunks concatenate to
-    ``csv_bytes()``. With two blocks or more, a forked worker formats every
-    other block (``worker``)."""
+    ``csv_bytes()``."""
     block = max(1, CSV_BLOCK_VALUES // values_per_record)
-    starts = range(0, max(samples.n_records, 1), block)  # no records: the header alone
-    return interleaved(lambda start: samples.csv_bytes(start, start + block), starts, "samples.csv", "block")
+    for start in range(0, max(samples.n_records, 1), block):  # no records: the header alone
+        yield samples.csv_bytes(start, start + block)
 
 
 def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
@@ -572,7 +570,7 @@ def _write(path: Path, data: FileData) -> str:
         raise
     finally:
         if hasattr(chunks, "close"):
-            chunks.close()  # a chunk generator's cleanup (its worker) runs now, not when collected
+            chunks.close()  # a chunk generator's cleanup runs now, not when collected
     return "sha256:" + digest.hexdigest()
 
 

@@ -6,13 +6,11 @@ item. The worker produces the odd items and sends each result through a pipe,
 while the calling process produces the even ones. Each result must be a
 pure function of its item, so that the results are the same as from one
 process.
-``runner`` uses it for the replicas of ``simulate`` and for the blocks of
-``samples.csv``, one after the other, so at most one worker is alive.
+``runner`` uses it for the replicas of ``simulate``.
 
-A frame is an 8-byte little-endian size, a tag byte and the payload: bytes
-as they are (a CSV block is not copied into a pickle), any other result
-pickled, or the worker's failure. No received result is held here once it
-has been yielded.
+A frame is an 8-byte little-endian size, a tag byte and the payload: the
+pickled result, or the worker's failure. No received result is held here
+once it has been yielded.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import NoReturn
 
 from .ensembles import MoneygasError
 
-_BYTES, _PICKLED, _FAILED = b"b", b"p", b"f"
+_PICKLED, _FAILED = b"p", b"f"
 
 
 def interleaved(produce: Callable, items: Sequence, what: str, unit: str) -> Iterator:
@@ -58,10 +56,10 @@ def interleaved(produce: Callable, items: Sequence, what: str, unit: str) -> Ite
                     yield produce(item)
                     continue
                 tag, payload = _received(pipe)
-                if tag not in (_BYTES, _PICKLED):
+                if tag != _PICKLED:
                     code, pid = _exit_code(pid), 0
                     raise _failure(payload, what, f"{unit} {index} of {len(items)}", code)
-                result = payload if tag == _BYTES else pickle.loads(payload)
+                result = pickle.loads(payload)
                 del payload
                 yield result
                 del result  # not held while the next item is produced
@@ -102,10 +100,7 @@ def _work(produce: Callable, items: Sequence, write_fd: int) -> NoReturn:
                 plain = next((cls for cls in (MoneygasError, MemoryError) if isinstance(exc, cls)), None)
                 _send(write_fd, _FAILED, pickle.dumps((plain, type(exc).__name__, str(exc))))
                 break
-            if isinstance(result, bytes):
-                _send(write_fd, _BYTES, result)
-            else:
-                _send(write_fd, _PICKLED, pickle.dumps(result))
+            _send(write_fd, _PICKLED, pickle.dumps(result))
             del result
         else:
             code = 0

@@ -1,8 +1,12 @@
 import json
 import math
+import sys
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moneygas import dynamics
 from moneygas.cli import main
@@ -18,6 +22,7 @@ from moneygas.dynamics import (
     init_population,
     recorded_coordinates,
     run_chain,
+    samples_csv,
 )
 from moneygas.ensembles import PARTITION_FUNCTIONS, ModelKind, ModelSpec
 from moneygas.estimation import fit_shifted_exponential
@@ -334,6 +339,14 @@ class TestRunChain:
         fit = fit_shifted_exponential(samples.pooled(["x"]), 0.0)
         assert fit.t_hat == pytest.approx(0.5 * (total / n + d), rel=0.03)
 
+    @pytest.mark.parametrize("spec,total", all_dynamic_specs(20))
+    def test_money_per_agent_is_the_conserved_total_per_agent(self, spec, total):
+        samples = run_chain(spec, "uniform-random", total, 20_000, 2_000, 1_000, seed=3)
+        money = KERNELS[spec.kind].money_per_agent(spec, samples.coords)
+        assert money == pytest.approx(total / spec.n_agents, rel=1e-9)
+        if spec.kind is ModelKind.CASH_ONLY:
+            assert money == float(samples.coords["x"].mean())  # exactly the mean cash
+
     def test_credit_market_accounting(self):
         spec = ModelSpec.credit_market(100, 100_000.0)
         pop = init_population(spec, "equal", 500.0, seed=12)
@@ -345,6 +358,65 @@ class TestRunChain:
         assert math.fsum(pop.assets) - math.fsum(pop.liabilities) == pytest.approx(0.0, abs=1e-9)
         drift = np.abs(pop.net_positions() - pop.initial_net_positions)
         assert drift.max() <= 1e-9 * np.abs(pop.initial_net_positions).max()
+
+
+def reference_csv(record_steps, coords, header=True) -> bytes:
+    """samples.csv written plainly: one repr literal per value."""
+    lines = ["step,agent,coord_name,value\n"] if header else []
+    for r, step in enumerate(record_steps):
+        for name in sorted(coords):
+            lines += [f"{step},{agent},{name},{value!r}\n" for agent, value in enumerate(coords[name][r].tolist())]
+    return "".join(lines).encode()
+
+
+def neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Where repr and orjson switch notation (1e-4, 1e16), the subnormal and normal
+# ends, the largest double, and the powers of two around them.
+EDGES = sorted({float(v) for x in (1e-4, 1e15, 1e16, 5e-324, sys.float_info.min, sys.float_info.max,
+                                   2.0**-14, 2.0**-13, 2.0**53, 2.0**54, 2.0**1023)
+                for v in neighbours(x)} | {0.0, 1.0})
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def csv_records(draw):
+    """(record steps, coords): up to 4 records of 1-5 agents under 1-3 names."""
+    names = draw(st.lists(st.sampled_from(["x", "y", "z%", "y_0"]), min_size=1, max_size=3, unique=True))
+    n_records, n_agents = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    steps = draw(st.lists(st.integers(0, 2**62), min_size=n_records, max_size=n_records))
+    floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGES + [-v for v in EDGES])
+    coords = {name: np.array(draw(st.lists(floats, min_size=n_records * n_agents, max_size=n_records * n_agents)),
+                             dtype=np.float64).reshape(n_records, n_agents)
+              for name in names}
+    return steps, coords
+
+
+class TestSamplesCsv:
+    @settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True, database=None)
+    @given(records=csv_records(), header=st.booleans())
+    def test_equals_the_repr_writer(self, records, header):
+        steps, coords = records
+        assert samples_csv(steps, coords, header) == reference_csv(steps, coords, header)
+
+    def test_edges_and_specials_in_both_signs(self):
+        row = np.array(EDGES + [-v for v in EDGES] + SPECIAL)
+        coords = {"x": row[None, :], "y": row[None, ::-1].copy()}
+        assert samples_csv([7], coords) == reference_csv([7], coords)
+        literals = {line.rsplit(",", 1)[1] for line in samples_csv([7], coords).decode().splitlines()[1:]}
+        assert {"5e-324", "-6.103515625e-05", "0.0001", "1000000000000000.0", "1e+16", "-0.0", "-inf",
+                "nan"} <= literals  # repr's forms, not orjson's 0.00006103515625, 1e16 or null
+        assert "null" not in literals
+
+    def test_combined_records_with_negative_accounts(self):
+        samples = run_chain(ModelSpec.combined(20, 1.0), "uniform-random", 60.0, 20_000, 2_000, 1_000, seed=5)
+        assert samples.coords["y"].min() < 0
+        steps = samples.record_steps.tolist()
+        assert samples.csv_bytes() == reference_csv(steps, samples.coords)
+        assert samples.csv_bytes(3, 9) == reference_csv(steps[3:9], {k: v[3:9] for k, v in samples.coords.items()},
+                                                        header=False)
 
 
 def probe(arity):

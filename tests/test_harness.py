@@ -16,6 +16,7 @@ from moneygas.dynamics import ConservationError, SampleSet, run_chain
 from moneygas.ensembles import MoneygasError
 from moneygas.pareto import IncomeSampleSet, run_income_chain
 from moneygas.runner import compare_report, derive_seed, load_config, run_experiment, validate_config
+from moneygas.worker import interleaved
 
 MODEL = {"kind": "cash_only", "n_agents": 50, "volume_y": 10.0}
 RUN = {"policy": "equal", "total": 500.0, "steps": 60_000, "burn_in": 5_000, "thin": 500}
@@ -324,15 +325,15 @@ def assert_reaped(pid: int) -> None:
 
 
 class TestStreamedOutputs:
+    """samples.csv is formatted a block at a time, in the run's process."""
+
     @pytest.mark.parametrize("task", sorted(STREAMED))
     def test_samples_stream_in_blocks_through_tmp_files(self, tmp_path, monkeypatch, task):
-        # Both processes append their calls to one file: the worker's calls
-        # would never reach a list held in this process.
-        log = tmp_path / "calls.log"
+        forks = count_forks(monkeypatch)
+        calls = []
         for cls in (SampleSet, IncomeSampleSet):
             def counted(self, start=0, stop=None, inner=cls.csv_bytes):
-                with open(log, "a") as handle:
-                    handle.write(f"{os.getpid()} {start} {stop}\n")
+                calls.append((os.getpid(), start, stop))
                 return inner(self, start, stop)
             monkeypatch.setattr(cls, "csv_bytes", counted)
         monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
@@ -341,17 +342,40 @@ class TestStreamedOutputs:
         manifest = run_experiment(load_config(write_config(tmp_path, document)), out)
         whole = whole_samples(document)
         blocks = [(start, start + block) for start in range(0, whole.n_records, block)]
-        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-        assert sorted((start, stop) for _, start, stop in calls) == blocks  # each block once
-        by_pid = {}
-        for pid, start, stop in calls:
-            by_pid.setdefault(pid, []).append((start, stop))
-        worker = next(pid for pid in by_pid if pid != os.getpid())
-        assert by_pid == {os.getpid(): blocks[0::2], worker: blocks[1::2]}  # each in ascending order
+        assert calls == [(os.getpid(), start, stop) for start, stop in blocks]  # each once, in order, here
+        assert forks == []  # a samples.csv-only run forks nothing
         assert (out / "samples.csv").read_bytes() == whole.csv_bytes()
         for name, digest in manifest["files"].items():
             assert digest == "sha256:" + hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"], "manifest.json"])
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("task", sorted(STREAMED))
+    def test_any_block_count_writes_the_whole_csv(self, tmp_path, monkeypatch, task, blocks):
+        forks = count_forks(monkeypatch)
+        document, _ = STREAMED[task]
+        whole = whole_samples(document)
+        per_record = BLOCK_VALUES // STREAMED[task][1]
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", -(-whole.n_records // blocks) * per_record)
+        out = tmp_path / "out"
+        manifest = run_experiment(load_config(write_config(tmp_path, document)), out)
+        assert (out / "samples.csv").read_bytes() == whole.csv_bytes()
+        assert manifest["files"]["samples.csv"] == "sha256:" + hashlib.sha256(whole.csv_bytes()).hexdigest()
+        assert forks == []
+
+    @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+    def test_a_failing_block_leaves_no_tmp_file_and_no_manifest(self, tmp_path, monkeypatch, error):
+        def failing(self, start=0, stop=None, inner=SampleSet.csv_bytes):
+            if start > 0:  # the second block
+                raise error("formatting failed here")
+            return inner(self, start, stop)
+
+        monkeypatch.setattr(SampleSet, "csv_bytes", failing)
+        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        out = tmp_path / "out"
+        with pytest.raises(error, match="formatting failed here"):
+            run_experiment(load_config(write_config(tmp_path, STREAMED["simulate"][0])), out)
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
     def test_a_failing_chunk_stream_leaves_no_tmp_file_and_no_manifest(self, tmp_path, monkeypatch):
         def pipeline(config):
@@ -371,114 +395,29 @@ class TestStreamedOutputs:
         assert (out / "samples.csv").read_bytes() == b"an earlier run"
 
 
-class TestSamplesWorker:
-    """The forked worker that formats the odd blocks of samples.csv."""
+class TestInterleaved:
+    """``worker.interleaved`` on its own, with a small ``produce``."""
 
     @staticmethod
-    def run(tmp_path, task):
-        """Run the STREAMED document of ``task``; returns (manifest, out dir)."""
-        out = tmp_path / "out"
-        return run_experiment(load_config(write_config(tmp_path, STREAMED[task][0])), out), out
+    def produce(item: int) -> bytes:
+        return b"%d\n" % item
 
-    @pytest.mark.parametrize("blocks", [1, 2, 3])
-    @pytest.mark.parametrize("task", sorted(STREAMED))
-    def test_any_block_count_writes_the_whole_csv(self, tmp_path, monkeypatch, task, blocks):
+    def test_results_come_in_order_and_the_worker_is_reaped(self, monkeypatch):
         forks = count_forks(monkeypatch)
-        document, _ = STREAMED[task]
-        whole = whole_samples(document)
-        per_record = BLOCK_VALUES // STREAMED[task][1]
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", -(-whole.n_records // blocks) * per_record)
-        manifest, out = self.run(tmp_path, task)
-        assert (out / "samples.csv").read_bytes() == whole.csv_bytes()
-        assert manifest["files"]["samples.csv"] == "sha256:" + hashlib.sha256(whole.csv_bytes()).hexdigest()
-        assert len(forks) == (0 if blocks == 1 else 1)
-        for pid in forks:
-            assert_reaped(pid)
-
-    @pytest.mark.parametrize("task", sorted(STREAMED))
-    def test_a_failing_worker_fails_the_run(self, tmp_path, monkeypatch, task):
-        forks = count_forks(monkeypatch)
-        parent = os.getpid()
-        for cls in (SampleSet, IncomeSampleSet):
-            def failing(self, start=0, stop=None, inner=cls.csv_bytes):
-                if os.getpid() != parent:
-                    raise RuntimeError("formatting failed in the worker")
-                return inner(self, start, stop)
-            monkeypatch.setattr(cls, "csv_bytes", failing)
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
-        out = tmp_path / "out"
-        with pytest.raises(MoneygasError, match=r"samples.csv worker stopped .*\(exit code 1\)"):
-            self.run(tmp_path, task)
-        assert not (out / "samples.csv.tmp").exists() and not (out / "manifest.json").exists()
-        assert not (out / "samples.csv").exists()
-        [pid] = forks
-        assert_reaped(pid)
-
-    def test_a_worker_exiting_non_zero_fails_the_run(self, tmp_path, monkeypatch):
-        forks = count_forks(monkeypatch)
-        exit_ = os._exit
-        monkeypatch.setattr(os, "_exit", lambda code: exit_(3))  # reached in the worker only
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
-        with pytest.raises(MoneygasError, match=r"samples.csv worker failed \(exit code 3\)"):
-            self.run(tmp_path, "pareto")
-        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json"]
-        [pid] = forks
-        assert_reaped(pid)
-
-    def test_a_failing_worker_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
-        forks = count_forks(monkeypatch)
-        parent = os.getpid()
-
-        def failing(self, start=0, stop=None, inner=SampleSet.csv_bytes):
-            if os.getpid() != parent:
-                raise MemoryError
-            return inner(self, start, stop)
-
-        monkeypatch.setattr(SampleSet, "csv_bytes", failing)
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
-        config = write_config(tmp_path, STREAMED["simulate"][0])
-        assert main(["simulate", "-c", str(config), "-o", str(tmp_path / "out")]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
-        [pid] = forks
-        assert_reaped(pid)
-
-    @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
-    def test_a_failing_parent_block_stops_the_worker(self, tmp_path, monkeypatch, error):
-        forks = count_forks(monkeypatch)
-        parent = os.getpid()
-
-        def failing(self, start=0, stop=None, inner=SampleSet.csv_bytes):
-            if os.getpid() == parent and start > 0:  # the parent's second block, block 2
-                raise error("formatting failed here")
-            return inner(self, start, stop)
-
-        monkeypatch.setattr(SampleSet, "csv_bytes", failing)
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
-        with pytest.raises(error, match="formatting failed here"):
-            self.run(tmp_path, "simulate")
-        assert not (tmp_path / "out" / "samples.csv.tmp").exists()
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert list(interleaved(self.produce, range(5), "test", "item")) == [self.produce(i) for i in range(5)]
         [pid] = forks
         assert_reaped(pid)
 
     def test_closing_the_stream_early_kills_the_worker(self, monkeypatch):
         forks = count_forks(monkeypatch)
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
-        document, block = STREAMED["simulate"]
-        samples = whole_samples(document)
-        chunks = runner._csv_chunks(samples, BLOCK_VALUES // block)
-        assert next(chunks) == samples.csv_bytes(0, block)
+        results = interleaved(self.produce, range(4), "test", "item")
+        assert next(results) == b"0\n"
         [pid] = forks
-        chunks.close()
+        results.close()
         assert_reaped(pid)
 
     def test_a_failing_consumer_stops_the_worker(self, tmp_path, monkeypatch):
         forks = count_forks(monkeypatch)
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
-        document, block = STREAMED["simulate"]
-        samples = whole_samples(document)
 
         class FailingDigest:
             """Takes the first chunk, then fails."""
@@ -491,9 +430,9 @@ class TestSamplesWorker:
                     raise OSError("no space left")
 
         monkeypatch.setattr(runner, "hashlib", types.SimpleNamespace(sha256=FailingDigest))
-        chunks = runner._csv_chunks(samples, BLOCK_VALUES // block)  # still referenced here
+        results = interleaved(self.produce, range(4), "test", "item")  # still referenced here
         with pytest.raises(OSError, match="no space left"):
-            runner._write(tmp_path / "samples.csv", chunks)
+            runner._write(tmp_path / "items.txt", results)
         [pid] = forks
         assert_reaped(pid)
         assert list(tmp_path.iterdir()) == []
@@ -517,7 +456,7 @@ class TestReplicaWorker:
         document = simulate_config(replicas=replicas, write_samples=write_samples)
         forks = count_forks(monkeypatch)
         forked = self.outputs(tmp_path, document, "forked")
-        assert len(forks) == (replicas >= 2) + write_samples  # one worker per phase
+        assert len(forks) == (replicas >= 2)  # the replica worker only; samples.csv is formatted here
         for pid in forks:
             assert_reaped(pid)
         monkeypatch.delattr(os, "fork")
@@ -531,7 +470,7 @@ class TestReplicaWorker:
         document = simulate_config(model=CREDIT_MARKET, run=dict(RUN, total=500.0), replicas=3)
         forks = count_forks(monkeypatch)
         forked = self.outputs(tmp_path, document, "forked")
-        assert forked[0] == 0 and len(forks) == 1  # samples.csv has one block
+        assert forked[0] == 0 and len(forks) == 1  # the replica worker
         monkeypatch.delattr(os, "fork")
         assert forked == self.outputs(tmp_path, document, "single")
 
@@ -783,6 +722,20 @@ class TestCli:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("write_samples", [False, True])
+    def test_only_a_samples_csv_loads_orjson(self, tmp_path, write_samples):
+        # A child interpreter, because this one has imported orjson already.
+        config = write_config(tmp_path, simulate_config(replicas=2, write_samples=write_samples))
+        script = ("import sys\n"
+                  "from moneygas.cli import main\n"
+                  "assert main(sys.argv[1:]) == 0\n"
+                  "print('orjson' in sys.modules)\n")
+        argv = ["simulate", "-c", str(config), "-o", str(tmp_path / "out")]
+        result = subprocess.run([sys.executable, "-c", script, *argv], env=child_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == str(write_samples)
 
     @pytest.mark.parametrize("case", sorted(MISTYPED_EXPECTATIONS))
     def test_mistyped_expectation_exits_2(self, tmp_path, capsys, case):
