@@ -1,47 +1,51 @@
 """Conservative pairwise-exchange Monte Carlo kernels.
 
 Every model is simulated on the constraint set picked out by its conserved
-money-function total (plus the per-agent floors). In shifted coordinates
-each agent contributes one or more nonnegative "slots", and an event makes
-the selected slots jointly uniform given their sum: a uniform split for a
-pair of slots, a Dirichlet(1, ..., 1) draw for more. Such moves leave the
-uniform measure on the constrained simplex invariant, so the stationary
-per-slot marginal is the exponential law with the model's closed-form
-temperature; infeasible proposals (overdraft caps, cash shortfalls) are
-rejected, never clamped.
+money-function total. There are two kernels: one slot kernel, with an
+optional cap, for every kind but the credit market, and the credit ledger.
 
-cash_only, overdraft and multi_account share one kernel: one flat array of
-shifted slots z = balance + d >= 0 in ``Population.cash``, one slot per
-agent, or one per account for multi_account, where d is the slot's
-overdraft (0 for cash). The conserved value is sum(z) - sum(d), the only
-bound is z >= 0, and the one move is the uniform pair split; the matching
-pairs slots, so multi_account's chain runs over its K accounts, and the
-``agent`` column of its ``samples.csv`` holds the account index. Shifting
-the exponential law by the floor is the debt-limit result of Dragulescu and
-Yakovenko (Eur. Phys. J. B 17, 723, 2000).
+The slot kernel holds one flat array of K = ``ModelSpec.n_slots`` shifted
+slots z = balance + d >= 0 in ``Population.cash``, where d is the slot's
+overdraft (0 for cash and asset holdings):
+- cash_only and overdraft: one slot per agent;
+- multi_account: one slot per account, so the ``agent`` column of its
+  ``samples.csv`` holds the account index;
+- combined and restricted: N cash slots, then N account slots z = y + d;
+- multi_asset: N·C slots, agent-major (agent i's class c is slot i·C + c).
+The conserved value is sum(z) - sum(d), and the one move is the uniform
+pair split: a matched pair of slots gets a uniform split of its sum. That
+move leaves the uniform measure on the simplex of the K slots invariant, so
+the stationary per-slot marginal is the exponential law with the model's
+closed-form temperature. Shifting that law by the floor is the debt-limit
+result of Dragulescu and Yakovenko (Eur. Phys. J. B 17, 723, 2000).
+
+restricted's account slots are capped at z <= d (no positive balances).
+The cap is data (``Population.caps``), not a move: the same split is
+proposed, and a pair where a slot would pass its cap is rejected and keeps
+its values. With a symmetric proposal and a uniform target this is
+Metropolis, so the capped simplex's uniform law is stationary.
 
 The credit market's two moves, the loan sale and the debt assumption,
 reshuffle one pair's assets or liabilities with a compensating cash leg.
 Each keeps every per-agent net position M_i = x_i + assets_i -
 liabilities_i fixed, as well as total credit and the monetary base, so a
-chain stays on one fibre: the set of states with its initial M_i.
+chain stays on one fibre: the set of states with its initial M_i. A trade
+that would leave a negative cash balance is rejected.
 
 ``KERNELS`` holds one entry per simulable model kind: its initial
 configurations, its moves, its recorded coordinates, its conserved value
-and bounds, and the marginals fitted to its samples. Every move is a pair
-or a single: it acts on the two halves of a matching, or on every agent at
-once. ``run_chain`` advances whole sweeps of disjoint events, which is fast
-enough for 1e7-event runs.
+and bounds, and the marginals fitted to its samples. Every move acts on
+the pairs of a matching; ``run_chain`` advances whole sweeps of disjoint
+pair events, which is fast enough for 1e7-event runs.
 
-A pair sweep uses "shifted halves" matching. Once per epoch of N // 2 pair
-sweeps, one random permutation splits the agents (the accounts, for
-multi_account) into halves A and B of N // 2 each (for odd N the leftover
-one sits out that epoch), and
-one call draws a shift r per sweep of the epoch; the sweep pairs A[i] with
-B[(i + r) mod N // 2]. Every pair move resamples its pair given the pair's
-total and is symmetric in its two roles, so any pairing chosen independently
-of the state keeps the uniform law invariant, and the shifts of one split
-already connect all agents.
+A sweep uses "shifted halves" matching over the K slots (the N agents, for
+the credit market). Once per epoch of K // 2 sweeps, one random permutation
+splits them into halves A and B of K // 2 each (for odd K the leftover one
+sits out that epoch), and one call draws a shift r per sweep of the epoch;
+the sweep pairs A[i] with B[(i + r) mod K // 2]. Every move resamples its
+pair given the pair's total and is symmetric in its two roles, so any
+pairing chosen independently of the state keeps the uniform law invariant,
+and the shifts of one split already connect all slots.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class PairEpoch:
         order = rng.permutation(n)
         b = order[half:2 * half]
         # floor(u * half) is uniform on 0..half-1 (u * half < half for every double u < 1);
-        # rng.integers would map ~0.14 MiB of numpy's bounded-integer code into memory.
+        # the Generator's bounded-integer sampler would map ~0.14 MiB more code into memory.
         shifts = (rng.random(half) * half).astype(np.intp)
         return cls(order, np.concatenate([b, b]), shifts)
 
@@ -96,13 +100,13 @@ class PairEpoch:
 
 @dataclass
 class Population:
-    """Mutable per-agent coordinates of one model realization; ``cash`` holds
-    the shifted slots of cash_only, overdraft and multi_account."""
+    """Mutable coordinates of one model realization: the K shifted slots in
+    ``cash``, or the credit market's cash, assets and liabilities per agent."""
 
     spec: ModelSpec
     conserved_total: float
     cash: np.ndarray | None = None
-    accounts: np.ndarray | None = None
+    caps: np.ndarray | None = None  # each slot's upper bound (restricted); None: no cap
     assets: np.ndarray | None = None
     liabilities: np.ndarray | None = None
     initial_net_positions: np.ndarray | None = None
@@ -124,7 +128,7 @@ class Population:
 
     def coordinate_scale(self) -> float:
         """Magnitude reference for relative drift when the total is near zero."""
-        parts = [np.abs(a).sum() for a in (self.cash, self.accounts, self.assets) if a is not None]
+        parts = [np.abs(a).sum() for a in (self.cash, self.assets) if a is not None]
         return max(abs(self.conserved_total), float(sum(parts)), 1.0)
 
     def check_invariants(self) -> float:
@@ -132,6 +136,8 @@ class Population:
         returns the absolute drift of the conserved total."""
         if self.cash is not None and self.cash.min() < 0:
             raise ConservationError(f"negative cash or slot: {self.cash.min()}")
+        if self.caps is not None and (self.cash > self.caps).any():
+            raise ConservationError(f"slot above its cap: {np.max(self.cash - self.caps)} past it")
         KERNELS[self.spec.kind].bounds(self)
         drift = abs(self.conserved_value() - self.conserved_total)
         if drift > CONSERVATION_RTOL * self.coordinate_scale():
@@ -157,35 +163,34 @@ def _simplex_sample(rng: np.random.Generator, size: int, total: float) -> np.nda
 
 def _init_slots(pop: Population, policy: str, rng: np.random.Generator) -> None:
     """K shifted slots summing to total + Σd: all equal, or uniform on their simplex."""
-    k, depth = pop.spec.n_accounts, pop.spec.total_overdraft
+    k, depth = pop.spec.n_slots, pop.spec.total_overdraft
     shifted = pop.conserved_total + depth
     if shifted < 0:
         raise DynamicsError(f"infeasible total {pop.conserved_total}: total + overdrafts {depth} < 0")
     pop.cash = np.full(k, shifted / k) if policy == "equal" else _simplex_sample(rng, k, shifted)
 
 
-def _init_cash_and_accounts(
-    pop: Population, policy: str, rng: np.random.Generator, capped: bool
-) -> None:
-    """Cash plus one account per agent; ``capped`` keeps accounts at or below zero."""
+def _init_capped(pop: Population, policy: str, rng: np.random.Generator) -> None:
+    """restricted's N cash slots, then N account slots z = y + d capped at d.
+
+    "equal" puts every balance at total/N: cash when it is positive (accounts
+    at zero), else the account. "uniform-random" draws each z uniformly in
+    [0, d] and splits the rest of the total uniformly over the cash slots.
+    """
     n, d, total = pop.n_agents, pop.spec.overdraft, pop.conserved_total
-    if total < -n * d or (capped and total <= -n * d):
+    if total <= -n * d:
         raise DynamicsError(f"infeasible total {total}: floor is {-n * d}")
     if policy == "equal":
         per_agent = total / n
-        if per_agent >= 0:
-            pop.cash, pop.accounts = np.full(n, per_agent), np.zeros(n)
-        else:
-            pop.cash, pop.accounts = np.zeros(n), np.full(n, per_agent)
-    elif not capped:
-        slots = _simplex_sample(rng, 2 * n, total + n * d)
-        pop.cash, pop.accounts = slots[:n], slots[n:] - d
+        cash, accounts = np.full(n, max(per_agent, 0.0)), np.full(n, d + min(per_agent, 0.0))
     else:
-        pop.accounts = -d * rng.random(n)
-        cash_total = total - math.fsum(pop.accounts)
+        accounts = d * rng.random(n)
+        cash_total = total + n * d - math.fsum(accounts)
         if cash_total < 0:
             raise DynamicsError(f"infeasible total {total} for the drawn account balances")
-        pop.cash = _simplex_sample(rng, n, cash_total)
+        cash = _simplex_sample(rng, n, cash_total)
+    pop.cash = np.concatenate([cash, accounts])
+    pop.caps = np.concatenate([np.full(n, np.inf), np.full(n, d)])
 
 
 def _init_credit(pop: Population, policy: str, rng: np.random.Generator) -> None:
@@ -202,16 +207,6 @@ def _init_credit(pop: Population, policy: str, rng: np.random.Generator) -> None
         pop.assets = _simplex_sample(rng, n, total)
         pop.liabilities = _simplex_sample(rng, n, total)
     pop.initial_net_positions = pop.net_positions()
-
-
-def _init_classes(pop: Population, policy: str, rng: np.random.Generator) -> None:
-    n, total, classes = pop.n_agents, pop.conserved_total, pop.spec.asset_classes
-    if total < 0:
-        raise DynamicsError(f"infeasible total {total}")
-    if policy == "equal":
-        pop.accounts = np.full((n, classes), total / (n * classes))
-    else:
-        pop.accounts = _simplex_sample(rng, n * classes, total).reshape(n, classes)
 
 
 def init_population(
@@ -237,54 +232,29 @@ def init_population(
 
 
 # ---------------------------------------------------------------------------
-# Moves: each acts on one agent-index array per role (a half of the matching;
-# ``slice(None)`` for whole-population resplits) and returns the number of
-# rejected events.
+# Moves: each acts on the two halves of a matching, given as index arrays,
+# and returns the number of rejected events.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Move:
     name: str
-    arity: int  # 2 for a pair move; 1 means every agent resplits in one sweep
     apply: Callable[..., int]
 
 
-def _cash_pair(pop: Population, rng: np.random.Generator, j, k) -> int:
+def _slot_pair(pop: Population, rng: np.random.Generator, j, k) -> int:
+    """Uniform split of each pair's sum; a pair whose split would pass a cap keeps its values."""
     s = pop.cash[j] + pop.cash[k]
     first = rng.random(s.size) * s
+    rejected = 0
+    if pop.caps is not None:
+        accept = (first <= pop.caps[j]) & (s - first <= pop.caps[k])
+        rejected = s.size - int(np.count_nonzero(accept))
+        j, k, s, first = j[accept], k[accept], s[accept], first[accept]
     pop.cash[j] = first
     pop.cash[k] = s - first
-    return 0
-
-
-def _pair_resample(pop: Population, rng: np.random.Generator, j, k, capped: bool) -> int:
-    """Dirichlet redraw of both agents' (cash, shifted account) slots.
-
-    ``capped`` rejects draws that push an account above zero (no credit).
-    """
-    d = pop.spec.overdraft
-    s = (pop.cash[j] + pop.accounts[j] + d) + (pop.cash[k] + pop.accounts[k] + d)
-    g = rng.standard_exponential((s.size, 4))
-    g *= (s / g.sum(axis=1))[:, None]
-    if capped:
-        accept = (g[:, 1] <= d) & (g[:, 3] <= d)
-        j, k, g = j[accept], k[accept], g[accept]
-    pop.cash[j] = g[:, 0]
-    pop.accounts[j] = g[:, 1] - d
-    pop.cash[k] = g[:, 2]
-    pop.accounts[k] = g[:, 3] - d
-    return s.size - j.size
-
-
-def _resplit(pop: Population, rng: np.random.Generator, i, capped: bool) -> int:
-    """Uniform split of each agent's own wealth between cash and account."""
-    d = pop.spec.overdraft
-    w = pop.cash[i] + pop.accounts[i] + d
-    z_new = rng.random(w.size) * (np.minimum(d, w) if capped else w)
-    pop.cash[i] = w - z_new
-    pop.accounts[i] = z_new - d
-    return 0
+    return rejected
 
 
 def _credit_transfer(
@@ -307,55 +277,16 @@ def _credit_transfer(
     return int(np.count_nonzero(reject))
 
 
-def _class_pair(pop: Population, rng: np.random.Generator, j, k) -> int:
-    """Uniform split of one randomly chosen asset class per pair."""
-    c = rng.integers(pop.spec.asset_classes, size=j.size)
-    s = pop.accounts[j, c] + pop.accounts[k, c]
-    first = rng.random(j.size) * s
-    pop.accounts[j, c] = first
-    pop.accounts[k, c] = s - first
-    return 0
-
-
-def _class_resplit(pop: Population, rng: np.random.Generator, i) -> int:
-    totals = pop.accounts[i].sum(axis=1)
-    g = rng.standard_exponential((totals.size, pop.spec.asset_classes))
-    pop.accounts[i] = g * (totals / g.sum(axis=1))[:, None]
-    return 0
-
-
-_CASH_PAIR = Move("pair_reshuffle", 2, _cash_pair)
-_LOAN_SALE = Move("loan_sale", 2, partial(_credit_transfer, holdings="assets", cash_sign=-1.0))
+_SLOT_PAIR = Move("pair_reshuffle", _slot_pair)
+_LOAN_SALE = Move("loan_sale", partial(_credit_transfer, holdings="assets", cash_sign=-1.0))
 _DEBT_ASSUMPTION = Move(
-    "debt_assumption", 2, partial(_credit_transfer, holdings="liabilities", cash_sign=1.0)
+    "debt_assumption", partial(_credit_transfer, holdings="liabilities", cash_sign=1.0)
 )
-_CLASS_PAIR = Move("pair_reshuffle_class", 2, _class_pair)
-_CLASS_RESPLIT = Move("class_resplit", 1, _class_resplit)
-
-
-def _cash_and_account_moves(capped: bool) -> tuple[Move, ...]:
-    return (
-        Move("pair_resample", 2, partial(_pair_resample, capped=capped)),
-        Move("resplit", 1, partial(_resplit, capped=capped)),
-    )
 
 
 # ---------------------------------------------------------------------------
-# Bounds beyond nonnegative cash and the conserved total
+# The credit ledger's bounds beyond nonnegative cash and the conserved total
 # ---------------------------------------------------------------------------
-
-
-def _account_floor(pop: Population) -> None:
-    if pop.accounts.min() < -pop.spec.overdraft:
-        raise ConservationError(
-            f"account below its floor: {pop.accounts.min()} < {-pop.spec.overdraft}"
-        )
-
-
-def _no_credit(pop: Population) -> None:
-    _account_floor(pop)
-    if pop.accounts.max() > 0:
-        raise ConservationError(f"positive account in the no-credit model: {pop.accounts.max()}")
 
 
 def _credit_ledger(pop: Population) -> None:
@@ -389,15 +320,11 @@ def _pool(arrays) -> np.ndarray:
 def _slot_money(spec: ModelSpec, coords: dict[str, np.ndarray]) -> float:
     """(Σz - Σd)/N: the mean slot times K/N, less the overdrafts per agent."""
     (slots,) = coords.values()
-    return float(slots.mean()) * (spec.n_accounts / spec.n_agents) - spec.total_overdraft / spec.n_agents
-
-
-def _pooled_mean(spec: ModelSpec, coords: dict[str, np.ndarray]) -> float:
-    """Money per agent when the coordinates share one law (classes pooled)."""
-    return float(_pool(coords.values()).mean()) * len(coords)
+    return float(slots.mean()) * (spec.n_slots / spec.n_agents) - spec.total_overdraft / spec.n_agents
 
 
 def _sum_of_means(spec: ModelSpec, coords: dict[str, np.ndarray]) -> float:
+    """Money per agent when each coordinate holds one unshifted value per agent."""
     return float(sum(v.mean() for v in coords.values()))
 
 
@@ -406,7 +333,7 @@ class Kernel:
     """Everything the chains and the runner need to know about one model kind."""
 
     init: Callable[[Population, str, np.random.Generator], None]
-    moves: Callable[[ModelSpec], tuple[Move, ...]]  # rotated one per sweep
+    moves: tuple[Move, ...]  # rotated one per sweep
     coordinates: Callable[[Population], dict[str, np.ndarray]]  # recorded copies
     conserved: Callable[[Population], float]
     bounds: Callable[[Population], None]
@@ -415,71 +342,62 @@ class Kernel:
     money_per_agent: Callable[[ModelSpec, dict[str, np.ndarray]], float]
 
 
-def _slot_kernel(name: str) -> Kernel:
-    """The shifted-slot kernel, recording the slots as coordinate ``name``."""
+def _slot_kernel(coordinates, marginals, money_per_agent=_sum_of_means, init=_init_slots) -> Kernel:
+    """The shifted-slot kernel: the uniform pair split over ``Population.cash``."""
     return Kernel(
-        init=_init_slots,
-        moves=lambda spec: (_CASH_PAIR,),
-        coordinates=lambda pop: {name: pop.cash.copy()},
+        init=init,
+        moves=(_SLOT_PAIR,),
+        coordinates=coordinates,
         conserved=lambda pop: math.fsum(pop.cash) - pop.spec.total_overdraft,
-        bounds=lambda pop: None,  # z >= 0, which check_invariants tests for cash
-        marginals=lambda spec: [(name, [name], 0.0)],
-        money_per_agent=_slot_money,
+        bounds=lambda pop: None,  # 0 <= z <= cap, which check_invariants tests
+        marginals=marginals,
+        money_per_agent=money_per_agent,
     )
 
 
+def _slots_as(name: str) -> Kernel:
+    """The slot kernel recording the slots themselves as coordinate ``name``."""
+    return _slot_kernel(lambda pop: {name: pop.cash.copy()},
+                        lambda spec: [(name, [name], 0.0)], _slot_money)
+
+
+def _cash_and_accounts(pop: Population) -> dict[str, np.ndarray]:
+    """Cash x, and the account balances y = z - d: the agents' balances, unshifted."""
+    n = pop.n_agents
+    return {"x": pop.cash[:n].copy(), "y": pop.cash[n:] - pop.spec.overdraft}
+
+
+def _asset_classes(pop: Population) -> dict[str, np.ndarray]:
+    classes = pop.spec.asset_classes
+    return {f"y_{c}": pop.cash[c::classes].copy() for c in range(classes)}
+
+
 KERNELS: dict[ModelKind, Kernel] = {
-    ModelKind.CASH_ONLY: _slot_kernel("x"),
-    ModelKind.OVERDRAFT: _slot_kernel("z"),
-    ModelKind.MULTI_ACCOUNT: _slot_kernel("z"),
-    ModelKind.COMBINED: Kernel(
-        init=partial(_init_cash_and_accounts, capped=False),
-        moves=lambda spec: _cash_and_account_moves(capped=False),
-        coordinates=lambda pop: {"x": pop.cash.copy(), "y": pop.accounts.copy()},
-        conserved=lambda pop: math.fsum(pop.cash) + math.fsum(pop.accounts),
-        bounds=_account_floor,
-        marginals=lambda spec: [("x", ["x"], 0.0), ("y", ["y"], -spec.overdraft)],
-        money_per_agent=_sum_of_means,
-    ),
-    ModelKind.RESTRICTED: Kernel(
-        init=partial(_init_cash_and_accounts, capped=True),
-        moves=lambda spec: _cash_and_account_moves(capped=True),
-        coordinates=lambda pop: {"x": pop.cash.copy(), "y": pop.accounts.copy()},
-        conserved=lambda pop: math.fsum(pop.cash) + math.fsum(pop.accounts),
-        bounds=_no_credit,
-        marginals=lambda spec: [("x", ["x"], 0.0)],
-        money_per_agent=_sum_of_means,
-    ),
+    ModelKind.CASH_ONLY: _slots_as("x"),
+    ModelKind.OVERDRAFT: _slots_as("z"),
+    ModelKind.MULTI_ACCOUNT: _slots_as("z"),
+    ModelKind.COMBINED: _slot_kernel(
+        _cash_and_accounts, lambda spec: [("x", ["x"], 0.0), ("y", ["y"], -spec.overdraft)]),
+    ModelKind.RESTRICTED: _slot_kernel(
+        _cash_and_accounts, lambda spec: [("x", ["x"], 0.0)], init=_init_capped),
     ModelKind.CREDIT_MARKET: Kernel(
         init=_init_credit,
-        moves=lambda spec: (_LOAN_SALE, _DEBT_ASSUMPTION),
+        moves=(_LOAN_SALE, _DEBT_ASSUMPTION),
         coordinates=lambda pop: {"assets": pop.assets.copy()},
         conserved=lambda pop: math.fsum(pop.assets),
         bounds=_credit_ledger,
         marginals=lambda spec: [("assets", ["assets"], 0.0)],
-        money_per_agent=_pooled_mean,
+        money_per_agent=_sum_of_means,
     ),
-    ModelKind.MULTI_ASSET: Kernel(
-        init=_init_classes,
-        # A single class has nothing to resplit.
-        moves=lambda spec: (
-            (_CLASS_PAIR, _CLASS_RESPLIT) if spec.asset_classes > 1 else (_CLASS_PAIR,)
-        ),
-        coordinates=lambda pop: {
-            f"y_{c}": pop.accounts[:, c].copy() for c in range(pop.spec.asset_classes)
-        },
-        conserved=lambda pop: math.fsum(pop.accounts.ravel()),
-        bounds=_account_floor,
-        marginals=lambda spec: [("y_pooled", [f"y_{c}" for c in range(spec.asset_classes)], 0.0)],
-        money_per_agent=_pooled_mean,
-    ),
+    ModelKind.MULTI_ASSET: _slot_kernel(
+        _asset_classes, lambda spec: [("y_pooled", [f"y_{c}" for c in range(spec.asset_classes)], 0.0)]),
 }
 
 
 def _moves(spec: ModelSpec) -> tuple[Move, ...]:
     if spec.n_agents < 2:
         raise DynamicsError("pair exchange needs at least 2 agents")
-    return KERNELS[spec.kind].moves(spec)
+    return KERNELS[spec.kind].moves
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +406,13 @@ def _moves(spec: ModelSpec) -> tuple[Move, ...]:
 
 
 def _sweep(pop: Population, rng: np.random.Generator, move: Move) -> int:
-    """One sweep of disjoint events; returns the number of events applied."""
-    n = pop.spec.n_accounts
-    if move.arity == 1:
-        groups, events = (slice(None),), n
-    else:
-        epoch = pop.pair_epoch
-        if epoch is None or epoch.sweep == epoch.shifts.size:
-            epoch = pop.pair_epoch = PairEpoch.draw(n, rng)
-        groups = epoch.next_pairs()
-        events = groups[0].size
-    pop.rejected_events += move.apply(pop, rng, *groups)
-    return events
+    """One sweep of disjoint pair events over the K slots; returns the number of events."""
+    epoch = pop.pair_epoch
+    if epoch is None or epoch.sweep == epoch.shifts.size:
+        epoch = pop.pair_epoch = PairEpoch.draw(pop.spec.n_slots, rng)
+    j, k = epoch.next_pairs()
+    pop.rejected_events += move.apply(pop, rng, j, k)
+    return j.size
 
 
 # ---------------------------------------------------------------------------

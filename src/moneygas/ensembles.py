@@ -116,9 +116,15 @@ class ModelSpec:
             )
 
     @cached_property
-    def n_accounts(self) -> int:
-        """K, the accounts: accounts_per_agent's sum for multi_account, else one per agent."""
-        return sum(self.accounts_per_agent) if self.kind is ModelKind.MULTI_ACCOUNT else self.n_agents
+    def n_slots(self) -> int:
+        """K, the exponential slots: one per account for multi_account, a cash and an
+        account slot per agent for combined and restricted, one per asset class for
+        multi_asset, else one per agent. The chain exchanges them, every record holds
+        K values, and k = K/N in the partition function."""
+        if self.kind is ModelKind.MULTI_ACCOUNT:
+            return sum(self.accounts_per_agent)
+        paired = self.kind in (ModelKind.COMBINED, ModelKind.RESTRICTED)
+        return self.n_agents * (2 if paired else self.asset_classes)
 
     @cached_property
     def total_overdraft(self) -> float:
@@ -233,13 +239,12 @@ class PartitionFunction:
     """Per-agent partition function z(T) = V·T^k·e^{g(T)} of one model kind.
 
     ``volume_field`` names the ModelSpec field holding V (None: V = 1 and the
-    model has no volume variable); ``slots`` gives k, the number of exponential
-    coordinates per agent; ``floor`` maps (T, d) to (g, T²·(-dg/dT)), where
-    ``depth`` gives d, the overdraft per agent.
+    model has no volume variable); k = ``ModelSpec.n_slots`` / N, the
+    exponential slots per agent; ``floor`` maps (T, d) to (g, T²·(-dg/dT)),
+    where ``depth`` gives d, the overdraft per agent.
     """
 
     volume_field: str | None
-    slots: Callable[[ModelSpec], float]
     floor: Callable[[float, float], tuple[float, float]] = _no_floor
     depth: Callable[[ModelSpec], float] = lambda spec: spec.overdraft
 
@@ -247,15 +252,14 @@ class PartitionFunction:
 # The multi-account model's agents differ, but its ln Z is a sum over the K
 # accounts of ln T + d_a/T: N mean agents of K/N linear-floor slots and depth Σd/N.
 PARTITION_FUNCTIONS: dict[ModelKind, PartitionFunction] = {
-    ModelKind.CASH_ONLY: PartitionFunction("volume_y", lambda spec: 1),
-    ModelKind.OVERDRAFT: PartitionFunction("volume_x", lambda spec: 1, _linear_floor),
+    ModelKind.CASH_ONLY: PartitionFunction("volume_y"),
+    ModelKind.OVERDRAFT: PartitionFunction("volume_x", _linear_floor),
     ModelKind.MULTI_ACCOUNT: PartitionFunction(
-        None, lambda spec: spec.n_accounts / spec.n_agents, _linear_floor,
-        lambda spec: spec.total_overdraft / spec.n_agents),
-    ModelKind.COMBINED: PartitionFunction(None, lambda spec: 2, _linear_floor),
-    ModelKind.RESTRICTED: PartitionFunction(None, lambda spec: 2, _capped_floor),
-    ModelKind.CREDIT_MARKET: PartitionFunction("volume_x", lambda spec: 1),
-    ModelKind.MULTI_ASSET: PartitionFunction(None, lambda spec: spec.asset_classes),
+        None, _linear_floor, lambda spec: spec.total_overdraft / spec.n_agents),
+    ModelKind.COMBINED: PartitionFunction(None, _linear_floor),
+    ModelKind.RESTRICTED: PartitionFunction(None, _capped_floor),
+    ModelKind.CREDIT_MARKET: PartitionFunction("volume_x"),
+    ModelKind.MULTI_ASSET: PartitionFunction(None),
 }
 
 
@@ -279,7 +283,7 @@ def _terms(
     _check_temperature(temperature)
     entry = PARTITION_FUNCTIONS[spec.kind]
     v = model_volume(spec, volume)
-    k = entry.slots(spec)
+    k = spec.n_slots / spec.n_agents
     g, floor_money = entry.floor(temperature, entry.depth(spec))
     log_z = k * math.log(temperature) + (0.0 if v is None else math.log(v)) + g
     n = float(spec.n_agents if n_agents is None else n_agents)
@@ -299,7 +303,7 @@ def temperature_closed_form(spec: ModelSpec, conserved_total: float) -> float:
     attainable totals are (-N·d, inf).
     """
     entry = PARTITION_FUNCTIONS[spec.kind]
-    count, slots, d = spec.n_agents, entry.slots(spec), entry.depth(spec)
+    count, slots, d = spec.n_agents, spec.n_slots / spec.n_agents, entry.depth(spec)
     if entry.floor is _capped_floor:
         if conserved_total <= -count * d:
             raise ModelValidationError(f"total {conserved_total} is at or below the floor {-count * d}")

@@ -232,8 +232,7 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, 
 
     files: dict[str, FileData] = {}
     if write_samples:
-        width = len(first_samples.coords) * spec.n_agents
-        files["samples.csv"] = _csv_chunks(first_samples, width)
+        files["samples.csv"] = _csv_chunks(first_samples, spec.n_slots)
         hist = histogram(first_samples.pooled(primary_names))
         files["histogram.tsv"] = _tsv(("bin_left", "bin_right", "density"), hist.tsv_rows())
     return report, seeds, files
@@ -414,8 +413,8 @@ def _check_simulate(doc: dict) -> None:
     model, run = doc["model"], doc["run"]
     if run["policy"] not in ("equal", "uniform-random"):
         raise ConfigError(f"policy must be 'equal' or 'uniform-random', got {run['policy']!r}")
-    # One value per account (K of them for multi_account), per asset class.
-    values = check_window(run, model.n_agents, model.n_accounts * model.asset_classes)
+    # A record holds one value per slot (ModelSpec.n_slots).
+    values = check_window(run, model.n_agents, model.n_slots)
     # A recorded value is at most |total| + 2·Σd in size (Σd = N·overdraft with
     # one account per agent), and the fit's mean and the histogram's densities
     # sum or scale all of them.

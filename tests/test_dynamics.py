@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from moneygas import dynamics
 from moneygas.cli import main
 from moneygas.dynamics import (
-    _CASH_PAIR,
     _DEBT_ASSUMPTION,
     _LOAN_SALE,
+    _SLOT_PAIR,
     KERNELS,
     DynamicsError,
     Move,
@@ -50,6 +50,15 @@ class TestInit:
         assert list(pop.cash) == [1.0, 1.0]
         pop = init_population(ModelSpec.multi_account(2, (1, 2), ((1.0,), (0.0, 2.0))), "equal", 3.0)
         assert list(pop.cash) == [2.0, 2.0, 2.0]
+        # combined: N cash slots, then N account slots z = y + d, every one at (total + N·d)/2N.
+        pop = init_population(ModelSpec.combined(2, 1.0), "equal", 2.0)
+        assert list(pop.cash) == [1.0, 1.0, 1.0, 1.0]
+        # restricted: a negative total/N sits in the accounts, below their cap z = d.
+        pop = init_population(ModelSpec.restricted(2, 1.0), "equal", -1.0)
+        assert list(pop.cash) == [0.0, 0.0, 0.5, 0.5]
+        assert list(pop.caps) == [math.inf, math.inf, 1.0, 1.0]
+        pop = init_population(ModelSpec.multi_asset(2, 3), "equal", 6.0)
+        assert list(pop.cash) == [1.0] * 6
         pop = init_population(ModelSpec.credit_market(3, 9.0), "equal", 0.0)
         assert list(pop.cash) == [3.0, 3.0, 3.0]
         assert not pop.assets.any() and not pop.liabilities.any()
@@ -70,6 +79,10 @@ class TestInit:
             init_population(ModelSpec.multi_account(2, (1, 2), ((1.0,), (0.0, 2.0))), "equal", -3.5)
         with pytest.raises(DynamicsError):
             init_population(ModelSpec.credit_market(4, 8.0), "equal", -1.0)
+        with pytest.raises(DynamicsError):
+            init_population(ModelSpec.combined(2, 1.0), "equal", -2.5)
+        with pytest.raises(DynamicsError):  # restricted's floor -N·d is itself out of reach
+            init_population(ModelSpec.restricted(2, 1.0), "uniform-random", -2.0)
 
     def test_unknown_policy(self):
         with pytest.raises(DynamicsError):
@@ -87,7 +100,7 @@ def web_seed(spec) -> int:
 
 
 def state(pop):
-    return [arr.copy() for arr in (pop.cash, pop.accounts, pop.assets, pop.liabilities)
+    return [arr.copy() for arr in (pop.cash, pop.assets, pop.liabilities)
             if arr is not None]
 
 
@@ -102,7 +115,7 @@ class TestPrimitives:
         pop = init_population(ModelSpec.cash_only(2, 1.0), "equal", 4.6)
         rng = np.random.default_rng(8)
         for _ in range(100):
-            assert _sweep(pop, rng, _CASH_PAIR) == 1
+            assert _sweep(pop, rng, _SLOT_PAIR) == 1
             assert pop.cash.min() >= 0.0
             assert pop.cash.sum() == pytest.approx(4.6, rel=1e-15)
 
@@ -113,7 +126,7 @@ class TestPrimitives:
         pop.cash[:] = [2.0, 3.0]  # balances 0 and 1
         rng = np.random.default_rng(5)
         for _ in range(200):
-            assert _sweep(pop, rng, _CASH_PAIR) == 1
+            assert _sweep(pop, rng, _SLOT_PAIR) == 1
             assert (pop.cash - 2.0).min() >= -2.0
             assert (pop.cash - 2.0).sum() == pytest.approx(1.0, abs=1e-12)
             assert pop.conserved_value() == pytest.approx(1.0, abs=1e-12)
@@ -124,7 +137,7 @@ class TestPrimitives:
         pop = init_population(spec, "uniform-random", 3.0, seed=2)
         rng = np.random.default_rng(6)
         for _ in range(200):
-            assert _sweep(pop, rng, _CASH_PAIR) == 1
+            assert _sweep(pop, rng, _SLOT_PAIR) == 1
             assert pop.cash.min() >= 0.0
             assert pop.cash.sum() - 3.0 == pytest.approx(3.0, abs=1e-12)
             pop.check_invariants()
@@ -191,35 +204,51 @@ class TestSingleEventStep:
         events = phase = 0
         while events < 3000:
             done, phase = advance(pop, rng, 1, phase)
-            # One pair sweep (of the K accounts for multi_account) or one resplit of all 8 agents.
-            assert done in (spec.n_accounts // 2, 8)
+            # One pair sweep over the K slots.
+            assert done == spec.n_slots // 2
             events += done
             pop.check_invariants()
         assert pop.rejected_events <= events
 
     def test_rejections_leave_state_unchanged(self):
-        spec = ModelSpec.restricted(2, 0.05)  # tight cap forces pair rejections
+        # A tight cap rejects most capped splits. At N = 2 a sweep is 2 pairs of
+        # the 4 slots, and each pair that passes a cap is written back unchanged.
+        spec = ModelSpec.restricted(2, 0.05)
         pop = init_population(spec, "equal", 1.0, seed=2)
         rng = np.random.default_rng(3)
         rejected = phase = 0
         for _ in range(2000):
             before, counted = state(pop), pop.rejected_events
-            _, phase = advance(pop, rng, 1, phase)
-            if pop.rejected_events > counted:  # only the pair move rejects, one event a sweep
-                rejected += 1
-                assert pop.rejected_events == counted + 1
+            done, phase = advance(pop, rng, 1, phase)
+            assert done == 2
+            now = pop.rejected_events - counted
+            assert 0 <= now <= 2
+            if now == 2:
                 assert unchanged(pop, before)
+            assert pop.cash[2:].max() <= 0.05  # z <= d exactly, no clamping
+            pop.check_invariants()
+            rejected += now
         assert rejected > 0
         assert pop.rejected_events == rejected
 
 
 class TestMoveArity:
     @pytest.mark.parametrize("n", [2, 3, 4, 1000])
-    def test_every_move_is_a_pair_or_a_single(self, n):
-        specs = [spec for spec, _ in all_dynamic_specs(n)]
-        assert {spec.kind for spec in specs} == set(KERNELS)
-        for spec in specs:
-            assert {move.arity for move in KERNELS[spec.kind].moves(spec)} <= {1, 2}
+    def test_every_move_is_a_pair(self, n):
+        # Each move gets the two halves of a matching of the K slots and changes only those.
+        specs = all_dynamic_specs(n)
+        assert {spec.kind for spec, _ in specs} == set(KERNELS)
+        for spec, total in specs:
+            pop = init_population(spec, "uniform-random", total, seed=n)
+            for move in KERNELS[spec.kind].moves:
+                watched, seen = probe(move)
+                before = state(pop)
+                assert _sweep(pop, np.random.default_rng(n), watched) == spec.n_slots // 2
+                ((j, k),) = seen
+                assert j.size == k.size == spec.n_slots // 2
+                assert np.unique(np.concatenate([j, k])).size == 2 * j.size
+                for arr, old in zip(state(pop), before):
+                    assert set(np.flatnonzero(arr != old).tolist()) <= set(j.tolist()) | set(k.tolist())
 
     def test_credit_market_sweep_sets_the_pair_matching(self):
         pop = init_population(ModelSpec.credit_market(7, 70.0), "equal", 7.0)
@@ -419,20 +448,21 @@ class TestSamplesCsv:
                                                         header=False)
 
 
-def probe(arity):
-    """A move that changes nothing and keeps a copy of every group it is given."""
+def probe(inner=None):
+    """A move that keeps a copy of every group it is given, then applies
+    ``inner`` to them; without ``inner`` it changes nothing."""
     seen = []
 
     def apply(pop, rng, *groups):
         seen.append([np.array(g) for g in groups])
-        return 0
+        return inner.apply(pop, rng, *groups) if inner else 0
 
-    return Move("probe", arity, apply), seen
+    return Move("probe", apply), seen
 
 
 def pair_sweeps(n, sweeps, seed=3):
     pop = init_population(ModelSpec.cash_only(n, 1.0), "equal", float(n))
-    move, seen = probe(2)
+    move, seen = probe()
     rng = np.random.default_rng(seed)
     events = [_sweep(pop, rng, move) for _ in range(sweeps)]
     assert events == [n // 2] * sweeps

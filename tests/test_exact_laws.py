@@ -1,4 +1,4 @@
-"""Exact reference checks for the kernels whose fixed-total law is a uniform simplex.
+"""Exact reference checks for the slot kernel, whose fixed-total law is a uniform simplex.
 
 For cash_only, overdraft, multi_account, combined and multi_asset the
 stationary law of the chain is uniform on the simplex of K nonnegative
@@ -9,9 +9,13 @@ P(slot <= x) = 1 - (1 - x/S)^(K-1). A short chain is compared with exact
 draws by a two-sample KS test, which checks a kernel in well under a second
 instead of criterion 1's 100 replicas per row.
 
-The sampler lives here and not in ``dynamics``: no verb needs it. restricted
-(capped slots) and credit_market (the cash-constrained ledger) have no such
-simplex law and are not covered.
+restricted's law is that simplex restricted to account slots z <= d. Its
+exact reference is rejection: simplex draws whose N account slots all lie
+at or below d, kept whole. At N = 6 and T = 1 about 12 % are kept.
+
+The sampler lives here and not in ``dynamics``: no verb needs it.
+credit_market (the cash-constrained ledger) has no such law and is not
+covered.
 """
 
 import numpy as np
@@ -19,7 +23,7 @@ import pytest
 from scipy.stats import kstest, ks_2samp
 
 from moneygas.dynamics import run_chain
-from moneygas.ensembles import ModelSpec
+from moneygas.ensembles import ModelSpec, mean_money_restricted
 
 N, D, CLASSES = 100, 2.0, 3
 # multi_account: 1 to 3 accounts per agent, overdrafts 0, 1, 2 or 3 by account.
@@ -69,3 +73,20 @@ def test_exact_draws_follow_the_finite_k_marginal(kind):
     assert np.allclose(exact.sum(axis=1), simplex_total, rtol=1e-12)
     marginal = lambda x: 1.0 - (1.0 - np.clip(x, 0.0, simplex_total) / simplex_total) ** (slots - 1)
     assert kstest(exact.ravel(), marginal).pvalue > P_MIN
+
+
+def test_restricted_chain_matches_rejection_draws():
+    n, d = 6, 1.0
+    spec = ModelSpec.restricted(n, d)
+    total = mean_money_restricted(spec, 1.0)
+    records, thin, burn_in = 4000, 10 * n, 100 * n
+    chain = run_chain(spec, "equal", total, burn_in + records * thin, burn_in, thin, seed=11)
+    assert chain.coords["y"].max() <= 0.0
+    rng = np.random.default_rng(12)
+    kept = []
+    while sum(map(len, kept)) < records:
+        draws = exact_slots(rng, 10_000, 2 * n, total + n * d)
+        kept.append(draws[(draws[:, n:] <= d).all(axis=1)])
+    exact = np.concatenate(kept)[:records]
+    assert ks_2samp(chain.coords["x"].ravel(), exact[:, :n].ravel()).pvalue > P_MIN
+    assert ks_2samp(chain.coords["y"].ravel() + d, exact[:, n:].ravel()).pvalue > P_MIN
