@@ -1,12 +1,12 @@
 """Conservative pairwise-exchange Monte Carlo kernels.
 
 Every model is simulated on the constraint set picked out by its conserved
-money-function total. There are two kernels: one slot kernel, with an
-optional cap, for every kind but the credit market, and the credit ledger.
+money-function total, by one kernel: the uniform pair split over slots,
+with an optional bound.
 
-The slot kernel holds one flat array of K = ``ModelSpec.n_slots`` shifted
-slots z = balance + d >= 0 in ``Population.cash``, where d is the slot's
-overdraft (0 for cash and asset holdings):
+Each kind holds one flat array of nonnegative slots in ``Population.cash``.
+The slot kinds hold K = ``ModelSpec.n_slots`` shifted slots z = balance + d
+>= 0, where d is the slot's overdraft (0 for cash and asset holdings):
 - cash_only and overdraft: one slot per agent;
 - multi_account: one slot per account, so the ``agent`` column of its
   ``samples.csv`` holds the account index;
@@ -19,33 +19,41 @@ the stationary per-slot marginal is the exponential law with the model's
 closed-form temperature. Shifting that law by the floor is the debt-limit
 result of Dragulescu and Yakovenko (Eur. Phys. J. B 17, 723, 2000).
 
-restricted's account slots are capped at z <= d (no positive balances).
-The cap is data (``Population.caps``), not a move: the same split is
-proposed, and a pair where a slot would pass its cap is rejected and keeps
-its values. With a symmetric proposal and a uniform target this is
-Metropolis, so the capped simplex's uniform law is stationary.
-
-The credit market's two moves, the loan sale and the debt assumption,
-reshuffle one pair's assets or liabilities with a compensating cash leg.
-Each keeps every per-agent net position M_i = x_i + assets_i -
-liabilities_i fixed, as well as total credit and the monetary base, so a
-chain stays on one fibre: the set of states with its initial M_i. A trade
-that would leave a negative cash balance is rejected.
+A kind may bound its slots with a predicate that the move and the audit
+share (``Kernel.bound``): the same split is proposed, and a pair where a
+slot would break the bound is rejected and keeps its values. With a
+symmetric proposal and a uniform target this is Metropolis, so the uniform
+law of the bounded set is stationary, and the bound holds exactly.
+- restricted caps its account slots at z <= d (no positive balances); the
+  caps are data, ``Population.caps``.
+- The credit market's ledger holds 2N slots, the agents' assets a and then
+  their liabilities l, with the fixed net positions M (``Population.net``).
+  Cash is derived, x = M + l - a, and never stored; its bound x >= 0 is
+  tested as the one float expression a <= M + l. The loan sale is the split
+  on the asset row, a_j + a_k; the debt assumption is the split on the
+  liability row, l_j + l_k. Both keep every M_i, total credit and the
+  monetary base fixed, so a chain stays on one fibre: the set of states
+  with its initial M_i. The cash bound is a debt limit in the sense above,
+  with the monetary base as the reserve of Xi, Ding and Wang (Physica A
+  357, 543, 2005). ``"equal"`` samples the fibre M_i = V/N, where the assets
+  are exponential only for V >> D (V the base, D the credit total);
+  ``"uniform-random"`` samples the whole shell, where they are at every V.
 
 ``KERNELS`` holds one entry per simulable model kind: its initial
-configurations, its moves, its recorded coordinates, its conserved value
-and bounds, and the marginals fitted to its samples. Every move acts on
-the pairs of a matching; ``run_chain`` advances whole sweeps of disjoint
-pair events, which is fast enough for 1e7-event runs.
+configurations, its moves, its recorded coordinates, its bound and the
+marginals fitted to its samples. Every move acts on the pairs of a
+matching; ``run_chain`` advances whole sweeps of disjoint pair events,
+which is fast enough for 1e7-event runs.
 
 A sweep uses "shifted halves" matching over the K slots (the N agents, for
-the credit market). Once per epoch of K // 2 sweeps, one random permutation
-splits them into halves A and B of K // 2 each (for odd K the leftover one
-sits out that epoch), and one call draws a shift r per sweep of the epoch;
-the sweep pairs A[i] with B[(i + r) mod K // 2]. Every move resamples its
-pair given the pair's total and is symmetric in its two roles, so any
-pairing chosen independently of the state keeps the uniform law invariant,
-and the shifts of one split already connect all slots.
+the credit market, whose moves act on one row of N slots). Once per epoch
+of K // 2 sweeps, one random permutation splits them into halves A and B of
+K // 2 each (for odd K the leftover one sits out that epoch), and one call
+draws a shift r per sweep of the epoch; the sweep pairs A[i] with
+B[(i + r) mod K // 2]. The split resamples its pair given the pair's total
+and is symmetric in its two roles, so any pairing chosen independently of
+the state keeps the uniform law invariant, and the shifts of one split
+already connect all slots.
 """
 
 from __future__ import annotations
@@ -57,10 +65,11 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import ModelKind, ModelSpec, MoneygasError
+from .ensembles import ModelKind, ModelSpec, MoneygasError, temperature_closed_form
 
 AUDIT_INTERVAL = 100_000
 CONSERVATION_RTOL = 1e-9
+_CAPPED_PROPOSALS = 1000  # restricted's "uniform-random" start gives up after this many
 
 
 class DynamicsError(MoneygasError):
@@ -100,16 +109,14 @@ class PairEpoch:
 
 @dataclass
 class Population:
-    """Mutable coordinates of one model realization: the K shifted slots in
-    ``cash``, or the credit market's cash, assets and liabilities per agent."""
+    """Mutable coordinates of one model realization: its slots in ``cash``
+    (the credit market's assets, then its liabilities) and their bounds."""
 
     spec: ModelSpec
     conserved_total: float
     cash: np.ndarray | None = None
     caps: np.ndarray | None = None  # each slot's upper bound (restricted); None: no cap
-    assets: np.ndarray | None = None
-    liabilities: np.ndarray | None = None
-    initial_net_positions: np.ndarray | None = None
+    net: np.ndarray | None = None  # the credit market's fixed net positions M
     rejected_events: int = 0
     pair_epoch: PairEpoch | None = None  # the matching of the current pair sweeps
 
@@ -117,35 +124,32 @@ class Population:
     def n_agents(self) -> int:
         return self.spec.n_agents
 
-    def net_positions(self) -> np.ndarray:
-        if self.assets is None:
-            raise DynamicsError("net positions are defined for the credit-market model")
-        return self.cash + self.assets - self.liabilities
-
     def conserved_value(self) -> float:
-        """Compensated re-summation of the model's conserved money function."""
-        return KERNELS[self.spec.kind].conserved(self)
+        """Compensated re-summation of the model's conserved money function: Σz - Σd
+        over the first K slots (the credit market's assets)."""
+        return math.fsum(self.cash[:self.spec.n_slots]) - self.spec.total_overdraft
 
     def coordinate_scale(self) -> float:
         """Magnitude reference for relative drift when the total is near zero."""
-        parts = [np.abs(a).sum() for a in (self.cash, self.assets) if a is not None]
-        return max(abs(self.conserved_total), float(sum(parts)), 1.0)
+        return max(abs(self.conserved_total), float(self.cash.sum()), 1.0)
 
     def check_invariants(self) -> float:
-        """Raise ConservationError on a violated bound or conserved total;
-        returns the absolute drift of the conserved total."""
-        if self.cash is not None and self.cash.min() < 0:
-            raise ConservationError(f"negative cash or slot: {self.cash.min()}")
-        if self.caps is not None and (self.cash > self.caps).any():
-            raise ConservationError(f"slot above its cap: {np.max(self.cash - self.caps)} past it")
-        KERNELS[self.spec.kind].bounds(self)
-        drift = abs(self.conserved_value() - self.conserved_total)
-        if drift > CONSERVATION_RTOL * self.coordinate_scale():
-            raise ConservationError(
-                f"conserved total drifted by {drift} (tolerance "
-                f"{CONSERVATION_RTOL * self.coordinate_scale()})"
-            )
-        return drift
+        """Raise ConservationError on a negative slot, a slot past its bound or a
+        drifted total; returns the absolute drift of the conserved total."""
+        k, bound = self.spec.n_slots, KERNELS[self.spec.kind].bound
+        if self.cash.min() < 0:
+            raise ConservationError(f"negative slot: {self.cash.min()}")
+        if bound is not None:
+            past = np.count_nonzero(~bound(self, 0, np.arange(k), self.cash[:k]))
+            if past:
+                raise ConservationError(f"{past} slots past their bound")
+        # Each row of K slots carries the total: the ledger's liabilities as well as its assets.
+        drifts = [abs(math.fsum(row) - self.spec.total_overdraft - self.conserved_total)
+                  for row in self.cash.reshape(-1, k)]
+        tolerance = CONSERVATION_RTOL * self.coordinate_scale()
+        if max(drifts) > tolerance:
+            raise ConservationError(f"conserved total drifted by {max(drifts)} (tolerance {tolerance})")
+        return drifts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +178,12 @@ def _init_capped(pop: Population, policy: str, rng: np.random.Generator) -> None
     """restricted's N cash slots, then N account slots z = y + d capped at d.
 
     "equal" puts every balance at total/N: cash when it is positive (accounts
-    at zero), else the account. "uniform-random" draws each z uniformly in
-    [0, d] and splits the rest of the total uniformly over the cash slots.
+    at zero), else the account. "uniform-random" is an exact draw from the
+    capped simplex. With S = total + N·d and s = Σz, the account slots' law
+    is ∝ (S - s)^(N-1) on [0, d]^N. Proposals z_i iid ∝ e^(-z/T) on [0, d],
+    T the model's temperature, are accepted with exp(h(s) - max h), where
+    h(s) = (N - 1)·ln(S - s) + s/T; the cash is then uniform on the simplex
+    of S - s. The acceptance does not decay with N.
     """
     n, d, total = pop.n_agents, pop.spec.overdraft, pop.conserved_total
     if total <= -n * d:
@@ -184,29 +192,44 @@ def _init_capped(pop: Population, policy: str, rng: np.random.Generator) -> None
         per_agent = total / n
         cash, accounts = np.full(n, max(per_agent, 0.0)), np.full(n, d + min(per_agent, 0.0))
     else:
-        accounts = d * rng.random(n)
-        cash_total = total + n * d - math.fsum(accounts)
-        if cash_total < 0:
-            raise DynamicsError(f"infeasible total {total} for the drawn account balances")
-        cash = _simplex_sample(rng, n, cash_total)
+        shifted, t = total + n * d, temperature_closed_form(pop.spec, total)
+
+        def h(s: float) -> float:
+            return (n - 1) * math.log(shifted - s) + s / t if n > 1 else s / t
+
+        top = h(min(max(shifted - (n - 1) * t, 0.0), n * d))  # h is concave
+        for _ in range(_CAPPED_PROPOSALS):
+            accounts = -t * np.log1p(rng.random(n) * math.expm1(-d / t))
+            s = math.fsum(accounts)
+            if s < shifted and rng.random() < math.exp(h(s) - top):
+                break
+        else:
+            raise DynamicsError(f"no capped start for total {total} in {_CAPPED_PROPOSALS} proposals")
+        cash = _simplex_sample(rng, n, shifted - s)
     pop.cash = np.concatenate([cash, accounts])
     pop.caps = np.concatenate([np.full(n, np.inf), np.full(n, d)])
 
 
 def _init_credit(pop: Population, policy: str, rng: np.random.Generator) -> None:
-    """Total credit is the conserved total; the monetary base is split as cash."""
+    """The ledger's N asset slots, then N liability slots, each row summing to the
+    total credit, and the net positions M = x + a - l of cash x summing to the base.
+
+    "equal" gives every agent x = V/N and a = l = D/N, so the chain samples the
+    fibre M_i = V/N, whose assets are exponential only for V >> D. "uniform-random"
+    draws x, a and l uniform on their simplices: the whole shell, each fibre
+    weighted as it should be, where the assets are exponential at every V.
+    """
     n, total, base = pop.n_agents, pop.conserved_total, pop.spec.volume_x
     if total < 0:
         raise DynamicsError(f"infeasible credit total {total}")
     if policy == "equal":
-        pop.cash = np.full(n, base / n)
-        pop.assets = np.full(n, total / n)
-        pop.liabilities = np.full(n, total / n)
+        pop.cash = np.full(2 * n, total / n)
+        pop.net = np.full(n, base / n)
     else:
-        pop.cash = _simplex_sample(rng, n, base)
-        pop.assets = _simplex_sample(rng, n, total)
-        pop.liabilities = _simplex_sample(rng, n, total)
-    pop.initial_net_positions = pop.net_positions()
+        cash = _simplex_sample(rng, n, base)
+        assets, liabilities = _simplex_sample(rng, n, total), _simplex_sample(rng, n, total)
+        pop.cash = np.concatenate([assets, liabilities])
+        pop.net = cash + assets - liabilities
 
 
 def init_population(
@@ -218,7 +241,7 @@ def init_population(
     ``policy`` is "equal" (every agent at the same point) or
     "uniform-random" (a random point of the constraint set). For the
     credit market ``total`` is the total credit; the monetary base comes
-    from the model spec and is split equally as cash.
+    from the model spec.
     """
     if policy not in ("equal", "uniform-random"):
         raise DynamicsError(f"unknown init policy {policy!r}")
@@ -243,67 +266,41 @@ class Move:
     apply: Callable[..., int]
 
 
-def _slot_pair(pop: Population, rng: np.random.Generator, j, k) -> int:
-    """Uniform split of each pair's sum; a pair whose split would pass a cap keeps its values."""
-    s = pop.cash[j] + pop.cash[k]
+def _slot_pair(pop: Population, rng: np.random.Generator, j, k, row: int = 0) -> int:
+    """Uniform split of each pair's sum in slot row ``row`` (the ledger's liabilities
+    are row 1); a pair whose split would break the kind's bound keeps its values."""
+    z = pop.cash[row * pop.n_agents:]
+    s = z[j] + z[k]
     first = rng.random(s.size) * s
+    rest = s - first
     rejected = 0
-    if pop.caps is not None:
-        accept = (first <= pop.caps[j]) & (s - first <= pop.caps[k])
+    bound = KERNELS[pop.spec.kind].bound
+    if bound is not None:
+        accept = bound(pop, row, j, first) & bound(pop, row, k, rest)
         rejected = s.size - int(np.count_nonzero(accept))
-        j, k, s, first = j[accept], k[accept], s[accept], first[accept]
-    pop.cash[j] = first
-    pop.cash[k] = s - first
+        if rejected:
+            j, k, first, rest = j[accept], k[accept], first[accept], rest[accept]
+    z[j] = first
+    z[k] = rest
     return rejected
 
 
-def _credit_transfer(
-    pop: Population, rng: np.random.Generator, j, k, holdings: str, cash_sign: float
-) -> int:
-    """Reshuffle holdings[j] + holdings[k] with a compensating cash leg.
+def _capped(pop: Population, row: int, slots, values) -> np.ndarray:
+    """restricted's bound: each slot at or below its cap."""
+    return values <= pop.caps[slots]
 
-    cash_sign=-1 for asset claims (buyer pays cash), +1 for liabilities
-    (the agent taking on more debt receives cash).
-    """
-    held = getattr(pop, holdings)
-    held_j, held_k, cash_j, cash_k = held[j], held[k], pop.cash[j], pop.cash[k]
-    delta = rng.random(j.size) * (held_j + held_k) - held_j
-    reject = (cash_j + cash_sign * delta < 0) | (cash_k - cash_sign * delta < 0)
-    delta[reject] = 0.0  # a rejected event writes its coordinates back unchanged
-    held[j] = held_j + delta
-    held[k] = held_k - delta
-    pop.cash[j] = cash_j + cash_sign * delta
-    pop.cash[k] = cash_k - cash_sign * delta
-    return int(np.count_nonzero(reject))
+
+def _cash_bound(pop: Population, row: int, agents, values) -> np.ndarray:
+    """The ledger's bound, cash x = M + l - a >= 0, as a <= M + l, with ``values``
+    in place of the agents' assets (row 0) or liabilities (row 1)."""
+    n = pop.n_agents
+    assets, liabilities = (values, pop.cash[n:][agents]) if row == 0 else (pop.cash[agents], values)
+    return assets <= pop.net[agents] + liabilities
 
 
 _SLOT_PAIR = Move("pair_reshuffle", _slot_pair)
-_LOAN_SALE = Move("loan_sale", partial(_credit_transfer, holdings="assets", cash_sign=-1.0))
-_DEBT_ASSUMPTION = Move(
-    "debt_assumption", partial(_credit_transfer, holdings="liabilities", cash_sign=1.0)
-)
-
-
-# ---------------------------------------------------------------------------
-# The credit ledger's bounds beyond nonnegative cash and the conserved total
-# ---------------------------------------------------------------------------
-
-
-def _credit_ledger(pop: Population) -> None:
-    for name, arr in (("assets", pop.assets), ("liabilities", pop.liabilities)):
-        if arr.min() < 0:
-            raise ConservationError(f"negative {name}: {arr.min()}")
-    base = pop.spec.volume_x
-    cash_total = math.fsum(pop.cash)
-    if abs(cash_total - base) > CONSERVATION_RTOL * max(base, 1.0):
-        raise ConservationError(f"monetary base drifted: {cash_total} != {base}")
-    net = math.fsum(pop.assets) - math.fsum(pop.liabilities)
-    if abs(net) > CONSERVATION_RTOL * max(math.fsum(pop.assets), 1.0):
-        raise ConservationError(f"aggregate credit/debt mismatch: {net}")
-    shift = np.abs(pop.net_positions() - pop.initial_net_positions)
-    scale = max(1.0, float(np.abs(pop.initial_net_positions).max()))
-    if shift.max() > CONSERVATION_RTOL * scale:
-        raise ConservationError(f"per-agent net position drifted by {shift.max()}")
+_LOAN_SALE = Move("loan_sale", _slot_pair)  # the split on the asset row
+_DEBT_ASSUMPTION = Move("debt_assumption", partial(_slot_pair, row=1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,33 +329,20 @@ def _sum_of_means(spec: ModelSpec, coords: dict[str, np.ndarray]) -> float:
 class Kernel:
     """Everything the chains and the runner need to know about one model kind."""
 
-    init: Callable[[Population, str, np.random.Generator], None]
-    moves: tuple[Move, ...]  # rotated one per sweep
     coordinates: Callable[[Population], dict[str, np.ndarray]]  # recorded copies
-    conserved: Callable[[Population], float]
-    bounds: Callable[[Population], None]
     marginals: Callable[[ModelSpec], list[tuple[str, list[str], float]]]  # (label, names, floor)
     # The recorded money per agent, averaged over the records.
-    money_per_agent: Callable[[ModelSpec, dict[str, np.ndarray]], float]
-
-
-def _slot_kernel(coordinates, marginals, money_per_agent=_sum_of_means, init=_init_slots) -> Kernel:
-    """The shifted-slot kernel: the uniform pair split over ``Population.cash``."""
-    return Kernel(
-        init=init,
-        moves=(_SLOT_PAIR,),
-        coordinates=coordinates,
-        conserved=lambda pop: math.fsum(pop.cash) - pop.spec.total_overdraft,
-        bounds=lambda pop: None,  # 0 <= z <= cap, which check_invariants tests
-        marginals=marginals,
-        money_per_agent=money_per_agent,
-    )
+    money_per_agent: Callable[[ModelSpec, dict[str, np.ndarray]], float] = _sum_of_means
+    init: Callable[[Population, str, np.random.Generator], None] = _init_slots
+    moves: tuple[Move, ...] = (_SLOT_PAIR,)  # rotated one per sweep
+    # (pop, row, indices, values) -> whether those slots of the row may hold those
+    # values; the moves and check_invariants share it. None: z >= 0 only.
+    bound: Callable[[Population, int, np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def _slots_as(name: str) -> Kernel:
     """The slot kernel recording the slots themselves as coordinate ``name``."""
-    return _slot_kernel(lambda pop: {name: pop.cash.copy()},
-                        lambda spec: [(name, [name], 0.0)], _slot_money)
+    return Kernel(lambda pop: {name: pop.cash.copy()}, lambda spec: [(name, [name], 0.0)], _slot_money)
 
 
 def _cash_and_accounts(pop: Population) -> dict[str, np.ndarray]:
@@ -376,20 +360,14 @@ KERNELS: dict[ModelKind, Kernel] = {
     ModelKind.CASH_ONLY: _slots_as("x"),
     ModelKind.OVERDRAFT: _slots_as("z"),
     ModelKind.MULTI_ACCOUNT: _slots_as("z"),
-    ModelKind.COMBINED: _slot_kernel(
+    ModelKind.COMBINED: Kernel(
         _cash_and_accounts, lambda spec: [("x", ["x"], 0.0), ("y", ["y"], -spec.overdraft)]),
-    ModelKind.RESTRICTED: _slot_kernel(
-        _cash_and_accounts, lambda spec: [("x", ["x"], 0.0)], init=_init_capped),
+    ModelKind.RESTRICTED: Kernel(
+        _cash_and_accounts, lambda spec: [("x", ["x"], 0.0)], init=_init_capped, bound=_capped),
     ModelKind.CREDIT_MARKET: Kernel(
-        init=_init_credit,
-        moves=(_LOAN_SALE, _DEBT_ASSUMPTION),
-        coordinates=lambda pop: {"assets": pop.assets.copy()},
-        conserved=lambda pop: math.fsum(pop.assets),
-        bounds=_credit_ledger,
-        marginals=lambda spec: [("assets", ["assets"], 0.0)],
-        money_per_agent=_sum_of_means,
-    ),
-    ModelKind.MULTI_ASSET: _slot_kernel(
+        lambda pop: {"assets": pop.cash[:pop.n_agents].copy()}, lambda spec: [("assets", ["assets"], 0.0)],
+        init=_init_credit, moves=(_LOAN_SALE, _DEBT_ASSUMPTION), bound=_cash_bound),
+    ModelKind.MULTI_ASSET: Kernel(
         _asset_classes, lambda spec: [("y_pooled", [f"y_{c}" for c in range(spec.asset_classes)], 0.0)]),
 }
 

@@ -145,6 +145,7 @@ def test_criterion_4_credit_market_accounting():
     n, base, credit = 1000, 100_000.0, 5_000.0
     spec = ModelSpec.credit_market(n, base)
     pop = init_population(spec, "equal", credit, seed=derive_seed(BASE_SEED, 400))
+    net = pop.net.copy()
     rng = np.random.default_rng(derive_seed(BASE_SEED, 401))
     events = 0
     phase = 0
@@ -153,11 +154,15 @@ def test_criterion_4_credit_market_accounting():
         step_events, phase = advance(pop, rng, 100_000, phase)
         events += step_events
         pop.check_invariants()  # raises on any violated conservation law
-        net_drift = np.abs(pop.net_positions() - pop.initial_net_positions).max()
+        # The ledger: N asset slots, then N liability slots; cash is derived, x = (M + l) - a.
+        assets, liabilities = pop.cash[:n], pop.cash[n:]
+        cash = (pop.net + liabilities) - assets
+        assert np.array_equal(pop.net, net)
+        net_drift = np.abs(cash + assets - liabilities - net).max()
         worst_net_drift = max(worst_net_drift, net_drift)
-        assert net_drift <= 1e-9 * np.abs(pop.initial_net_positions).max()
-        assert abs(math.fsum(pop.cash) - base) <= 1e-9 * base
-        assert abs(math.fsum(pop.assets) - math.fsum(pop.liabilities)) <= 1e-9 * credit
+        assert net_drift <= 1e-9 * np.abs(net).max()
+        assert abs(math.fsum(cash) - base) <= 1e-9 * base
+        assert abs(math.fsum(assets) - math.fsum(liabilities)) <= 1e-9 * credit
     announce(
         "criterion 4 (credit-market accounting)",
         f"{events} events, worst per-agent net-position drift {worst_net_drift:.2e}",

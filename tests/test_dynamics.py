@@ -15,6 +15,7 @@ from moneygas.dynamics import (
     _LOAN_SALE,
     _SLOT_PAIR,
     KERNELS,
+    ConservationError,
     DynamicsError,
     Move,
     _sweep,
@@ -59,9 +60,11 @@ class TestInit:
         assert list(pop.caps) == [math.inf, math.inf, 1.0, 1.0]
         pop = init_population(ModelSpec.multi_asset(2, 3), "equal", 6.0)
         assert list(pop.cash) == [1.0] * 6
+        # credit_market: N asset slots, then N liability slots; cash x = (M + l) - a is derived.
         pop = init_population(ModelSpec.credit_market(3, 9.0), "equal", 0.0)
-        assert list(pop.cash) == [3.0, 3.0, 3.0]
-        assert not pop.assets.any() and not pop.liabilities.any()
+        assets, liabilities, cash = ledger(pop)
+        assert list(cash) == [3.0, 3.0, 3.0]
+        assert not assets.any() and not liabilities.any()
 
     @pytest.mark.parametrize("policy", ["equal", "uniform-random"])
     def test_all_kinds_start_valid(self, policy):
@@ -84,6 +87,15 @@ class TestInit:
         with pytest.raises(DynamicsError):  # restricted's floor -N·d is itself out of reach
             init_population(ModelSpec.restricted(2, 1.0), "uniform-random", -2.0)
 
+    def test_restricted_uniform_random_starts_at_every_seed(self):
+        # Any total above the floor -N·d = -10 is feasible; a uniform draw of each
+        # account slot in [0, d] left negative cash for 53 of these seeds.
+        spec = ModelSpec.restricted(10, 1.0)
+        for seed in range(100):
+            pop = init_population(spec, "uniform-random", -5.0, seed=seed)
+            pop.check_invariants()
+            assert pop.cash[10:].max() <= 1.0
+
     def test_unknown_policy(self):
         with pytest.raises(DynamicsError):
             init_population(ModelSpec.cash_only(4, 1.0), "random", 8.0)
@@ -99,9 +111,16 @@ def web_seed(spec) -> int:
     return hash(spec.kind.value) % 100_000
 
 
+def ledger(pop):
+    """Copies of the credit market's assets and liabilities, and its derived cash (M + l) - a."""
+    n = pop.n_agents
+    assets, liabilities = pop.cash[:n].copy(), pop.cash[n:].copy()
+    return assets, liabilities, (pop.net + liabilities) - assets
+
+
 def state(pop):
-    return [arr.copy() for arr in (pop.cash, pop.assets, pop.liabilities)
-            if arr is not None]
+    """Copies of the slots, or of the credit market's assets, liabilities and cash."""
+    return [pop.cash.copy()] if pop.net is None else list(ledger(pop))
 
 
 def unchanged(pop, before):
@@ -146,31 +165,33 @@ class TestPrimitives:
         # A loan sale moves assets against cash, a debt assumption liabilities with cash:
         # each agent's cash change offsets its credit change exactly.
         pop = init_population(ModelSpec.credit_market(4, 40.0), "equal", 8.0)
-        before = pop.net_positions().copy()
-        credit = pop.assets.sum()
+        net = pop.net.copy()
         rng = np.random.default_rng(1)
         traded = 0
         for sweep in range(50):
-            cash, assets, liabilities = pop.cash.copy(), pop.assets.copy(), pop.liabilities.copy()
+            assets, liabilities, cash = ledger(pop)
             assert _sweep(pop, rng, (_LOAN_SALE, _DEBT_ASSUMPTION)[sweep % 2]) == 2
+            now_assets, now_liabilities, now_cash = ledger(pop)
             if sweep % 2 == 0:
-                assert np.allclose(pop.cash - cash, assets - pop.assets, rtol=0, atol=1e-12)
-                assert np.array_equal(pop.liabilities, liabilities)
+                assert np.allclose(now_cash - cash, assets - now_assets, rtol=0, atol=1e-12)
+                assert np.array_equal(now_liabilities, liabilities)
             else:
-                assert np.allclose(pop.cash - cash, pop.liabilities - liabilities, rtol=0, atol=1e-12)
-                assert np.array_equal(pop.assets, assets)
-            traded += int(np.count_nonzero(pop.cash != cash)) // 2
-            assert np.allclose(pop.net_positions(), before, rtol=0, atol=1e-12)
-            assert pop.assets.sum() == pytest.approx(credit, rel=1e-12)
-            assert pop.liabilities.sum() == pytest.approx(credit, rel=1e-12)
+                assert np.allclose(now_cash - cash, now_liabilities - liabilities, rtol=0, atol=1e-12)
+                assert np.array_equal(now_assets, assets)
+            traded += int(np.count_nonzero(now_cash != cash)) // 2
+            assert np.array_equal(pop.net, net)
+            assert np.allclose(now_cash + now_assets - now_liabilities, net, rtol=0, atol=1e-12)
+            assert math.fsum(now_cash) == pytest.approx(40.0, rel=1e-9)
+            assert now_assets.sum() == pytest.approx(8.0, rel=1e-12)
+            assert now_liabilities.sum() == pytest.approx(8.0, rel=1e-12)
             pop.check_invariants()
         assert traded > 0
 
     def test_lend_requires_cash(self):
         # Without cash nobody can buy assets or hand on debt, so both moves are rejected.
         pop = init_population(ModelSpec.credit_market(2, 4.0), "equal", 4.0)
-        pop.cash[:] = 0.0
-        pop.initial_net_positions = pop.net_positions().copy()
+        pop.net[:] = 0.0  # a = l = 2, so x = 0
+        pop.check_invariants()
         before = state(pop)
         rng = np.random.default_rng(2)
         for rejected, move in enumerate((_LOAN_SALE, _DEBT_ASSUMPTION), start=1):
@@ -181,10 +202,8 @@ class TestPrimitives:
     def test_repay_requires_feasibility(self):
         # Agent 0 owes all the debt and has no cash to pay anyone to take it over.
         pop = init_population(ModelSpec.credit_market(2, 4.0), "equal", 2.0)
-        pop.cash[:] = [0.0, 4.0]
-        pop.assets[:] = [0.0, 2.0]
-        pop.liabilities[:] = [2.0, 0.0]
-        pop.initial_net_positions = pop.net_positions().copy()
+        pop.cash[:] = [0.0, 2.0, 2.0, 0.0]  # assets, then liabilities
+        pop.net[:] = [-2.0, 6.0]  # cash 0 and 4
         pop.check_invariants()
         before = state(pop)
         rng = np.random.default_rng(3)
@@ -192,6 +211,41 @@ class TestPrimitives:
             assert _sweep(pop, rng, _DEBT_ASSUMPTION) == 1
             assert unchanged(pop, before)
         assert pop.rejected_events == 20
+
+    def test_agent_at_exactly_zero_cash(self):
+        # Agent 0's cash is zero in floats: a_0 = fl(M_0 + l_0). The moves and the audit
+        # test the one expression a <= M + l; l >= a - M would call this state invalid.
+        net, liabilities = 0.1, 0.2
+        assets = net + liabilities
+        assert assets - net > liabilities
+        pop = init_population(ModelSpec.credit_market(2, 4.0), "equal", 1.0)
+        pop.cash[:] = [assets, 1.0, liabilities, assets + 1.0 - liabilities]
+        pop.net[:] = [net, 3.0]
+        pop.conserved_total = math.fsum(pop.cash[:2])
+        assert ledger(pop)[2][0] == 0.0
+        pop.check_invariants()
+        rng = np.random.default_rng(4)
+        accepted = {}
+        for sweep in range(200):
+            move = (_LOAN_SALE, _DEBT_ASSUMPTION)[sweep % 2]
+            rejected = pop.rejected_events
+            _sweep(pop, rng, move)
+            accepted[move.name] = accepted.get(move.name, 0) + 1 - (pop.rejected_events - rejected)
+            pop.check_invariants()
+            assert ledger(pop)[2].min() >= 0.0
+        assert min(accepted.values()) > 0 and pop.rejected_events > 0
+
+    def test_ledger_audit_raises_on_what_can_still_break(self):
+        # The checks left to the ledger: slots >= 0, the cash bound a <= M + l, and
+        # Σa = Σl = D. Each case breaks one of them; D = 2.
+        cases = [([-0.5, 2.5, 1.0, 1.0], [2.0, 2.0], "negative slot"),
+                 ([2.0, 0.0, 1.0, 1.0], [0.5, 2.0], "past their bound"),  # x_0 = 0.5 + 1 - 2
+                 ([1.0, 1.0, 1.0, 1.5], [2.0, 2.0], "drifted")]  # Σl = 2.5
+        for slots, net, message in cases:
+            pop = init_population(ModelSpec.credit_market(2, 4.0), "equal", 2.0)
+            pop.cash[:], pop.net[:] = slots, net
+            with pytest.raises(ConservationError, match=message):
+                pop.check_invariants()
 
 
 class TestSingleEventStep:
@@ -379,14 +433,17 @@ class TestRunChain:
     def test_credit_market_accounting(self):
         spec = ModelSpec.credit_market(100, 100_000.0)
         pop = init_population(spec, "equal", 500.0, seed=12)
+        net = pop.net.copy()
         rng = np.random.default_rng(12)
         events, _ = advance(pop, rng, 1_000_000)
         assert events >= 1_000_000
         pop.check_invariants()
-        assert math.fsum(pop.cash) == pytest.approx(100_000.0, rel=1e-12)
-        assert math.fsum(pop.assets) - math.fsum(pop.liabilities) == pytest.approx(0.0, abs=1e-9)
-        drift = np.abs(pop.net_positions() - pop.initial_net_positions)
-        assert drift.max() <= 1e-9 * np.abs(pop.initial_net_positions).max()
+        assets, liabilities, cash = ledger(pop)
+        assert math.fsum(cash) == pytest.approx(100_000.0, rel=1e-12)
+        assert math.fsum(assets) - math.fsum(liabilities) == pytest.approx(0.0, abs=1e-9)
+        assert np.array_equal(pop.net, net)
+        drift = np.abs(cash + assets - liabilities - net)
+        assert drift.max() <= 1e-9 * np.abs(net).max()
 
 
 def reference_csv(record_steps, coords, header=True) -> bytes:

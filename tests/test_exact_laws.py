@@ -11,7 +11,8 @@ instead of criterion 1's 100 replicas per row.
 
 restricted's law is that simplex restricted to account slots z <= d. Its
 exact reference is rejection: simplex draws whose N account slots all lie
-at or below d, kept whole. At N = 6 and T = 1 about 12 % are kept.
+at or below d, kept whole. At N = 6 and T = 1 about 12 % are kept. The
+same reference checks restricted's exact ``"uniform-random"`` start.
 
 credit_market from ``"equal"`` stays on the fibre where every agent's net
 position is M_i = V/N (V the monetary base), so its law is uniform on
@@ -27,7 +28,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp
 
-from moneygas.dynamics import run_chain
+from moneygas.dynamics import init_population, run_chain
 from moneygas.ensembles import ModelSpec, mean_money_restricted
 
 N, D, CLASSES = 100, 2.0, 3
@@ -80,6 +81,15 @@ def test_exact_draws_follow_the_finite_k_marginal(kind):
     assert kstest(exact.ravel(), marginal).pvalue > P_MIN
 
 
+def restricted_rejection_draws(rng: np.random.Generator, draws: int, n: int, d: float, total: float) -> np.ndarray:
+    """``draws`` exact points of restricted's capped simplex: N cash slots, then N account slots <= d."""
+    kept = []
+    while sum(map(len, kept)) < draws:
+        slots = exact_slots(rng, 10_000, 2 * n, total + n * d)
+        kept.append(slots[(slots[:, n:] <= d).all(axis=1)])
+    return np.concatenate(kept)[:draws]
+
+
 def test_restricted_chain_matches_rejection_draws():
     n, d = 6, 1.0
     spec = ModelSpec.restricted(n, d)
@@ -87,14 +97,23 @@ def test_restricted_chain_matches_rejection_draws():
     records, thin, burn_in = 4000, 10 * n, 100 * n
     chain = run_chain(spec, "equal", total, burn_in + records * thin, burn_in, thin, seed=11)
     assert chain.coords["y"].max() <= 0.0
-    rng = np.random.default_rng(12)
-    kept = []
-    while sum(map(len, kept)) < records:
-        draws = exact_slots(rng, 10_000, 2 * n, total + n * d)
-        kept.append(draws[(draws[:, n:] <= d).all(axis=1)])
-    exact = np.concatenate(kept)[:records]
+    exact = restricted_rejection_draws(np.random.default_rng(12), records, n, d, total)
     assert ks_2samp(chain.coords["x"].ravel(), exact[:, :n].ravel()).pvalue > P_MIN
     assert ks_2samp(chain.coords["y"].ravel() + d, exact[:, n:].ravel()).pvalue > P_MIN
+
+
+@pytest.mark.parametrize("total", [-3.0, "T = 1"])
+def test_restricted_uniform_random_start_is_an_exact_draw(total):
+    # "uniform-random" draws the capped simplex exactly, so independent starts
+    # follow the rejection reference with no chain at all.
+    n, d, draws = 6, 1.0, 4000
+    spec = ModelSpec.restricted(n, d)
+    total = mean_money_restricted(spec, 1.0) if total == "T = 1" else total
+    rng = np.random.default_rng(11)
+    starts = np.stack([init_population(spec, "uniform-random", total, rng=rng).cash for _ in range(draws)])
+    exact = restricted_rejection_draws(np.random.default_rng(12), draws, n, d, total)
+    assert ks_2samp(starts[:, :n].ravel(), exact[:, :n].ravel()).pvalue > P_MIN
+    assert ks_2samp(starts[:, n:].ravel(), exact[:, n:].ravel()).pvalue > P_MIN
 
 
 @pytest.mark.parametrize("ratio", [1.0, 4.0])
