@@ -40,10 +40,10 @@ law of the bounded set is stationary, and the bound holds exactly.
   ``"uniform-random"`` samples the whole shell, where they are at every V.
 
 ``KERNELS`` holds one entry per simulable model kind: its initial
-configurations, its moves, its recorded coordinates, its bound and the
-marginals fitted to its samples. Every move acts on the pairs of a
-matching; ``run_chain`` advances whole sweeps of disjoint pair events,
-which is fast enough for 1e7-event runs.
+configurations, its move names (one per slot row), its recorded
+coordinates, its bound and the marginals fitted to its samples.
+``advance`` runs whole sweeps of disjoint pair events, fast enough for
+1e7-event runs, and ``run_chain`` calls it up to each record and audit.
 
 A sweep uses "shifted halves" matching over the K slots (the N agents, for
 the credit market, whose moves act on one row of N slots). Once per epoch
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -245,6 +244,8 @@ def init_population(
     """
     if policy not in ("equal", "uniform-random"):
         raise DynamicsError(f"unknown init policy {policy!r}")
+    if spec.n_agents < 2:
+        raise DynamicsError("pair exchange needs at least 2 agents")
     kernel = KERNELS[spec.kind]
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -255,18 +256,12 @@ def init_population(
 
 
 # ---------------------------------------------------------------------------
-# Moves: each acts on the two halves of a matching, given as index arrays,
+# The move: it acts on the two halves of a matching, given as index arrays,
 # and returns the number of rejected events.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Move:
-    name: str
-    apply: Callable[..., int]
-
-
-def _slot_pair(pop: Population, rng: np.random.Generator, j, k, row: int = 0) -> int:
+def _slot_pair(pop: Population, rng: np.random.Generator, j, k, row: int) -> int:
     """Uniform split of each pair's sum in slot row ``row`` (the ledger's liabilities
     are row 1); a pair whose split would break the kind's bound keeps its values."""
     z = pop.cash[row * pop.n_agents:]
@@ -296,11 +291,6 @@ def _cash_bound(pop: Population, row: int, agents, values) -> np.ndarray:
     n = pop.n_agents
     assets, liabilities = (values, pop.cash[n:][agents]) if row == 0 else (pop.cash[agents], values)
     return assets <= pop.net[agents] + liabilities
-
-
-_SLOT_PAIR = Move("pair_reshuffle", _slot_pair)
-_LOAN_SALE = Move("loan_sale", _slot_pair)  # the split on the asset row
-_DEBT_ASSUMPTION = Move("debt_assumption", partial(_slot_pair, row=1))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +324,8 @@ class Kernel:
     # The recorded money per agent, averaged over the records.
     money_per_agent: Callable[[ModelSpec, dict[str, np.ndarray]], float] = _sum_of_means
     init: Callable[[Population, str, np.random.Generator], None] = _init_slots
-    moves: tuple[Move, ...] = (_SLOT_PAIR,)  # rotated one per sweep
+    # One move name per slot row; sweep number p splits the pairs of row p % len(moves).
+    moves: tuple[str, ...] = ("pair_reshuffle",)
     # (pop, row, indices, values) -> whether those slots of the row may hold those
     # values; the moves and check_invariants share it. None: z >= 0 only.
     bound: Callable[[Population, int, np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -366,16 +357,10 @@ KERNELS: dict[ModelKind, Kernel] = {
         _cash_and_accounts, lambda spec: [("x", ["x"], 0.0)], init=_init_capped, bound=_capped),
     ModelKind.CREDIT_MARKET: Kernel(
         lambda pop: {"assets": pop.cash[:pop.n_agents].copy()}, lambda spec: [("assets", ["assets"], 0.0)],
-        init=_init_credit, moves=(_LOAN_SALE, _DEBT_ASSUMPTION), bound=_cash_bound),
+        init=_init_credit, moves=("loan_sale", "debt_assumption"), bound=_cash_bound),
     ModelKind.MULTI_ASSET: Kernel(
         _asset_classes, lambda spec: [("y_pooled", [f"y_{c}" for c in range(spec.asset_classes)], 0.0)]),
 }
-
-
-def _moves(spec: ModelSpec) -> tuple[Move, ...]:
-    if spec.n_agents < 2:
-        raise DynamicsError("pair exchange needs at least 2 agents")
-    return KERNELS[spec.kind].moves
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +368,13 @@ def _moves(spec: ModelSpec) -> tuple[Move, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(pop: Population, rng: np.random.Generator, move: Move) -> int:
-    """One sweep of disjoint pair events over the K slots; returns the number of events."""
+def _sweep(pop: Population, rng: np.random.Generator, row: int) -> int:
+    """One sweep of disjoint pair events over the K slots of row ``row``; returns the event count."""
     epoch = pop.pair_epoch
     if epoch is None or epoch.sweep == epoch.shifts.size:
         epoch = pop.pair_epoch = PairEpoch.draw(pop.spec.n_slots, rng)
     j, k = epoch.next_pairs()
-    pop.rejected_events += move.apply(pop, rng, j, k)
+    pop.rejected_events += _slot_pair(pop, rng, j, k, row)
     return j.size
 
 
@@ -489,10 +474,10 @@ def advance(
     Returns (events applied, next phase) so callers can interleave their
     own audits or recording with further calls.
     """
-    moves = _moves(pop.spec)
+    rows = len(KERNELS[pop.spec.kind].moves)
     events = 0
     while events < n_events:
-        events += _sweep(pop, rng, moves[phase % len(moves)])
+        events += _sweep(pop, rng, phase % rows)
         phase += 1
     return events, phase
 
@@ -531,7 +516,6 @@ def run_chain(
         raise DynamicsError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
     if thin < 1:
         raise DynamicsError(f"thin must be >= 1, got {thin}")
-    moves = _moves(spec)
     rng = np.random.default_rng(seed)
     pop = init_population(spec, policy, total, rng=rng)
 
@@ -539,15 +523,16 @@ def run_chain(
     coords = {name: np.empty((n_records, *values.shape)) for name, values in
               recorded_coordinates(pop).items()}
     record_steps = np.empty(n_records, dtype=np.int64)
-    next_record = 0
-    events = 0
-    phase = 0
+    events = phase = next_record = 0
     next_audit = AUDIT_INTERVAL
     max_drift = 0.0
     scale = pop.coordinate_scale()
-    while events < steps or next_record < n_records:
-        events += _sweep(pop, rng, moves[phase % len(moves)])
-        phase += 1
+    # advance() stops after the first sweep that reaches the next record, audit or
+    # end; the last record is due by ``steps``, so every record is taken in the loop.
+    while events < steps:
+        due = burn_in + (next_record + 1) * thin if next_record < n_records else steps
+        done, phase = advance(pop, rng, min(due, next_audit) - events, phase)
+        events += done
         while next_record < n_records and burn_in + (next_record + 1) * thin <= events:
             record_steps[next_record] = burn_in + (next_record + 1) * thin
             for name, values in recorded_coordinates(pop).items():

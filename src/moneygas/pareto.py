@@ -75,12 +75,13 @@ def pareto_entropy(spec: ParetoSpec, temperature: float) -> float:
 
     This is the per-agent partition's lnZ + T dlnZ/dT; the permutation
     factor kept in :func:`pareto_log_partition` only shifts it by the
-    T-independent constant -ln N!.
+    T-independent constant -ln N!. ln(J V T) is taken as a sum of logs,
+    which no product of the factors can underflow or overflow.
     """
     _check_window(spec, temperature)
     n, t, t_max = spec.n_agents, temperature, spec.t_max
     return (
-        n * math.log(spec.floor_j * spec.volume * t)
+        n * (math.log(spec.floor_j) + math.log(spec.volume) + math.log(t))
         + n
         - n * math.log(t_max - t)
         + n * t / (t_max - t)
@@ -91,7 +92,7 @@ def pareto_mean_logincome(spec: ParetoSpec, temperature: float) -> float:
     """Per-agent Legendre mean: Y/N = T + t_max ln(J/t_max) + T^2/(t_max - T)."""
     _check_window(spec, temperature)
     t, t_max = temperature, spec.t_max
-    return t + t_max * math.log(spec.floor_j / t_max) + t * t / (t_max - t)
+    return t + t_max * (math.log(spec.floor_j) - math.log(t_max)) + t * t / (t_max - t)
 
 
 def pareto_mean_logincome_sampling(spec: ParetoSpec, temperature: float) -> float:
@@ -205,13 +206,12 @@ class IncomeSampleSet:
 def transition_scan(spec: ParetoSpec, t_grid) -> list[tuple[float, float, float]]:
     """Table of (T, S, T dS/dT) over the grid; the response diverges at t_max.
 
-    T dS/dT = N [1 + T/(t_max - T) + T t_max/(t_max - T)^2], strictly
-    increasing in T, so its blow-up flags the equilibrium breakdown.
+    T dS/dT = N (t_max/(t_max - T))^2, strictly increasing in T, so its
+    blow-up flags the equilibrium breakdown.
     """
     rows = []
     n, t_max = spec.n_agents, spec.t_max
     for t in t_grid:
         _check_window(spec, t)
-        response = n * (1.0 + t / (t_max - t) + t * t_max / (t_max - t) ** 2)
-        rows.append((float(t), pareto_entropy(spec, t), response))
+        rows.append((float(t), pareto_entropy(spec, t), n * (t_max / (t_max - t)) ** 2))
     return rows

@@ -7,9 +7,9 @@ fixed. Work is the central bank's monetary-base change, credit heat is
 the T dS term, and the Carnot-style cycle bounds the policy performance
 factor eta = L/|C_h| by 1 - T_c/T_h.
 
-Closed forms are cross-checked against adaptive quadrature wherever an
-integral is evaluated; disagreement raises instead of silently trusting
-either route.
+Each leg's work is a closed form: N·T·ln(V2/V1) on an isotherm and
+N·(T1 - T2) on an adiabat. The tests integrate the model's pressure along
+the same legs by quadrature as the reference.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .ensembles import (
     pressure_closed_form,
 )
 
-_QUAD_RTOL = 1e-10
-_CROSSCHECK_RTOL = 1e-8
 PATH_POINTS = 25
 
 
@@ -100,26 +98,10 @@ class ProcessPath:
                 raise TransformError("adjacent segments must share endpoint states")
 
 
-def _crosscheck(closed: float, numeric: float, scale: float) -> float:
-    if abs(closed - numeric) > _CROSSCHECK_RTOL * max(abs(closed), scale):
-        raise TransformError(
-            f"closed form {closed} and quadrature {numeric} disagree beyond tolerance"
-        )
-    return closed
-
-
 def _segment_work(n: float, segment: Segment) -> float:
-    from scipy.integrate import quad  # here, so that only the transform verb loads scipy
     if segment.kind == "isothermal":
-        closed = n * segment.t_start * math.log(segment.v_end / segment.v_start)
-        numeric, _ = quad(
-            lambda v: n * segment.t_start / v, segment.v_start, segment.v_end, epsrel=_QUAD_RTOL
-        )
-    else:  # adiabatic: T(v) = T_start * v_start / v, so P = N*T_start*v_start/v^2
-        c = segment.t_start * segment.v_start
-        closed = n * (segment.t_start - segment.t_end)
-        numeric, _ = quad(lambda v: n * c / (v * v), segment.v_start, segment.v_end, epsrel=_QUAD_RTOL)
-    return _crosscheck(closed, numeric, n * segment.t_start)
+        return n * segment.t_start * math.log(segment.v_end / segment.v_start)
+    return n * (segment.t_start - segment.t_end)  # adiabatic: T = c/V, and N·c/V² integrates to this
 
 
 def work_along_path(path: ProcessPath) -> float:

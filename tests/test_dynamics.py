@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from contextlib import contextmanager
 from datetime import timedelta
 
 import numpy as np
@@ -11,13 +12,9 @@ from hypothesis import strategies as st
 from moneygas import dynamics
 from moneygas.cli import main
 from moneygas.dynamics import (
-    _DEBT_ASSUMPTION,
-    _LOAN_SALE,
-    _SLOT_PAIR,
     KERNELS,
     ConservationError,
     DynamicsError,
-    Move,
     _sweep,
     advance,
     init_population,
@@ -128,13 +125,13 @@ def unchanged(pop, before):
 
 
 class TestPrimitives:
-    """One sweep of a named move; at N = 2 a pair sweep is one event."""
+    """One sweep of one slot row's move; at N = 2 a pair sweep is one event."""
 
     def test_pair_reshuffle_conserves_total(self):
         pop = init_population(ModelSpec.cash_only(2, 1.0), "equal", 4.6)
         rng = np.random.default_rng(8)
         for _ in range(100):
-            assert _sweep(pop, rng, _SLOT_PAIR) == 1
+            assert _sweep(pop, rng, 0) == 1
             assert pop.cash.min() >= 0.0
             assert pop.cash.sum() == pytest.approx(4.6, rel=1e-15)
 
@@ -145,7 +142,7 @@ class TestPrimitives:
         pop.cash[:] = [2.0, 3.0]  # balances 0 and 1
         rng = np.random.default_rng(5)
         for _ in range(200):
-            assert _sweep(pop, rng, _SLOT_PAIR) == 1
+            assert _sweep(pop, rng, 0) == 1
             assert (pop.cash - 2.0).min() >= -2.0
             assert (pop.cash - 2.0).sum() == pytest.approx(1.0, abs=1e-12)
             assert pop.conserved_value() == pytest.approx(1.0, abs=1e-12)
@@ -156,7 +153,7 @@ class TestPrimitives:
         pop = init_population(spec, "uniform-random", 3.0, seed=2)
         rng = np.random.default_rng(6)
         for _ in range(200):
-            assert _sweep(pop, rng, _SLOT_PAIR) == 1
+            assert _sweep(pop, rng, 0) == 1
             assert pop.cash.min() >= 0.0
             assert pop.cash.sum() - 3.0 == pytest.approx(3.0, abs=1e-12)
             pop.check_invariants()
@@ -170,7 +167,7 @@ class TestPrimitives:
         traded = 0
         for sweep in range(50):
             assets, liabilities, cash = ledger(pop)
-            assert _sweep(pop, rng, (_LOAN_SALE, _DEBT_ASSUMPTION)[sweep % 2]) == 2
+            assert _sweep(pop, rng, sweep % 2) == 2
             now_assets, now_liabilities, now_cash = ledger(pop)
             if sweep % 2 == 0:
                 assert np.allclose(now_cash - cash, assets - now_assets, rtol=0, atol=1e-12)
@@ -194,8 +191,8 @@ class TestPrimitives:
         pop.check_invariants()
         before = state(pop)
         rng = np.random.default_rng(2)
-        for rejected, move in enumerate((_LOAN_SALE, _DEBT_ASSUMPTION), start=1):
-            assert _sweep(pop, rng, move) == 1
+        for rejected, row in enumerate((0, 1), start=1):  # the loan sale, then the debt assumption
+            assert _sweep(pop, rng, row) == 1
             assert pop.rejected_events == rejected
             assert unchanged(pop, before)
 
@@ -208,7 +205,7 @@ class TestPrimitives:
         before = state(pop)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            assert _sweep(pop, rng, _DEBT_ASSUMPTION) == 1
+            assert _sweep(pop, rng, 1) == 1  # the debt assumption
             assert unchanged(pop, before)
         assert pop.rejected_events == 20
 
@@ -227,10 +224,9 @@ class TestPrimitives:
         rng = np.random.default_rng(4)
         accepted = {}
         for sweep in range(200):
-            move = (_LOAN_SALE, _DEBT_ASSUMPTION)[sweep % 2]
             rejected = pop.rejected_events
-            _sweep(pop, rng, move)
-            accepted[move.name] = accepted.get(move.name, 0) + 1 - (pop.rejected_events - rejected)
+            _sweep(pop, rng, sweep % 2)
+            accepted[sweep % 2] = accepted.get(sweep % 2, 0) + 1 - (pop.rejected_events - rejected)
             pop.check_invariants()
             assert ledger(pop)[2].min() >= 0.0
         assert min(accepted.values()) > 0 and pop.rejected_events > 0
@@ -294,10 +290,10 @@ class TestMoveArity:
         assert {spec.kind for spec, _ in specs} == set(KERNELS)
         for spec, total in specs:
             pop = init_population(spec, "uniform-random", total, seed=n)
-            for move in KERNELS[spec.kind].moves:
-                watched, seen = probe(move)
+            for row in range(len(KERNELS[spec.kind].moves)):
                 before = state(pop)
-                assert _sweep(pop, np.random.default_rng(n), watched) == spec.n_slots // 2
+                with probe() as seen:
+                    assert _sweep(pop, np.random.default_rng(n), row) == spec.n_slots // 2
                 ((j, k),) = seen
                 assert j.size == k.size == spec.n_slots // 2
                 assert np.unique(np.concatenate([j, k])).size == 2 * j.size
@@ -374,6 +370,43 @@ class TestRunChain:
         assert list(samples.coords) == list(snapshots[0])
         for name, records in samples.coords.items():
             assert np.array_equal(records, np.stack([snap[name] for snap in snapshots]))
+
+    @pytest.mark.parametrize("spec,total", all_dynamic_specs(9))
+    def test_run_chain_is_the_replay_loop(self, spec, total, monkeypatch):
+        # bench/replay.py times run_chain's parts through this loop of public calls:
+        # advance to the next record, audit or end, then record and audit what is due.
+        monkeypatch.setattr(dynamics, "AUDIT_INTERVAL", 700)  # audits between the records
+        steps, burn_in, thin, seed = 9_000, 1_000, 450, 7
+        samples = run_chain(spec, "uniform-random", total, steps, burn_in, thin, seed=seed)
+        rng = np.random.default_rng(seed)
+        pop = init_population(spec, "uniform-random", total, rng=rng)
+        scale = pop.coordinate_scale()
+        n_records = (steps - burn_in) // thin
+        snapshots, events, phase, max_drift = [], 0, 0, 0.0
+        next_audit = dynamics.AUDIT_INTERVAL
+
+        def audit():
+            pop.check_invariants()
+            return max(max_drift, abs(pop.conserved_value() - pop.conserved_total) / scale)
+
+        while events < steps or len(snapshots) < n_records:
+            targets = [next_audit, steps]
+            if len(snapshots) < n_records:
+                targets.append(burn_in + (len(snapshots) + 1) * thin)
+            done, phase = advance(pop, rng, min(targets) - events, phase)
+            events += done
+            while len(snapshots) < n_records and burn_in + (len(snapshots) + 1) * thin <= events:
+                snapshots.append(recorded_coordinates(pop))
+            if events >= next_audit:
+                max_drift = audit()
+                next_audit += dynamics.AUDIT_INTERVAL
+        max_drift = audit()
+        assert samples.record_steps.tolist() == [burn_in + (r + 1) * thin for r in range(n_records)]
+        assert list(samples.coords) == list(snapshots[0])
+        for name, records in samples.coords.items():
+            assert records.tobytes() == np.stack([snap[name] for snap in snapshots]).tobytes()
+        meta = samples.meta
+        assert (meta.events_run, meta.rejected_events, meta.max_drift) == (events, pop.rejected_events, max_drift)
 
     def test_pooled_views_a_single_coordinate(self):
         samples = run_chain(ModelSpec.combined(20, 1.0), "equal", 60.0, 20000, 2000, 1000, seed=5)
@@ -505,23 +538,26 @@ class TestSamplesCsv:
                                                         header=False)
 
 
-def probe(inner=None):
-    """A move that keeps a copy of every group it is given, then applies
-    ``inner`` to them; without ``inner`` it changes nothing."""
-    seen = []
+@contextmanager
+def probe(apply=True):
+    """Keep a copy of the two pair groups of every sweep in the block; without
+    ``apply`` the sweeps change nothing."""
+    seen, slot_pair = [], dynamics._slot_pair
 
-    def apply(pop, rng, *groups):
-        seen.append([np.array(g) for g in groups])
-        return inner.apply(pop, rng, *groups) if inner else 0
+    def watched(pop, rng, j, k, row):
+        seen.append([np.array(j), np.array(k)])
+        return slot_pair(pop, rng, j, k, row) if apply else 0
 
-    return Move("probe", apply), seen
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_slot_pair", watched)
+        yield seen
 
 
 def pair_sweeps(n, sweeps, seed=3):
     pop = init_population(ModelSpec.cash_only(n, 1.0), "equal", float(n))
-    move, seen = probe()
     rng = np.random.default_rng(seed)
-    events = [_sweep(pop, rng, move) for _ in range(sweeps)]
+    with probe(apply=False) as seen:
+        events = [_sweep(pop, rng, 0) for _ in range(sweeps)]
     assert events == [n // 2] * sweeps
     return seen
 

@@ -702,6 +702,7 @@ class TestCli:
 
     def test_common_verbs_load_no_scipy(self, tmp_path):
         # A child interpreter, because this one has imported scipy already.
+        transform = Path(__file__).resolve().parent.parent / "configs" / "carnot_transform.json"
         documents = {
             "simulate": simulate_config(write_samples=False),
             "analytic": {"task": "analytic", "model": CREDIT_MARKET, "temperatures": [1.0, 2.0]},
@@ -711,12 +712,13 @@ class TestCli:
         }
         argvs = [[verb, "-c", str(write_config(tmp_path, document, f"{verb}.json")), "-o", str(tmp_path / verb)]
                  for verb, document in documents.items()]
+        argvs.append(["transform", "-c", str(transform), "-o", str(tmp_path / "transform")])
         expect = write_config(tmp_path, {"expectations": [
             {"name": "closed_form_temperature", "value": 10.0, "tolerance": 1e-12}]}, "expect.json")
         argvs.append(["check", "-r", str(tmp_path / "simulate" / "report.json"), "-e", str(expect)])
         script = ("import json, sys\n"
                   "from moneygas.cli import main\n"
-                  "assert [main(argv) for argv in json.loads(sys.argv[1])] == [0] * 5\n"
+                  "assert [main(argv) for argv in json.loads(sys.argv[1])] == [0] * 6\n"
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         result = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=child_env(),
                                 capture_output=True, text=True, timeout=120)

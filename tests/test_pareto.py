@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from moneygas.cli import main
 from moneygas.estimation import hill_tail_index
 from moneygas.pareto import (
     ParetoError,
@@ -98,6 +100,32 @@ class TestEntropyAndMean:
         assert predicted == pytest.approx(math.log(2.0) + 1.0, rel=1e-12)
         assert float(np.mean(np.log(draws))) == pytest.approx(predicted, rel=0.02)
 
+    def test_logs_of_factors_at_extreme_scales(self):
+        # J·V·T and J/t_max underflow to 0 here; the sums of their logs do not.
+        spec = ParetoSpec(2, 1e-300, 3.0)
+        expected = 2 * (2 * math.log(1e-300) + 1.0 - math.log(3.0))
+        assert pareto_entropy(spec, 1e-300) == pytest.approx(expected, rel=1e-12)
+        mean = pareto_mean_logincome(ParetoSpec(2, 1e-300, 1e300), 1.0)
+        assert mean == pytest.approx(-600.0 * math.log(10.0) * 1e300, rel=1e-12)
+
+    @pytest.mark.parametrize("pareto,temperature,scan", [
+        ({"floor_j": 1e-300, "t_max": 1e300}, 1.0, None),
+        ({"floor_j": 1e-300, "t_max": 3.0}, 1e-300, None),
+        ({"floor_j": 1.0, "t_max": 1e-300}, 5e-301, 0.999e-300),
+        ({"floor_j": 1.0, "t_max": 1e300}, 1.0, 0.999e300),
+    ])
+    def test_extreme_scales_exit_0(self, tmp_path, pareto, temperature, scan):
+        # Each of these exited 1 with a traceback: a log of an underflowed product,
+        # or the scan's response overflowing or dividing by zero.
+        document = {"task": "pareto", "pareto": dict(pareto, n_agents=2), "temperature": temperature}
+        if scan is not None:
+            document["scan"] = {"temperatures": [scan]}
+        config = tmp_path / "pareto.json"
+        config.write_text(json.dumps(document))
+        assert main(["pareto", "-c", str(config), "-o", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert all(math.isfinite(v) for v in report["analytic"].values())
+
     def test_high_t_max_asymptote_recovers_temperature(self):
         # T ~ Ybar/N - t_max ln(J/t_max) for T << t_max, good to ~1% here.
         spec = ParetoSpec(1, 1.0, 100.0)
@@ -187,6 +215,12 @@ class TestTransitionScan:
     def test_reference_value(self):
         rows = transition_scan(ParetoSpec(1, 1.0, 2.0), [1.0])
         assert rows[0][2] == pytest.approx(4.0, rel=1e-12)
+
+    def test_response_is_the_squared_ratio(self):
+        # N (t_max/(t_max - T))^2, finite at scales where the expanded sum divided by zero or overflowed.
+        for t_max in (1e-300, 3.0, 1e300):
+            ((_, _, response),) = transition_scan(ParetoSpec(2, 1.0, t_max), [0.999 * t_max])
+            assert response == pytest.approx(2e6, rel=1e-9)
 
     def test_low_temperature_limit(self):
         rows = transition_scan(ParetoSpec(1, 1.0, 2.0), [1e-8])

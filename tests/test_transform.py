@@ -1,14 +1,16 @@
 import math
 
 import pytest
+from scipy.integrate import quad
 
-from moneygas.ensembles import ModelSpec
+from moneygas.ensembles import ModelSpec, pressure_closed_form
 from moneygas.transform import (
     ProcessPath,
     PATH_POINTS,
     TransformError,
     adiabatic,
     carnot_cycle,
+    carnot_path,
     cycle_with_free_expansion,
     first_law_residual,
     fractional_reserve,
@@ -91,16 +93,21 @@ class TestAdiabat:
         assert abs(after - before) <= 1e-10 * abs(before)
 
 
-class TestQuadratureCrossCheck:
-    @pytest.mark.parametrize("segment", [isothermal(2.0, 1.0, math.e), adiabatic(4.0, 1.0, 2.0)])
-    def test_wrong_quadrature_raises(self, monkeypatch, segment):
-        import scipy.integrate
+class TestQuadratureReference:
+    """The closed-form work against quadrature of the model's own pressure P(T, V)."""
 
-        monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **options: (1e6, 0.0))
-        with pytest.raises(TransformError, match="quadrature"):
-            work_along_path(ProcessPath(CREDIT, (segment,)))
-        with pytest.raises(TransformError, match="quadrature"):
-            carnot_cycle(CREDIT, 4.0, 2.0, 1.0, math.e)
+    @pytest.mark.parametrize("spec", [ModelSpec.cash_only(3, 1.0), ModelSpec.overdraft_model(3, 1.0, 2.0),
+                                      ModelSpec.credit_market(3, 1.0)], ids=lambda spec: spec.kind.value)
+    def test_cycle_work_is_the_integral_of_the_pressure(self, spec):
+        def temperature(segment, v):
+            return segment.t_start if segment.kind == "isothermal" else segment.t_start * segment.v_start / v
+
+        path = carnot_path(spec, 4.0, 2.0, 1.0, math.e)
+        legs = [quad(lambda v: pressure_closed_form(spec, temperature(segment, v), volume=v),
+                     segment.v_start, segment.v_end, epsrel=1e-12)[0] for segment in path.segments]
+        for segment, leg in zip(path.segments, legs):
+            assert work_along_path(ProcessPath(spec, (segment,))) == pytest.approx(leg, rel=1e-8)
+        assert math.fsum(legs) == pytest.approx(carnot_cycle(spec, 4.0, 2.0, 1.0, math.e).work_L, rel=1e-8)
 
 
 class TestCarnot:
