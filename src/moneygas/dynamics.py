@@ -19,11 +19,13 @@ the stationary per-slot marginal is the exponential law with the model's
 closed-form temperature. Shifting that law by the floor is the debt-limit
 result of Dragulescu and Yakovenko (Eur. Phys. J. B 17, 723, 2000).
 
-A kind may bound its slots with a predicate that the move and the audit
-share (``Kernel.bound``): the same split is proposed, and a pair where a
+A kind may bound its slots: the same split is proposed, and a pair where a
 slot would break the bound is rejected and keeps its values. With a
 symmetric proposal and a uniform target this is Metropolis, so the uniform
 law of the bounded set is stationary, and the bound holds exactly.
+``Kernel.bound`` states the bound as a numpy predicate, which
+``check_invariants`` runs over every slot at every audit; the sweep loop
+tests the same float expressions, so each audit re-checks the loop.
 - restricted caps its account slots at z <= d (no positive balances); the
   caps are data, ``Population.caps``.
 - The credit market's ledger holds 2N slots, the agents' assets a and then
@@ -42,8 +44,15 @@ law of the bounded set is stationary, and the bound holds exactly.
 ``KERNELS`` holds one entry per simulable model kind: its initial
 configurations, its move names (one per slot row), its recorded
 coordinates, its bound and the marginals fitted to its samples.
-``advance`` runs whole sweeps of disjoint pair events, fast enough for
-1e7-event runs, and ``run_chain`` calls it up to each record and audit.
+``advance`` runs whole sweeps of disjoint pair events, and ``run_chain``
+calls it up to each record and audit.
+
+The sweeps run in a C loop, ``_sweep.c``. The system's ``cc`` builds it
+once per user and machine (``_load_library`` keeps it in the user's cache),
+and each process loads it with ``ctypes`` at its first ``advance``; numpy
+still draws every random number. The numpy sweep it replaced is the
+reference in ``tests/test_dynamics.py``, and the loop must match it byte
+for byte: slots, rejections and the random stream.
 
 A sweep uses "shifted halves" matching over the K slots (the N agents, for
 the credit market, whose moves act on one row of N slots). Once per epoch
@@ -58,8 +67,13 @@ already connect all slots.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -83,27 +97,25 @@ class ConservationError(RuntimeError):
 class PairEpoch:
     """One split into halves A and B, and the shift of each of its pair sweeps."""
 
-    order: np.ndarray  # a random permutation; A is its first N // 2 agents
-    doubled: np.ndarray  # B, the next N // 2 agents, twice, so B shifted by r is a slice
+    order: np.ndarray  # a random permutation; A is its first N // 2 slots, B the next N // 2
     shifts: np.ndarray
-    sweep: int = 0
+    sweep: int = 0  # the sweeps of the epoch run so far
 
     @classmethod
     def draw(cls, n: int, rng: np.random.Generator) -> PairEpoch:
         half = n // 2
         order = rng.permutation(n)
-        b = order[half:2 * half]
         # floor(u * half) is uniform on 0..half-1 (u * half < half for every double u < 1);
         # the Generator's bounded-integer sampler would map ~0.14 MiB more code into memory.
         shifts = (rng.random(half) * half).astype(np.intp)
-        return cls(order, np.concatenate([b, b]), shifts)
+        return cls(order, shifts)
 
-    def next_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """A[i] and B[(i + r) mod N // 2] for the next shift r."""
-        half = self.shifts.size
-        r = self.shifts[self.sweep]
-        self.sweep += 1
-        return self.order[:half], self.doubled[r:r + half]
+    @functools.cached_property
+    def addresses(self) -> tuple[int, int, int]:
+        """A, B and the shifts, as the sweep loop's pointers."""
+        n, half = self.order.size, self.shifts.size
+        order = _address(self.order, np.intp, n)
+        return order, order + half * self.order.itemsize, _address(self.shifts, np.intp, half)
 
 
 @dataclass
@@ -126,7 +138,7 @@ class Population:
     def conserved_value(self) -> float:
         """Compensated re-summation of the model's conserved money function: Σz - Σd
         over the first K slots (the credit market's assets)."""
-        return math.fsum(self.cash[:self.spec.n_slots]) - self.spec.total_overdraft
+        return math.fsum(self.cash[:self.spec.n_slots].tolist()) - self.spec.total_overdraft
 
     def coordinate_scale(self) -> float:
         """Magnitude reference for relative drift when the total is near zero."""
@@ -143,7 +155,7 @@ class Population:
             if past:
                 raise ConservationError(f"{past} slots past their bound")
         # Each row of K slots carries the total: the ledger's liabilities as well as its assets.
-        drifts = [abs(math.fsum(row) - self.spec.total_overdraft - self.conserved_total)
+        drifts = [abs(math.fsum(row.tolist()) - self.spec.total_overdraft - self.conserved_total)
                   for row in self.cash.reshape(-1, k)]
         tolerance = CONSERVATION_RTOL * self.coordinate_scale()
         if max(drifts) > tolerance:
@@ -256,28 +268,9 @@ def init_population(
 
 
 # ---------------------------------------------------------------------------
-# The move: it acts on the two halves of a matching, given as index arrays,
-# and returns the number of rejected events.
+# The bounds, as numpy predicates: check_invariants tests every slot with
+# them, and _sweep.c applies the same float expressions to each split.
 # ---------------------------------------------------------------------------
-
-
-def _slot_pair(pop: Population, rng: np.random.Generator, j, k, row: int) -> int:
-    """Uniform split of each pair's sum in slot row ``row`` (the ledger's liabilities
-    are row 1); a pair whose split would break the kind's bound keeps its values."""
-    z = pop.cash[row * pop.n_agents:]
-    s = z[j] + z[k]
-    first = rng.random(s.size) * s
-    rest = s - first
-    rejected = 0
-    bound = KERNELS[pop.spec.kind].bound
-    if bound is not None:
-        accept = bound(pop, row, j, first) & bound(pop, row, k, rest)
-        rejected = s.size - int(np.count_nonzero(accept))
-        if rejected:
-            j, k, first, rest = j[accept], k[accept], first[accept], rest[accept]
-    z[j] = first
-    z[k] = rest
-    return rejected
 
 
 def _capped(pop: Population, row: int, slots, values) -> np.ndarray:
@@ -327,7 +320,8 @@ class Kernel:
     # One move name per slot row; sweep number p splits the pairs of row p % len(moves).
     moves: tuple[str, ...] = ("pair_reshuffle",)
     # (pop, row, indices, values) -> whether those slots of the row may hold those
-    # values; the moves and check_invariants share it. None: z >= 0 only.
+    # values; check_invariants runs it, and _sweep.c tests the same expressions
+    # on each split. None: z >= 0 only.
     bound: Callable[[Population, int, np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
@@ -364,18 +358,87 @@ KERNELS: dict[ModelKind, Kernel] = {
 
 
 # ---------------------------------------------------------------------------
-# Sweeps
+# Sweeps: the compiled loop, built on first use
 # ---------------------------------------------------------------------------
 
+_SOURCE = Path(__file__).with_name("_sweep.c")
+_COMPILER = "cc"
+# -ffp-contract=off, and no -ffast-math or -march=native: a fused multiply-add or a
+# reordered expression would round the splits differently from numpy's u * s and s - f.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_UNIFORM_BLOCK = 4096  # uniforms (32 KiB) drawn for one call into the loop; more only for one wider sweep
 
-def _sweep(pop: Population, rng: np.random.Generator, row: int) -> int:
-    """One sweep of disjoint pair events over the K slots of row ``row``; returns the event count."""
-    epoch = pop.pair_epoch
-    if epoch is None or epoch.sweep == epoch.shifts.size:
-        epoch = pop.pair_epoch = PairEpoch.draw(pop.spec.n_slots, rng)
-    j, k = epoch.next_pairs()
-    pop.rejected_events += _slot_pair(pop, rng, j, k, row)
-    return j.size
+
+def _compile(source: bytes, output: Path) -> None:
+    import subprocess  # only a run that builds the loop needs it
+
+    try:
+        subprocess.run([_COMPILER, *_CFLAGS, "-o", str(output), "-x", "c", "-"],
+                       input=source, capture_output=True, check=True)
+    except OSError as err:
+        raise DynamicsError(f"cannot run the C compiler {_COMPILER!r} to build the sweep loop: "
+                            f"{err.strerror or err}") from None
+    except subprocess.CalledProcessError as err:
+        lines = err.stderr.decode(errors="replace").strip().splitlines() or [f"exit code {err.returncode}"]
+        raise DynamicsError(f"{_COMPILER} failed to build {_SOURCE.name}: {lines[-1]}") from None
+
+
+def _load_library() -> ctypes.CDLL:
+    """``_sweep.c`` compiled into ``$XDG_CACHE_HOME/moneygas`` (or ``~/.cache/moneygas``).
+
+    The file is named by the SHA-256 of the source, the flags and the machine, so
+    a built library is reused by every later process and an edited source gets a
+    new file. It is written under a unique name and then renamed into place,
+    because the replica worker may build it at the same time. Without a writable
+    cache it is built into a private directory, removed once the library is loaded.
+    """
+    # Imported here: imported with this module, ahead of numpy, these two raised
+    # a simulate process's peak RSS by 0.2-0.4 MiB.
+    import hashlib
+    import platform
+
+    source = _SOURCE.read_bytes()
+    name = hashlib.sha256(b"\0".join(
+        [source, " ".join(_CFLAGS).encode(), platform.machine().encode()])).hexdigest() + ".so"
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "moneygas"
+    library = cache / name
+    if not library.is_file():
+        try:
+            cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+            fd, partial = tempfile.mkstemp(prefix=f"{name}.{os.getpid()}.", dir=cache)
+        except OSError:
+            with tempfile.TemporaryDirectory(prefix="moneygas-") as private:
+                _compile(source, Path(private) / name)
+                return ctypes.CDLL(str(Path(private) / name))  # the mapping outlives the file
+        os.close(fd)
+        try:
+            _compile(source, Path(partial))
+            os.replace(partial, library)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    return ctypes.CDLL(str(library))
+
+
+@functools.cache
+def _sweep_loop() -> Callable[..., int]:
+    """``moneygas_sweeps`` from the compiled ``_sweep.c``, loaded once per process."""
+    loop = _load_library().moneygas_sweeps
+    size, pointer = ctypes.c_ssize_t, ctypes.c_void_p
+    loop.argtypes = [pointer, size, size, size, pointer, pointer, size, pointer, pointer, size,
+                     pointer, pointer]
+    loop.restype = ctypes.c_longlong
+    return loop
+
+
+def _address(values: np.ndarray | None, dtype: type, size: int) -> int | None:
+    """The address of ``values`` for the loop, which reads ``size`` contiguous ``dtype``s."""
+    if values is None:
+        return None
+    if values.dtype != dtype or not values.flags.c_contiguous or values.size != size:
+        raise ValueError(f"the sweep loop needs {size} contiguous {np.dtype(dtype)} values, "
+                         f"got {values.size} {values.dtype}")
+    return values.ctypes.data
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +535,32 @@ def advance(
     """Apply whole sweeps until at least ``n_events`` events ran.
 
     Returns (events applied, next phase) so callers can interleave their
-    own audits or recording with further calls.
+    own audits or recording with further calls. Sweep number p splits the
+    pairs of slot row p % rows. Each stretch of sweeps within one epoch, up
+    to 32 KiB of uniforms, is one call into the compiled loop, after one
+    ``rng.random`` draw of its uniforms: the same doubles in the same order
+    as one ``rng.random(K // 2)`` per sweep.
     """
-    rows = len(KERNELS[pop.spec.kind].moves)
+    rows, k = len(KERNELS[pop.spec.kind].moves), pop.spec.n_slots
+    loop = _sweep_loop()
+    cash = _address(pop.cash, np.float64, rows * k)
+    caps, net = _address(pop.caps, np.float64, k), _address(pop.net, np.float64, k)
+    uniforms = np.empty(max(k // 2, _UNIFORM_BLOCK))
+    drawn = uniforms.ctypes.data
     events = 0
     while events < n_events:
-        events += _sweep(pop, rng, phase % rows)
-        phase += 1
+        epoch = pop.pair_epoch
+        if epoch is None or epoch.sweep == epoch.shifts.size:
+            epoch = pop.pair_epoch = PairEpoch.draw(k, rng)
+        half = epoch.shifts.size
+        a, b, shifts = epoch.addresses
+        sweeps = min(-(-(n_events - events) // half), half - epoch.sweep, uniforms.size // half)
+        rng.random(out=uniforms[:sweeps * half])
+        first_shift = shifts + epoch.sweep * epoch.shifts.itemsize
+        pop.rejected_events += loop(cash, k, rows, phase, a, b, half, first_shift, drawn, sweeps, caps, net)
+        epoch.sweep += sweeps
+        phase += sweeps
+        events += sweeps * half
     return events, phase
 
 

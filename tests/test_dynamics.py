@@ -1,8 +1,10 @@
 import json
 import math
+import os
+import subprocess
 import sys
-from contextlib import contextmanager
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from moneygas.dynamics import (
     KERNELS,
     ConservationError,
     DynamicsError,
-    _sweep,
+    PairEpoch,
     advance,
     init_population,
     recorded_coordinates,
@@ -124,6 +126,66 @@ def unchanged(pop, before):
     return all(np.array_equal(arr, old) for arr, old in zip(state(pop), before))
 
 
+# ---------------------------------------------------------------------------
+# The numpy sweep: the reference the compiled loop in _sweep.c is held to
+# ---------------------------------------------------------------------------
+
+
+def sweep_pairs(epoch, sweep):
+    """Halves A and B of the epoch, B shifted by its shift r of sweep number
+    ``sweep``: the pairs (A[i], B[(i + r) mod N // 2])."""
+    half = epoch.shifts.size
+    return epoch.order[:half], np.roll(epoch.order[half:2 * half], -int(epoch.shifts[sweep]))
+
+
+def last_pairs(pop):
+    """The pairs of the population's last sweep."""
+    return sweep_pairs(pop.pair_epoch, pop.pair_epoch.sweep - 1)
+
+
+def reference_split(pop, rng, j, k, row):
+    """Uniform split of each pair's sum in slot row ``row`` (the ledger's liabilities
+    are row 1); a pair whose split would break the kind's bound keeps its values.
+    Returns the number of rejected pairs."""
+    z = pop.cash[row * pop.n_agents:]
+    s = z[j] + z[k]
+    first = rng.random(s.size) * s
+    rest = s - first
+    rejected = 0
+    bound = KERNELS[pop.spec.kind].bound
+    if bound is not None:
+        accept = bound(pop, row, j, first) & bound(pop, row, k, rest)
+        rejected = s.size - int(np.count_nonzero(accept))
+        if rejected:
+            j, k, first, rest = j[accept], k[accept], first[accept], rest[accept]
+    z[j] = first
+    z[k] = rest
+    return rejected
+
+
+def reference_advance(pop, rng, n_events, phase=0):
+    """``advance`` one numpy sweep at a time, each with its own ``rng.random(N // 2)``."""
+    rows = len(KERNELS[pop.spec.kind].moves)
+    events = 0
+    while events < n_events:
+        epoch = pop.pair_epoch
+        if epoch is None or epoch.sweep == epoch.shifts.size:
+            epoch = pop.pair_epoch = PairEpoch.draw(pop.spec.n_slots, rng)
+        j, k = sweep_pairs(epoch, epoch.sweep)
+        epoch.sweep += 1
+        pop.rejected_events += reference_split(pop, rng, j, k, phase % rows)
+        events += j.size
+        phase += 1
+    return events, phase
+
+
+def one_sweep(pop, rng, row):
+    """Advance by one sweep of slot row ``row``; returns its event count."""
+    events, phase = advance(pop, rng, 1, row)
+    assert phase == row + 1
+    return events
+
+
 class TestPrimitives:
     """One sweep of one slot row's move; at N = 2 a pair sweep is one event."""
 
@@ -131,7 +193,7 @@ class TestPrimitives:
         pop = init_population(ModelSpec.cash_only(2, 1.0), "equal", 4.6)
         rng = np.random.default_rng(8)
         for _ in range(100):
-            assert _sweep(pop, rng, 0) == 1
+            assert one_sweep(pop, rng, 0) == 1
             assert pop.cash.min() >= 0.0
             assert pop.cash.sum() == pytest.approx(4.6, rel=1e-15)
 
@@ -142,7 +204,7 @@ class TestPrimitives:
         pop.cash[:] = [2.0, 3.0]  # balances 0 and 1
         rng = np.random.default_rng(5)
         for _ in range(200):
-            assert _sweep(pop, rng, 0) == 1
+            assert one_sweep(pop, rng, 0) == 1
             assert (pop.cash - 2.0).min() >= -2.0
             assert (pop.cash - 2.0).sum() == pytest.approx(1.0, abs=1e-12)
             assert pop.conserved_value() == pytest.approx(1.0, abs=1e-12)
@@ -153,7 +215,7 @@ class TestPrimitives:
         pop = init_population(spec, "uniform-random", 3.0, seed=2)
         rng = np.random.default_rng(6)
         for _ in range(200):
-            assert _sweep(pop, rng, 0) == 1
+            assert one_sweep(pop, rng, 0) == 1
             assert pop.cash.min() >= 0.0
             assert pop.cash.sum() - 3.0 == pytest.approx(3.0, abs=1e-12)
             pop.check_invariants()
@@ -167,7 +229,7 @@ class TestPrimitives:
         traded = 0
         for sweep in range(50):
             assets, liabilities, cash = ledger(pop)
-            assert _sweep(pop, rng, sweep % 2) == 2
+            assert one_sweep(pop, rng, sweep % 2) == 2
             now_assets, now_liabilities, now_cash = ledger(pop)
             if sweep % 2 == 0:
                 assert np.allclose(now_cash - cash, assets - now_assets, rtol=0, atol=1e-12)
@@ -192,7 +254,7 @@ class TestPrimitives:
         before = state(pop)
         rng = np.random.default_rng(2)
         for rejected, row in enumerate((0, 1), start=1):  # the loan sale, then the debt assumption
-            assert _sweep(pop, rng, row) == 1
+            assert one_sweep(pop, rng, row) == 1
             assert pop.rejected_events == rejected
             assert unchanged(pop, before)
 
@@ -205,7 +267,7 @@ class TestPrimitives:
         before = state(pop)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            assert _sweep(pop, rng, 1) == 1  # the debt assumption
+            assert one_sweep(pop, rng, 1) == 1  # the debt assumption
             assert unchanged(pop, before)
         assert pop.rejected_events == 20
 
@@ -225,7 +287,7 @@ class TestPrimitives:
         accepted = {}
         for sweep in range(200):
             rejected = pop.rejected_events
-            _sweep(pop, rng, sweep % 2)
+            one_sweep(pop, rng, sweep % 2)
             accepted[sweep % 2] = accepted.get(sweep % 2, 0) + 1 - (pop.rejected_events - rejected)
             pop.check_invariants()
             assert ledger(pop)[2].min() >= 0.0
@@ -292,9 +354,8 @@ class TestMoveArity:
             pop = init_population(spec, "uniform-random", total, seed=n)
             for row in range(len(KERNELS[spec.kind].moves)):
                 before = state(pop)
-                with probe() as seen:
-                    assert _sweep(pop, np.random.default_rng(n), row) == spec.n_slots // 2
-                ((j, k),) = seen
+                assert one_sweep(pop, np.random.default_rng(n), row) == spec.n_slots // 2
+                j, k = last_pairs(pop)
                 assert j.size == k.size == spec.n_slots // 2
                 assert np.unique(np.concatenate([j, k])).size == 2 * j.size
                 for arr, old in zip(state(pop), before):
@@ -538,26 +599,14 @@ class TestSamplesCsv:
                                                         header=False)
 
 
-@contextmanager
-def probe(apply=True):
-    """Keep a copy of the two pair groups of every sweep in the block; without
-    ``apply`` the sweeps change nothing."""
-    seen, slot_pair = [], dynamics._slot_pair
-
-    def watched(pop, rng, j, k, row):
-        seen.append([np.array(j), np.array(k)])
-        return slot_pair(pop, rng, j, k, row) if apply else 0
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_slot_pair", watched)
-        yield seen
-
-
 def pair_sweeps(n, sweeps, seed=3):
+    """The pairs of each of ``sweeps`` sweeps of N agents."""
     pop = init_population(ModelSpec.cash_only(n, 1.0), "equal", float(n))
     rng = np.random.default_rng(seed)
-    with probe(apply=False) as seen:
-        events = [_sweep(pop, rng, 0) for _ in range(sweeps)]
+    events, seen = [], []
+    for _ in range(sweeps):
+        events.append(one_sweep(pop, rng, 0))
+        seen.append(last_pairs(pop))
     assert events == [n // 2] * sweeps
     return seen
 
@@ -622,3 +671,92 @@ class TestPairMatching:
         first = (tmp_path / "a" / "samples.csv").read_bytes()
         assert first == (tmp_path / "b" / "samples.csv").read_bytes()
         assert first.count(b"\n") == 1 + 36 * model["n_agents"] * (2 if model["kind"] == "combined" else 1)
+
+
+COUNTS = (1, 7, 5000, 123457, 300000)
+# At N = 2 and 3 every sweep is its own epoch and the reference takes ~25 µs a sweep,
+# so the full counts would take ~10 s per case; these still span thousands of epochs.
+SMALL_COUNTS = (1, 7, 5000)
+
+
+def reference_cases():
+    """(spec, policy, total, counts): every kind at N = 1000, 2 and 3, the credit
+    market at V = D from "equal" and at an odd N, and restricted at N = 7."""
+    cases = [(spec, "uniform-random", total, COUNTS) for spec, total in all_dynamic_specs(1000)]
+    cases += [(spec, "uniform-random", total, SMALL_COUNTS)
+              for n in (2, 3) for spec, total in all_dynamic_specs(n)]
+    cases += [
+        (ModelSpec.credit_market(1000, 5000.0), "equal", 5000.0, COUNTS),  # V = D: many cash shortfalls
+        (ModelSpec.credit_market(999, 4995.0), "uniform-random", 4995.0, COUNTS),
+        (ModelSpec.restricted(7, 1.5), "uniform-random", 3.5, COUNTS),
+    ]
+    return [pytest.param(*case, id=f"{case[0].kind.value}-{case[1]}-N{case[0].n_agents}") for case in cases]
+
+
+@pytest.fixture
+def fresh_loop(tmp_path, monkeypatch):
+    """An empty library cache, and the loop loaded anew in this process before and after."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    dynamics._sweep_loop.cache_clear()
+    yield tmp_path / "cache" / "moneygas"
+    dynamics._sweep_loop.cache_clear()
+
+
+class TestCompiledLoop:
+    @pytest.mark.parametrize("spec,policy,total,counts", reference_cases())
+    def test_matches_the_numpy_reference(self, spec, policy, total, counts):
+        # Byte for byte: the slots, the rejections, the events and phase of every
+        # call, and the stream position (the next draw) after the last one.
+        runs = []
+        for step in (advance, reference_advance):
+            rng = np.random.default_rng(29)
+            pop = init_population(spec, policy, total, rng=rng)
+            phase, calls = 0, []
+            for count in counts:
+                events, phase = step(pop, rng, count, phase)
+                calls.append((events, phase))
+            runs.append((pop.cash.tobytes(), pop.rejected_events, calls, rng.random()))
+        assert runs[0] == runs[1]
+        if spec.kind in (ModelKind.RESTRICTED, ModelKind.CREDIT_MARKET) and spec.n_agents > 3:
+            assert runs[0][1] > 0  # the bound was tested, and it rejected
+
+    def test_second_load_runs_no_compiler(self, fresh_loop, monkeypatch):
+        dynamics._load_library()
+        (built,) = fresh_loop.iterdir()
+        monkeypatch.setattr(dynamics, "_COMPILER", "no-such-compiler")
+        assert dynamics._load_library().moneygas_sweeps
+        src = Path(dynamics.__file__).parent.parent
+        code = ("from moneygas import dynamics; dynamics._COMPILER = 'no-such-compiler'; "
+                "dynamics._load_library()")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        assert list(fresh_loop.iterdir()) == [built]
+
+    def test_edited_source_builds_a_new_file(self, fresh_loop, tmp_path, monkeypatch):
+        dynamics._load_library()
+        edited = tmp_path / "_sweep.c"
+        edited.write_bytes(dynamics._SOURCE.read_bytes() + b"/* edited */\n")
+        monkeypatch.setattr(dynamics, "_SOURCE", edited)
+        assert dynamics._load_library().moneygas_sweeps
+        assert len(list(fresh_loop.glob("*.so"))) == 2
+        assert len(list(fresh_loop.iterdir())) == 2  # no partial file left behind
+
+    def test_unwritable_cache_builds_in_a_private_directory(self, fresh_loop, tmp_path, monkeypatch):
+        # A file where the cache directory should be: no one, root included, can create it.
+        (tmp_path / "cache").write_text("")
+        private = tmp_path / "tmp"
+        private.mkdir()
+        monkeypatch.setattr(dynamics.tempfile, "tempdir", str(private))
+        pop = init_population(ModelSpec.cash_only(10, 1.0), "equal", 10.0)
+        assert advance(pop, np.random.default_rng(1), 50) == (50, 10)
+        assert list(private.iterdir()) == []  # the private build is gone once loaded
+
+    def test_missing_compiler_exits_2_with_one_line(self, fresh_loop, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(dynamics, "_COMPILER", "no-such-compiler")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "task": "simulate", "seed": 1, "model": {"kind": "cash_only", "n_agents": 10, "volume_y": 1.0},
+            "run": {"policy": "equal", "total": 10.0, "steps": 2000, "burn_in": 100, "thin": 100}}))
+        assert main(["simulate", "-c", str(config), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no-such-compiler" in err

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp
 
-from moneygas.dynamics import init_population, run_chain
+from moneygas.dynamics import init_population, recorded_coordinates, run_chain
 from moneygas.ensembles import ModelSpec, mean_money_restricted
 
 N, D, CLASSES = 100, 2.0, 3
@@ -114,6 +114,28 @@ def test_restricted_uniform_random_start_is_an_exact_draw(total):
     exact = restricted_rejection_draws(np.random.default_rng(12), draws, n, d, total)
     assert ks_2samp(starts[:, :n].ravel(), exact[:, :n].ravel()).pvalue > P_MIN
     assert ks_2samp(starts[:, n:].ravel(), exact[:, n:].ravel()).pvalue > P_MIN
+
+
+@pytest.mark.parametrize("kind", ["restricted", "combined"])
+def test_equal_chain_matches_exact_starts_at_n_1000(kind):
+    # At criterion-1 size an "equal" chain past its burn-in and independent exact
+    # "uniform-random" starts sample one law: 400 records against 400 starts, for
+    # cash and for the accounts. With these sizes a 2 % error in combined's total
+    # fails at p ~ 1e-8.
+    n = 1000
+    if kind == "restricted":
+        spec = ModelSpec.restricted(n, 1.0)
+        total = mean_money_restricted(spec, 1.0)
+    else:
+        spec, total = ModelSpec.combined(n, D), 4.0 * n
+    records, thin, burn_in = 400, 10 * n, 100 * n
+    chain = run_chain(spec, "equal", total, burn_in + records * thin, burn_in, thin, seed=11)
+    rng = np.random.default_rng(12)
+    starts = [recorded_coordinates(init_population(spec, "uniform-random", total, rng=rng))
+              for _ in range(records)]
+    for name in ("x", "y"):
+        exact = np.stack([start[name] for start in starts])
+        assert ks_2samp(chain.coords[name].ravel(), exact.ravel()).pvalue > P_MIN, name
 
 
 @pytest.mark.parametrize("ratio", [1.0, 4.0])
