@@ -31,6 +31,18 @@ CASES = {
     "analytic_multi_account": {"task": "analytic", "temperatures": [0.5, 2.0],
                                "model": {"kind": "multi_account", "n_agents": 3, "accounts_per_agent": [1, 2, 4],
                                          "account_overdrafts": [[1.0], [0.0, 2.0], [0.5, 0.5, 3.0, 0.0]]}},
+    # configs/carnot_transform.json: the cycle, its free expansion, path.tsv and the identity grid.
+    "transform": {"task": "transform",
+                  "model": {"kind": "credit_market", "n_agents": 1, "volume_x": 1.0},
+                  "cycle": {"t_hot": 4.0, "t_cold": 2.0, "v1": 1.0, "v2": 2.718281828459045},
+                  "free_expansion_factor": 1.5,
+                  "fractional_reserve": {"reserve_ratio": 0.2, "volume": 100.0, "n_agents": 50,
+                                         "reserve_ratio_new": 0.1},
+                  "identity_grid": {"temperatures": [0.5, 1.0, 2.0, 4.0, 8.0], "volumes": [500.0, 1000.0]}},
+    "pareto": {"task": "pareto", "seed": 11, "temperature": 1.0, "direct_samples": 2_000,
+               "pareto": {"n_agents": 20, "floor_j": 1.0, "t_max": 3.0},
+               "dynamics": {"mean_log_excess": 0.5, "steps": 20_000, "burn_in": 2_000, "thin": 200},
+               "scan": {"temperatures": [0.5, 1.0, 2.0, 2.9]}},
 }
 
 # name -> {output file: SHA-256}, computed at the commit that introduced this test.
@@ -65,6 +77,15 @@ GOLDEN = {
         "report.json": "sha256:7fc7bd9f48690f1649de822dae829ca9587f9d21ac338d4346279b52d57fc6ba",
         "samples.csv": "sha256:c285b8c02a17f096bcc1396ab0faf5004fa6d993d30abf0148c16aabad457362",
         "histogram.tsv": "sha256:3e36dd0d6fde94f883eda5595c0b816f5ae905512e483579260ed689cc6da9c0",
+    },
+    "pareto": {
+        "report.json": "sha256:7936d955971b6f246b2a7cf0ea99ef8965ec37f4f2524f6ee293563dbf1643b7",
+        "samples.csv": "sha256:d91e9930923a47271e03a5eb00ba4494922139f450087b35a53cffa73fc6e860",
+        "scan.tsv": "sha256:4492fd1d49e66f46dfe16397f45eeb4ec82d098f6017a56ca43b15dcddcea5f4",
+    },
+    "transform": {
+        "report.json": "sha256:19c7072f7efa3332c7af24c16c40f435943bab50be070045351069ac5d345ef4",
+        "path.tsv": "sha256:1317199489afedb05b0093f5c912bbadf127612ad33f4c29187eacc8cdb08e43",
     },
 }
 
