@@ -7,7 +7,8 @@ acceptance driver:
     moneygas check -r report.json -e expectations.json
 
 Exit codes: 0 success, 1 acceptance failure, 2 an input that cannot be run
-(invalid, or too large for the available memory).
+(invalid, or too large for the available memory) or a sweep loop that the
+C compiler cannot build (``build error:``).
 Relative output paths resolve under $MONEYGAS_OUT_ROOT when it is set.
 """
 
@@ -19,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError
+from .dynamics import BuildError
 from .ensembles import MoneygasError
 from .runner import TASKS, compare_report, load_config, run_experiment
 
@@ -73,6 +75,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _run_check(args.report, args.expect)
         return _run_task(args.command, args.config, args.out)
+    except BuildError as exc:
+        print(f"build error: {exc}", file=sys.stderr)
+        return 2
     except MoneygasError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

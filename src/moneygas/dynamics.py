@@ -89,6 +89,10 @@ class DynamicsError(MoneygasError):
     """Invalid dynamics request (infeasible totals, bad window parameters)."""
 
 
+class BuildError(DynamicsError):
+    """The C compiler could not build the sweep loop: the machine's fault, not the input's."""
+
+
 class ConservationError(RuntimeError):
     """A conservation audit found drift beyond tolerance."""
 
@@ -376,11 +380,11 @@ def _compile(source: bytes, output: Path) -> None:
         subprocess.run([_COMPILER, *_CFLAGS, "-o", str(output), "-x", "c", "-"],
                        input=source, capture_output=True, check=True)
     except OSError as err:
-        raise DynamicsError(f"cannot run the C compiler {_COMPILER!r} to build the sweep loop: "
+        raise BuildError(f"cannot run the C compiler {_COMPILER!r} to build the sweep loop: "
                             f"{err.strerror or err}") from None
     except subprocess.CalledProcessError as err:
         lines = err.stderr.decode(errors="replace").strip().splitlines() or [f"exit code {err.returncode}"]
-        raise DynamicsError(f"{_COMPILER} failed to build {_SOURCE.name}: {lines[-1]}") from None
+        raise BuildError(f"{_COMPILER} failed to build {_SOURCE.name}: {lines[-1]}") from None
 
 
 def _load_library() -> ctypes.CDLL:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import default_burn_in, default_thin, run_chain, samples_csv
+from .dynamics import run_chain, samples_csv
 from .ensembles import ModelSpec, MoneygasError, log_factorial
 
 
@@ -146,21 +146,10 @@ def run_income_chain(
     In z = ln(I/J) >= 0 the total Y = N ln J + sum_i z_i is a cash total, so
     the chain is the cash-only kernel on z: a uniform split of z_j + z_k keeps
     the shell measure of the conserved-Y ensemble invariant, and incomes never
-    fall below the floor. Every agent starts at I = J e^theta.
+    fall below the floor. Every agent starts at I = J e^theta. The window
+    defaults and every check on the window, N and theta are ``run_chain``'s.
     """
     n = spec.n_agents
-    if n < 2:
-        raise ParetoError("need at least 2 agents")
-    if burn_in is None:
-        burn_in = default_burn_in(n)
-    if thin is None:
-        thin = default_thin(n)
-    if burn_in < 0 or steps <= burn_in:
-        raise ParetoError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
-    if thin < 1:
-        raise ParetoError(f"thin must be >= 1, got {thin}")
-    if mean_log_excess < 0:
-        raise ParetoError("mean log excess cannot be negative")
     chain = run_chain(ModelSpec.cash_only(n, 1.0), "equal", n * float(mean_log_excess),
                       steps, burn_in, thin, seed)
     incomes = np.exp(chain.coords["x"], out=chain.coords["x"])  # in place: no full-size copy
@@ -171,8 +160,8 @@ def run_income_chain(
         y_drift=chain.meta.max_drift,
         seed=seed,
         steps=steps,
-        burn_in=burn_in,
-        thin=thin,
+        burn_in=chain.meta.burn_in,
+        thin=chain.meta.thin,
         spec=spec,
     )
 

@@ -81,8 +81,6 @@ from .pareto import (
 )
 from .transform import (
     carnot_cycle,
-    carnot_path,
-    cycle_with_free_expansion,
     first_law_residual,
     fractional_reserve,
     gibbs_duhem_residual,
@@ -268,24 +266,15 @@ def _run_transform(config: ExperimentConfig) -> tuple[dict, list[int], dict[str,
         cyc = raw["cycle"]
         t_hot, t_cold = float(cyc["t_hot"]), float(cyc["t_cold"])
         v1, v2 = float(cyc["v1"]), float(cyc["v2"])
-        cycle = carnot_cycle(spec, t_hot, t_cold, v1, v2)
-        report["cycle"] = asdict(cycle)
-        rows = path_table(carnot_path(spec, t_hot, t_cold, v1, v2))
+        report["cycle"] = asdict(carnot_cycle(spec, t_hot, t_cold, v1, v2))
+        rows = path_table(spec, t_hot, t_cold, v1, v2)
         files["path.tsv"] = _tsv(("volume", "temperature", "pressure", "entropy"), rows)
         if "free_expansion_factor" in raw:
-            spoiled = cycle_with_free_expansion(
-                spec, t_hot, t_cold, v1, v2, float(raw["free_expansion_factor"])
-            )
-            verdict = policy_bound_check(
-                spoiled.credit_out_cold, spoiled.credit_in_hot, t_cold, t_hot
-            )
+            spoiled = carnot_cycle(spec, t_hot, t_cold, v1, v2, float(raw["free_expansion_factor"]))
+            verdict = policy_bound_check(spoiled.credit_out_cold, spoiled.credit_in_hot, t_cold, t_hot)
             report["free_expansion_cycle"] = asdict(spoiled)
-            report["policy_bound"] = {
-                "credit_ratio": verdict.credit_ratio,
-                "temperature_ratio": verdict.temperature_ratio,
-                "satisfies_temperature_bound": verdict.satisfies_temperature_bound,
-                "eta_below_carnot": spoiled.eta < spoiled.carnot_eta,
-            }
+            report["policy_bound"] = {**asdict(verdict),
+                                      "eta_below_carnot": spoiled.eta < spoiled.carnot_eta}
     if "fractional_reserve" in raw:
         fr = raw["fractional_reserve"]
         money, temperature = fractional_reserve(

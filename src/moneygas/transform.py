@@ -1,21 +1,25 @@
-"""Thermodynamic process engine for monetary-policy transformations.
+"""The monetary Carnot cycle and the other monetary-policy transformations.
 
 Works on the "ideal monetary gas" models whose partition function carries
 a volume factor (cash-only, overdraft, credit-market): S = N ln(VT) + N,
 P = NT/V, so isotherms do NT ln(V2/V1) of work and adiabats keep T·V
 fixed. Work is the central bank's monetary-base change, credit heat is
-the T dS term, and the Carnot-style cycle bounds the policy performance
-factor eta = L/|C_h| by 1 - T_c/T_h.
+the T dS term, and the Carnot cycle bounds the policy performance factor
+eta = L/|C_h| by 1 - T_c/T_h.
 
-Each leg's work is a closed form: N·T·ln(V2/V1) on an isotherm and
-N·(T1 - T2) on an adiabat. The tests integrate the model's pressure along
-the same legs by quadrature as the reference.
+``carnot_cycle`` is the one cycle: four legs, each with a closed-form work
+(N·T·ln(V2/V1) on an isotherm, N·(T1 - T2) on an adiabat), and an optional
+free expansion on the cold branch that pushes eta below the bound.
+``path_table`` tabulates the same legs. The tests integrate the model's
+pressure along each leg by quadrature as the reference. The module also
+holds the fractional-reserve relations and the Gibbs-Duhem and first-law
+residuals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 from .ensembles import (
@@ -31,99 +35,59 @@ from .ensembles import (
 )
 
 PATH_POINTS = 25
+Leg = tuple[float, float, float, float]  # (V_start, V_end, T_start, T_end)
 
 
 class TransformError(MoneygasError):
-    """Invalid path, state, or parameter for a thermodynamic process."""
+    """Invalid state or parameter for a cycle or a reserve relation."""
 
 
-def _require_ideal(spec: ModelSpec) -> None:
+def _legs(spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: float) -> tuple[Leg, ...]:
+    """The Carnot cycle's four legs as (V_start, V_end, T_start, T_end): the
+    hot isotherm from v1 to v2, the adiabat down to t_cold, the cold isotherm
+    and the adiabat back to v1. Even legs are isotherms, odd legs adiabats."""
     if model_volume(spec) is None:
-        raise TransformError(
-            f"process engine needs a model with a volume variable, got {spec.kind.value}"
-        )
+        raise TransformError(f"a cycle needs a model with a volume variable, got {spec.kind.value}")
+    if not (t_hot > t_cold > 0):
+        raise TransformError(f"need t_hot > t_cold > 0, got {t_hot}, {t_cold}")
+    if not (v2 > v1 > 0):
+        raise TransformError(f"need v2 > v1 > 0, got {v1}, {v2}")
+    ratio = t_hot / t_cold
+    legs = (
+        (v1, v2, t_hot, t_hot),
+        (v2, v2 * ratio, t_hot, t_hot * v2 / (v2 * ratio)),
+        (v2 * ratio, v1 * ratio, t_cold, t_cold),
+        (v1 * ratio, v1, t_cold, t_cold * (v1 * ratio) / v1),
+    )
+    for v_start, v_end, t_start, t_end in legs:
+        for v, t in ((v_start, t_start), (v_end, t_end)):
+            if not (0 < v < math.inf and 0 < t < math.inf):
+                raise TransformError(f"cycle state V={v}, T={t} is out of floating-point range"
+                                     f" (T_h/T_c = {ratio})")
+        if not 0 < v_end / v_start < math.inf:
+            raise TransformError(f"cycle volume ratio {v_end}/{v_start} is out of floating-point range")
+    return legs
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One quasi-static leg with explicit endpoint states."""
-
-    kind: str  # "isothermal" | "adiabatic"
-    v_start: float
-    v_end: float
-    t_start: float
-    t_end: float
-
-    def __post_init__(self) -> None:
-        if self.v_start <= 0 or self.v_end <= 0 or self.t_start <= 0 or self.t_end <= 0:
-            raise TransformError("segment volumes and temperatures must be positive")
-        if not 0 < self.v_end / self.v_start < math.inf:
-            raise TransformError("segment volume ratio is out of floating-point range")
-        if self.kind == "isothermal":
-            if self.t_start != self.t_end:
-                raise TransformError("isothermal segment with changing temperature")
-        elif self.kind == "adiabatic":
-            expected = self.t_start * self.v_start / self.v_end
-            if abs(self.t_end - expected) > 1e-12 * expected:
-                raise TransformError(
-                    f"adiabatic segment must keep T*V fixed: expected T_end {expected}"
-                )
-        else:
-            raise TransformError(f"unknown segment kind {self.kind!r}")
+def _leg_work(n: float, leg: Leg, isotherm: bool) -> float:
+    """L = integral of P dV: N·T·ln(V2/V1) on an isotherm, N·(T1 - T2) on an
+    adiabat (T = c/V, and N·c/V² integrates to this)."""
+    v_start, v_end, t_start, t_end = leg
+    if isotherm:
+        return n * t_start * math.log(v_end / v_start)
+    return n * (t_start - t_end)
 
 
-def isothermal(temperature: float, v_start: float, v_end: float) -> Segment:
-    return Segment("isothermal", v_start, v_end, temperature, temperature)
-
-
-def adiabatic(t_start: float, v_start: float, v_end: float) -> Segment:
-    return Segment("adiabatic", v_start, v_end, t_start, t_start * v_start / v_end)
-
-
-@dataclass(frozen=True)
-class ProcessPath:
-    """Chained quasi-static segments for one model."""
-
-    spec: ModelSpec
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self) -> None:
-        _require_ideal(self.spec)
-        if not self.segments:
-            raise TransformError("a path needs at least one segment")
-        for previous, current in zip(self.segments, self.segments[1:]):
-            if not math.isclose(previous.v_end, current.v_start, rel_tol=1e-12) or not math.isclose(
-                previous.t_end, current.t_start, rel_tol=1e-12
-            ):
-                raise TransformError("adjacent segments must share endpoint states")
-
-
-def _segment_work(n: float, segment: Segment) -> float:
-    if segment.kind == "isothermal":
-        return n * segment.t_start * math.log(segment.v_end / segment.v_start)
-    return n * (segment.t_start - segment.t_end)  # adiabatic: T = c/V, and N·c/V² integrates to this
-
-
-def work_along_path(path: ProcessPath) -> float:
-    """Central-bank work L = integral of P dV along the path."""
-    n = float(path.spec.n_agents)
-    return math.fsum(_segment_work(n, s) for s in path.segments)
-
-
-def path_table(path: ProcessPath) -> list[tuple[float, float, float, float]]:
-    """(V, T, P, S) rows along the path, PATH_POINTS evenly spaced volumes per segment."""
+def path_table(spec: ModelSpec, t_hot: float, t_cold: float, v1: float,
+               v2: float) -> list[tuple[float, float, float, float]]:
+    """(V, T, P, S) rows around the Carnot cycle, PATH_POINTS evenly spaced volumes per leg."""
     rows = []
-    for segment in path.segments:
+    for index, (v_start, v_end, t_start, _) in enumerate(_legs(spec, t_hot, t_cold, v1, v2)):
         for i in range(PATH_POINTS):
-            frac = i / (PATH_POINTS - 1)
-            v = segment.v_start + frac * (segment.v_end - segment.v_start)
-            if segment.kind == "isothermal":
-                t = segment.t_start
-            else:
-                t = segment.t_start * segment.v_start / v
-            pressure = pressure_closed_form(path.spec, t, volume=v)
-            entropy = entropy_closed_form(path.spec, t, volume=v)
-            rows.append((v, t, pressure, entropy))
+            v = v_start + i / (PATH_POINTS - 1) * (v_end - v_start)
+            t = t_start if index % 2 == 0 else t_start * v_start / v
+            rows.append((v, t, pressure_closed_form(spec, t, volume=v),
+                         entropy_closed_form(spec, t, volume=v)))
     return rows
 
 
@@ -137,103 +101,47 @@ class CycleReport:
     delta_s_hot: float
     eta: float
     carnot_eta: float
-    irreversible_delta_s: float = 0.0
+    irreversible_delta_s: float
 
 
-def carnot_path(spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: float) -> ProcessPath:
-    """The Carnot cycle's four legs: the hot isotherm from v1 to v2, the
-    adiabat down to t_cold, the cold isotherm and the adiabat back to v1."""
-    ratio = t_hot / t_cold
-    return ProcessPath(
-        spec,
-        (
-            isothermal(t_hot, v1, v2),
-            adiabatic(t_hot, v2, v2 * ratio),
-            isothermal(t_cold, v2 * ratio, v1 * ratio),
-            adiabatic(t_cold, v1 * ratio, v1),
-        ),
-    )
+def carnot_cycle(spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: float,
+                 expansion_factor: float = 1.0) -> CycleReport:
+    """The four-leg monetary Carnot cycle between credit levels t_hot > t_cold > 0.
 
-
-def carnot_cycle(
-    spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: float
-) -> CycleReport:
-    """The four-leg monetary Carnot cycle between credit levels T_h, T_c.
-
-    Isothermal expansion at T_h from v1 to v2, adiabat down to T_c,
-    isothermal compression at T_c, adiabat back to the start. The report
-    satisfies L = (T_h - T_c) * dS and eta = 1 - T_c/T_h to 1e-9; both are
-    asserted before returning.
-
-    Parameters
-    ----------
-    spec : model providing N and the volume interpretation.
-    t_hot, t_cold : hot/cold credit temperatures, t_hot > t_cold > 0.
-    v1, v2 : monetary-base volumes bounding the hot isotherm, v2 > v1.
+    Isothermal expansion at T_h over the monetary base v1 < v2, adiabat down
+    to T_c, isothermal compression at T_c, adiabat back to the start.
+    ``expansion_factor`` f >= 1 widens the base by f after the adiabat to T_c,
+    with no credit exchanged and no work done; the longer cold compression
+    then does -N·T_c·ln f more work and dumps the extra credit, so eta drops
+    below the Carnot bound. The reversible cycle (f = 1) is asserted to
+    satisfy L = (T_h - T_c)·dS and eta = 1 - T_c/T_h to 1e-9.
     """
-    _require_ideal(spec)
-    if not (t_hot > t_cold > 0):
-        raise TransformError(f"need t_hot > t_cold > 0, got {t_hot}, {t_cold}")
-    if not (v2 > v1 > 0):
-        raise TransformError(f"need v2 > v1 > 0, got {v1}, {v2}")
-    n = float(spec.n_agents)
-    work = work_along_path(carnot_path(spec, t_hot, t_cold, v1, v2))
-    delta_s_hot = n * math.log(v2 / v1)
-    credit_hot = t_hot * delta_s_hot
-    credit_cold = t_cold * -delta_s_hot
-    eta = work / abs(credit_hot)
-    carnot_eta = 1.0 - t_cold / t_hot
-    if abs(eta - carnot_eta) > 1e-9:
-        raise TransformError(f"cycle efficiency {eta} deviates from Carnot {carnot_eta}")
-    if abs(work - (t_hot - t_cold) * delta_s_hot) > 1e-9 * max(abs(work), 1.0):
-        raise TransformError("cycle work deviates from (T_h - T_c) * dS")
-    return CycleReport(
-        work_L=work,
-        credit_in_hot=credit_hot,
-        credit_out_cold=credit_cold,
-        delta_s_hot=delta_s_hot,
-        eta=eta,
-        carnot_eta=carnot_eta,
-    )
-
-
-def cycle_with_free_expansion(
-    spec: ModelSpec,
-    t_hot: float,
-    t_cold: float,
-    v1: float,
-    v2: float,
-    expansion_factor: float,
-) -> CycleReport:
-    """Carnot cycle spoiled by a spontaneous expansion on the cold branch.
-
-    After the adiabat to T_c the base widens by ``expansion_factor`` with
-    no credit exchanged and no work done; the longer cold compression then
-    dumps extra credit, so eta drops strictly below the Carnot bound.
-    """
-    _require_ideal(spec)
-    if expansion_factor < 1.0:
+    legs = _legs(spec, t_hot, t_cold, v1, v2)
+    if not expansion_factor >= 1.0:
         raise TransformError(f"expansion factor must be >= 1, got {expansion_factor}")
-    if not (t_hot > t_cold > 0) or not (v2 > v1 > 0):
-        raise TransformError("invalid cycle temperatures or volumes")
     n = float(spec.n_agents)
-    ratio = t_hot / t_cold
-    delta_s_hot = n * math.log(v2 / v1)
     delta_s_irrev = n * math.log(expansion_factor)
-    credit_hot = t_hot * delta_s_hot
-    # Cold isotherm must return entropy dS_hot + dS_irrev for the cycle to close.
+    terms = [_leg_work(n, leg, index % 2 == 0) for index, leg in enumerate(legs)]
+    try:  # the free expansion costs the cold compression -T_c·dS_irrev
+        work = math.fsum([*terms, -t_cold * delta_s_irrev])
+    except (OverflowError, ValueError):  # a partial sum, or two opposite infinite terms
+        work = math.inf
+    delta_s_hot = n * math.log(v2 / v1)
+    credit_hot = t_hot * delta_s_hot  # > 0 unless it underflows
+    # The cold isotherm returns dS_hot + dS_irrev for the cycle to close.
     credit_cold = -t_cold * (delta_s_hot + delta_s_irrev)
-    work = credit_hot + credit_cold
-    eta = work / abs(credit_hot)
-    return CycleReport(
-        work_L=work,
-        credit_in_hot=credit_hot,
-        credit_out_cold=credit_cold,
-        delta_s_hot=delta_s_hot,
-        eta=eta,
-        carnot_eta=1.0 - t_cold / t_hot,
-        irreversible_delta_s=delta_s_irrev,
-    )
+    report = CycleReport(work_L=work, credit_in_hot=credit_hot, credit_out_cold=credit_cold,
+                         delta_s_hot=delta_s_hot, eta=work / credit_hot if credit_hot else math.nan,
+                         carnot_eta=1.0 - t_cold / t_hot, irreversible_delta_s=delta_s_irrev)
+    if not all(map(math.isfinite, astuple(report))):
+        raise TransformError(f"the cycle's work or credit is out of floating-point range: {report}")
+    if expansion_factor == 1.0:
+        if abs(report.eta - report.carnot_eta) > 1e-9:
+            raise TransformError(f"cycle efficiency {report.eta} deviates from Carnot"
+                                 f" {report.carnot_eta}")
+        if abs(work - (t_hot - t_cold) * delta_s_hot) > 1e-9 * max(abs(work), 1.0):
+            raise TransformError("cycle work deviates from (T_h - T_c) * dS")
+    return report
 
 
 @dataclass(frozen=True)
@@ -243,12 +151,8 @@ class PolicyBoundVerdict:
     satisfies_temperature_bound: bool
 
 
-def policy_bound_check(
-    credit_cold: float,
-    credit_hot: float,
-    t_cold: float,
-    t_hot: float,
-) -> PolicyBoundVerdict:
+def policy_bound_check(credit_cold: float, credit_hot: float, t_cold: float,
+                       t_hot: float) -> PolicyBoundVerdict:
     """Check |C_c|/|C_h| >= T_c/T_h."""
     if credit_hot == 0:
         raise TransformError("credit_hot must be nonzero")

@@ -36,7 +36,6 @@ from moneygas.pareto import (
 from moneygas.runner import derive_seed, load_config, run_experiment
 from moneygas.transform import (
     carnot_cycle,
-    cycle_with_free_expansion,
     first_law_residual,
     fractional_reserve,
     gibbs_duhem_residual,
@@ -222,7 +221,7 @@ def test_criterion_6_monetary_carnot():
     assert abs(report.eta - 0.5) <= 1e-9
     assert abs(report.eta - (1.0 - 2.0 / 4.0)) <= 1e-9
 
-    spoiled = cycle_with_free_expansion(spec, 4.0, 2.0, 1.0, math.e, 1.5)
+    spoiled = carnot_cycle(spec, 4.0, 2.0, 1.0, math.e, expansion_factor=1.5)
     assert spoiled.eta < report.carnot_eta
     verdict = policy_bound_check(spoiled.credit_out_cold, spoiled.credit_in_hot, 2.0, 4.0)
     assert verdict.satisfies_temperature_bound

@@ -759,4 +759,4 @@ class TestCompiledLoop:
             "run": {"policy": "equal", "total": 10.0, "steps": 2000, "burn_in": 100, "thin": 100}}))
         assert main(["simulate", "-c", str(config), "-o", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "no-such-compiler" in err
+        assert err.startswith("build error: ") and err.count("\n") == 1 and "no-such-compiler" in err

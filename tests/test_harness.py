@@ -53,6 +53,7 @@ MULTI_ACCOUNT_OVERFLOW = {"kind": "multi_account", "n_agents": 2, "accounts_per_
                           "account_overdrafts": [[1e308], [1e308]]}
 CREDIT_MARKET = {"kind": "credit_market", "n_agents": 100, "volume_x": 1000.0}
 CYCLE = {"t_hot": 4.0, "t_cold": 2.0, "v1": 1.0, "v2": 2.0}
+ONE_AGENT_CREDIT = {"kind": "credit_market", "n_agents": 1, "volume_x": 1.0}
 PARETO = {"task": "pareto", "pareto": {"n_agents": 10, "floor_j": 1.0, "t_max": 3.0},
           "temperature": 1.0}
 DYNAMICS = {"mean_log_excess": 0.5, "steps": 4_000, "burn_in": 1_000, "thin": 100}
@@ -61,6 +62,18 @@ ONE_RECORD = dict(RUN, steps=2, burn_in=1, thin=1)
 # accept, crash on, or silently reinterpret.
 UNRUNNABLE_INPUTS = {
     "cycle_on_volumeless_model": {"task": "transform", "model": COMBINED, "cycle": CYCLE},
+    # Cycles whose states, work or credit leave the float range; the last two used
+    # to end in a ValueError from fsum and a ZeroDivisionError.
+    "cycle_volume_ratio_past_float_range": {
+        "task": "transform", "model": ONE_AGENT_CREDIT, "cycle": dict(CYCLE, v1=1e-300, v2=1e300)},
+    "cycle_temperature_ratio_past_float_range": {
+        "task": "transform", "model": ONE_AGENT_CREDIT, "cycle": dict(CYCLE, t_hot=1e300, t_cold=1e-300)},
+    "cycle_work_past_float_range": {
+        "task": "transform", "model": dict(ONE_AGENT_CREDIT, n_agents=10**10),
+        "cycle": dict(CYCLE, t_hot=1e300, t_cold=1e299)},
+    "cycle_credit_underflow": {
+        "task": "transform", "model": ONE_AGENT_CREDIT,
+        "cycle": dict(CYCLE, t_hot=1e-310, t_cold=5e-311, v2=1.0000000000000002)},
     "grid_volumes_on_volumeless_model": {
         "task": "transform", "model": COMBINED,
         "identity_grid": {"temperatures": [1.0], "volumes": [5.0]}},
@@ -645,6 +658,17 @@ class TestCli:
         assert report["cycle"]["eta"] == pytest.approx(0.5, abs=1e-9)
         assert report["policy_bound"]["eta_below_carnot"]
         assert (out / "path.tsv").exists()
+
+    @pytest.mark.parametrize("extra", [{"free_expansion_factor": 1e308},
+                                       {"cycle": dict(CYCLE, t_hot=2.0000000000000004, t_cold=2.0)}],
+                             ids=["largest_expansion_factor", "one_float_temperature_gap"])
+    def test_transform_edge_cycles_run(self, tmp_path, extra):
+        document = dict({"task": "transform", "model": ONE_AGENT_CREDIT, "cycle": CYCLE,
+                         "free_expansion_factor": 1.5}, **extra)
+        out = tmp_path / "tra"
+        assert main(["transform", "-c", str(write_config(tmp_path, document)), "-o", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["policy_bound"]["satisfies_temperature_bound"]
 
     def test_pareto_pipeline(self, tmp_path):
         document = {"task": "pareto", "seed": 3,

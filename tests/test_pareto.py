@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from moneygas.cli import main
+from moneygas.dynamics import DynamicsError, default_burn_in, default_thin
 from moneygas.estimation import hill_tail_index
 from moneygas.pareto import (
     ParetoError,
@@ -202,13 +203,21 @@ class TestIncomeDynamics:
         assert canonical_index == pytest.approx(1.0 / theta, rel=0.03)
 
     def test_window_validation(self):
+        # The chain's own checks: run_chain's window, its pair count and the start's sign.
         spec = ParetoSpec(10, 1.0, 2.0)
-        with pytest.raises(ParetoError):
+        with pytest.raises(DynamicsError, match="steps > burn_in"):
             run_income_chain(spec, 0.5, steps=100, burn_in=100, thin=10)
-        with pytest.raises(ParetoError):
+        with pytest.raises(DynamicsError, match="thin"):
+            run_income_chain(spec, 0.5, steps=1000, burn_in=10, thin=0)
+        with pytest.raises(DynamicsError, match="infeasible total"):
             run_income_chain(spec, -0.5, steps=1000, burn_in=10, thin=10)
-        with pytest.raises(ParetoError):
+        with pytest.raises(DynamicsError, match="at least 2 agents"):
             run_income_chain(ParetoSpec(1, 1.0, 2.0), 0.5, steps=1000, burn_in=10, thin=10)
+
+    def test_window_defaults_are_the_chains(self):
+        chain = run_income_chain(ParetoSpec(10, 1.0, 2.0), 0.5, steps=2_000, seed=1)
+        assert (chain.burn_in, chain.thin) == (default_burn_in(10), default_thin(10))
+        assert chain.n_records == (2_000 - chain.burn_in) // chain.thin
 
 
 class TestTransitionScan:

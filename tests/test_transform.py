@@ -3,60 +3,79 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from moneygas.ensembles import ModelSpec, pressure_closed_form
+from moneygas.ensembles import ModelSpec, entropy_closed_form, pressure_closed_form
 from moneygas.transform import (
-    ProcessPath,
     PATH_POINTS,
     TransformError,
-    adiabatic,
+    _leg_work,
+    _legs,
     carnot_cycle,
-    carnot_path,
-    cycle_with_free_expansion,
     first_law_residual,
     fractional_reserve,
     gibbs_duhem_residual,
-    isothermal,
     isothermal_base,
     path_table,
     policy_bound_check,
-    work_along_path,
 )
 
 CREDIT = ModelSpec.credit_market(1, 1.0)
 
 
 class TestPaths:
-    def test_segment_continuity_enforced(self):
-        with pytest.raises(TransformError):
-            ProcessPath(CREDIT, (isothermal(4.0, 1.0, 2.0), isothermal(4.0, 3.0, 4.0)))
-        with pytest.raises(TransformError):
-            ProcessPath(CREDIT, (isothermal(4.0, 1.0, 2.0), isothermal(3.0, 2.0, 4.0)))
-
     def test_volumeless_model_rejected(self):
-        with pytest.raises(TransformError):
-            ProcessPath(ModelSpec.combined(3, 1.0), (isothermal(1.0, 1.0, 2.0),))
+        with pytest.raises(TransformError, match="volume"):
+            carnot_cycle(ModelSpec.combined(3, 1.0), 4.0, 2.0, 1.0, 2.0)
+        with pytest.raises(TransformError, match="volume"):
+            path_table(ModelSpec.combined(3, 1.0), 4.0, 2.0, 1.0, 2.0)
 
     def test_path_table_shape(self):
-        path = ProcessPath(CREDIT, (isothermal(4.0, 1.0, 2.0), adiabatic(4.0, 2.0, 4.0)))
-        rows = path_table(path)
-        assert len(rows) == 2 * PATH_POINTS
+        rows = path_table(CREDIT, 4.0, 2.0, 1.0, 2.0)
+        assert len(rows) == 4 * PATH_POINTS
         v, t, p, s = rows[0]
         assert (v, t) == (1.0, 4.0)
         assert p == pytest.approx(4.0)
+        # Each leg starts where the last one ended, and the cycle closes.
+        assert [row[:2] for row in rows[PATH_POINTS - 1::PATH_POINTS]] == [(2.0, 4.0), (4.0, 2.0), (2.0, 2.0),
+                                                                           (1.0, 4.0)]
+
+    @pytest.mark.parametrize("cycle", [(4.0, 2.0, 1.0, math.e), (2.5, 0.1, 1.5, 40.0), (10.0, 9.0, 0.25, 0.9)])
+    def test_entropy_and_tv_constant_along_the_adiabats(self, cycle):
+        spec = ModelSpec.credit_market(7, 1.0)
+        rows = path_table(spec, *cycle)
+        for leg in (1, 3):
+            adiabat = rows[leg * PATH_POINTS:(leg + 1) * PATH_POINTS]
+            v0, t0, _, s0 = adiabat[0]
+            for v, t, _, s in adiabat:
+                assert abs(s - s0) <= 1e-10 * abs(s0)
+                assert t * v == pytest.approx(t0 * v0, rel=1e-12)
+
+    @pytest.mark.parametrize("cycle", [(4.0, 2.0, 1e-300, 1e300), (1e300, 1e-300, 1.0, 2.0),
+                                       (1e200, 1e199, 1.0, 1e200), (1e-200, 5e-201, 1e-200, 2e-200)],
+                             ids=["volume_ratio", "temperature_ratio", "adiabat_overflow", "adiabat_underflow"])
+    def test_states_past_the_float_range_rejected(self, cycle):
+        with pytest.raises(TransformError, match="floating-point range"):
+            path_table(CREDIT, *cycle)
+        with pytest.raises(TransformError, match="floating-point range"):
+            carnot_cycle(CREDIT, *cycle)
 
 
 class TestWork:
     def test_no_volume_change_no_work(self):
-        assert work_along_path(ProcessPath(CREDIT, (isothermal(3.0, 2.0, 2.0),))) == 0.0
+        assert _leg_work(1.0, (2.0, 2.0, 3.0, 3.0), isotherm=True) == 0.0
+        assert _leg_work(1.0, (2.0, 2.0, 3.0, 3.0), isotherm=False) == 0.0
 
     def test_isothermal_log_ratio(self):
-        spec = ModelSpec.credit_market(100, 1.0)
-        path = ProcessPath(spec, (isothermal(2.0, 1.0, math.e),))
-        assert work_along_path(path) == pytest.approx(200.0, rel=1e-9)
+        assert _leg_work(100.0, (1.0, math.e, 2.0, 2.0), isotherm=True) == pytest.approx(200.0, rel=1e-9)
 
     def test_compression_is_negative(self):
-        path = ProcessPath(CREDIT, (isothermal(2.0, math.e, 1.0),))
-        assert work_along_path(path) == pytest.approx(-2.0, rel=1e-9)
+        assert _leg_work(1.0, (math.e, 1.0, 2.0, 2.0), isotherm=True) == pytest.approx(-2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("n_agents,cycle", [(10**10, (1e300, 1e299, 1.0, 2.0)),
+                                                (1, (1e-310, 5e-311, 1.0, 1.0000000000000002))],
+                             ids=["work_overflows", "credit_underflows"])
+    def test_work_or_credit_past_the_float_range_rejected(self, n_agents, cycle):
+        with pytest.raises(TransformError, match="floating-point range"):
+            carnot_cycle(ModelSpec.credit_market(n_agents, 1.0), *cycle)
 
 
 class TestCredit:
@@ -68,29 +87,17 @@ class TestCredit:
 
 class TestAdiabat:
     def test_halving_temperature(self):
-        assert adiabatic(4.0, 1.0, 2.0).t_end == 2.0
+        assert _legs(CREDIT, 4.0, 2.0, 1.0, 2.0)[1] == (2.0, 4.0, 4.0, 2.0)
 
-    def test_identity(self):
-        assert adiabatic(3.0, 2.0, 2.0).t_end == 3.0
+    def test_returns_to_the_start(self):
+        assert _legs(CREDIT, 4.0, 2.0, 1.0, 2.0)[3] == (2.0, 1.0, 2.0, 4.0)
 
     def test_energy_audit_values(self):
-        spec = ModelSpec.credit_market(5, 1.0)
-        t_end = adiabatic(4.0, 1.0, 2.0).t_end
-        delta_m = 5 * (t_end - 4.0)
-        work = work_along_path(ProcessPath(spec, (adiabatic(4.0, 1.0, 2.0),)))
+        leg = _legs(CREDIT, 4.0, 2.0, 0.5, 1.0)[1]
+        assert leg == (1.0, 2.0, 4.0, 2.0)
+        delta_m = 5 * (leg[3] - leg[2])
         assert delta_m == pytest.approx(-10.0)
-        assert work == pytest.approx(10.0, rel=1e-9)
-
-    @pytest.mark.parametrize("v_end", [0.25, 0.9, 1.0, 3.7, 40.0])
-    def test_entropy_preserved_along_adiabat(self, v_end):
-        from moneygas.ensembles import entropy_closed_form
-
-        spec = ModelSpec.credit_market(7, 1.0)
-        t_start, v_start = 2.5, 1.5
-        t_end = adiabatic(t_start, v_start, v_end).t_end
-        before = entropy_closed_form(spec, t_start, volume=v_start)
-        after = entropy_closed_form(spec, t_end, volume=v_end)
-        assert abs(after - before) <= 1e-10 * abs(before)
+        assert _leg_work(5.0, leg, isotherm=False) == pytest.approx(10.0, rel=1e-9)
 
 
 class TestQuadratureReference:
@@ -99,15 +106,17 @@ class TestQuadratureReference:
     @pytest.mark.parametrize("spec", [ModelSpec.cash_only(3, 1.0), ModelSpec.overdraft_model(3, 1.0, 2.0),
                                       ModelSpec.credit_market(3, 1.0)], ids=lambda spec: spec.kind.value)
     def test_cycle_work_is_the_integral_of_the_pressure(self, spec):
-        def temperature(segment, v):
-            return segment.t_start if segment.kind == "isothermal" else segment.t_start * segment.v_start / v
+        legs = _legs(spec, 4.0, 2.0, 1.0, math.e)
+        integrals = []
+        for index, (v_start, v_end, t_start, _) in enumerate(legs):
+            def temperature(v):
+                return t_start if index % 2 == 0 else t_start * v_start / v
 
-        path = carnot_path(spec, 4.0, 2.0, 1.0, math.e)
-        legs = [quad(lambda v: pressure_closed_form(spec, temperature(segment, v), volume=v),
-                     segment.v_start, segment.v_end, epsrel=1e-12)[0] for segment in path.segments]
-        for segment, leg in zip(path.segments, legs):
-            assert work_along_path(ProcessPath(spec, (segment,))) == pytest.approx(leg, rel=1e-8)
-        assert math.fsum(legs) == pytest.approx(carnot_cycle(spec, 4.0, 2.0, 1.0, math.e).work_L, rel=1e-8)
+            integral = quad(lambda v: pressure_closed_form(spec, temperature(v), volume=v),
+                            v_start, v_end, epsrel=1e-12)[0]
+            assert _leg_work(3.0, legs[index], isotherm=index % 2 == 0) == pytest.approx(integral, rel=1e-8)
+            integrals.append(integral)
+        assert math.fsum(integrals) == pytest.approx(carnot_cycle(spec, 4.0, 2.0, 1.0, math.e).work_L, rel=1e-8)
 
 
 class TestCarnot:
@@ -118,11 +127,14 @@ class TestCarnot:
         assert report.credit_in_hot == pytest.approx(4.0, abs=1e-9)
         assert report.eta == pytest.approx(0.5, abs=1e-9)
         assert report.eta == pytest.approx(report.carnot_eta, abs=1e-9)
+        assert report.irreversible_delta_s == 0.0
 
     def test_degenerate_gap_shrinks_everything(self):
         report = carnot_cycle(CREDIT, 2.0 + 1e-9, 2.0, 1.0, 2.0)
         assert report.eta == pytest.approx(0.0, abs=1e-9)
         assert report.work_L == pytest.approx(0.0, abs=1e-8)
+        # The smallest gap there is: T_h one float above T_c.
+        assert carnot_cycle(CREDIT, 2.0000000000000004, 2.0, 1.0, 2.0).eta == pytest.approx(0.0, abs=1e-15)
 
     def test_extensivity_in_agents(self):
         small = carnot_cycle(ModelSpec.credit_market(2, 1.0), 4.0, 2.0, 1.0, 3.0)
@@ -142,16 +154,19 @@ class TestCarnot:
             carnot_cycle(CREDIT, 2.0, 4.0, 1.0, 2.0)
         with pytest.raises(TransformError):
             carnot_cycle(CREDIT, 4.0, 2.0, 2.0, 1.0)
+        for factor in (0.5, math.nan):
+            with pytest.raises(TransformError, match="expansion factor"):
+                carnot_cycle(CREDIT, 4.0, 2.0, 1.0, 2.0, factor)
 
 
 class TestIrreversibleCycle:
     def test_free_expansion_leg_degrades_efficiency(self):
-        spoiled = cycle_with_free_expansion(CREDIT, 4.0, 2.0, 1.0, math.e, 1.5)
+        spoiled = carnot_cycle(CREDIT, 4.0, 2.0, 1.0, math.e, 1.5)
         assert spoiled.eta < spoiled.carnot_eta
         assert spoiled.irreversible_delta_s == pytest.approx(math.log(1.5))
 
     def test_policy_bound_holds_strictly(self):
-        spoiled = cycle_with_free_expansion(CREDIT, 4.0, 2.0, 1.0, math.e, 2.0)
+        spoiled = carnot_cycle(CREDIT, 4.0, 2.0, 1.0, math.e, 2.0)
         verdict = policy_bound_check(
             spoiled.credit_out_cold, spoiled.credit_in_hot, 2.0, 4.0
         )
@@ -159,15 +174,19 @@ class TestIrreversibleCycle:
         assert verdict.credit_ratio > verdict.temperature_ratio
 
     def test_unit_factor_recovers_carnot(self):
-        clean = cycle_with_free_expansion(CREDIT, 4.0, 2.0, 1.0, math.e, 1.0)
-        assert clean.eta == pytest.approx(clean.carnot_eta, abs=1e-12)
+        assert carnot_cycle(CREDIT, 4.0, 2.0, 1.0, math.e, 1.0) == carnot_cycle(CREDIT, 4.0, 2.0, 1.0, math.e)
 
     def test_cycle_through_free_expansion_stays_below_carnot(self):
-        for factor in (1.1, 1.5, 3.0):
-            spoiled = cycle_with_free_expansion(CREDIT, 5.0, 2.0, 1.0, 4.0, factor)
+        for factor in (1.1, 1.5, 3.0, 1e308):
+            spoiled = carnot_cycle(CREDIT, 5.0, 2.0, 1.0, 4.0, factor)
             clean = carnot_cycle(CREDIT, 5.0, 2.0, 1.0, 4.0)
             assert spoiled.eta < clean.eta
             assert spoiled.work_L < clean.work_L
+
+    @pytest.mark.parametrize("factor", [1.1, 1.5, 3.0, 1e308])
+    def test_work_is_the_net_credit(self, factor):
+        spoiled = carnot_cycle(ModelSpec.credit_market(3, 1.0), 5.0, 2.0, 1.0, 4.0, factor)
+        assert spoiled.work_L == pytest.approx(spoiled.credit_in_hot + spoiled.credit_out_cold, rel=1e-12)
 
 
 class TestPolicyBound:
