@@ -381,7 +381,7 @@ def _compile(source: bytes, output: Path) -> None:
                        input=source, capture_output=True, check=True)
     except OSError as err:
         raise BuildError(f"cannot run the C compiler {_COMPILER!r} to build the sweep loop: "
-                            f"{err.strerror or err}") from None
+                         f"{err.strerror or err}") from None
     except subprocess.CalledProcessError as err:
         lines = err.stderr.decode(errors="replace").strip().splitlines() or [f"exit code {err.returncode}"]
         raise BuildError(f"{_COMPILER} failed to build {_SOURCE.name}: {lines[-1]}") from None

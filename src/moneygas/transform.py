@@ -59,13 +59,10 @@ def _legs(spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: float) ->
         (v2 * ratio, v1 * ratio, t_cold, t_cold),
         (v1 * ratio, v1, t_cold, t_cold * (v1 * ratio) / v1),
     )
-    for v_start, v_end, t_start, t_end in legs:
-        for v, t in ((v_start, t_start), (v_end, t_end)):
-            if not (0 < v < math.inf and 0 < t < math.inf):
-                raise TransformError(f"cycle state V={v}, T={t} is out of floating-point range"
-                                     f" (T_h/T_c = {ratio})")
-        if not 0 < v_end / v_start < math.inf:
-            raise TransformError(f"cycle volume ratio {v_end}/{v_start} is out of floating-point range")
+    for v_start, v_end, t_start, t_end in legs:  # every volume is at least v1 > 0
+        if not all(0 < x < math.inf for x in (v_start, v_end, t_start, t_end, v_end / v_start)):
+            raise TransformError(f"cycle leg V {v_start} -> {v_end}, T {t_start} -> {t_end}: a state or"
+                                 f" the volume ratio is out of floating-point range")
     return legs
 
 
@@ -151,8 +148,12 @@ class PolicyBoundVerdict:
     satisfies_temperature_bound: bool
 
 
-def policy_bound_check(credit_cold: float, credit_hot: float, t_cold: float,
-                       t_hot: float) -> PolicyBoundVerdict:
+def policy_bound_check(
+    credit_cold: float,
+    credit_hot: float,
+    t_cold: float,
+    t_hot: float,
+) -> PolicyBoundVerdict:
     """Check |C_c|/|C_h| >= T_c/T_h."""
     if credit_hot == 0:
         raise TransformError("credit_hot must be nonzero")

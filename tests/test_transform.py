@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from moneygas.ensembles import ModelSpec, entropy_closed_form, pressure_closed_form
+from moneygas.ensembles import ModelSpec, pressure_closed_form
 from moneygas.transform import (
     PATH_POINTS,
     TransformError,
