@@ -106,27 +106,27 @@ def carnot_cycle(spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: fl
     """The four-leg monetary Carnot cycle between credit levels t_hot > t_cold > 0.
 
     Isothermal expansion at T_h over the monetary base v1 < v2, adiabat down
-    to T_c, isothermal compression at T_c, adiabat back to the start.
-    ``expansion_factor`` f >= 1 widens the base by f after the adiabat to T_c,
-    with no credit exchanged and no work done; the longer cold compression
-    then does -N·T_c·ln f more work and dumps the extra credit, so eta drops
-    below the Carnot bound. The reversible cycle (f = 1) is asserted to
-    satisfy L = (T_h - T_c)·dS and eta = 1 - T_c/T_h to 1e-9.
+    to T_c, isothermal compression at T_c, adiabat back to the start; the
+    work is the sum of the legs' closed forms, asserted to equal
+    (T_h - T_c)·dS and to give eta = 1 - T_c/T_h within 1e-9.
+    ``expansion_factor`` f > 1 widens the base by f after the adiabat to
+    T_c, with no credit exchanged and no work done; the cold compression
+    then dumps N·T_c·ln f more credit, so eta drops below the bound, and the
+    work is the net credit C_h + C_c, in which the adiabats cancel exactly.
     """
     legs = _legs(spec, t_hot, t_cold, v1, v2)
     if not expansion_factor >= 1.0:
         raise TransformError(f"expansion factor must be >= 1, got {expansion_factor}")
     n = float(spec.n_agents)
     delta_s_irrev = n * math.log(expansion_factor)
-    terms = [_leg_work(n, leg, index % 2 == 0) for index, leg in enumerate(legs)]
-    try:  # the free expansion costs the cold compression -T_c·dS_irrev
-        work = math.fsum([*terms, -t_cold * delta_s_irrev])
-    except (OverflowError, ValueError):  # a partial sum, or two opposite infinite terms
-        work = math.inf
     delta_s_hot = n * math.log(v2 / v1)
     credit_hot = t_hot * delta_s_hot  # > 0 unless it underflows
-    # The cold isotherm returns dS_hot + dS_irrev for the cycle to close.
-    credit_cold = -t_cold * (delta_s_hot + delta_s_irrev)
+    credit_cold = -t_cold * (delta_s_hot + delta_s_irrev)  # returns dS_hot + dS_irrev: the cycle closes
+    try:
+        work = (credit_hot + credit_cold if expansion_factor > 1.0
+                else math.fsum(_leg_work(n, leg, index % 2 == 0) for index, leg in enumerate(legs)))
+    except (OverflowError, ValueError):  # fsum: a partial sum, or two opposite infinite terms
+        work = math.inf
     report = CycleReport(work_L=work, credit_in_hot=credit_hot, credit_out_cold=credit_cold,
                          delta_s_hot=delta_s_hot, eta=work / credit_hot if credit_hot else math.nan,
                          carnot_eta=1.0 - t_cold / t_hot, irreversible_delta_s=delta_s_irrev)

@@ -167,7 +167,9 @@ class TestIrreversibleCycle:
         assert verdict.credit_ratio > verdict.temperature_ratio
 
     def test_unit_factor_recovers_carnot(self):
-        assert carnot_cycle(CREDIT, 4.0, 2.0, 1.0, math.e, 1.0) == carnot_cycle(CREDIT, 4.0, 2.0, 1.0, math.e)
+        clean = carnot_cycle(CREDIT, 4.0, 2.0, 1.0, math.e, 1.0)
+        assert clean.eta == pytest.approx(clean.carnot_eta, abs=1e-12)
+        assert clean == carnot_cycle(CREDIT, 4.0, 2.0, 1.0, math.e)
 
     def test_cycle_through_free_expansion_stays_below_carnot(self):
         for factor in (1.1, 1.5, 3.0, 1e308):
@@ -179,7 +181,7 @@ class TestIrreversibleCycle:
     @pytest.mark.parametrize("factor", [1.1, 1.5, 3.0, 1e308])
     def test_work_is_the_net_credit(self, factor):
         spoiled = carnot_cycle(ModelSpec.credit_market(3, 1.0), 5.0, 2.0, 1.0, 4.0, factor)
-        assert spoiled.work_L == pytest.approx(spoiled.credit_in_hot + spoiled.credit_out_cold, rel=1e-12)
+        assert spoiled.work_L == spoiled.credit_in_hot + spoiled.credit_out_cold
 
 
 class TestPolicyBound:
