@@ -114,7 +114,7 @@ def hill_tail_index(samples, k: int | None = None) -> float:
     k : int, optional
         Number of upper order statistics; defaults to round(n^(2/3)).
     """
-    data = np.sort(np.asarray(samples, dtype=float).ravel())
+    data = np.asarray(samples, dtype=float).ravel()
     n = data.size
     if n < 2:
         raise EstimationError(f"need at least 2 samples, got {n}")
@@ -122,8 +122,10 @@ def hill_tail_index(samples, k: int | None = None) -> float:
         k = hill_default_k(n)
     if not 1 <= k < n:
         raise EstimationError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    # The (k+1)-th largest at its sorted index and the k above it, sorted: the values a full sort gives.
+    data = np.partition(data, n - k - 1)
     reference = data[n - k - 1]
-    top = data[n - k :]
+    top = np.sort(data[n - k :])
     if reference <= 0:
         raise EstimationError("top order statistics must be strictly positive")
     mean_log_excess = float(np.mean(np.log(top / reference)))

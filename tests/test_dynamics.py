@@ -127,7 +127,7 @@ def unchanged(pop, before):
 
 
 # ---------------------------------------------------------------------------
-# The numpy sweep: the reference the compiled loop in _sweep.c is held to
+# The numpy sweep: the reference the compiled loop in _native.c is held to
 # ---------------------------------------------------------------------------
 
 
@@ -598,6 +598,54 @@ class TestSamplesCsv:
         assert samples.csv_bytes(3, 9) == reference_csv(steps[3:9], {k: v[3:9] for k, v in samples.coords.items()},
                                                         header=False)
 
+    @pytest.mark.parametrize("header", [True, False])
+    @pytest.mark.parametrize("steps,coords", [
+        pytest.param([0, 2**63 - 1], {"x": np.array([[1.5, 0.0], [-2.0, 3.25]])}, id="widest-steps"),
+        pytest.param([4], {"x": np.array([[1e-5, -5e-324, 1e16, -1e300, math.nan, math.inf, -math.inf]])},
+                     id="every-value-by-repr"),
+        pytest.param([1, 2], {"y_0": np.arange(4.0).reshape(2, 2), "x": np.arange(10.0).reshape(2, 5) / 3,
+                              "e": np.empty((2, 0))}, id="widths-5-2-0"),
+        pytest.param([], {"x": np.empty((0, 3)), "y": np.empty((0, 1))}, id="no-records"),
+        pytest.param(list(range(0, 400_000, 10_000)), {"x": np.random.default_rng(2).exponential(7.0, (40, 1000))},
+                     id="more-than-one-block"),
+    ])
+    def test_cases_equal_the_repr_writer(self, steps, coords, header):
+        assert samples_csv(steps, coords, header) == reference_csv(steps, coords, header)
+
+    def test_rows_stay_inside_their_capacity_and_literals(self):
+        expected = reference_csv([5, 2**63 - 1], {"x": np.array([[0.5, 1e-5], [2.0, 3.0]])}, header=False)
+        literals = b"0.5,0.00001,2.0,3.0"  # orjson's text; the 1e-05 comes from alt
+        used, out = csv_rows(len(expected), literals)
+        assert used == len(expected) and out.tobytes() == expected + GUARD
+        # One byte short, a literal short, a literal over:
+        for capacity, stream in [(len(expected) - 1, literals), (len(expected) + 40, literals[:-4]),
+                                 (len(expected) + 40, literals + b",4.0")]:
+            used, out = csv_rows(capacity, stream)
+            assert used == -1 and out[capacity:].tobytes() == GUARD
+
+    def test_short_literal_stream_raises(self, monkeypatch):
+        import orjson
+
+        dumps = orjson.dumps
+        monkeypatch.setattr(orjson, "dumps", lambda values, option: dumps(values[:-1], option=option))
+        with pytest.raises(DynamicsError, match="literals"):
+            samples_csv([3], {"x": np.array([[1.0, 2.0]])})
+
+
+GUARD = b"\xa5"
+
+
+def csv_rows(capacity: int, literals: bytes) -> tuple[int, np.ndarray]:
+    """``moneygas_csv_rows`` of name x, 2 agents at steps 5 and 2**63 - 1, and alt 1e-05 for value 1,
+    into a buffer of ``capacity`` bytes and then GUARD: its result and the buffer."""
+    out = np.frombuffer(bytes(capacity) + GUARD, np.uint8).copy()
+    steps, name_ends, widths = np.array([5, 2**63 - 1], np.int64), np.array([0, 1], np.intp), np.array([2], np.intp)
+    alt_ends, alt_index = np.array([0, 5], np.intp), np.array([1], np.intp)
+    used = dynamics._native().moneygas_csv_rows(
+        out.ctypes.data, capacity, steps.ctypes.data, 2, b"x", name_ends.ctypes.data, widths.ctypes.data, 1,
+        literals, len(literals), b"1e-05", alt_ends.ctypes.data, alt_index.ctypes.data, 1)
+    return used, out
+
 
 def pair_sweeps(n, sweeps, seed=3):
     """The pairs of each of ``sweeps`` sweeps of N agents."""
@@ -697,9 +745,9 @@ def reference_cases():
 def fresh_loop(tmp_path, monkeypatch):
     """An empty library cache, and the loop loaded anew in this process before and after."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    dynamics._sweep_loop.cache_clear()
+    dynamics._native.cache_clear()
     yield tmp_path / "cache" / "moneygas"
-    dynamics._sweep_loop.cache_clear()
+    dynamics._native.cache_clear()
 
 
 class TestCompiledLoop:
@@ -724,20 +772,22 @@ class TestCompiledLoop:
         dynamics._load_library()
         (built,) = fresh_loop.iterdir()
         monkeypatch.setattr(dynamics, "_COMPILER", "no-such-compiler")
-        assert dynamics._load_library().moneygas_sweeps
+        library = dynamics._load_library()
+        assert library.moneygas_sweeps and library.moneygas_csv_rows
         src = Path(dynamics.__file__).parent.parent
         code = ("from moneygas import dynamics; dynamics._COMPILER = 'no-such-compiler'; "
-                "dynamics._load_library()")
+                "assert dynamics._native().moneygas_csv_rows")
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
         assert list(fresh_loop.iterdir()) == [built]
 
     def test_edited_source_builds_a_new_file(self, fresh_loop, tmp_path, monkeypatch):
         dynamics._load_library()
-        edited = tmp_path / "_sweep.c"
+        edited = tmp_path / "_native.c"
         edited.write_bytes(dynamics._SOURCE.read_bytes() + b"/* edited */\n")
         monkeypatch.setattr(dynamics, "_SOURCE", edited)
-        assert dynamics._load_library().moneygas_sweeps
+        library = dynamics._load_library()
+        assert library.moneygas_sweeps and library.moneygas_csv_rows
         assert len(list(fresh_loop.glob("*.so"))) == 2
         assert len(list(fresh_loop.iterdir())) == 2  # no partial file left behind
 
