@@ -7,8 +7,8 @@ acceptance driver:
     moneygas check -r report.json -e expectations.json
 
 Exit codes: 0 success, 1 acceptance failure, 2 an input that cannot be run
-(invalid, or too large for the available memory) or a sweep loop that the
-C compiler cannot build (``build error:``).
+(invalid, or too large for the available memory) or a compiled library that
+the C compiler cannot build (``build error:``).
 Relative output paths resolve under $MONEYGAS_OUT_ROOT when it is set.
 """
 
@@ -41,9 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_task(command: str, config_path: str, out: str | None) -> int:
     config = load_config(config_path)
-    if config.task != command:
-        raise ConfigError(f"configuration task {config.task!r} does not match command {command!r}")
-    out_dir = out or config.outputs or "out"
+    if config["task"] != command:
+        raise ConfigError(f"configuration task {config['task']!r} does not match command {command!r}")
+    out_dir = out or config.get("outputs") or "out"
     manifest = run_experiment(config, out_dir)
     files = manifest.get("files", {})
     if files:

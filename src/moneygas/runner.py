@@ -115,25 +115,6 @@ def derive_seed(base_seed: int, index: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A validated configuration document, kept exactly for echoing."""
-
-    raw: dict
-
-    @property
-    def task(self) -> str:
-        return self.raw["task"]
-
-    @property
-    def seed(self) -> int:
-        return self.raw.get("seed", 0)
-
-    @property
-    def outputs(self) -> str | None:
-        return self.raw.get("outputs")
-
-
 def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: float) -> tuple[dict, SampleSet]:
     samples = run_chain(
         spec,
@@ -184,14 +165,13 @@ def _csv_chunks(samples, values_per_record: int) -> Iterator[bytes]:
         yield samples.csv_bytes(start, start + block)
 
 
-def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
-    raw = config.raw
+def _run_simulate(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
     spec = build_model(raw["model"])
     run_block = raw["run"]
     replicas = raw.get("replicas", 1)
     predicted = temperature_closed_form(spec, float(run_block["total"]))
     write_samples = raw.get("write_samples", True)
-    seeds = [derive_seed(config.seed, i) for i in range(replicas)]
+    seeds = [derive_seed(raw.get("seed", 0), i) for i in range(replicas)]
 
     def replica(index: int) -> tuple[dict, SampleSet | None]:
         report, samples = _replica_report(spec, run_block, seeds[index], predicted)
@@ -200,7 +180,7 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, 
     # The even replicas run here, the odd ones in the forked worker, which
     # sends back only their reports. Only replica 0's samples are kept, and
     # only when they are written.
-    results = list(interleaved(replica, range(replicas), "replica", "replica"))
+    results = list(interleaved(replica, range(replicas)))
     replica_reports, first_samples = [report for report, _ in results], results[0][1]
 
     primary, primary_names, _ = KERNELS[spec.kind].marginals(spec)[0]
@@ -236,8 +216,7 @@ def _run_simulate(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, 
     return report, seeds, files
 
 
-def _run_analytic(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
-    raw = config.raw
+def _run_analytic(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
     spec = build_model(raw["model"])
     points = []
     overall = 0.0
@@ -257,8 +236,7 @@ def _run_analytic(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, 
     return {"task": "analytic", "model": raw["model"], "points": points, "max_residual": overall}, [], {}
 
 
-def _run_transform(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
-    raw = config.raw
+def _run_transform(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
     spec = build_model(raw["model"])
     report: dict = {"task": "transform", "model": raw["model"]}
     files: dict[str, FileData] = {}
@@ -323,12 +301,11 @@ def _mean_log_ratio(values: np.ndarray, floor: float) -> float:
     return float(np.mean(np.log(ratios, out=ratios)))
 
 
-def _run_pareto(config: ExperimentConfig) -> tuple[dict, list[int], dict[str, FileData]]:
-    raw = config.raw
+def _run_pareto(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
     spec = build_pareto(raw["pareto"])
     temperature = float(raw["temperature"])
     exponent = spec.t_max / temperature
-    seeds = [derive_seed(config.seed, 0), derive_seed(config.seed, 1)]  # direct sampler, chain
+    seeds = [derive_seed(raw.get("seed", 0), index) for index in (0, 1)]  # direct sampler, chain
     report: dict = {
         "task": "pareto",
         "pareto": raw["pareto"],
@@ -462,7 +439,7 @@ class Task:
     check: Callable[[dict], None]  # on the checked, converted fields
     # Returns (report, replica seeds, companion files); None for sweep, which
     # run_experiment runs itself.
-    pipeline: Callable[[ExperimentConfig], tuple[dict, list[int], dict[str, FileData]]] | None
+    pipeline: Callable[[dict], tuple[dict, list[int], dict[str, FileData]]] | None
 
 
 _COMMON = {"task": string, "seed?": integer, "outputs?": string}
@@ -518,14 +495,14 @@ def validate_config(raw: dict) -> None:
     TASKS[task].check(check_document(raw, _COMMON | TASKS[task].schema, "configuration"))
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read, parse and validate a configuration file."""
+def load_config(path) -> dict:
+    """Read, parse and validate a configuration file; returns the document as read."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
     validate_config(raw)
-    return ExperimentConfig(raw)
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -571,22 +548,23 @@ def resolve_out_dir(out: str | os.PathLike) -> Path:
     return path
 
 
-def run_experiment(config: ExperimentConfig, out_dir) -> dict:
+def run_experiment(config: dict, out_dir) -> dict:
     """Execute one configuration, write its outputs, return the manifest."""
     return _run_in(config, resolve_out_dir(out_dir))
 
 
-def _run_in(config: ExperimentConfig, out_path: Path) -> dict:
+def _run_in(config: dict, out_path: Path) -> dict:
     out_path.mkdir(parents=True, exist_ok=True)
-    if config.task == "sweep":
+    task = config["task"]
+    if task == "sweep":
         return _run_sweep(config, out_path)
-    report, seeds, files = TASKS[config.task].pipeline(config)
+    report, seeds, files = TASKS[task].pipeline(config)
     outputs = {"report.json": _json_bytes(report), **files}  # encoded before anything is written
     manifest = {
         "version": __version__,
-        "task": config.task,
-        "config": config.raw,
-        "base_seed": config.seed,
+        "task": task,
+        "config": config,
+        "base_seed": config.get("seed", 0),
         "replica_seeds": seeds,
         "files": {name: _write(out_path / name, data) for name, data in outputs.items()},
     }
@@ -594,24 +572,24 @@ def _run_in(config: ExperimentConfig, out_path: Path) -> dict:
     return manifest
 
 
-def _run_sweep(config: ExperimentConfig, out_path: Path) -> dict:
+def _run_sweep(config: dict, out_path: Path) -> dict:
     entries = []
-    for index, document in enumerate(_sweep_documents(config.raw)):
+    for index, document in enumerate(_sweep_documents(config)):
         run = f"run_{index:03d}"
-        manifest = _run_in(ExperimentConfig(document), out_path / run)
+        manifest = _run_in(document, out_path / run)
         entries.append(
             {
                 "run": run,
                 "seed": document["seed"],
-                "overrides": {path: get_by_path(document, path) for path in config.raw["grid"]},
+                "overrides": {path: get_by_path(document, path) for path in config["grid"]},
                 "files": manifest["files"],
             }
         )
     top = {
         "version": __version__,
         "task": "sweep",
-        "config": config.raw,
-        "base_seed": config.seed,
+        "config": config,
+        "base_seed": config.get("seed", 0),
         "runs": entries,
     }
     _write(out_path / "manifest.json", _json_bytes(top))

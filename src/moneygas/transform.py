@@ -7,13 +7,15 @@ fixed. Work is the central bank's monetary-base change, credit heat is
 the T dS term, and the Carnot cycle bounds the policy performance factor
 eta = L/|C_h| by 1 - T_c/T_h.
 
-``carnot_cycle`` is the one cycle: four legs, each with a closed-form work
-(N·T·ln(V2/V1) on an isotherm, N·(T1 - T2) on an adiabat), and an optional
-free expansion on the cold branch that pushes eta below the bound.
-``path_table`` tabulates the same legs. The tests integrate the model's
-pressure along each leg by quadrature as the reference. The module also
-holds the fractional-reserve relations and the Gibbs-Duhem and first-law
-residuals.
+``carnot_cycle`` is the one cycle: two isotherms and two adiabats, and an
+optional free expansion on the cold branch that pushes eta below the bound.
+Its work has one closed form for every cycle, the net credit
+L = (T_h - T_c)·N·ln(V2/V1) - T_c·N·ln f, since the adiabats' works
+(N·(T1 - T2) each) cancel. A cycle is rejected only for invalid parameters
+or for a state, work or credit outside the floating-point range.
+``path_table`` tabulates the legs. The tests integrate the model's pressure
+along each leg by quadrature as the reference. The module also holds the
+fractional-reserve relations and the Gibbs-Duhem and first-law residuals.
 """
 
 from __future__ import annotations
@@ -66,15 +68,6 @@ def _legs(spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: float) ->
     return legs
 
 
-def _leg_work(n: float, leg: Leg, isotherm: bool) -> float:
-    """L = integral of P dV: N·T·ln(V2/V1) on an isotherm, N·(T1 - T2) on an
-    adiabat (T = c/V, and N·c/V² integrates to this)."""
-    v_start, v_end, t_start, t_end = leg
-    if isotherm:
-        return n * t_start * math.log(v_end / v_start)
-    return n * (t_start - t_end)
-
-
 def path_table(spec: ModelSpec, t_hot: float, t_cold: float, v1: float,
                v2: float) -> list[tuple[float, float, float, float]]:
     """(V, T, P, S) rows around the Carnot cycle, PATH_POINTS evenly spaced volumes per leg."""
@@ -106,38 +99,33 @@ def carnot_cycle(spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: fl
     """The four-leg monetary Carnot cycle between credit levels t_hot > t_cold > 0.
 
     Isothermal expansion at T_h over the monetary base v1 < v2, adiabat down
-    to T_c, isothermal compression at T_c, adiabat back to the start; the
-    work is the sum of the legs' closed forms, asserted to equal
-    (T_h - T_c)·dS and to give eta = 1 - T_c/T_h within 1e-9.
-    ``expansion_factor`` f > 1 widens the base by f after the adiabat to
+    to T_c, isothermal compression at T_c, adiabat back to the start.
+    ``expansion_factor`` f >= 1 widens the base by f after the adiabat to
     T_c, with no credit exchanged and no work done; the cold compression
-    then dumps N·T_c·ln f more credit, so eta drops below the bound, and the
-    work is the net credit C_h + C_c, in which the adiabats cancel exactly.
+    then dumps N·T_c·ln f more credit, so eta drops below 1 - T_c/T_h.
+    The adiabats' works cancel, so for every f the work is the net credit
+
+        L = (T_h - T_c)·dS_hot - T_c·dS_irrev,
+
+    dS_hot = N·ln(v2/v1) and dS_irrev = N·ln f, each evaluated directly (the
+    log ratio as log1p((v2 - v1)/v1), accurate for v2 near v1). Raises
+    TransformError for invalid parameters, a state out of floating-point
+    range, or a work or credit that is not finite.
     """
-    legs = _legs(spec, t_hot, t_cold, v1, v2)
+    _legs(spec, t_hot, t_cold, v1, v2)  # rejects invalid parameters and out-of-range states
     if not expansion_factor >= 1.0:
         raise TransformError(f"expansion factor must be >= 1, got {expansion_factor}")
     n = float(spec.n_agents)
     delta_s_irrev = n * math.log(expansion_factor)
-    delta_s_hot = n * math.log(v2 / v1)
+    delta_s_hot = n * math.log1p((v2 - v1) / v1)
     credit_hot = t_hot * delta_s_hot  # > 0 unless it underflows
     credit_cold = -t_cold * (delta_s_hot + delta_s_irrev)  # returns dS_hot + dS_irrev: the cycle closes
-    try:
-        work = (credit_hot + credit_cold if expansion_factor > 1.0
-                else math.fsum(_leg_work(n, leg, index % 2 == 0) for index, leg in enumerate(legs)))
-    except (OverflowError, ValueError):  # fsum: a partial sum, or two opposite infinite terms
-        work = math.inf
+    work = (t_hot - t_cold) * delta_s_hot - t_cold * delta_s_irrev
     report = CycleReport(work_L=work, credit_in_hot=credit_hot, credit_out_cold=credit_cold,
                          delta_s_hot=delta_s_hot, eta=work / credit_hot if credit_hot else math.nan,
                          carnot_eta=1.0 - t_cold / t_hot, irreversible_delta_s=delta_s_irrev)
     if not all(map(math.isfinite, astuple(report))):
         raise TransformError(f"the cycle's work or credit is out of floating-point range: {report}")
-    if expansion_factor == 1.0:
-        if abs(report.eta - report.carnot_eta) > 1e-9:
-            raise TransformError(f"cycle efficiency {report.eta} deviates from Carnot"
-                                 f" {report.carnot_eta}")
-        if abs(work - (t_hot - t_cold) * delta_s_hot) > 1e-9 * max(abs(work), 1.0):
-            raise TransformError("cycle work deviates from (T_h - T_c) * dS")
     return report
 
 
@@ -185,21 +173,16 @@ def fractional_reserve(reserve_ratio: float, volume: float, n_agents: int) -> tu
 def isothermal_base(reserve_ratio: float, volume: float, reserve_ratio_new: float) -> float:
     """Base V' reaching the same temperature under a new reserve ratio.
 
-    Solves (1/r - 1) V = (1/r' - 1) V' and verifies the bookkeeping
-    identity V' - V = V'/r' - V/r (the money-supply variation equals the
-    base variation scaled through the multipliers) to 1e-9.
+    Solves (1/r - 1) V = (1/r' - 1) V', which is the bookkeeping identity
+    V' - V = V'/r' - V/r: the money-supply variation equals the base
+    variation scaled through the multipliers.
     """
     for name, r in (("reserve_ratio", reserve_ratio), ("reserve_ratio_new", reserve_ratio_new)):
         if not 0.0 < r < 1.0:
             raise TransformError(f"{name} must lie in (0, 1), got {r}")
     if volume <= 0:
         raise TransformError(f"volume must be positive, got {volume}")
-    volume_new = (1.0 / reserve_ratio - 1.0) * volume / (1.0 / reserve_ratio_new - 1.0)
-    lhs = volume_new - volume
-    rhs = volume_new / reserve_ratio_new - volume / reserve_ratio
-    if abs(lhs - rhs) > 1e-9 * max(abs(volume), abs(volume_new), 1.0):
-        raise TransformError(f"reserve identity violated: {lhs} != {rhs}")
-    return volume_new
+    return (1.0 / reserve_ratio - 1.0) * volume / (1.0 / reserve_ratio_new - 1.0)
 
 
 def _balance_residual(

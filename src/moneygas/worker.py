@@ -24,9 +24,11 @@ from typing import NoReturn
 from .ensembles import MoneygasError
 
 _PICKLED, _FAILED = b"p", b"f"
+# What the messages call an item; the one caller runs replicas.
+_ITEM = "replica"
 
 
-def interleaved(produce: Callable, items: Sequence, what: str, unit: str) -> Iterator:
+def interleaved(produce: Callable, items: Sequence) -> Iterator:
     """``produce(item)`` for each item, in order.
 
     A failure in the worker is raised at its item's place: a MoneygasError or
@@ -58,28 +60,28 @@ def interleaved(produce: Callable, items: Sequence, what: str, unit: str) -> Ite
                 tag, payload = _received(pipe)
                 if tag != _PICKLED:
                     code, pid = _exit_code(pid), 0
-                    raise _failure(payload, what, f"{unit} {index} of {len(items)}", code)
+                    raise _failure(payload, f"{_ITEM} {index} of {len(items)}", code)
                 result = pickle.loads(payload)
                 del payload
                 yield result
                 del result  # not held while the next item is produced
         code, pid = _exit_code(pid), 0
         if code != 0:
-            raise MoneygasError(f"the {what} worker failed (exit code {code})")
+            raise MoneygasError(f"the {_ITEM} worker failed (exit code {code})")
     finally:
         if pid:  # the stream was closed early, or failed here
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _failure(payload: bytes | None, what: str, where: str, code: int) -> Exception:
+def _failure(payload: bytes | None, where: str, code: int) -> Exception:
     """The exception for a failure frame, or for a short read (no payload)."""
     if payload is None:
-        return MoneygasError(f"the {what} worker stopped before sending {where} (exit code {code})")
+        return MoneygasError(f"the {_ITEM} worker stopped before sending {where} (exit code {code})")
     plain, name, message = pickle.loads(payload)
     if plain is not None:
         return plain(message)
-    return MoneygasError(f"the {what} worker stopped at {where} with {name}: {message} (exit code {code})")
+    return MoneygasError(f"the {_ITEM} worker stopped at {where} with {name}: {message} (exit code {code})")
 
 
 def _work(produce: Callable, items: Sequence, write_fd: int) -> NoReturn:

@@ -149,8 +149,8 @@ def write_config(tmp_path, document, name="config.json"):
 class TestConfigValidation:
     def test_minimal_simulate_config(self, tmp_path):
         config = load_config(write_config(tmp_path, simulate_config()))
-        assert config.task == "simulate"
-        assert build_model(config.raw["model"]).n_agents == 50
+        assert config["task"] == "simulate"
+        assert build_model(config["model"]).n_agents == 50
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -417,13 +417,13 @@ class TestInterleaved:
 
     def test_results_come_in_order_and_the_worker_is_reaped(self, monkeypatch):
         forks = count_forks(monkeypatch)
-        assert list(interleaved(self.produce, range(5), "test", "item")) == [self.produce(i) for i in range(5)]
+        assert list(interleaved(self.produce, range(5))) == [self.produce(i) for i in range(5)]
         [pid] = forks
         assert_reaped(pid)
 
     def test_closing_the_stream_early_kills_the_worker(self, monkeypatch):
         forks = count_forks(monkeypatch)
-        results = interleaved(self.produce, range(4), "test", "item")
+        results = interleaved(self.produce, range(4))
         assert next(results) == b"0\n"
         [pid] = forks
         results.close()
@@ -443,7 +443,7 @@ class TestInterleaved:
                     raise OSError("no space left")
 
         monkeypatch.setattr(runner, "hashlib", types.SimpleNamespace(sha256=FailingDigest))
-        results = interleaved(self.produce, range(4), "test", "item")  # still referenced here
+        results = interleaved(self.produce, range(4))  # still referenced here
         with pytest.raises(OSError, match="no space left"):
             runner._write(tmp_path / "items.txt", results)
         [pid] = forks

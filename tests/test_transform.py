@@ -1,13 +1,16 @@
+import json
 import math
+import random
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
+from moneygas.cli import main
 from moneygas.ensembles import ModelSpec, pressure_closed_form
 from moneygas.transform import (
     PATH_POINTS,
     TransformError,
-    _leg_work,
     _legs,
     carnot_cycle,
     first_law_residual,
@@ -59,18 +62,6 @@ class TestPaths:
             carnot_cycle(CREDIT, *cycle)
 
 
-class TestWork:
-    def test_no_volume_change_no_work(self):
-        assert _leg_work(1.0, (2.0, 2.0, 3.0, 3.0), isotherm=True) == 0.0
-        assert _leg_work(1.0, (2.0, 2.0, 3.0, 3.0), isotherm=False) == 0.0
-
-    def test_isothermal_log_ratio(self):
-        assert _leg_work(100.0, (1.0, math.e, 2.0, 2.0), isotherm=True) == pytest.approx(200.0, rel=1e-9)
-
-    def test_compression_is_negative(self):
-        assert _leg_work(1.0, (math.e, 1.0, 2.0, 2.0), isotherm=True) == pytest.approx(-2.0, rel=1e-9)
-
-
 class TestCredit:
     def test_closed_cycle_credit_equals_work(self):
         report = carnot_cycle(ModelSpec.credit_market(3, 1.0), 4.0, 2.0, 1.0, 2.0)
@@ -90,7 +81,6 @@ class TestAdiabat:
         assert leg == (1.0, 2.0, 4.0, 2.0)
         delta_m = 5 * (leg[3] - leg[2])
         assert delta_m == pytest.approx(-10.0)
-        assert _leg_work(5.0, leg, isotherm=False) == pytest.approx(10.0, rel=1e-9)
 
 
 class TestQuadratureReference:
@@ -107,7 +97,6 @@ class TestQuadratureReference:
 
             integral = quad(lambda v: pressure_closed_form(spec, temperature(v), volume=v),
                             v_start, v_end, epsrel=1e-12)[0]
-            assert _leg_work(3.0, legs[index], isotherm=index % 2 == 0) == pytest.approx(integral, rel=1e-8)
             integrals.append(integral)
         assert math.fsum(integrals) == pytest.approx(carnot_cycle(spec, 4.0, 2.0, 1.0, math.e).work_L, rel=1e-8)
 
@@ -181,7 +170,78 @@ class TestIrreversibleCycle:
     @pytest.mark.parametrize("factor", [1.1, 1.5, 3.0, 1e308])
     def test_work_is_the_net_credit(self, factor):
         spoiled = carnot_cycle(ModelSpec.credit_market(3, 1.0), 5.0, 2.0, 1.0, 4.0, factor)
-        assert spoiled.work_L == spoiled.credit_in_hot + spoiled.credit_out_cold
+        assert spoiled.work_L == pytest.approx(spoiled.credit_in_hot + spoiled.credit_out_cold, rel=1e-12)
+
+
+def _log_uniform(rng: random.Random, low_exp: float, high_exp: float) -> float:
+    return 10.0 ** rng.uniform(low_exp, high_exp)
+
+
+class TestHighPrecisionReference:
+    """The cycle and the reserve relation against mpmath at 60 digits, on the
+    exact float inputs, including cycles a few ulp away from degenerate."""
+
+    @staticmethod
+    def reference_cycle(n, t_hot, t_cold, v1, v2, factor):
+        """The work's two terms, dS_hot, C_h and eta, rounded to floats from 60 digits."""
+        with mpmath.workdps(60):
+            delta_s_hot = n * mpmath.log(mpmath.mpf(v2) / v1)
+            hot = (mpmath.mpf(t_hot) - t_cold) * delta_s_hot
+            irreversible = n * mpmath.mpf(t_cold) * mpmath.log(factor)
+            return {"hot": float(hot), "irreversible": float(irreversible), "work": float(hot - irreversible),
+                    "delta_s_hot": float(delta_s_hot), "credit_hot": float(t_hot * delta_s_hot),
+                    "eta": float((hot - irreversible) / (t_hot * delta_s_hot))}
+
+    @pytest.mark.parametrize("free_expansion", [False, True], ids=["reversible", "free_expansion"])
+    def test_near_degenerate_cycles(self, free_expansion):
+        rng = random.Random(2011 + free_expansion)
+        for _ in range(500):
+            n = round(_log_uniform(rng, 0, 10))
+            t_cold, v1 = _log_uniform(rng, -3, 3), _log_uniform(rng, -3, 3)
+            t_hot = t_cold * (1.0 + _log_uniform(rng, -15, 0))
+            v2 = v1 * (1.0 + _log_uniform(rng, -15, 0))
+            factor = 1.0 + _log_uniform(rng, -15, 0) if free_expansion else 1.0
+            report = carnot_cycle(ModelSpec.credit_market(n, 1.0), t_hot, t_cold, v1, v2, factor)
+            ref = self.reference_cycle(n, t_hot, t_cold, v1, v2, factor)
+            # A difference of two terms: its error is relative to the terms, which
+            # is the work itself on a reversible cycle.
+            scale = abs(ref["hot"]) + abs(ref["irreversible"])
+            assert abs(report.work_L - ref["work"]) <= 1e-14 * scale
+            assert abs(report.eta - ref["eta"]) <= 1e-14 * scale / ref["credit_hot"]
+            assert report.delta_s_hot == pytest.approx(ref["delta_s_hot"], rel=1e-14)
+            assert report.credit_in_hot == pytest.approx(ref["credit_hot"], rel=1e-14)
+
+    def test_nearly_degenerate_cycle_runs(self, tmp_path):
+        """T_h one float above T_c at N = 1e10 is a valid cycle and exits 0."""
+        document = {"task": "transform", "model": {"kind": "cash_only", "n_agents": 10**10, "volume_y": 1.0},
+                    "cycle": {"t_hot": 2.0000000000000004, "t_cold": 2.0, "v1": 1.0, "v2": 2.0}}
+        config = tmp_path / "cycle.json"
+        config.write_text(json.dumps(document))
+        assert main(["transform", "-c", str(config), "-o", str(tmp_path / "out")]) == 0
+        work = json.loads((tmp_path / "out" / "report.json").read_text())["cycle"]["work_L"]
+        reference = self.reference_cycle(10**10, 2.0000000000000004, 2.0, 1.0, 2.0, 1.0)
+        assert work == pytest.approx(reference["work"], rel=1e-14)
+
+    def test_small_reserve_ratio_runs(self, tmp_path):
+        """r = 1e-9 -> 1e-10 on V = 100: V' = 9.999999991, and the run exits 0."""
+        document = {"task": "transform", "model": {"kind": "credit_market", "n_agents": 1, "volume_x": 1.0},
+                    "fractional_reserve": {"reserve_ratio": 1e-9, "volume": 100.0, "n_agents": 1,
+                                           "reserve_ratio_new": 1e-10}}
+        config = tmp_path / "reserve.json"
+        config.write_text(json.dumps(document))
+        assert main(["transform", "-c", str(config), "-o", str(tmp_path / "out")]) == 0
+        entry = json.loads((tmp_path / "out" / "report.json").read_text())["fractional_reserve"]
+        assert entry["volume_new"] == pytest.approx(9.999999991, rel=1e-14)
+
+    def test_isothermal_base_at_small_ratios(self):
+        rng = random.Random(2011)
+        for _ in range(500):
+            ratio, ratio_new = _log_uniform(rng, -12, -1), _log_uniform(rng, -12, -1)
+            volume = _log_uniform(rng, -3, 6)
+            with mpmath.workdps(60):
+                one = mpmath.mpf(1)
+                expected = (one / ratio - 1) * volume / (one / ratio_new - 1)
+            assert isothermal_base(ratio, volume, ratio_new) == pytest.approx(float(expected), rel=1e-14)
 
 
 class TestPolicyBound:
