@@ -22,12 +22,12 @@ result of Dragulescu and Yakovenko (Eur. Phys. J. B 17, 723, 2000).
 A kind may bound its slots: the same split is proposed, and a pair where a
 slot would break the bound is rejected and keeps its values. With a
 symmetric proposal and a uniform target this is Metropolis, so the uniform
-law of the bounded set is stationary, and the bound holds exactly.
-``Kernel.bound`` states the bound as a numpy predicate, which
-``check_invariants`` runs over every slot at every audit; the sweep loop
-tests the same float expressions, so each audit re-checks the loop.
-- restricted caps its account slots at z <= d (no positive balances); the
-  caps are data, ``Population.caps``.
+law of the bounded set is stationary, and the bound holds exactly. The
+bound is the one the population's data implies, ``Population.caps`` or
+``Population.net``. ``Population.allows`` tests it with the float
+expressions of the sweep loop, and ``check_invariants`` runs it over every
+slot at every audit, so each audit re-checks the loop.
+- restricted caps its account slots at z <= d (no positive balances).
 - The credit market's ledger holds 2N slots, the agents' assets a and then
   their liabilities l, with the fixed net positions M (``Population.net``).
   Cash is derived, x = M + l - a, and never stored; its bound x >= 0 is
@@ -43,7 +43,7 @@ tests the same float expressions, so each audit re-checks the loop.
 
 ``KERNELS`` holds one entry per simulable model kind: its initial
 configurations, its move names (one per slot row), its recorded
-coordinates, its bound and the marginals fitted to its samples.
+coordinates and the marginals fitted to its samples.
 ``advance`` runs whole sweeps of disjoint pair events, and ``run_chain``
 calls it up to each record and audit.
 
@@ -148,16 +148,31 @@ class Population:
         """Magnitude reference for relative drift when the total is near zero."""
         return max(abs(self.conserved_total), float(self.cash.sum()), 1.0)
 
+    def allows(self, row: int, slots, values) -> np.ndarray:
+        """Whether ``slots`` of slot row ``row`` may hold ``values``, as a bool array.
+
+        The bound is the one the data implies, in the float expressions of
+        ``moneygas_sweeps``: each slot at or below its cap; for the ledger,
+        cash x = M + l - a >= 0 as a <= M + l, with ``values`` in place of the
+        assets (row 0) or the liabilities (row 1); otherwise no bound.
+        """
+        if self.caps is not None:
+            return values <= self.caps[slots]
+        if self.net is not None and row == 0:
+            return values <= self.net[slots] + self.cash[self.n_agents:][slots]
+        if self.net is not None:
+            return self.cash[slots] <= self.net[slots] + values
+        return np.ones(np.shape(values), dtype=bool)
+
     def check_invariants(self) -> float:
         """Raise ConservationError on a negative slot, a slot past its bound or a
         drifted total; returns the absolute drift of the conserved total."""
-        k, bound = self.spec.n_slots, KERNELS[self.spec.kind].bound
+        k = self.spec.n_slots
         if self.cash.min() < 0:
             raise ConservationError(f"negative slot: {self.cash.min()}")
-        if bound is not None:
-            past = np.count_nonzero(~bound(self, 0, np.arange(k), self.cash[:k]))
-            if past:
-                raise ConservationError(f"{past} slots past their bound")
+        past = np.count_nonzero(~self.allows(0, np.arange(k), self.cash[:k]))
+        if past:
+            raise ConservationError(f"{past} slots past their bound")
         # Each row of K slots carries the total: the ledger's liabilities as well as its assets.
         drifts = [abs(math.fsum(row.tolist()) - self.spec.total_overdraft - self.conserved_total)
                   for row in self.cash.reshape(-1, k)]
@@ -272,25 +287,6 @@ def init_population(
 
 
 # ---------------------------------------------------------------------------
-# The bounds, as numpy predicates: check_invariants tests every slot with
-# them, and _native.c applies the same float expressions to each split.
-# ---------------------------------------------------------------------------
-
-
-def _capped(pop: Population, row: int, slots, values) -> np.ndarray:
-    """restricted's bound: each slot at or below its cap."""
-    return values <= pop.caps[slots]
-
-
-def _cash_bound(pop: Population, row: int, agents, values) -> np.ndarray:
-    """The ledger's bound, cash x = M + l - a >= 0, as a <= M + l, with ``values``
-    in place of the agents' assets (row 0) or liabilities (row 1)."""
-    n = pop.n_agents
-    assets, liabilities = (values, pop.cash[n:][agents]) if row == 0 else (pop.cash[agents], values)
-    return assets <= pop.net[agents] + liabilities
-
-
-# ---------------------------------------------------------------------------
 # The kernel table
 # ---------------------------------------------------------------------------
 
@@ -323,10 +319,6 @@ class Kernel:
     init: Callable[[Population, str, np.random.Generator], None] = _init_slots
     # One move name per slot row; sweep number p splits the pairs of row p % len(moves).
     moves: tuple[str, ...] = ("pair_reshuffle",)
-    # (pop, row, indices, values) -> whether those slots of the row may hold those
-    # values; check_invariants runs it, and _native.c tests the same expressions
-    # on each split. None: z >= 0 only.
-    bound: Callable[[Population, int, np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def _slots_as(name: str) -> Kernel:
@@ -352,10 +344,10 @@ KERNELS: dict[ModelKind, Kernel] = {
     ModelKind.COMBINED: Kernel(
         _cash_and_accounts, lambda spec: [("x", ["x"], 0.0), ("y", ["y"], -spec.overdraft)]),
     ModelKind.RESTRICTED: Kernel(
-        _cash_and_accounts, lambda spec: [("x", ["x"], 0.0)], init=_init_capped, bound=_capped),
+        _cash_and_accounts, lambda spec: [("x", ["x"], 0.0)], init=_init_capped),
     ModelKind.CREDIT_MARKET: Kernel(
         lambda pop: {"assets": pop.cash[:pop.n_agents].copy()}, lambda spec: [("assets", ["assets"], 0.0)],
-        init=_init_credit, moves=("loan_sale", "debt_assumption"), bound=_cash_bound),
+        init=_init_credit, moves=("loan_sale", "debt_assumption")),
     ModelKind.MULTI_ASSET: Kernel(
         _asset_classes, lambda spec: [("y_pooled", [f"y_{c}" for c in range(spec.asset_classes)], 0.0)]),
 }

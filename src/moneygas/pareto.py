@@ -158,7 +158,6 @@ def run_income_chain(
         incomes=incomes,
         conserved_y=chain.meta.total + n * math.log(spec.floor_j),
         y_drift=chain.meta.max_drift,
-        seed=seed,
         steps=steps,
         burn_in=chain.meta.burn_in,
         thin=chain.meta.thin,
@@ -171,7 +170,6 @@ class IncomeSampleSet:
     incomes: np.ndarray
     conserved_y: float
     y_drift: float  # the chain's largest audited relative drift of the z total
-    seed: int
     steps: int
     burn_in: int
     thin: int

@@ -604,21 +604,17 @@ _EXPECTATIONS = items(lambda item, name: check_document(
     item, {"name": string, "value": number, "tolerance": number, "absolute?": boolean}, name))
 
 
-def compare_report(report: dict, expectations) -> list[str]:
+def compare_report(report: dict, document: dict) -> list[str]:
     """Match (name, value, tolerance) expectations against report fields.
 
-    ``expectations`` is the list or the document holding it under
-    "expectations". Tolerances are relative unless the expectation sets
-    "absolute": true. Returns a list of human-readable failure lines;
+    ``document`` holds the expectations as a list under "expectations".
+    Tolerances are relative unless the expectation sets "absolute": true.
+    Returns a list of human-readable failure lines; a malformed document,
     malformed expectations and unknown fields raise ConfigError.
     """
-    if isinstance(expectations, dict):
-        expectations = check_document(expectations, {"expectations": _EXPECTATIONS},
-                                      "expectations document")["expectations"]
-    else:
-        expectations = _EXPECTATIONS(expectations, "expectations")
+    expectations = check_document(document, {"expectations": _EXPECTATIONS}, "expectations document")
     failures = []
-    for item in expectations:
+    for item in expectations["expectations"]:
         name, expected, tolerance = item["name"], item["value"], item["tolerance"]
         absolute = item.get("absolute", False)
         try:

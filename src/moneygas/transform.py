@@ -156,17 +156,23 @@ def policy_bound_check(
     )
 
 
+def _multiplier(name: str, r: float) -> float:
+    """The reserve multiplier 1/r - 1 for r in (0, 1), as (1 - r)/r, which does not cancel as r -> 1."""
+    if not 0.0 < r < 1.0:
+        raise TransformError(f"{name} must lie in (0, 1), got {r}")
+    return (1.0 - r) / r
+
+
 def fractional_reserve(reserve_ratio: float, volume: float, n_agents: int) -> tuple[float, float]:
     """Money supply and temperature of a fractional-reserve system.
 
     m = (1/r - 1) * V and T = m/N: the base V is scaled up into supply by
     the reserve multiplier.
     """
-    if not 0.0 < reserve_ratio < 1.0:
-        raise TransformError(f"reserve ratio must lie in (0, 1), got {reserve_ratio}")
+    multiplier = _multiplier("reserve ratio", reserve_ratio)
     if volume <= 0 or n_agents < 1:
         raise TransformError("need positive volume and at least one agent")
-    money = (1.0 / reserve_ratio - 1.0) * volume
+    money = multiplier * volume
     return money, money / n_agents
 
 
@@ -177,12 +183,11 @@ def isothermal_base(reserve_ratio: float, volume: float, reserve_ratio_new: floa
     V' - V = V'/r' - V/r: the money-supply variation equals the base
     variation scaled through the multipliers.
     """
-    for name, r in (("reserve_ratio", reserve_ratio), ("reserve_ratio_new", reserve_ratio_new)):
-        if not 0.0 < r < 1.0:
-            raise TransformError(f"{name} must lie in (0, 1), got {r}")
+    multiplier = _multiplier("reserve_ratio", reserve_ratio)
+    multiplier_new = _multiplier("reserve_ratio_new", reserve_ratio_new)
     if volume <= 0:
         raise TransformError(f"volume must be positive, got {volume}")
-    return (1.0 / reserve_ratio - 1.0) * volume / (1.0 / reserve_ratio_new - 1.0)
+    return multiplier * volume / multiplier_new
 
 
 def _balance_residual(

@@ -8,9 +8,9 @@ pure function of its item, so that the results are the same as from one
 process.
 ``runner`` uses it for the replicas of ``simulate``.
 
-A frame is an 8-byte little-endian size, a tag byte and the payload: the
-pickled result, or the worker's failure. No received result is held here
-once it has been yielded.
+The frames on the pipe are pickles, one per item: (True, the result), or
+(False, the worker's failure) in place of its first failed item. No
+received result is held here once it has been yielded.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import NoReturn
 
 from .ensembles import MoneygasError
 
-_PICKLED, _FAILED = b"p", b"f"
 # What the messages call an item; the one caller runs replicas.
 _ITEM = "replica"
 
@@ -57,12 +56,13 @@ def interleaved(produce: Callable, items: Sequence) -> Iterator:
                 if index % 2 == 0:
                     yield produce(item)
                     continue
-                tag, payload = _received(pipe)
-                if tag != _PICKLED:
+                try:
+                    sent, result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # a short read
+                    sent, result = False, None
+                if not sent:
                     code, pid = _exit_code(pid), 0
-                    raise _failure(payload, f"{_ITEM} {index} of {len(items)}", code)
-                result = pickle.loads(payload)
-                del payload
+                    raise _failure(result, f"{_ITEM} {index} of {len(items)}", code)
                 yield result
                 del result  # not held while the next item is produced
         code, pid = _exit_code(pid), 0
@@ -74,11 +74,11 @@ def interleaved(produce: Callable, items: Sequence) -> Iterator:
             os.waitpid(pid, 0)
 
 
-def _failure(payload: bytes | None, where: str, code: int) -> Exception:
-    """The exception for a failure frame, or for a short read (no payload)."""
-    if payload is None:
+def _failure(failure: tuple | None, where: str, code: int) -> Exception:
+    """The exception for the worker's failure, or for a short read (None)."""
+    if failure is None:
         return MoneygasError(f"the {_ITEM} worker stopped before sending {where} (exit code {code})")
-    plain, name, message = pickle.loads(payload)
+    plain, name, message = failure
     if plain is not None:
         return plain(message)
     return MoneygasError(f"the {_ITEM} worker stopped at {where} with {name}: {message} (exit code {code})")
@@ -95,37 +95,22 @@ def _work(produce: Callable, items: Sequence, write_fd: int) -> NoReturn:
     """
     code = 1
     try:
+        pipe = open(write_fd, "wb")
         for item in items:
             try:
-                result = produce(item)
+                frame = True, produce(item)
             except Exception as exc:
                 plain = next((cls for cls in (MoneygasError, MemoryError) if isinstance(exc, cls)), None)
-                _send(write_fd, _FAILED, pickle.dumps((plain, type(exc).__name__, str(exc))))
+                frame = False, (plain, type(exc).__name__, str(exc))
+            pickle.dump(frame, pipe)
+            pipe.flush()
+            if not frame[0]:
                 break
-            _send(write_fd, _PICKLED, pickle.dumps(result))
-            del result
+            del frame
         else:
             code = 0
     finally:
         os._exit(code)
-
-
-def _send(fd: int, tag: bytes, payload: bytes) -> None:
-    for data in (len(payload).to_bytes(8, "little") + tag, payload):
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-
-
-def _received(pipe) -> tuple[bytes | None, bytes | None]:
-    """One frame from the worker as (tag, payload); (None, None) after a short read."""
-    header = pipe.read(9)
-    if len(header) == 9:
-        size = int.from_bytes(header[:8], "little")
-        payload = pipe.read(size)
-        if len(payload) == size:
-            return header[8:], payload
-    return None, None
 
 
 def _exit_code(pid: int) -> int:

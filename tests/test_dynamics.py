@@ -145,19 +145,16 @@ def last_pairs(pop):
 
 def reference_split(pop, rng, j, k, row):
     """Uniform split of each pair's sum in slot row ``row`` (the ledger's liabilities
-    are row 1); a pair whose split would break the kind's bound keeps its values.
-    Returns the number of rejected pairs."""
+    are row 1); a pair whose split would break the population's bound keeps its
+    values. Returns the number of rejected pairs."""
     z = pop.cash[row * pop.n_agents:]
     s = z[j] + z[k]
     first = rng.random(s.size) * s
     rest = s - first
-    rejected = 0
-    bound = KERNELS[pop.spec.kind].bound
-    if bound is not None:
-        accept = bound(pop, row, j, first) & bound(pop, row, k, rest)
-        rejected = s.size - int(np.count_nonzero(accept))
-        if rejected:
-            j, k, first, rest = j[accept], k[accept], first[accept], rest[accept]
+    accept = pop.allows(row, j, first) & pop.allows(row, k, rest)
+    rejected = s.size - int(np.count_nonzero(accept))
+    if rejected:
+        j, k, first, rest = j[accept], k[accept], first[accept], rest[accept]
     z[j] = first
     z[k] = rest
     return rejected
@@ -304,6 +301,19 @@ class TestPrimitives:
             pop.cash[:], pop.net[:] = slots, net
             with pytest.raises(ConservationError, match=message):
                 pop.check_invariants()
+
+    def test_restricted_audit_raises_past_the_cap(self):
+        # Account slot 0 at 1.5 > d = 1, with the total (Σz - Σd = 1) kept.
+        pop = init_population(ModelSpec.restricted(2, 1.0), "equal", 1.0)
+        assert list(pop.cash) == [0.5, 0.5, 1.0, 1.0]
+        pop.cash[:] = [0.0, 0.5, 1.5, 1.0]
+        with pytest.raises(ConservationError, match="1 slots past their bound"):
+            pop.check_invariants()
+
+    def test_an_unbounded_kind_allows_every_slot_as_an_array(self):
+        pop = init_population(ModelSpec.cash_only(4, 1.0), "equal", 8.0)
+        allowed = pop.allows(0, np.arange(4), pop.cash)
+        assert allowed.dtype == bool and allowed.shape == (4,) and allowed.all()
 
 
 class TestSingleEventStep:

@@ -429,6 +429,22 @@ class TestInterleaved:
         results.close()
         assert_reaped(pid)
 
+    def test_a_worker_stopping_before_its_item_is_a_short_read(self, monkeypatch):
+        forks = count_forks(monkeypatch)
+
+        def produce(item: int) -> bytes:
+            if item == 1:  # produced by the worker only
+                os._exit(5)
+            return self.produce(item)
+
+        results = interleaved(produce, range(4))
+        assert next(results) == b"0\n"
+        with pytest.raises(MoneygasError) as raised:
+            next(results)
+        assert str(raised.value) == "the replica worker stopped before sending replica 1 of 4 (exit code 5)"
+        [pid] = forks
+        assert_reaped(pid)
+
     def test_a_failing_consumer_stops_the_worker(self, tmp_path, monkeypatch):
         forks = count_forks(monkeypatch)
 
@@ -545,27 +561,32 @@ class TestCompareReport:
     REPORT = {"aggregate": {"t_hat": 10.0, "list": [1.0, 2.5]}}
 
     def test_matching(self):
-        assert compare_report(self.REPORT, [
+        assert compare_report(self.REPORT, {"expectations": [
             {"name": "aggregate.t_hat", "value": 10.1, "tolerance": 0.03},
             {"name": "aggregate.list.1", "value": 2.5, "tolerance": 1e-12},
-        ]) == []
+        ]}) == []
 
     def test_five_percent_off_with_three_percent_tolerance(self):
-        failures = compare_report(self.REPORT, [
-            {"name": "aggregate.t_hat", "value": 10.5, "tolerance": 0.03}])
+        failures = compare_report(self.REPORT, {"expectations": [
+            {"name": "aggregate.t_hat", "value": 10.5, "tolerance": 0.03}]})
         assert len(failures) == 1 and "aggregate.t_hat" in failures[0]
 
     def test_absolute_tolerance(self):
-        assert compare_report(self.REPORT, [
-            {"name": "aggregate.t_hat", "value": 10.2, "tolerance": 0.25, "absolute": True}]) == []
+        assert compare_report(self.REPORT, {"expectations": [
+            {"name": "aggregate.t_hat", "value": 10.2, "tolerance": 0.25, "absolute": True}]}) == []
 
     def test_unknown_field(self):
         with pytest.raises(ConfigError):
-            compare_report(self.REPORT, [{"name": "aggregate.missing", "value": 1.0, "tolerance": 0.1}])
+            compare_report(self.REPORT, {"expectations": [
+                {"name": "aggregate.missing", "value": 1.0, "tolerance": 0.1}]})
 
     def test_malformed_expectation(self):
         with pytest.raises(ConfigError):
-            compare_report(self.REPORT, [{"name": "aggregate.t_hat", "value": 1.0}])
+            compare_report(self.REPORT, {"expectations": [{"name": "aggregate.t_hat", "value": 1.0}]})
+
+    def test_a_bare_list_is_not_a_document(self):
+        with pytest.raises(ConfigError, match="expectations document"):
+            compare_report(self.REPORT, [{"name": "aggregate.t_hat", "value": 10.0, "tolerance": 0.03}])
 
 
 class TestCli:

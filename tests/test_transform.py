@@ -243,6 +243,17 @@ class TestHighPrecisionReference:
                 expected = (one / ratio - 1) * volume / (one / ratio_new - 1)
             assert isothermal_base(ratio, volume, ratio_new) == pytest.approx(float(expected), rel=1e-14)
 
+    @pytest.mark.parametrize("gap", [1e-6, 1e-10, 1e-13])
+    def test_reserve_multiplier_near_one(self, gap):
+        """1/r - 1 cancels as r -> 1; the money supply and V' keep full accuracy there."""
+        ratio = 1.0 - gap
+        with mpmath.workdps(60):
+            multiplier = (1 - mpmath.mpf(ratio)) / ratio  # the multiplier at r' = 0.5 is 1
+            money, volume_back = float(100 * multiplier), float(100 / multiplier)
+        assert fractional_reserve(ratio, 100.0, 50)[0] == pytest.approx(money, rel=1e-14)
+        assert isothermal_base(ratio, 100.0, 0.5) == pytest.approx(money, rel=1e-14)
+        assert isothermal_base(0.5, 100.0, ratio) == pytest.approx(volume_back, rel=1e-14)
+
 
 class TestPolicyBound:
     def test_satisfied(self):
