@@ -13,18 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (
-    ModelSpec,
-    MoneygasError,
-    chemical_potential_closed_form,
-    entropy_closed_form,
-    invert_increasing,
-    log_partition,
-    mean_money_closed_form,
-    model_volume,
-    pressure_closed_form,
-    temperature_closed_form,
-)
+from .ensembles import MoneygasError
 
 # Asymptotic 1% critical value of the Kolmogorov distribution, sqrt(n)-scaled.
 # Used with a fully specified null; with an estimated scale it is conservative.
@@ -163,111 +152,3 @@ def histogram(samples) -> Histogram:
     widths = np.diff(edges)
     densities = counts / (data.size * widths)
     return Histogram(edges=edges, counts=counts, densities=densities, n=int(data.size))
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference verification of the thermodynamic identities
-# ---------------------------------------------------------------------------
-
-
-def _relative(value: float, reference: float, scale: float) -> float:
-    return abs(value - reference) / max(abs(reference), scale)
-
-
-def finite_diff_thermo_residuals(
-    spec: ModelSpec,
-    temperature: float,
-    volume: float | None = None,
-    h: float = 1e-5,
-) -> dict[str, float]:
-    """Central-difference residuals of the thermodynamic identities.
-
-    Checks, each as a relative residual that should sit well below 1e-6:
-
-    - ``inv_dS_dm_vs_T``:   (dS/dm)^-1 = T at fixed (V, N)
-    - ``T_dS_dV_vs_P``:     T * dS/dV = P at fixed (m, N)      [volume models]
-    - ``dF_dV_vs_P``:       -dF/dV = P at fixed (T, N)         [volume models]
-    - ``dF_dT_vs_S``:       -dF/dT = S at fixed (V, N)
-    - ``dF_dN_vs_mu``:      dF/dN = mu at fixed (T, V)
-    - ``dm_dN_at_S_vs_mu``: (dm/dN) at fixed (S, V) = mu
-    - ``first_law_T``:      T * dS/dT = dm/dT at fixed (V, N)
-    - ``first_law_N``:      T * dS/dN + mu = dm/dN at fixed (T, V)
-
-    ``volume`` overrides the model spec's volume variable; ``h`` is the relative
-    step. Every model kind has a closed-form state; a multi-account model
-    varies N as a count of mean agents, each with K/N accounts of depth Σd/N.
-    """
-    try:
-        residuals = _residuals(spec, temperature, model_volume(spec, volume), h)
-    except ZeroDivisionError as exc:
-        raise EstimationError(
-            f"finite differences at T={temperature}, V={volume} underflow to a zero step or scale"
-        ) from exc
-    if not all(map(math.isfinite, residuals.values())):
-        raise EstimationError(
-            f"finite differences at T={temperature}, V={volume} give a non-finite residual"
-        )
-    return residuals
-
-
-def _residuals(spec: ModelSpec, temperature: float, volume: float | None, h: float) -> dict[str, float]:
-    n = float(spec.n_agents)
-    t = temperature
-    money_scale = max(abs(mean_money_closed_form(spec, t)), n * t)
-
-    def entropy_at(tt: float, nn: float = n, vv: float | None = volume) -> float:
-        return entropy_closed_form(spec, tt, n_agents=nn, volume=vv)
-
-    def free_energy_at(tt: float, nn: float = n, vv: float | None = volume) -> float:
-        return -tt * log_partition(spec, tt, n_agents=nn, volume=vv)
-
-    def mean_money_at(tt: float, nn: float = n) -> float:
-        return mean_money_closed_form(spec, tt, n_agents=nn)
-
-    residuals: dict[str, float] = {}
-
-    # (dS/dm)^-1 = T, differentiating S(m) through the temperature map.
-    dm = h * money_scale
-    m0 = mean_money_at(t)
-    s_plus = entropy_at(temperature_closed_form(spec, m0 + dm))
-    s_minus = entropy_at(temperature_closed_form(spec, m0 - dm))
-    ds_dm = (s_plus - s_minus) / (2.0 * dm)
-    residuals["inv_dS_dm_vs_T"] = _relative(1.0 / ds_dm, t, h * t)
-
-    if volume is not None:
-        dv = h * volume
-        pressure = pressure_closed_form(spec, t, volume=volume)
-        assert pressure is not None
-        ds_dv = (entropy_at(t, vv=volume + dv) - entropy_at(t, vv=volume - dv)) / (2.0 * dv)
-        residuals["T_dS_dV_vs_P"] = _relative(t * ds_dv, pressure, h * pressure)
-        df_dv = (free_energy_at(t, vv=volume + dv) - free_energy_at(t, vv=volume - dv)) / (2.0 * dv)
-        residuals["dF_dV_vs_P"] = _relative(-df_dv, pressure, h * pressure)
-
-    dt = h * t
-    entropy0 = entropy_at(t)
-    df_dt = (free_energy_at(t + dt) - free_energy_at(t - dt)) / (2.0 * dt)
-    residuals["dF_dT_vs_S"] = _relative(-df_dt, entropy0, n)
-
-    dn = h * n
-    mu = chemical_potential_closed_form(spec, t, volume=volume)
-    df_dn = (free_energy_at(t, nn=n + dn) - free_energy_at(t, nn=n - dn)) / (2.0 * dn)
-    residuals["dF_dN_vs_mu"] = _relative(df_dn, mu, t)
-
-    # Maxwell relation: (dm/dN) at constant (S, V) equals mu. The entropy is
-    # strictly increasing in T, so invert it at each N.
-    def temperature_at_entropy(nn: float) -> float:
-        return invert_increasing(lambda tt: entropy_at(tt, nn=nn), entropy0, t)
-
-    m_plus = mean_money_at(temperature_at_entropy(n + dn), nn=n + dn)
-    m_minus = mean_money_at(temperature_at_entropy(n - dn), nn=n - dn)
-    residuals["dm_dN_at_S_vs_mu"] = _relative((m_plus - m_minus) / (2.0 * dn), mu, t)
-
-    ds_dt = (entropy_at(t + dt) - entropy_at(t - dt)) / (2.0 * dt)
-    dm_dt = (mean_money_at(t + dt) - mean_money_at(t - dt)) / (2.0 * dt)
-    residuals["first_law_T"] = _relative(t * ds_dt, dm_dt, n)
-
-    ds_dn = (entropy_at(t, nn=n + dn) - entropy_at(t, nn=n - dn)) / (2.0 * dn)
-    dm_dn = (mean_money_at(t, nn=n + dn) - mean_money_at(t, nn=n - dn)) / (2.0 * dn)
-    residuals["first_law_N"] = _relative(t * ds_dn + mu, dm_dn, t)
-
-    return residuals

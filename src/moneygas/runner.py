@@ -62,7 +62,6 @@ from .ensembles import (
     thermo_state,
 )
 from .estimation import (
-    finite_diff_thermo_residuals,
     fit_shifted_exponential,
     hill_default_k,
     hill_tail_index,
@@ -80,10 +79,11 @@ from .pareto import (
     transition_scan,
 )
 from .transform import (
+    FD_STEP,
+    balance_residuals,
     carnot_cycle,
-    first_law_residual,
+    finite_diff_thermo_residuals,
     fractional_reserve,
-    gibbs_duhem_residual,
     isothermal_base,
     path_table,
     policy_bound_check,
@@ -93,8 +93,6 @@ from .worker import interleaved
 _MASK64 = (1 << 64) - 1
 # Recorded values formatted per samples.csv chunk (about 1 MB of CSV).
 CSV_BLOCK_VALUES = 1 << 15
-# Relative step of the finite-difference identity checks.
-FD_STEP = 1e-5
 
 # A companion file: its bytes, or byte chunks to be written in order.
 FileData = bytes | Iterable[bytes]
@@ -222,7 +220,7 @@ def _run_analytic(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
     overall = 0.0
     for temperature in raw["temperatures"]:
         state = thermo_state(spec, float(temperature))
-        residuals = finite_diff_thermo_residuals(spec, float(temperature), h=FD_STEP)
+        residuals = finite_diff_thermo_residuals(spec, float(temperature))
         worst = max(residuals.values())
         overall = max(overall, worst)
         points.append(
@@ -279,12 +277,10 @@ def _run_transform(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
             for volume in volumes:
                 v = None if volume is None else float(volume)
                 for deltas in ((h, 0.0, 0.0), (0.0, 0.0, h), (h, h if v is not None else 0.0, h)):
-                    worst_gd = max(worst_gd, gibbs_duhem_residual(spec, float(temperature), deltas, volume=v))
-                    worst_fl = max(worst_fl, first_law_residual(spec, float(temperature), deltas, volume=v))
-                worst_state = max(
-                    worst_state,
-                    max(finite_diff_thermo_residuals(spec, float(temperature), volume=v, h=h).values()),
-                )
+                    gibbs_duhem, first_law = balance_residuals(spec, float(temperature), deltas, volume=v)
+                    worst_gd, worst_fl = max(worst_gd, gibbs_duhem), max(worst_fl, first_law)
+                residuals = finite_diff_thermo_residuals(spec, float(temperature), volume=v)
+                worst_state = max(worst_state, *residuals.values())
                 count += 1
         report["identity_grid"] = {
             "points": count,

@@ -15,14 +15,16 @@ L = (T_h - T_c)·N·ln(V2/V1) - T_c·N·ln f, since the adiabats' works
 or for a state, work or credit outside the floating-point range.
 ``path_table`` tabulates the legs. The tests integrate the model's pressure
 along each leg by quadrature as the reference. The module also holds the
-fractional-reserve relations and the Gibbs-Duhem and first-law residuals.
+fractional-reserve relations and the finite-difference checks of the
+thermodynamic identities at the relative step ``FD_STEP``: the Gibbs-Duhem
+and first-law residuals (``balance_residuals``) and the eight state
+residuals (``finite_diff_thermo_residuals``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import Callable
 
 from .ensembles import (
     ModelSpec,
@@ -31,9 +33,12 @@ from .ensembles import (
     UnsupportedModelError,
     chemical_potential_closed_form,
     entropy_closed_form,
+    invert_increasing,
+    log_partition,
     mean_money_closed_form,
     model_volume,
     pressure_closed_form,
+    temperature_closed_form,
 )
 
 PATH_POINTS = 25
@@ -70,14 +75,18 @@ def _legs(spec: ModelSpec, t_hot: float, t_cold: float, v1: float, v2: float) ->
 
 def path_table(spec: ModelSpec, t_hot: float, t_cold: float, v1: float,
                v2: float) -> list[tuple[float, float, float, float]]:
-    """(V, T, P, S) rows around the Carnot cycle, PATH_POINTS evenly spaced volumes per leg."""
+    """(V, T, P, S) rows around the Carnot cycle, PATH_POINTS evenly spaced volumes per leg,
+    the last at the leg's exact end. TransformError for a P or S outside the floating-point range."""
     rows = []
     for index, (v_start, v_end, t_start, _) in enumerate(_legs(spec, t_hot, t_cold, v1, v2)):
-        for i in range(PATH_POINTS):
-            v = v_start + i / (PATH_POINTS - 1) * (v_end - v_start)
+        steps = PATH_POINTS - 1
+        for v in [v_start + i / steps * (v_end - v_start) for i in range(steps)] + [v_end]:
             t = t_start if index % 2 == 0 else t_start * v_start / v
-            rows.append((v, t, pressure_closed_form(spec, t, volume=v),
-                         entropy_closed_form(spec, t, volume=v)))
+            row = (v, t, pressure_closed_form(spec, t, volume=v), entropy_closed_form(spec, t, volume=v))
+            if not all(map(math.isfinite, row[2:])):
+                raise TransformError(f"cycle path at V {v}, T {t}: the pressure or entropy is out of"
+                                     f" floating-point range")
+            rows.append(row)
     return rows
 
 
@@ -190,99 +199,170 @@ def isothermal_base(reserve_ratio: float, volume: float, reserve_ratio_new: floa
     return multiplier * volume / multiplier_new
 
 
-def _balance_residual(
-    spec: ModelSpec,
-    temperature: float,
-    deltas: tuple[float, float, float],
-    volume: float | None,
-    state: Callable[[float, float | None, float], tuple[float, ...]],
-    terms: Callable[..., list[float]],
-) -> float:
-    """Relative residual of a first-order balance along a central increment.
-
-    ``deltas`` are relative steps in (T, V, N). ``state(T, V, N)`` gives the
-    quantities whose central differences enter the balance, and
-    ``terms(volume, *differences)`` its terms at the resolved volume. The
-    residual is |sum of terms| over the largest term, 0 for a zero increment.
-    """
-    if not temperature > 0:
-        raise ModelValidationError(f"temperature must be positive, got {temperature}")
-    volume = model_volume(spec, volume)
-    rel_t, rel_v, rel_n = deltas
-    if volume is None and rel_v != 0.0:
-        raise UnsupportedModelError(f"{spec.kind.value} has no volume to vary")
-    if rel_t == rel_v == rel_n == 0.0:
-        return 0.0
-    n = float(spec.n_agents)
-
-    def at(sign: float) -> tuple[float, ...]:
-        return state(
-            temperature * (1.0 + sign * rel_t),
-            None if volume is None else volume * (1.0 + sign * rel_v),
-            n * (1.0 + sign * rel_n),
-        )
-
-    found = terms(volume, *(plus - minus for plus, minus in zip(at(+1.0), at(-1.0))))
-    scale = max(abs(term) for term in found)
-    if scale == 0.0:
-        return 0.0
-    return abs(math.fsum(found)) / scale
+# Relative step of the finite-difference identity checks.
+FD_STEP = 1e-5
 
 
-def gibbs_duhem_residual(
+def _require_finite(temperature: float, volume: float | None, *residuals: float) -> None:
+    """The identity checks' one guard: TransformError for a NaN or infinite residual."""
+    if not all(map(math.isfinite, residuals)):
+        raise TransformError(f"finite differences at T={temperature}, V={volume} give a non-finite residual")
+
+
+def _balance(terms: list[float]) -> float:
+    """|sum of terms| over the largest term, 0 when every term is 0."""
+    scale = max(abs(term) for term in terms)
+    return abs(math.fsum(terms)) / scale if scale else 0.0
+
+
+def balance_residuals(
     spec: ModelSpec,
     temperature: float,
     deltas: tuple[float, float, float],
     volume: float | None = None,
-) -> float:
-    """First-order residual of the intensive-variable balance.
+) -> tuple[float, float]:
+    """First-order residuals (Gibbs-Duhem, first law) along one central increment.
 
-    The correct form follows from the model's Euler combination
+    ``deltas`` are relative steps in (T, V, N), applied centrally; (P, mu, m, S)
+    are evaluated once at each end. Each residual is |sum of its terms| over
+    the largest term, 0 for a zero increment, and vanishes to second order.
+
+    The Gibbs-Duhem balance follows from the model's Euler combination
     E = T·S - P·V + mu·N. Partition functions with a per-agent volume
     factor have E = -N·d (zero unless an overdraft shifts the mean), so
     the balance reads dm + S dT - V dP + N dmu + d dN = 0; volumeless
     models have E identically m, recovering the textbook
-    S dT + N dmu = 0. Increments are ``deltas`` = relative steps in
-    (T, V, N), applied centrally; the residual is normalized by the
-    largest participating term and vanishes to second order.
+    S dT + N dmu = 0. The first law is T dS - dm - P dV + mu dN = 0.
+    Raises TransformError for a term that is not finite.
     """
-    rel_t, _, rel_n = deltas
+    if not temperature > 0:
+        raise ModelValidationError(f"temperature must be positive, got {temperature}")
+    resolved = model_volume(spec, volume)
+    rel_t, rel_v, rel_n = deltas
+    if resolved is None and rel_v != 0.0:
+        raise UnsupportedModelError(f"{spec.kind.value} has no volume to vary")
+    if rel_t == rel_v == rel_n == 0.0:
+        return 0.0, 0.0
     n = float(spec.n_agents)
 
-    def state(t: float, v: float | None, nn: float) -> tuple[float, float, float]:
-        pressure = pressure_closed_form(spec, t, n_agents=nn, volume=v)
-        mu = chemical_potential_closed_form(spec, t, volume=v)
-        money = mean_money_closed_form(spec, t, n_agents=nn)
-        return (0.0 if pressure is None else pressure), mu, money
+    def at(sign: float) -> tuple[float, float, float, float]:
+        t = temperature * (1.0 + sign * rel_t)
+        v = None if resolved is None else resolved * (1.0 + sign * rel_v)
+        nn = n * (1.0 + sign * rel_n)
+        return (pressure_closed_form(spec, t, n_agents=nn, volume=v) or 0.0,
+                chemical_potential_closed_form(spec, t, volume=v),
+                mean_money_closed_form(spec, t, n_agents=nn),
+                entropy_closed_form(spec, t, n_agents=nn, volume=v))
 
-    def terms(volume: float | None, d_p: float, d_mu: float, d_m: float) -> list[float]:
-        entropy0 = entropy_closed_form(spec, temperature, volume=volume)
-        found = [entropy0 * (2.0 * temperature * rel_t), n * d_mu]
-        if volume is not None:
-            found += [d_m, -volume * d_p, spec.overdraft * 2.0 * n * rel_n]
-        return found
+    d_p, d_mu, d_m, d_s = (plus - minus for plus, minus in zip(at(+1.0), at(-1.0)))
+    entropy0 = entropy_closed_form(spec, temperature, volume=resolved)
+    mu0 = chemical_potential_closed_form(spec, temperature, volume=resolved)
+    gibbs_duhem = [entropy0 * (2.0 * temperature * rel_t), n * d_mu]
+    first_law = [temperature * d_s, -d_m, mu0 * (2.0 * n * rel_n)]
+    if resolved is not None:
+        gibbs_duhem += [d_m, -resolved * d_p, spec.overdraft * 2.0 * n * rel_n]
+        pressure0 = pressure_closed_form(spec, temperature, volume=resolved)
+        first_law.append(-pressure0 * (resolved * (2.0 * rel_v)))  # 2·V overflows where V·(2·rel_v) does not
+    _require_finite(temperature, volume, *gibbs_duhem, *first_law)
+    return _balance(gibbs_duhem), _balance(first_law)
 
-    return _balance_residual(spec, temperature, deltas, volume, state, terms)
+
+def _relative(value: float, reference: float, scale: float) -> float:
+    return abs(value - reference) / max(abs(reference), scale)
 
 
-def first_law_residual(
+def finite_diff_thermo_residuals(
     spec: ModelSpec,
     temperature: float,
-    deltas: tuple[float, float, float],
     volume: float | None = None,
-) -> float:
-    """First-order residual of T dS - dm - P dV + mu dN along an increment."""
-    _, rel_v, rel_n = deltas
+    h: float = FD_STEP,
+) -> dict[str, float]:
+    """Central-difference residuals of the thermodynamic state identities.
+
+    Checks, each as a relative residual that should sit well below 1e-6:
+
+    - ``inv_dS_dm_vs_T``:   (dS/dm)^-1 = T at fixed (V, N)
+    - ``T_dS_dV_vs_P``:     T * dS/dV = P at fixed (m, N)      [volume models]
+    - ``dF_dV_vs_P``:       -dF/dV = P at fixed (T, N)         [volume models]
+    - ``dF_dT_vs_S``:       -dF/dT = S at fixed (V, N)
+    - ``dF_dN_vs_mu``:      dF/dN = mu at fixed (T, V)
+    - ``dm_dN_at_S_vs_mu``: (dm/dN) at fixed (S, V) = mu
+    - ``first_law_T``:      T * dS/dT = dm/dT at fixed (V, N)
+    - ``first_law_N``:      T * dS/dN + mu = dm/dN at fixed (T, V)
+
+    ``volume`` overrides the model spec's volume variable; ``h`` is the relative
+    step. Every model kind has a closed-form state; a multi-account model
+    varies N as a count of mean agents, each with K/N accounts of depth Σd/N.
+    Raises TransformError for a zero step or scale or a residual that is not finite.
+    """
+    try:
+        residuals = _residuals(spec, temperature, model_volume(spec, volume), h)
+    except ZeroDivisionError as exc:
+        raise TransformError(
+            f"finite differences at T={temperature}, V={volume} underflow to a zero step or scale"
+        ) from exc
+    _require_finite(temperature, volume, *residuals.values())
+    return residuals
+
+
+def _residuals(spec: ModelSpec, temperature: float, volume: float | None, h: float) -> dict[str, float]:
     n = float(spec.n_agents)
+    t = temperature
+    money_scale = max(abs(mean_money_closed_form(spec, t)), n * t)
 
-    def state(t: float, v: float | None, nn: float) -> tuple[float, float]:
-        entropy = entropy_closed_form(spec, t, n_agents=nn, volume=v)
-        return entropy, mean_money_closed_form(spec, t, n_agents=nn)
+    def entropy_at(tt: float, nn: float = n, vv: float | None = volume) -> float:
+        return entropy_closed_form(spec, tt, n_agents=nn, volume=vv)
 
-    def terms(volume: float | None, d_s: float, d_m: float) -> list[float]:
-        pressure0 = pressure_closed_form(spec, temperature, volume=volume)
-        mu0 = chemical_potential_closed_form(spec, temperature, volume=volume)
-        d_v = 0.0 if volume is None else 2.0 * volume * rel_v
-        return [temperature * d_s, -d_m, -(pressure0 or 0.0) * d_v, mu0 * (2.0 * n * rel_n)]
+    def free_energy_at(tt: float, nn: float = n, vv: float | None = volume) -> float:
+        return -tt * log_partition(spec, tt, n_agents=nn, volume=vv)
 
-    return _balance_residual(spec, temperature, deltas, volume, state, terms)
+    def mean_money_at(tt: float, nn: float = n) -> float:
+        return mean_money_closed_form(spec, tt, n_agents=nn)
+
+    residuals: dict[str, float] = {}
+
+    # (dS/dm)^-1 = T, differentiating S(m) through the temperature map.
+    dm = h * money_scale
+    m0 = mean_money_at(t)
+    s_plus = entropy_at(temperature_closed_form(spec, m0 + dm))
+    s_minus = entropy_at(temperature_closed_form(spec, m0 - dm))
+    ds_dm = (s_plus - s_minus) / (2.0 * dm)
+    residuals["inv_dS_dm_vs_T"] = _relative(1.0 / ds_dm, t, h * t)
+
+    if volume is not None:
+        dv = h * volume
+        pressure = pressure_closed_form(spec, t, volume=volume)
+        assert pressure is not None
+        ds_dv = (entropy_at(t, vv=volume + dv) - entropy_at(t, vv=volume - dv)) / (2.0 * dv)
+        residuals["T_dS_dV_vs_P"] = _relative(t * ds_dv, pressure, h * pressure)
+        df_dv = (free_energy_at(t, vv=volume + dv) - free_energy_at(t, vv=volume - dv)) / (2.0 * dv)
+        residuals["dF_dV_vs_P"] = _relative(-df_dv, pressure, h * pressure)
+
+    dt = h * t
+    entropy0 = entropy_at(t)
+    df_dt = (free_energy_at(t + dt) - free_energy_at(t - dt)) / (2.0 * dt)
+    residuals["dF_dT_vs_S"] = _relative(-df_dt, entropy0, n)
+
+    dn = h * n
+    mu = chemical_potential_closed_form(spec, t, volume=volume)
+    df_dn = (free_energy_at(t, nn=n + dn) - free_energy_at(t, nn=n - dn)) / (2.0 * dn)
+    residuals["dF_dN_vs_mu"] = _relative(df_dn, mu, t)
+
+    # Maxwell relation: (dm/dN) at constant (S, V) equals mu. The entropy is
+    # strictly increasing in T, so invert it at each N.
+    def temperature_at_entropy(nn: float) -> float:
+        return invert_increasing(lambda tt: entropy_at(tt, nn=nn), entropy0, t)
+
+    m_plus = mean_money_at(temperature_at_entropy(n + dn), nn=n + dn)
+    m_minus = mean_money_at(temperature_at_entropy(n - dn), nn=n - dn)
+    residuals["dm_dN_at_S_vs_mu"] = _relative((m_plus - m_minus) / (2.0 * dn), mu, t)
+
+    ds_dt = (entropy_at(t + dt) - entropy_at(t - dt)) / (2.0 * dt)
+    dm_dt = (mean_money_at(t + dt) - mean_money_at(t - dt)) / (2.0 * dt)
+    residuals["first_law_T"] = _relative(t * ds_dt, dm_dt, n)
+
+    ds_dn = (entropy_at(t, nn=n + dn) - entropy_at(t, nn=n - dn)) / (2.0 * dn)
+    dm_dn = (mean_money_at(t, nn=n + dn) - mean_money_at(t, nn=n - dn)) / (2.0 * dn)
+    residuals["first_law_N"] = _relative(t * ds_dn + mu, dm_dn, t)
+
+    return residuals

@@ -101,6 +101,19 @@ def mutated_documents(draw):
 @given(case=mutated_documents())
 @example(case=("simulate", dict(SIMULATE, replicas=4)))
 @example(case=("simulate", dict(SIMULATE, replicas=2**60)))
+# Identity-grid terms past the float range: inf - inf reached math.fsum.
+@example(case=("transform", {"task": "transform",
+                             "model": {"kind": "combined", "n_agents": 10**15, "overdraft": 2.0},
+                             "identity_grid": {"temperatures": [1e300]}}))
+# Cycles whose last adiabat spans hundreds of decades (the spaced end volume cancelled to 0)
+# and whose path rows leave the float range.
+@example(case=("transform", {"task": "transform",
+                             "model": {"kind": "overdraft", "n_agents": 10**15, "volume_x": 1e8, "overdraft": 1e8},
+                             "cycle": {"t_hot": 1.0, "t_cold": 1e-300, "v1": 0.5, "v2": 1e8}}))
+@example(case=("transform", {"task": "transform",
+                             "model": {"kind": "overdraft", "n_agents": 2, "volume_x": 1e-300,
+                                       "overdraft": 1e-300},
+                             "cycle": {"t_hot": 1e300, "t_cold": 3.0, "v1": 1e-300, "v2": 1e-8}}))
 def test_mutated_documents_end_in_an_exit_code(case):
     verb, document = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -19,8 +19,7 @@ from moneygas.ensembles import (
     temperature_closed_form,
     thermo_state,
 )
-from moneygas.estimation import finite_diff_thermo_residuals
-from moneygas.transform import gibbs_duhem_residual
+from moneygas.transform import balance_residuals, finite_diff_thermo_residuals
 
 
 # (mean_money, entropy, free_energy, pressure, volume, chemical_potential) of
@@ -206,7 +205,7 @@ class TestVolumeOverride:
         with pytest.raises(UnsupportedModelError):
             log_partition(spec, 2.0, volume=5.0)
         with pytest.raises(UnsupportedModelError):
-            gibbs_duhem_residual(spec, 2.0, (1e-5, 0.0, 0.0), volume=5.0)
+            balance_residuals(spec, 2.0, (1e-5, 0.0, 0.0), volume=5.0)
         with pytest.raises(UnsupportedModelError):
             finite_diff_thermo_residuals(spec, 2.0, volume=5.0)
 

@@ -7,13 +7,13 @@ from moneygas.ensembles import ModelSpec
 from moneygas.estimation import (
     KS_1PCT_CONSTANT,
     EstimationError,
-    finite_diff_thermo_residuals,
     fit_shifted_exponential,
     hill_default_k,
     hill_tail_index,
     histogram,
     ks_statistic_exponential,
 )
+from moneygas.transform import finite_diff_thermo_residuals
 
 
 class TestShiftedExponentialFit:

@@ -27,6 +27,9 @@ CASES = {
                       "model": {"kind": "credit_market", "n_agents": 50, "volume_x": 1000.0}},
     "analytic_restricted": {"task": "analytic", "temperatures": [0.5, 1.0, 2.0],
                             "model": {"kind": "restricted", "n_agents": 100, "overdraft": 1.5}},
+    # configs/analytic_grid.json: a volume model, so the report carries T_dS_dV_vs_P and dF_dV_vs_P.
+    "analytic_credit_market": {"task": "analytic", "temperatures": [0.5, 1.0, 2.0, 4.0, 8.0],
+                               "model": {"kind": "credit_market", "n_agents": 100, "volume_x": 1000.0}},
     # K/N = 7/3 slots per agent, the one kind whose k is not an integer.
     "analytic_multi_account": {"task": "analytic", "temperatures": [0.5, 2.0],
                                "model": {"kind": "multi_account", "n_agents": 3, "accounts_per_agent": [1, 2, 4],
@@ -50,8 +53,12 @@ CASES = {
 # A split now stores U·s where it stored a_j + (U·s - a_j), which moves samples.csv
 # values in the last digits (at most 2.9e-13 relative) and t_hat from
 # 5.000000000000001 to 5.0; max_drift is now relative to the stored slots' sum, 2D,
-# instead of V + D.
+# instead of V + D. analytic_credit_market was added later, pinned on the code before
+# the identity checks moved from estimation into transform.
 GOLDEN = {
+    "analytic_credit_market": {
+        "report.json": "sha256:2f346e05b3e411d156696bcc8085c3611178d9a549e85c91b7e7a7b0c6ac7c0f",
+    },
     "analytic_multi_account": {
         "report.json": "sha256:1e17af2a2738c62a95147206504a48d87e07b939a7db35710e08fe894cf0b0c6",
     },

@@ -12,10 +12,9 @@ from moneygas.transform import (
     PATH_POINTS,
     TransformError,
     _legs,
+    balance_residuals,
     carnot_cycle,
-    first_law_residual,
     fractional_reserve,
-    gibbs_duhem_residual,
     isothermal_base,
     path_table,
     policy_bound_check,
@@ -51,6 +50,19 @@ class TestPaths:
             for v, t, _, s in adiabat:
                 assert abs(s - s0) <= 1e-10 * abs(s0)
                 assert t * v == pytest.approx(t0 * v0, rel=1e-12)
+
+    def test_a_leg_spanning_hundreds_of_decades_ends_at_its_end_volume(self):
+        # The spaced formula's last point, 5e299 + 1.0·(0.5 - 5e299), cancels to 0 on the last adiabat.
+        legs = _legs(CREDIT, 1.0, 1e-300, 0.5, 1e8)
+        rows = path_table(CREDIT, 1.0, 1e-300, 0.5, 1e8)
+        assert [row[0] for row in rows[PATH_POINTS - 1::PATH_POINTS]] == [leg[1] for leg in legs]
+        assert all(math.isfinite(value) for row in rows for value in row)
+
+    def test_a_pressure_past_the_float_range_rejected(self):
+        # The cycle starts, and its last adiabat ends, at V = 1e-300, T = 1e300, where P = N·T/V = 2e600.
+        spec = ModelSpec.overdraft_model(2, 1e-300, 1e-300)
+        with pytest.raises(TransformError, match="pressure or entropy is out of floating-point range"):
+            path_table(spec, 1e300, 3.0, 1e-300, 1e-8)
 
     @pytest.mark.parametrize("cycle", [(4.0, 2.0, 1e-300, 1e300), (1e300, 1e-300, 1.0, 2.0),
                                        (1e200, 1e199, 1.0, 1e200), (1e-200, 5e-201, 1e-200, 2e-200)],
@@ -303,16 +315,16 @@ class TestFractionalReserve:
 
 class TestGibbsDuhem:
     def test_zero_increments(self):
-        assert gibbs_duhem_residual(ModelSpec.credit_market(100, 1000.0), 2.0, (0.0, 0.0, 0.0)) == 0.0
+        assert balance_residuals(ModelSpec.credit_market(100, 1000.0), 2.0, (0.0, 0.0, 0.0)) == (0.0, 0.0)
 
     def test_credit_market_temperature_direction(self):
-        residual = gibbs_duhem_residual(ModelSpec.credit_market(100, 1000.0), 2.0, (1e-5, 0.0, 0.0))
+        residual, _ = balance_residuals(ModelSpec.credit_market(100, 1000.0), 2.0, (1e-5, 0.0, 0.0))
         assert residual < 1e-6
 
     def test_first_law_consistency_on_same_grid(self):
         spec = ModelSpec.credit_market(100, 1000.0)
         for deltas in ((1e-5, 0.0, 0.0), (0.0, 1e-5, 0.0), (0.0, 0.0, 1e-5), (1e-5, 1e-5, 1e-5)):
-            assert first_law_residual(spec, 2.0, deltas) < 1e-6
+            assert balance_residuals(spec, 2.0, deltas)[1] < 1e-6
 
     def test_all_closed_form_kinds(self):
         volume_specs = [
@@ -324,13 +336,28 @@ class TestGibbsDuhem:
                       ModelSpec.multi_asset(6, 3)]
         for spec in volume_specs:
             for deltas in ((1e-5, 0.0, 0.0), (0.0, 1e-5, 0.0), (0.0, 0.0, 1e-5), (1e-5, 1e-5, 1e-5)):
-                assert gibbs_duhem_residual(spec, 1.7, deltas) < 1e-6
+                assert balance_residuals(spec, 1.7, deltas)[0] < 1e-6
         for spec in slim_specs:
             for deltas in ((1e-5, 0.0, 0.0), (0.0, 0.0, 1e-5), (1e-5, 0.0, 1e-5)):
-                assert gibbs_duhem_residual(spec, 1.7, deltas) < 1e-6
+                assert balance_residuals(spec, 1.7, deltas)[0] < 1e-6
+
+    def test_first_law_at_a_volume_near_the_float_limit(self, tmp_path):
+        # 2·V overflows at V = 1.7e308, and inf·0 made every increment's residual NaN.
+        document = {"task": "transform", "model": {"kind": "cash_only", "n_agents": 10, "volume_y": 1.0},
+                    "identity_grid": {"temperatures": [1.0], "volumes": [1.7e308]}}
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(document))
+        assert main(["transform", "-c", str(config), "-o", str(tmp_path / "out")]) == 0
+        grid = json.loads((tmp_path / "out" / "report.json").read_text())["identity_grid"]
+        assert 0.0 < grid["max_first_law"] < 1e-6
+
+    def test_a_non_finite_residual_is_rejected(self):
+        # S·2T·h overflows at N = 1e15, T = 1e300; the infinite terms used to reach fsum.
+        with pytest.raises(TransformError, match="non-finite residual"):
+            balance_residuals(ModelSpec.combined(10**15, 2.0), 1e300, (1e-5, 0.0, 0.0))
 
     def test_volume_increment_needs_a_volume(self):
         from moneygas.ensembles import UnsupportedModelError
 
         with pytest.raises(UnsupportedModelError):
-            gibbs_duhem_residual(ModelSpec.combined(10, 2.0), 1.0, (0.0, 1e-5, 0.0))
+            balance_residuals(ModelSpec.combined(10, 2.0), 1.0, (0.0, 1e-5, 0.0))
