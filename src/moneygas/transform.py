@@ -204,7 +204,7 @@ FD_STEP = 1e-5
 
 
 def _require_finite(temperature: float, volume: float | None, *residuals: float) -> None:
-    """The identity checks' one guard: TransformError for a NaN or infinite residual."""
+    """The identity checks' one guard: TransformError when a term or residual is NaN or infinite."""
     if not all(map(math.isfinite, residuals)):
         raise TransformError(f"finite differences at T={temperature}, V={volume} give a non-finite residual")
 
