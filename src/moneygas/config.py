@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .dynamics import default_burn_in, default_thin
+from .dynamics import DynamicsError, recording_window
 from .ensembles import ModelKind, ModelSpec, ModelValidationError, MoneygasError
 from .pareto import ParetoError, ParetoSpec
 
@@ -132,22 +132,19 @@ def check_array_size(count: int, what: str) -> None:
 
 def check_window(block: dict, n_agents: int, width: int) -> int:
     """Check a chain's window: 2 <= N with ``width`` values per record in one
-    array, steps > burn_in >= 0 (burn_in and thin default to 100·N and N),
-    enough records that the N·records pooled values reach the 10 the KS
-    check needs, and few enough that the records·width recorded values
-    fit numpy's largest array. Returns that number of recorded values."""
+    array, the window rules of ``dynamics.recording_window``, enough records
+    that the N·records pooled values reach the 10 the KS check needs, and few
+    enough that the records·width recorded values fit numpy's largest array.
+    Returns that number of recorded values."""
     if n_agents < 2:
         raise ConfigError(f"pair exchange needs n_agents >= 2, got {n_agents}")
     check_array_size(width, f"a chain of {n_agents} agents")
-    steps = block["steps"]
-    burn_in = block.get("burn_in", default_burn_in(n_agents))
-    thin = block.get("thin", default_thin(n_agents))
-    if burn_in < 0 or steps <= burn_in:
-        raise ConfigError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
-    if thin < 1 or (steps - burn_in) // thin * n_agents < 10:
-        raise ConfigError(f"thin={thin} must be >= 1 and record at least 10 values"
-                          f" ((steps - burn_in) // thin records of {n_agents} agents)")
-    records = (steps - burn_in) // thin
+    try:
+        _, thin, records = recording_window(n_agents, block["steps"], block.get("burn_in"), block.get("thin"))
+    except DynamicsError as exc:
+        raise ConfigError(str(exc)) from exc
+    if records * n_agents < 10:
+        raise ConfigError(f"thin={thin} must record at least 10 values ({records} records of {n_agents} agents)")
     check_array_size(records * width, f"recording {records} records of {width} values")
     return records * width
 

@@ -74,7 +74,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -83,6 +83,8 @@ from .ensembles import ModelKind, ModelSpec, MoneygasError, temperature_closed_f
 AUDIT_INTERVAL = 100_000
 CONSERVATION_RTOL = 1e-9
 _CAPPED_PROPOSALS = 1000  # restricted's "uniform-random" start gives up after this many
+# Recorded values formatted per samples.csv chunk (about 1 MB of CSV).
+CSV_BLOCK_VALUES = 1 << 15
 
 
 class DynamicsError(MoneygasError):
@@ -189,8 +191,6 @@ class Population:
 
 def _simplex_sample(rng: np.random.Generator, size: int, total: float) -> np.ndarray:
     """Uniform point on the simplex of ``size`` nonnegative slots summing to total."""
-    if size == 1:
-        return np.array([total], dtype=float)
     spacings = rng.standard_exponential(size)
     return spacings * (total / spacings.sum())
 
@@ -225,7 +225,7 @@ def _init_capped(pop: Population, policy: str, rng: np.random.Generator) -> None
         shifted, t = total + n * d, temperature_closed_form(pop.spec, total)
 
         def h(s: float) -> float:
-            return (n - 1) * math.log(shifted - s) + s / t if n > 1 else s / t
+            return (n - 1) * math.log(shifted - s) + s / t
 
         top = h(min(max(shifted - (n - 1) * t, 0.0), n * d))  # h is concave
         for _ in range(_CAPPED_PROPOSALS):
@@ -448,7 +448,6 @@ def _address(values: np.ndarray | None, dtype: type, size: int) -> int | None:
 class ChainMeta:
     burn_in: int
     thin: int
-    total: float
     events_run: int
     rejected_events: int
     max_drift: float
@@ -528,13 +527,25 @@ class SampleSet:
                            {name: v[start:stop] for name, v in self.coords.items()},
                            header=start == 0)
 
+    def csv_chunks(self) -> Iterator[bytes]:
+        """``csv_bytes`` over consecutive record ranges of about CSV_BLOCK_VALUES
+        values, in file order; the chunks concatenate to ``csv_bytes()``."""
+        block = max(1, CSV_BLOCK_VALUES // sum(v.shape[1] for v in self.coords.values()))
+        for start in range(0, max(self.n_records, 1), block):  # no records: the header alone
+            yield self.csv_bytes(start, start + block)
 
-def default_burn_in(n_agents: int) -> int:
-    return 100 * n_agents
 
-
-def default_thin(n_agents: int) -> int:
-    return n_agents
+def recording_window(n_agents: int, steps: int, burn_in: int | None, thin: int | None) -> tuple[int, int, int]:
+    """(burn_in, thin, records) of a chain of ``steps`` events: burn_in and thin
+    default to 100·N and N, and records fire at burn_in + k·thin, k = 1..records.
+    Raises DynamicsError unless steps > burn_in >= 0 and thin >= 1."""
+    burn_in = 100 * n_agents if burn_in is None else burn_in
+    thin = n_agents if thin is None else thin
+    if burn_in < 0 or steps <= burn_in:
+        raise DynamicsError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
+    if thin < 1:
+        raise DynamicsError(f"thin must be >= 1, got {thin}")
+    return burn_in, thin, (steps - burn_in) // thin
 
 
 def recorded_coordinates(pop: Population) -> dict[str, np.ndarray]:
@@ -592,7 +603,7 @@ def run_chain(
     ----------
     spec, policy, total : model, init policy and conserved total.
     steps : total number of exchange events.
-    burn_in, thin : recording window in events; default to 100*N and N.
+    burn_in, thin : recording window in events (``recording_window``).
     seed : seeds one PCG64 stream driving init and every event.
 
     A compensated conservation audit runs every AUDIT_INTERVAL events.
@@ -602,19 +613,10 @@ def run_chain(
     before the first sweep; identical arguments reproduce identical samples
     byte for byte.
     """
-    n = spec.n_agents
-    if burn_in is None:
-        burn_in = default_burn_in(n)
-    if thin is None:
-        thin = default_thin(n)
-    if burn_in < 0 or steps <= burn_in:
-        raise DynamicsError(f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}")
-    if thin < 1:
-        raise DynamicsError(f"thin must be >= 1, got {thin}")
+    burn_in, thin, n_records = recording_window(spec.n_agents, steps, burn_in, thin)
     rng = np.random.default_rng(seed)
     pop = init_population(spec, policy, total, rng=rng)
 
-    n_records = (steps - burn_in) // thin
     coords = {name: np.empty((n_records, *values.shape)) for name, values in
               recorded_coordinates(pop).items()}
     record_steps = np.empty(n_records, dtype=np.int64)
@@ -638,12 +640,6 @@ def run_chain(
             next_audit += AUDIT_INTERVAL
     max_drift = max(max_drift, pop.check_invariants() / scale)
 
-    meta = ChainMeta(
-        burn_in=burn_in,
-        thin=thin,
-        total=float(total),
-        events_run=events,
-        rejected_events=pop.rejected_events,
-        max_drift=max_drift,
-    )
+    meta = ChainMeta(burn_in=burn_in, thin=thin, events_run=events,
+                     rejected_events=pop.rejected_events, max_drift=max_drift)
     return SampleSet(coords=coords, record_steps=record_steps, meta=meta)

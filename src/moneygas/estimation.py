@@ -32,7 +32,6 @@ class FitReport:
 
     t_hat: float
     stderr: float
-    floor: float
     n: int
 
 
@@ -52,7 +51,7 @@ def fit_shifted_exponential(samples, floor: float = 0.0) -> FitReport:
     if data.max() == data.min():
         raise EstimationError("degenerate input: all samples equal")
     t_hat = float(data.mean() - floor)
-    return FitReport(t_hat=t_hat, stderr=t_hat / math.sqrt(n), floor=floor, n=n)
+    return FitReport(t_hat=t_hat, stderr=t_hat / math.sqrt(n), n=n)
 
 
 def ks_statistic_exponential(samples, floor: float, temperature: float) -> tuple[float, bool]:
@@ -134,7 +133,6 @@ class Histogram:
     edges: np.ndarray
     counts: np.ndarray
     densities: np.ndarray
-    n: int
 
     def tsv_rows(self) -> list[tuple[float, float, float]]:
         return [
@@ -151,4 +149,4 @@ def histogram(samples) -> Histogram:
     counts, edges = np.histogram(data, bins=np.histogram_bin_edges(data, bins="fd"))
     widths = np.diff(edges)
     densities = counts / (data.size * widths)
-    return Histogram(edges=edges, counts=counts, densities=densities, n=int(data.size))
+    return Histogram(edges=edges, counts=counts, densities=densities)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import run_chain, samples_csv
+from .dynamics import SampleSet, run_chain
 from .ensembles import ModelSpec, MoneygasError, log_factorial
 
 
@@ -140,54 +140,34 @@ def run_income_chain(
     burn_in: int | None = None,
     thin: int | None = None,
     seed: int = 0,
-) -> "IncomeSampleSet":
+) -> IncomeSampleSet:
     """Conserved-Y chain of pairwise log reshuffles; returns thinned incomes.
 
     In z = ln(I/J) >= 0 the total Y = N ln J + sum_i z_i is a cash total, so
     the chain is the cash-only kernel on z: a uniform split of z_j + z_k keeps
     the shell measure of the conserved-Y ensemble invariant, and incomes never
     fall below the floor. Every agent starts at I = J e^theta. The window
-    defaults and every check on the window, N and theta are ``run_chain``'s.
+    (``recording_window``) and every check on N and theta are ``run_chain``'s.
     """
     n = spec.n_agents
     chain = run_chain(ModelSpec.cash_only(n, 1.0), "equal", n * float(mean_log_excess),
                       steps, burn_in, thin, seed)
     incomes = np.exp(chain.coords["x"], out=chain.coords["x"])  # in place: no full-size copy
     incomes *= spec.floor_j
-    return IncomeSampleSet(
-        incomes=incomes,
-        conserved_y=chain.meta.total + n * math.log(spec.floor_j),
-        y_drift=chain.meta.max_drift,
-        steps=steps,
-        burn_in=chain.meta.burn_in,
-        thin=chain.meta.thin,
-        spec=spec,
-    )
+    return IncomeSampleSet({"income": incomes}, chain.record_steps, chain.meta, spec, steps)
 
 
 @dataclass
-class IncomeSampleSet:
-    incomes: np.ndarray
-    conserved_y: float
-    y_drift: float  # the chain's largest audited relative drift of the z total
-    steps: int
-    burn_in: int
-    thin: int
+class IncomeSampleSet(SampleSet):
+    """The income chain's records, coordinate "income", with its record steps and
+    ChainMeta (``max_drift`` is the audited relative drift of the z total)."""
+
     spec: ParetoSpec
+    steps: int  # the events asked of the chain
 
-    def pooled(self) -> np.ndarray:
-        return self.incomes.ravel()
-
-    @property
-    def n_records(self) -> int:
-        return self.incomes.shape[0]
-
-    def csv_bytes(self, start: int = 0, stop: int | None = None) -> bytes:
-        """Long-format CSV of records start..stop, matching the exchange-chain
-        sample layout; the header only when start is 0."""
-        incomes = self.incomes[start:stop]
-        steps = [self.burn_in + (start + r + 1) * self.thin for r in range(incomes.shape[0])]
-        return samples_csv(steps, {"income": incomes}, header=start == 0)
+    # Bound here, not inherited, so that wrapping SampleSet.csv_bytes (as the
+    # benchmark's tracer does) leaves this class's writer apart from it.
+    csv_bytes = SampleSet.csv_bytes
 
 
 def transition_scan(spec: ParetoSpec, t_grid) -> list[tuple[float, float, float]]:

@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -91,8 +91,6 @@ from .transform import (
 from .worker import interleaved
 
 _MASK64 = (1 << 64) - 1
-# Recorded values formatted per samples.csv chunk (about 1 MB of CSV).
-CSV_BLOCK_VALUES = 1 << 15
 
 # A companion file: its bytes, or byte chunks to be written in order.
 FileData = bytes | Iterable[bytes]
@@ -154,15 +152,6 @@ def _tsv(header: tuple[str, ...], rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _csv_chunks(samples, values_per_record: int) -> Iterator[bytes]:
-    """``samples.csv_bytes`` over consecutive record ranges of about
-    CSV_BLOCK_VALUES values, in file order; the chunks concatenate to
-    ``csv_bytes()``."""
-    block = max(1, CSV_BLOCK_VALUES // values_per_record)
-    for start in range(0, max(samples.n_records, 1), block):  # no records: the header alone
-        yield samples.csv_bytes(start, start + block)
-
-
 def _run_simulate(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
     spec = build_model(raw["model"])
     run_block = raw["run"]
@@ -208,7 +197,7 @@ def _run_simulate(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
 
     files: dict[str, FileData] = {}
     if write_samples:
-        files["samples.csv"] = _csv_chunks(first_samples, spec.n_slots)
+        files["samples.csv"] = first_samples.csv_chunks()
         hist = histogram(first_samples.pooled(primary_names))
         files["histogram.tsv"] = _tsv(("bin_left", "bin_right", "density"), hist.tsv_rows())
     return report, seeds, files
@@ -342,11 +331,11 @@ def _run_pareto(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
         report["dynamics"] = {
             "theta": theta,
             "hill": hill_tail_index(pooled),
-            "y_drift": chain.y_drift,
+            "y_drift": chain.meta.max_drift,
             "matched_temperature": temperature_from_log_excess(spec, theta),
         }
         if raw.get("write_samples", True):
-            files["samples.csv"] = _csv_chunks(chain, spec.n_agents)
+            files["samples.csv"] = chain.csv_chunks()
     if "scan" in raw:
         rows = transition_scan(spec, [float(t) for t in raw["scan"]["temperatures"]])
         files["scan.tsv"] = _tsv(("temperature", "entropy", "t_dS_dT"), rows)

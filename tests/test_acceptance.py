@@ -265,7 +265,7 @@ def test_criterion_7_pareto_appendix():
     chain_spec = ParetoSpec(1000, 1.0, 3.0)
     chain = run_income_chain(chain_spec, 0.5, steps=8_000_000, burn_in=100_000,
                              thin=5_000, seed=derive_seed(BASE_SEED, 701))
-    assert chain.y_drift <= 1e-9
+    assert chain.meta.max_drift <= 1e-9
     pooled = chain.pooled()
     theta = float(np.mean(np.log(pooled / chain_spec.floor_j)))
     matched = temperature_from_log_excess(chain_spec, theta)

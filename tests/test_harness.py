@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from moneygas import runner
+from moneygas import dynamics, runner
 from moneygas.cli import main
 from moneygas.config import MAX_REPLICAS, ConfigError, build_model, build_pareto
 from moneygas.dynamics import ConservationError, SampleSet, run_chain
@@ -349,7 +349,7 @@ class TestStreamedOutputs:
                 calls.append((os.getpid(), start, stop))
                 return inner(self, start, stop)
             monkeypatch.setattr(cls, "csv_bytes", counted)
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", BLOCK_VALUES)
         document, block = STREAMED[task]
         out = tmp_path / "out"
         manifest = run_experiment(load_config(write_config(tmp_path, document)), out)
@@ -369,7 +369,7 @@ class TestStreamedOutputs:
         document, _ = STREAMED[task]
         whole = whole_samples(document)
         per_record = BLOCK_VALUES // STREAMED[task][1]
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", -(-whole.n_records // blocks) * per_record)
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", -(-whole.n_records // blocks) * per_record)
         out = tmp_path / "out"
         manifest = run_experiment(load_config(write_config(tmp_path, document)), out)
         assert (out / "samples.csv").read_bytes() == whole.csv_bytes()
@@ -384,7 +384,7 @@ class TestStreamedOutputs:
             return inner(self, start, stop)
 
         monkeypatch.setattr(SampleSet, "csv_bytes", failing)
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", BLOCK_VALUES)
         out = tmp_path / "out"
         with pytest.raises(error, match="formatting failed here"):
             run_experiment(load_config(write_config(tmp_path, STREAMED["simulate"][0])), out)
@@ -481,7 +481,7 @@ class TestReplicaWorker:
     @pytest.mark.parametrize("replicas", [1, 2, 3, 5])
     def test_outputs_do_not_depend_on_fork(self, tmp_path, monkeypatch, replicas, write_samples):
         # 110 records of 50 agents in blocks of 40 records: samples.csv has 3 blocks.
-        monkeypatch.setattr(runner, "CSV_BLOCK_VALUES", 40 * MODEL["n_agents"])
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 40 * MODEL["n_agents"])
         document = simulate_config(replicas=replicas, write_samples=write_samples)
         forks = count_forks(monkeypatch)
         forked = self.outputs(tmp_path, document, "forked")

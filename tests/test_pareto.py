@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from moneygas.cli import main
-from moneygas.dynamics import DynamicsError, default_burn_in, default_thin
+from moneygas.dynamics import DynamicsError, recording_window
 from moneygas.estimation import hill_tail_index
 from moneygas.pareto import (
     ParetoError,
@@ -165,10 +165,9 @@ class TestIncomeDynamics:
     def test_pair_step_conserves_log_total(self):
         spec = ParetoSpec(10, 2.0, 3.0)
         chain = run_income_chain(spec, 0.7, steps=5000, burn_in=100, thin=10, seed=4)
-        assert chain.incomes.min() >= 2.0
+        assert chain.coords["income"].min() >= 2.0
         expected = 10 * (math.log(2.0) + 0.7)
-        assert chain.conserved_y == pytest.approx(expected, rel=1e-15)
-        for record in chain.incomes:
+        for record in chain.coords["income"]:
             assert abs(math.fsum(np.log(record)) - expected) <= 1e-9 * expected
 
     def test_csv_values_round_trip_exactly(self):
@@ -178,7 +177,7 @@ class TestIncomeDynamics:
         parsed = [(int(s), int(a), name, float(v)) for s, a, name, v in (r.split(",") for r in rows)]
         assert parsed == [
             (1000 + (r + 1) * 100, agent, "income", value)
-            for r, row in enumerate(chain.incomes.tolist())
+            for r, row in enumerate(chain.coords["income"].tolist())
             for agent, value in enumerate(row)
         ]
 
@@ -192,7 +191,7 @@ class TestIncomeDynamics:
         spec = ParetoSpec(1000, 1.0, 3.0)
         theta = 0.5
         chain = run_income_chain(spec, theta, 4_000_000, 100_000, 5000, seed=9)
-        assert chain.y_drift <= 1e-9
+        assert chain.meta.max_drift <= 1e-9
         pooled = chain.pooled()
         measured_theta = float(np.mean(np.log(pooled / spec.floor_j)))
         assert measured_theta == pytest.approx(theta, rel=0.02)
@@ -216,8 +215,8 @@ class TestIncomeDynamics:
 
     def test_window_defaults_are_the_chains(self):
         chain = run_income_chain(ParetoSpec(10, 1.0, 2.0), 0.5, steps=2_000, seed=1)
-        assert (chain.burn_in, chain.thin) == (default_burn_in(10), default_thin(10))
-        assert chain.n_records == (2_000 - chain.burn_in) // chain.thin
+        window = (chain.meta.burn_in, chain.meta.thin, chain.n_records)
+        assert window == recording_window(10, 2_000, None, None) == (1_000, 10, 100)
 
 
 class TestTransitionScan:
