@@ -355,15 +355,33 @@ def _run_pareto(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
 
 
 def _check_transform(doc: dict) -> None:
-    if ("cycle" in doc or "volumes" in doc.get("identity_grid", {})) and model_volume(doc["model"]) is None:
+    model = doc["model"]
+    if ("cycle" in doc or "volumes" in doc.get("identity_grid", {})) and model_volume(model) is None:
         raise ConfigError(f"a cycle or identity_grid volumes need a model with a volume;"
-                          f" {doc['model'].kind.value!r} has none")
+                          f" {model.kind.value!r} has none")
+    try:  # the closed forms' own checks, so that no run of a sweep starts on a bad block
+        if "cycle" in doc:
+            cycle = (model, *(doc["cycle"][key] for key in ("t_hot", "t_cold", "v1", "v2")))
+            carnot_cycle(*cycle)
+            if "free_expansion_factor" in doc:
+                carnot_cycle(*cycle, doc["free_expansion_factor"])
+        if "fractional_reserve" in doc:
+            fr = doc["fractional_reserve"]
+            fractional_reserve(fr["reserve_ratio"], fr["volume"], fr["n_agents"])
+            if "reserve_ratio_new" in fr:
+                isothermal_base(fr["reserve_ratio"], fr["volume"], fr["reserve_ratio_new"])
+    except MoneygasError as exc:
+        raise ConfigError(f"infeasible transform: {exc}") from exc
 
 
 def _check_simulate(doc: dict) -> None:
     model, run = doc["model"], doc["run"]
     if run["policy"] not in ("equal", "uniform-random"):
         raise ConfigError(f"policy must be 'equal' or 'uniform-random', got {run['policy']!r}")
+    try:
+        temperature_closed_form(model, run["total"])
+    except MoneygasError as exc:
+        raise ConfigError(f"infeasible run: {exc}") from exc
     # A record holds one value per slot (ModelSpec.n_slots).
     values = check_window(run, model.n_agents, model.n_slots)
     # A recorded value is at most |total| + 2·Σd in size (Σd = N·overdraft with
@@ -539,12 +557,12 @@ def run_experiment(config: dict, out_dir) -> dict:
 
 
 def _run_in(config: dict, out_path: Path) -> dict:
-    out_path.mkdir(parents=True, exist_ok=True)
     task = config["task"]
     if task == "sweep":
-        return _run_sweep(config, out_path)
+        return _run_sweep(config, out_path)  # its runs make the directory
     report, seeds, files = TASKS[task].pipeline(config)
     outputs = {"report.json": _json_bytes(report), **files}  # encoded before anything is written
+    out_path.mkdir(parents=True, exist_ok=True)  # only now: a run that fails leaves no directory
     manifest = {
         "version": __version__,
         "task": task,
@@ -601,6 +619,8 @@ def compare_report(report: dict, document: dict) -> list[str]:
     failures = []
     for item in expectations["expectations"]:
         name, expected, tolerance = item["name"], item["value"], item["tolerance"]
+        if tolerance < 0:
+            raise ConfigError(f"expectation {name!r}: tolerance must be >= 0, got {tolerance!r}")
         absolute = item.get("absolute", False)
         try:
             got = get_by_path(report, name)

@@ -543,7 +543,7 @@ class TestReplicaWorker:
         assert code == 2 and len(forks) == 1
         assert err == ("configuration error: the replica worker stopped at replica 3 of 4 with"
                        " ConservationError: the chain failed (exit code 1)\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()  # the directory is made only once the report is encoded
 
     def test_a_worker_exiting_non_zero_fails_the_run(self, tmp_path, monkeypatch):
         forks = count_forks(monkeypatch)
@@ -554,7 +554,7 @@ class TestReplicaWorker:
             run_experiment(load_config(write_config(tmp_path, document)), tmp_path / "out")
         [pid] = forks
         assert_reaped(pid)
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestCompareReport:
@@ -800,3 +800,26 @@ class TestCli:
         assert main(["sweep", "-c", str(write_config(tmp_path, document)), "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not list(out.glob("run_*"))
+
+    @pytest.mark.parametrize("document", [
+        {"task": "sweep", "base": simulate_config(model=dict(MODEL, n_agents=10), write_samples=False),
+         "grid": {"run.total": [100.0, -100.0]}},
+        {"task": "sweep", "base": {"task": "transform", "model": MODEL, "cycle": CYCLE},
+         "grid": {"cycle.t_cold": [2.0, 5.0]}},
+    ], ids=["negative_total", "cold_above_hot"])
+    def test_sweep_with_an_infeasible_run_writes_no_run(self, tmp_path, capsys, document):
+        # Each used to write run_000/, and an empty run_001/, before exiting 2.
+        out = tmp_path / "sweep"
+        assert main(["sweep", "-c", str(write_config(tmp_path, document)), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: infeasible") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_tolerance_is_a_configuration_error(self, tmp_path, capsys):
+        # It used to print FAIL and exit 1, as if the report had missed the value.
+        report = write_config(tmp_path, {"closed_form_temperature": 10.0}, "report.json")
+        expect = write_config(tmp_path, {"expectations": [
+            {"name": "closed_form_temperature", "value": 10.0, "tolerance": -1.0}]}, "expect.json")
+        assert main(["check", "-r", str(report), "-e", str(expect)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "tolerance" in err and err.count("\n") == 1
