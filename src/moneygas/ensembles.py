@@ -207,20 +207,23 @@ def _require_kind(spec: ModelSpec, kind: ModelKind) -> None:
         raise UnsupportedModelError(f"operation requires model kind {kind.value}, got {spec.kind.value}")
 
 
-def _no_floor(temperature: float, overdraft: float) -> tuple[float, float]:
-    return 0.0, 0.0
+def _no_floor(temperature: float, overdraft: float) -> tuple[float, float, float]:
+    return 0.0, 0.0, 0.0
 
 
-def _linear_floor(temperature: float, overdraft: float) -> tuple[float, float]:
-    """g = d/T: balances unbounded above a floor -d."""
-    return overdraft / temperature, overdraft
+def _linear_floor(temperature: float, overdraft: float) -> tuple[float, float, float]:
+    """g = d/T: balances unbounded above a floor -d. Its entropy share
+    g - d/T is exactly 0, however large d/T."""
+    return overdraft / temperature, overdraft, 0.0
 
 
-def _capped_floor(temperature: float, overdraft: float) -> tuple[float, float]:
+def _capped_floor(temperature: float, overdraft: float) -> tuple[float, float, float]:
     """g = ln(e^{d/T} - 1): balances confined to [-d, 0].
 
-    Both terms are evaluated stably for d/T anywhere in (0, inf); the second,
-    d·e^{d/T}/(e^{d/T}-1), tends to T as d/T -> 0.
+    All three terms are evaluated stably for u = d/T anywhere in (0, inf). The
+    second, d·e^u/(e^u - 1), tends to T as u -> 0. The share g - u·e^u/(e^u - 1)
+    is taken as ln(1 - e^{-u}) - u/(e^u - 1), two terms of one sign, the
+    second 0 where e^u overflows.
     """
     u = overdraft / temperature
     if u > 36.0:
@@ -231,7 +234,8 @@ def _capped_floor(temperature: float, overdraft: float) -> tuple[float, float]:
             raise ModelValidationError("degenerate account range: exp(d/T) - 1 underflows to zero")
         g = math.log(value)
     occupation = temperature if u < _FLOOR_TERM_LIMIT else overdraft / (-math.expm1(-u))
-    return g, occupation
+    tail = math.log1p(-math.exp(-u)) if u > 1.0 else math.log(-math.expm1(-u))
+    return g, occupation, tail - (u / math.expm1(u) if u < 709.0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -240,12 +244,13 @@ class PartitionFunction:
 
     ``volume_field`` names the ModelSpec field holding V (None: V = 1 and the
     model has no volume variable); k = ``ModelSpec.n_slots`` / N, the
-    exponential slots per agent; ``floor`` maps (T, d) to (g, T²·(-dg/dT)),
-    where ``depth`` gives d, the overdraft per agent.
+    exponential slots per agent; ``floor`` maps (T, d) to (g, T²·(-dg/dT), s),
+    where ``depth`` gives d, the overdraft per agent, and s = g - T·(-dg/dT) is
+    the floor's share of the entropy per agent.
     """
 
     volume_field: str | None
-    floor: Callable[[float, float], tuple[float, float]] = _no_floor
+    floor: Callable[[float, float], tuple[float, float, float]] = _no_floor
     depth: Callable[[ModelSpec], float] = lambda spec: spec.overdraft
 
 
@@ -278,16 +283,17 @@ def model_volume(spec: ModelSpec, volume: float | None = None) -> float | None:
 
 def _terms(
     spec: ModelSpec, temperature: float, n_agents: float | None, volume: float | None
-) -> tuple[float, float | None, float, float]:
-    """(N, V, ln z, mean money per agent k·T - T²·(-g')) at T, N and V overridable."""
+) -> tuple[float, float | None, float, float, tuple[float, float, float]]:
+    """(N, V, k·ln T + ln V, k·T, the floor's (g, T²·(-g'), s)) at T, N and V
+    overridable: ln z is the third plus g, the mean money per agent the fourth
+    less T²·(-g')."""
     _check_temperature(temperature)
     entry = PARTITION_FUNCTIONS[spec.kind]
     v = model_volume(spec, volume)
     k = spec.n_slots / spec.n_agents
-    g, floor_money = entry.floor(temperature, entry.depth(spec))
-    log_z = k * math.log(temperature) + (0.0 if v is None else math.log(v)) + g
+    base = k * math.log(temperature) + (0.0 if v is None else math.log(v))
     n = float(spec.n_agents if n_agents is None else n_agents)
-    return n, v, log_z, k * temperature - floor_money
+    return n, v, base, k * temperature, entry.floor(temperature, entry.depth(spec))
 
 
 def temperature_closed_form(spec: ModelSpec, conserved_total: float) -> float:
@@ -379,8 +385,8 @@ def log_partition(
     volume: float | None = None,
 ) -> float:
     """ln Z = N·ln z of the factorized canonical partition function."""
-    n, _, log_z, _ = _terms(spec, temperature, n_agents, volume)
-    return n * log_z
+    n, _, base, _, (g, _, _) = _terms(spec, temperature, n_agents, volume)
+    return n * (base + g)
 
 
 def entropy_closed_form(
@@ -390,9 +396,13 @@ def entropy_closed_form(
     n_agents: float | None = None,
     volume: float | None = None,
 ) -> float:
-    """S = ln Z + m/T, which equals -dF/dT."""
-    n, _, log_z, money = _terms(spec, temperature, n_agents, volume)
-    return n * log_z + n * money / temperature
+    """S = ln Z + m/T, which equals -dF/dT: N·(k·ln T + ln V) + N·k + N·s.
+
+    The floor's g and its money term cancel in s (exactly, for the linear
+    floor), so S keeps its digits at any d/T.
+    """
+    n, _, base, kt, (_, _, share) = _terms(spec, temperature, n_agents, volume)
+    return n * base + n * kt / temperature + n * share
 
 
 def mean_money_closed_form(
@@ -402,8 +412,8 @@ def mean_money_closed_form(
     n_agents: float | None = None,
 ) -> float:
     """Mean conserved total m(T) = F + T·S = N·(k·T - T²·(-g'))."""
-    n, _, _, money = _terms(spec, temperature, n_agents, None)
-    return n * money
+    n, _, _, kt, (_, occupation, _) = _terms(spec, temperature, n_agents, None)
+    return n * (kt - occupation)
 
 
 def pressure_closed_form(
@@ -414,7 +424,7 @@ def pressure_closed_form(
     volume: float | None = None,
 ) -> float | None:
     """P = -dF/dV = NT/V, or None for models without a volume variable."""
-    n, v, _, _ = _terms(spec, temperature, n_agents, volume)
+    n, v, *_ = _terms(spec, temperature, n_agents, volume)
     return None if v is None else n * temperature / v
 
 
@@ -425,8 +435,8 @@ def chemical_potential_closed_form(
     volume: float | None = None,
 ) -> float:
     """mu = dF/dN = -T·ln z with N treated as continuous; F is linear in N here."""
-    _, _, log_z, _ = _terms(spec, temperature, None, volume)
-    return -temperature * log_z
+    _, _, base, _, (g, _, _) = _terms(spec, temperature, None, volume)
+    return -temperature * (base + g)
 
 
 def thermo_state(spec: ModelSpec, temperature: float) -> ThermoState:

@@ -324,8 +324,12 @@ def _residuals(spec: ModelSpec, temperature: float, volume: float | None, h: flo
     # (dS/dm)^-1 = T, differentiating S(m) through the temperature map.
     dm = h * money_scale
     m0 = mean_money_at(t)
-    s_plus = entropy_at(temperature_closed_form(spec, m0 + dm))
-    s_minus = entropy_at(temperature_closed_form(spec, m0 - dm))
+    try:
+        s_plus = entropy_at(temperature_closed_form(spec, m0 + dm))
+        s_minus = entropy_at(temperature_closed_form(spec, m0 - dm))
+    except ModelValidationError as exc:
+        raise TransformError(f"inv_dS_dm_vs_T at T={temperature}, V={volume}: no temperature for the"
+                             f" total {m0} ± {dm} ({exc})") from exc
     ds_dm = (s_plus - s_minus) / (2.0 * dm)
     residuals["inv_dS_dm_vs_T"] = _relative(1.0 / ds_dm, t, h * t)
 

@@ -123,6 +123,27 @@ class TestThermoState:
     def test_combined_entropy(self):
         assert thermo_state(ModelSpec.combined(1, 5.0), 1.0).entropy == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("depth", [2.0, 1e12, 1e17, 1e300])
+    def test_linear_floor_entropy_at_any_depth(self, depth):
+        # ln z and m/T carry +d/T and -d/T: their sum kept no digit at d = 1e12
+        # (0.643310546875), read 0.0 at 1e17 and NaN once d/T left the float range.
+        exact = math.log(0.7) + 1.0  # N·(ln(V·T) + 1) at N = V = 1
+        assert entropy_closed_form(ModelSpec.overdraft_model(1, 1.0, depth), 0.7) == pytest.approx(exact, rel=1e-15)
+        assert entropy_closed_form(ModelSpec.overdraft_model(1, 1.0, depth), 1e-10) == pytest.approx(
+            math.log(1e-10) + 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("u", [1e-9, 0.5, 2.0, 30.0, 40.0, 800.0, 1e17])
+    def test_capped_floor_entropy_against_mpmath(self, u):
+        import mpmath
+
+        mpmath.mp.dps = 60
+        t = mpmath.mpf(0.75)
+        d = float(u * t)
+        x = mpmath.mpf(d) / t
+        g = mpmath.log(mpmath.expm1(x))
+        exact = 3 * (2 * mpmath.log(t) + g) + 3 * (2 * t - mpmath.mpf(d) / -mpmath.expm1(-x)) / t
+        assert entropy_closed_form(ModelSpec.restricted(3, d), 0.75) == pytest.approx(float(exact), rel=1e-14)
+
     def test_credit_market_unit_point(self):
         state = thermo_state(ModelSpec.credit_market(1, 1.0), 1.0)
         assert state.entropy == pytest.approx(1.0, abs=1e-12)

@@ -54,16 +54,19 @@ CASES = {
 # values in the last digits (at most 2.9e-13 relative) and t_hat from
 # 5.000000000000001 to 5.0; max_drift is now relative to the stored slots' sum, 2D,
 # instead of V + D. analytic_credit_market was added later, pinned on the code before
-# the identity checks moved from estimation into transform.
+# the identity checks moved from estimation into transform. analytic_multi_account and
+# analytic_restricted, when the entropy became N·(k·ln T + ln V) + N·k + N·s with each
+# floor's share s taken in one stable expression: state.entropy moved by at most
+# 8.3e-16 relative, toward the exact value, and the residuals at their 1e-11 noise.
 GOLDEN = {
     "analytic_credit_market": {
         "report.json": "sha256:2f346e05b3e411d156696bcc8085c3611178d9a549e85c91b7e7a7b0c6ac7c0f",
     },
     "analytic_multi_account": {
-        "report.json": "sha256:1e17af2a2738c62a95147206504a48d87e07b939a7db35710e08fe894cf0b0c6",
+        "report.json": "sha256:2e05f519d5d91439be82719ed0c3f7b71124533b8e837af9529775d74a59d7b9",
     },
     "analytic_restricted": {
-        "report.json": "sha256:af8c5136e46b36505c68e9733930c81e82e42b656c12df7f9bfe7c5da872de25",
+        "report.json": "sha256:9ee3be4d0136a28ef0a223309628b77a945f68edae882e740c2027997891ceca",
     },
     "cash_only": {
         "report.json": "sha256:7b2e3f46606a55e772c6f52eec0321445396b823a4da1f1d7d2bfdae391f0bb9",

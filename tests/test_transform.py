@@ -234,6 +234,20 @@ class TestHighPrecisionReference:
         reference = self.reference_cycle(10**10, 2.0000000000000004, 2.0, 1.0, 2.0, 1.0)
         assert work == pytest.approx(reference["work"], rel=1e-14)
 
+    def test_deep_overdraft_cycle_runs(self, tmp_path):
+        """The first adiabat reaches V 4.17e306, T 2.4e-299, where d/T overflows;
+        S = N·(ln(V·T) + 1) is finite there, so the cycle exits 0."""
+        document = {"task": "transform",
+                    "model": {"kind": "overdraft", "n_agents": 10**15, "volume_x": 1e8, "overdraft": 1e8},
+                    "cycle": {"t_hot": 1.0, "t_cold": 1e-300, "v1": 0.5, "v2": 1e8}}
+        config = tmp_path / "cycle.json"
+        config.write_text(json.dumps(document))
+        assert main(["transform", "-c", str(config), "-o", str(tmp_path / "out")]) == 0
+        rows = [line.split("\t") for line in (tmp_path / "out" / "path.tsv").read_text().splitlines()[1:]]
+        for volume, temperature, _, entropy in rows:
+            exact = 10**15 * (math.log(float(volume)) + math.log(float(temperature)) + 1.0)
+            assert float(entropy) == pytest.approx(exact, rel=1e-12)
+
     def test_small_reserve_ratio_runs(self, tmp_path):
         """r = 1e-9 -> 1e-10 on V = 100: V' = 9.999999991, and the run exits 0."""
         document = {"task": "transform", "model": {"kind": "credit_market", "n_agents": 1, "volume_x": 1.0},
@@ -355,6 +369,17 @@ class TestGibbsDuhem:
         # S·2T·h overflows at N = 1e15, T = 1e300; the infinite terms used to reach fsum.
         with pytest.raises(TransformError, match="non-finite residual"):
             balance_residuals(ModelSpec.combined(10**15, 2.0), 1e300, (1e-5, 0.0, 0.0))
+
+    def test_an_overflowing_temperature_map_names_its_residual(self, tmp_path, capsys):
+        # m = N·(2T - d) overflows at N = 1e15, T = 1e300; the message used to be
+        # "closed-form temperature is non-positive (nan)", naming neither check nor input.
+        document = {"task": "analytic", "model": {"kind": "combined", "n_agents": 10**15, "overdraft": 2.0},
+                    "temperatures": [1e300]}
+        config = tmp_path / "analytic.json"
+        config.write_text(json.dumps(document))
+        assert main(["analytic", "-c", str(config), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: inv_dS_dm_vs_T at T=1e+300, V=None:") and err.count("\n") == 1
 
     def test_volume_increment_needs_a_volume(self):
         from moneygas.ensembles import UnsupportedModelError
