@@ -129,9 +129,10 @@ BEYOND_MEMORY = {
     "simulate_records": simulate_config(model=dict(MODEL, n_agents=2),
                                         run=dict(RUN, steps=2**58, burn_in=0, thin=1)),
 }
-# Expectations whose fields have the wrong JSON type; each used to crash or be misread.
+# Expectations whose fields have the wrong JSON type or a negative tolerance; each used to
+# crash or be misread (a negative tolerance printed FAIL and exited 1).
 MISTYPED_EXPECTATIONS = {"string_value": {"value": "abc"}, "null_tolerance": {"tolerance": None},
-                         "string_absolute": {"absolute": "no"}}
+                         "string_absolute": {"absolute": "no"}, "negative_tolerance": {"tolerance": -1.0}}
 
 
 def child_env():
@@ -814,12 +815,3 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: infeasible") and err.count("\n") == 1
         assert not out.exists()
-
-    def test_negative_tolerance_is_a_configuration_error(self, tmp_path, capsys):
-        # It used to print FAIL and exit 1, as if the report had missed the value.
-        report = write_config(tmp_path, {"closed_form_temperature": 10.0}, "report.json")
-        expect = write_config(tmp_path, {"expectations": [
-            {"name": "closed_form_temperature", "value": 10.0, "tolerance": -1.0}]}, "expect.json")
-        assert main(["check", "-r", str(report), "-e", str(expect)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "tolerance" in err and err.count("\n") == 1
