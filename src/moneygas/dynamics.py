@@ -291,12 +291,6 @@ def init_population(
 # ---------------------------------------------------------------------------
 
 
-def _pool(arrays) -> np.ndarray:
-    """The arrays' values in one 1-D array; a view when there is one array."""
-    flat = [v.ravel() for v in arrays]
-    return flat[0] if len(flat) == 1 else np.concatenate(flat)
-
-
 def _slot_money(spec: ModelSpec, coords: dict[str, np.ndarray]) -> float:
     """(Σz - Σd)/N: the mean slot times K/N, less the overdrafts per agent."""
     (slots,) = coords.values()
@@ -519,7 +513,8 @@ class SampleSet:
 
     def pooled(self, names: list[str] | None = None) -> np.ndarray:
         """The picked coordinates' values in one array; a view when one is picked."""
-        return _pool(self.coords[k] for k in (self.coords if names is None else names))
+        flat = [self.coords[k].ravel() for k in (self.coords if names is None else names)]
+        return flat[0] if len(flat) == 1 else np.concatenate(flat)
 
     def csv_bytes(self, start: int = 0, stop: int | None = None) -> bytes:
         """``samples_csv`` of records start..stop; the header only when start is 0."""

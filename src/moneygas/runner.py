@@ -223,9 +223,11 @@ def _run_analytic(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
     return {"task": "analytic", "model": raw["model"], "points": points, "max_residual": overall}, [], {}
 
 
-def _run_transform(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
-    spec = build_model(raw["model"])
-    report: dict = {"task": "transform", "model": raw["model"]}
+def _transform_relations(spec: ModelSpec, raw: dict) -> tuple[dict, dict[str, FileData]]:
+    """The cycle, free-expansion and reserve entries of a transform report, and
+    path.tsv. ``_check_transform`` runs it too, so that no run of a sweep
+    starts on a block that these closed forms reject."""
+    report: dict = {}
     files: dict[str, FileData] = {}
     if "cycle" in raw:
         cyc = raw["cycle"]
@@ -242,20 +244,22 @@ def _run_transform(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
                                       "eta_below_carnot": spoiled.eta < spoiled.carnot_eta}
     if "fractional_reserve" in raw:
         fr = raw["fractional_reserve"]
-        money, temperature = fractional_reserve(
-            float(fr["reserve_ratio"]), float(fr["volume"]), int(fr["n_agents"])
-        )
+        ratio, volume = float(fr["reserve_ratio"]), float(fr["volume"])
+        money, temperature = fractional_reserve(ratio, volume, int(fr["n_agents"]))
         entry = {"money_supply": money, "temperature": temperature}
         if "reserve_ratio_new" in fr:
-            volume_new = isothermal_base(
-                float(fr["reserve_ratio"]), float(fr["volume"]), float(fr["reserve_ratio_new"])
-            )
+            ratio_new = float(fr["reserve_ratio_new"])
+            volume_new = isothermal_base(ratio, volume, ratio_new)
             entry["volume_new"] = volume_new
-            entry["identity_residual"] = abs(
-                (volume_new - float(fr["volume"]))
-                - (volume_new / float(fr["reserve_ratio_new"]) - float(fr["volume"]) / float(fr["reserve_ratio"]))
-            )
+            entry["identity_residual"] = abs((volume_new - volume) - (volume_new / ratio_new - volume / ratio))
         report["fractional_reserve"] = entry
+    return report, files
+
+
+def _run_transform(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
+    spec = build_model(raw["model"])
+    relations, files = _transform_relations(spec, raw)
+    report: dict = {"task": "transform", "model": raw["model"], **relations}
     if "identity_grid" in raw:
         grid = raw["identity_grid"]
         h = FD_STEP
@@ -359,17 +363,8 @@ def _check_transform(doc: dict) -> None:
     if ("cycle" in doc or "volumes" in doc.get("identity_grid", {})) and model_volume(model) is None:
         raise ConfigError(f"a cycle or identity_grid volumes need a model with a volume;"
                           f" {model.kind.value!r} has none")
-    try:  # the closed forms' own checks, so that no run of a sweep starts on a bad block
-        if "cycle" in doc:
-            cycle = (model, *(doc["cycle"][key] for key in ("t_hot", "t_cold", "v1", "v2")))
-            carnot_cycle(*cycle)
-            if "free_expansion_factor" in doc:
-                carnot_cycle(*cycle, doc["free_expansion_factor"])
-        if "fractional_reserve" in doc:
-            fr = doc["fractional_reserve"]
-            fractional_reserve(fr["reserve_ratio"], fr["volume"], fr["n_agents"])
-            if "reserve_ratio_new" in fr:
-                isothermal_base(fr["reserve_ratio"], fr["volume"], fr["reserve_ratio_new"])
+    try:
+        _transform_relations(model, doc)
     except MoneygasError as exc:
         raise ConfigError(f"infeasible transform: {exc}") from exc
 
