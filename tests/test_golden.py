@@ -17,6 +17,11 @@ RUN = {"policy": "uniform-random", "total": 500.0, "steps": 40_000, "burn_in": 5
 CASES = {
     "cash_only": {"task": "simulate", "seed": 7, "replicas": 2, "run": RUN,
                   "model": {"kind": "cash_only", "n_agents": 50, "volume_y": 10.0}},
+    "multi_asset": {
+        "report.json": "sha256:4b9b05c25dc64f5a34614b1553fdbd14f50f6045ea76779b4d6ea60531639370",
+        "samples.csv": "sha256:3459fab777696af306f8570305910de90971cafb340fc2c459e2a02b6576dc4f",
+        "histogram.tsv": "sha256:6944fa632e1b487b797dc58ba6238c29d9dbff5613e64a256bc5f86825ed5850",
+    },
     "overdraft": {"task": "simulate", "seed": 8, "run": dict(RUN, policy="equal", total=100.0),
                   "model": {"kind": "overdraft", "n_agents": 50, "volume_x": 10.0, "overdraft": 2.0}},
     "multi_account": {"task": "simulate", "seed": 9, "run": dict(RUN, total=30.0),
@@ -25,6 +30,11 @@ CASES = {
                                 "account_overdrafts": [[0.5 * (i % 4)] * (1 + i % 3) for i in range(20)]}},
     "credit_market": {"task": "simulate", "seed": 10, "replicas": 2, "run": dict(RUN, total=250.0),
                       "model": {"kind": "credit_market", "n_agents": 50, "volume_x": 1000.0}},
+    # 500 records of 160 values: the pooled y_pooled (80,000 values) spans two KS blocks, and
+    # samples.csv three CSV blocks.
+    "multi_asset": {"task": "simulate", "seed": 12, "run": dict(RUN, total=400.0, steps=24_000, burn_in=4_000,
+                                                                   thin=40),
+                    "model": {"kind": "multi_asset", "n_agents": 40, "asset_classes": 4}},
     "analytic_restricted": {"task": "analytic", "temperatures": [0.5, 1.0, 2.0],
                             "model": {"kind": "restricted", "n_agents": 100, "overdraft": 1.5}},
     # configs/analytic_grid.json: a volume model, so the report carries T_dS_dV_vs_P and dF_dV_vs_P.
@@ -54,7 +64,8 @@ CASES = {
 # values in the last digits (at most 2.9e-13 relative) and t_hat from
 # 5.000000000000001 to 5.0; max_drift is now relative to the stored slots' sum, 2D,
 # instead of V + D. analytic_credit_market was added later, pinned on the code before
-# the identity checks moved from estimation into transform. analytic_multi_account and
+# the identity checks moved from estimation into transform. multi_asset was added later,
+# pinned on the code before fit, KS and histogram shared one sorted copy. analytic_multi_account and
 # analytic_restricted, when the entropy became N·(k·ln T + ln V) + N·k + N·s with each
 # floor's share s taken in one stable expression: state.entropy moved by at most
 # 8.3e-16 relative, toward the exact value, and the residuals at their 1e-11 noise.
@@ -82,6 +93,11 @@ GOLDEN = {
         "report.json": "sha256:89eff06375f8b6ccdc9440ce5c85af958d95be4c2f39b117fa677102ede33c7a",
         "samples.csv": "sha256:3900d3a2b1f8098f15f4b2d5033e8b07791284c698af8f31998017e2d8a6256e",
         "histogram.tsv": "sha256:8eacd4646f6c90704cc87aa192b0c3922e9b2e529d57273d0fcc519c24a66b34",
+    },
+    "multi_asset": {
+        "report.json": "sha256:4b9b05c25dc64f5a34614b1553fdbd14f50f6045ea76779b4d6ea60531639370",
+        "samples.csv": "sha256:3459fab777696af306f8570305910de90971cafb340fc2c459e2a02b6576dc4f",
+        "histogram.tsv": "sha256:6944fa632e1b487b797dc58ba6238c29d9dbff5613e64a256bc5f86825ed5850",
     },
     "overdraft": {
         "report.json": "sha256:7fc7bd9f48690f1649de822dae829ca9587f9d21ac338d4346279b52d57fc6ba",
