@@ -18,7 +18,7 @@ from .ensembles import MoneygasError
 # Asymptotic 1% critical value of the Kolmogorov distribution, sqrt(n)-scaled.
 # Used with a fully specified null; with an estimated scale it is conservative.
 KS_1PCT_CONSTANT = 1.63
-# Ranks per block of the KS maxima, bounding their temporaries at 512 KiB each.
+# Values per block of the KS check and the sort check, bounding their temporaries at 512 KiB each.
 KS_BLOCK = 65_536
 
 
@@ -54,13 +54,25 @@ def fit_shifted_exponential(samples, floor: float = 0.0) -> FitReport:
     return FitReport(t_hat=t_hat, stderr=t_hat / math.sqrt(n), n=n)
 
 
-def ks_statistic_exponential(samples, floor: float, temperature: float) -> tuple[float, bool]:
+def _sorted_values(sorted_samples) -> np.ndarray:
+    """``sorted_samples`` as a flat float array; EstimationError unless no value
+    is below the one before it. The check reads KS_BLOCK + 1 values at a time."""
+    data = np.asarray(sorted_samples, dtype=float).ravel()
+    for start in range(0, data.size - 1, KS_BLOCK):
+        block = data[start:start + KS_BLOCK + 1]
+        if np.any(block[1:] < block[:-1]):
+            raise EstimationError("the samples must be sorted in ascending order")
+    return data
+
+
+def ks_statistic_exponential(sorted_samples, floor: float, temperature: float) -> tuple[float, bool]:
     """Kolmogorov-Smirnov distance to Exp(temperature) shifted by ``floor``.
 
-    Returns (D, pass) where pass means D < 1.63/sqrt(n), the asymptotic 1%
-    critical value. Besides the sorted copy of the samples it holds only
-    KS_BLOCK values at a time: the copy becomes the CDF in place, and the
-    rank differences are taken block by block.
+    ``sorted_samples`` must be in ascending order, as ``np.sort`` leaves them;
+    they are not changed. Returns (D, pass) where pass means
+    D < 1.63/sqrt(n), the asymptotic 1% critical value. The CDF and the rank
+    differences are taken a block at a time, in three arrays of KS_BLOCK
+    values.
 
     The exponential is a slot's N -> infinity law. At K slots summing to S
     the exact law is S·Beta(1, K - 1), whose CDF is at most 0.23/K from the
@@ -68,22 +80,31 @@ def ks_statistic_exponential(samples, floor: float, temperature: float) -> tuple
     """
     if not temperature > 0:
         raise EstimationError(f"temperature must be positive, got {temperature}")
-    cdf = np.sort(np.asarray(samples, dtype=float).ravel())
-    n = cdf.size
+    data = _sorted_values(sorted_samples)
+    n = data.size
     if n < 10:
         raise EstimationError(f"need at least 10 samples for the KS check, got {n}")
-    # -expm1(-(x - floor) / T), one operation at a time in the same order.
-    np.subtract(cdf, floor, out=cdf)
-    np.negative(cdf, out=cdf)
-    np.divide(cdf, temperature, out=cdf)
-    np.expm1(cdf, out=cdf)
-    np.negative(cdf, out=cdf)
+    cdf, gap = np.empty((2, min(n, KS_BLOCK)))
+    ranks = np.arange(1.0, cdf.size + 1)  # the block's ranks, moved on a block at a time
     d_plus = d_minus = -np.inf  # np.maximum, unlike max(), keeps a NaN as np.max would
     for start in range(0, n, KS_BLOCK):
-        block = cdf[start:start + KS_BLOCK]
-        ranks = np.arange(start + 1, start + block.size + 1, dtype=float)
-        d_plus = np.maximum(d_plus, np.max(ranks / n - block))
-        d_minus = np.maximum(d_minus, np.max(block - (ranks - 1.0) / n))
+        size = min(KS_BLOCK, n - start)
+        block, diff, rank = cdf[:size], gap[:size], ranks[:size]
+        # -expm1(-(x - floor) / T), one operation at a time in the same order.
+        np.subtract(data[start:start + size], floor, out=block)
+        np.negative(block, out=block)
+        np.divide(block, temperature, out=block)
+        np.expm1(block, out=block)
+        np.negative(block, out=block)
+        # i/n - F(x_i), then F(x_i) - (i - 1)/n.
+        np.divide(rank, n, out=diff)
+        np.subtract(diff, block, out=diff)
+        d_plus = np.maximum(d_plus, np.max(diff))
+        np.subtract(rank, 1.0, out=diff)
+        np.divide(diff, n, out=diff)
+        np.subtract(block, diff, out=diff)
+        d_minus = np.maximum(d_minus, np.max(diff))
+        ranks += KS_BLOCK
     d = max(float(d_plus), float(d_minus))
     return d, d < KS_1PCT_CONSTANT / math.sqrt(n)
 
@@ -141,12 +162,41 @@ class Histogram:
         ]
 
 
-def histogram(samples) -> Histogram:
-    """Density histogram with Freedman-Diaconis binning."""
-    data = np.asarray(samples, dtype=float).ravel()
-    if data.size == 0:
+def _sorted_quantile(data: np.ndarray, q: float) -> float:
+    """``np.quantile(data, q)`` of sorted ``data``, by numpy's default linear
+    rule: the value at position q·(n - 1), interpolated as numpy's ``_lerp``."""
+    position = (data.size - 1) * q
+    below = math.floor(position)
+    if below >= data.size - 1:
+        return data[-1]
+    t = position - below
+    a, b = data[below], data[below + 1]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def histogram(sorted_samples) -> Histogram:
+    """Density histogram with Freedman-Diaconis binning of ascending samples.
+
+    The same edges, counts and densities as
+    ``np.histogram(x, np.histogram_bin_edges(x, "fd"))``, read from the sorted
+    values: the quartiles at their positions, the ends at the first and last
+    value, and the counts by ``searchsorted`` (half-open bins, the last closed).
+    """
+    data = _sorted_values(sorted_samples)
+    n = data.size
+    if n == 0:
         raise EstimationError("cannot histogram an empty sample")
-    counts, edges = np.histogram(data, bins=np.histogram_bin_edges(data, bins="fd"))
-    widths = np.diff(edges)
-    densities = counts / (data.size * widths)
+    first, last = data[0], data[-1]
+    if not (np.isfinite(first) and np.isfinite(last)):
+        raise EstimationError(f"cannot histogram non-finite values (range [{first}, {last}])")
+    if first == last:
+        first, last = first - 0.5, last + 0.5
+    width = 2.0 * (_sorted_quantile(data, 0.75) - _sorted_quantile(data, 0.25)) * n ** (-1.0 / 3.0)
+    bins = int(np.ceil((last - first) / width)) if width else 1
+    edges = np.linspace(first, last, bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):
+        raise EstimationError(f"cannot make {bins} finite-sized bins in [{first}, {last}]")
+    below = np.concatenate((data.searchsorted(edges[:-1], "left"), data.searchsorted(edges[-1:], "right")))
+    counts = np.diff(below)
+    densities = counts / (n * np.diff(edges))
     return Histogram(edges=edges, counts=counts, densities=densities)

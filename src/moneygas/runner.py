@@ -62,6 +62,7 @@ from .ensembles import (
     thermo_state,
 )
 from .estimation import (
+    Histogram,
     fit_shifted_exponential,
     hill_default_k,
     hill_tail_index,
@@ -111,7 +112,10 @@ def derive_seed(base_seed: int, index: int) -> int:
     return x
 
 
-def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: float) -> tuple[dict, SampleSet]:
+def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: float,
+                    draw_histogram: bool = False) -> tuple[dict, SampleSet, Histogram | None]:
+    """One replica's report and samples, and, when ``draw_histogram``, the
+    histogram of its primary marginal (the first)."""
     samples = run_chain(
         spec,
         run_block["policy"],
@@ -122,11 +126,14 @@ def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: floa
         seed=seed,
     )
     kernel = KERNELS[spec.kind]
-    fits = {}
+    fits, hist = {}, None
     for label, names, floor in kernel.marginals(spec):
         data = samples.pooled(names)
         fit = fit_shifted_exponential(data, floor)
+        data = np.sort(data)  # the pool's one sorted copy, for the KS check and the histogram
         ks_d, ks_ok = ks_statistic_exponential(data, floor, predicted)
+        if draw_histogram and not fits:  # the primary marginal, the first
+            hist = histogram(data)
         fits[label] = {
             "t_hat": fit.t_hat,
             "stderr": fit.stderr,
@@ -144,7 +151,7 @@ def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: floa
         "events_run": samples.meta.events_run,
         "n_records": samples.n_records,
     }
-    return report, samples
+    return report, samples, hist
 
 
 def _tsv(header: tuple[str, ...], rows) -> bytes:
@@ -160,17 +167,18 @@ def _run_simulate(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
     write_samples = raw.get("write_samples", True)
     seeds = [derive_seed(raw.get("seed", 0), i) for i in range(replicas)]
 
-    def replica(index: int) -> tuple[dict, SampleSet | None]:
-        report, samples = _replica_report(spec, run_block, seeds[index], predicted)
-        return report, samples if index == 0 and write_samples else None
+    def replica(index: int) -> tuple[dict, tuple[SampleSet, Histogram] | None]:
+        keep = index == 0 and write_samples
+        report, samples, hist = _replica_report(spec, run_block, seeds[index], predicted, draw_histogram=keep)
+        return report, (samples, hist) if keep else None
 
     # The even replicas run here, the odd ones in the forked worker, which
-    # sends back only their reports. Only replica 0's samples are kept, and
-    # only when they are written.
+    # sends back only their reports. Only replica 0's samples and histogram
+    # are kept, and only when they are written.
     results = list(interleaved(replica, range(replicas)))
-    replica_reports, first_samples = [report for report, _ in results], results[0][1]
+    replica_reports, kept = [report for report, _ in results], results[0][1]
 
-    primary, primary_names, _ = KERNELS[spec.kind].marginals(spec)[0]
+    primary = KERNELS[spec.kind].marginals(spec)[0][0]
     t_hats = [r["fits"][primary]["t_hat"] for r in replica_reports]
     ks_passes = [r["fits"][primary]["ks_pass_1pct"] for r in replica_reports]
     t_hat_mean = float(np.mean(t_hats))
@@ -197,8 +205,8 @@ def _run_simulate(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
 
     files: dict[str, FileData] = {}
     if write_samples:
+        first_samples, hist = kept
         files["samples.csv"] = first_samples.csv_chunks()
-        hist = histogram(first_samples.pooled(primary_names))
         files["histogram.tsv"] = _tsv(("bin_left", "bin_right", "density"), hist.tsv_rows())
     return report, seeds, files
 
@@ -546,9 +554,21 @@ def resolve_out_dir(out: str | os.PathLike) -> Path:
     return path
 
 
+def _check_out_dir(path: Path) -> None:
+    """MoneygasError unless ``path`` is a directory, or its nearest existing
+    ancestor is one, so that a run that cannot write fails before it runs."""
+    for ancestor in (path, *path.parents):
+        if os.path.exists(ancestor):
+            if not os.path.isdir(ancestor):
+                raise MoneygasError(f"cannot write to {path}: {ancestor} is not a directory")
+            return
+
+
 def run_experiment(config: dict, out_dir) -> dict:
     """Execute one configuration, write its outputs, return the manifest."""
-    return _run_in(config, resolve_out_dir(out_dir))
+    out_path = resolve_out_dir(out_dir)
+    _check_out_dir(out_path)
+    return _run_in(config, out_path)
 
 
 def _run_in(config: dict, out_path: Path) -> dict:
@@ -557,7 +577,10 @@ def _run_in(config: dict, out_path: Path) -> dict:
         return _run_sweep(config, out_path)  # its runs make the directory
     report, seeds, files = TASKS[task].pipeline(config)
     outputs = {"report.json": _json_bytes(report), **files}  # encoded before anything is written
-    out_path.mkdir(parents=True, exist_ok=True)  # only now: a run that fails leaves no directory
+    try:
+        out_path.mkdir(parents=True, exist_ok=True)  # only now: a run that fails leaves no directory
+    except OSError as exc:
+        raise MoneygasError(f"cannot create the output directory {out_path}: {exc.strerror or exc}") from exc
     manifest = {
         "version": __version__,
         "task": task,

@@ -75,7 +75,7 @@ def test_criterion_1_table_reproduction(name, spec, total, coord, predicted):
     for i in range(100):
         replica = run_chain(spec, "equal", total, steps=1_100_000, burn_in=100_000,
                             thin=5_000, seed=derive_seed(BASE_SEED, 1 + i))
-        _, ok = ks_statistic_exponential(replica.pooled([coord]), 0.0, predicted)
+        _, ok = ks_statistic_exponential(np.sort(replica.pooled([coord])), 0.0, predicted)
         passes += ok
     assert passes >= 95
     announce(

@@ -18,6 +18,7 @@ from moneygas.dynamics import (
     ConservationError,
     DynamicsError,
     PairEpoch,
+    SampleSet,
     advance,
     init_population,
     recorded_coordinates,
@@ -619,8 +620,26 @@ class TestSamplesCsv:
         pytest.param(list(range(0, 400_000, 10_000)), {"x": np.random.default_rng(2).exponential(7.0, (40, 1000))},
                      id="more-than-one-block"),
     ])
-    def test_cases_equal_the_repr_writer(self, steps, coords, header):
-        assert samples_csv(steps, coords, header) == reference_csv(steps, coords, header)
+    @pytest.mark.parametrize("buffer", [None, b"", b"\xa5" * 3, b"\xa5" * 2_000_000],
+                             ids=["no-buffer", "empty-buffer", "short-buffer", "long-buffer"])
+    def test_cases_equal_the_repr_writer(self, steps, coords, header, buffer):
+        buffer = None if buffer is None else bytearray(buffer)
+        assert samples_csv(steps, coords, header, buffer=buffer) == reference_csv(steps, coords, header)
+
+    def test_chunks_share_one_row_buffer(self, monkeypatch):
+        samples = run_chain(ModelSpec.multi_asset(10, 3), "uniform-random", 60.0, 20_000, 2_000, 100, seed=5)
+        whole = samples.csv_bytes()
+        buffers = []
+
+        def recorded(self, start=0, stop=None, *, buffer=None, inner=SampleSet.csv_bytes):
+            buffers.append(buffer)
+            return inner(self, start, stop, buffer=buffer)
+
+        monkeypatch.setattr(SampleSet, "csv_bytes", recorded)
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 600)  # 20 of the 180 records of 30 values
+        assert b"".join(samples.csv_chunks()) == whole
+        assert len(buffers) == 9 and isinstance(buffers[0], bytearray)
+        assert all(buffer is buffers[0] for buffer in buffers)
 
     def test_rows_stay_inside_their_capacity_and_literals(self):
         expected = reference_csv([5, 2**63 - 1], {"x": np.array([[0.5, 1e-5], [2.0, 3.0]])}, header=False)

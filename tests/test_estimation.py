@@ -1,12 +1,17 @@
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moneygas.ensembles import ModelSpec
 from moneygas.estimation import (
     KS_1PCT_CONSTANT,
+    KS_BLOCK,
     EstimationError,
+    _sorted_quantile,
     fit_shifted_exponential,
     hill_default_k,
     hill_tail_index,
@@ -65,7 +70,7 @@ class TestKolmogorovSmirnov:
         passes = 0
         for i in range(100):
             rng = np.random.default_rng(777 + i)
-            _, ok = ks_statistic_exponential(rng.exponential(5.0, 10_000), 0.0, 5.0)
+            _, ok = ks_statistic_exponential(np.sort(rng.exponential(5.0, 10_000)), 0.0, 5.0)
             passes += ok
         assert passes >= 98
 
@@ -77,20 +82,24 @@ class TestKolmogorovSmirnov:
         with pytest.raises(EstimationError):
             ks_statistic_exponential([1.0] * 20, 0.0, 0.0)
 
+    def test_unsorted_samples_are_rejected(self):
+        data = np.sort(np.random.default_rng(4).exponential(1.0, KS_BLOCK + 5))
+        data[[KS_BLOCK - 1, KS_BLOCK]] = data[[KS_BLOCK, KS_BLOCK - 1]]  # out of order across a block edge
+        with pytest.raises(EstimationError, match="sorted"):
+            ks_statistic_exponential(data, 0.0, 1.0)
 
-    @pytest.mark.parametrize("n", [10, 65_536, 65_537, 200_000])
+    @pytest.mark.parametrize("n", [10, KS_BLOCK, KS_BLOCK + 1, 3 * KS_BLOCK + 3_392])
     @pytest.mark.parametrize("floor", [0.0, -2.5])
     def test_blocked_statistic_is_bit_identical_to_the_full_expression(self, n, floor):
-        samples = floor + np.random.default_rng(n).exponential(3.0, n)
-        unsorted = samples.copy()
-        data = np.sort(samples)
+        data = np.sort(floor + np.random.default_rng(n).exponential(3.0, n))
+        kept = data.copy()
         cdf = -np.expm1(-(data - floor) / 3.2)
         ranks = np.arange(1, n + 1, dtype=float)
         expected = max(float(np.max(ranks / n - cdf)), float(np.max(cdf - (ranks - 1.0) / n)))
-        d, ok = ks_statistic_exponential(samples, floor, 3.2)
+        d, ok = ks_statistic_exponential(data, floor, 3.2)
         assert d == expected
         assert ok == (expected < KS_1PCT_CONSTANT / math.sqrt(n))
-        assert np.array_equal(samples, unsorted)  # the input is not sorted or overwritten
+        assert data.tobytes() == kept.tobytes()  # the sorted values are read, not overwritten
 
 
 class TestHillEstimator:
@@ -124,6 +133,34 @@ class TestHillEstimator:
             hill_tail_index([-1.0, 2.0, 3.0, 4.0], 3)
 
 
+@st.composite
+def fd_samples(draw):
+    """base + step·k for integers k in 0..levels, or base plus exponential
+    draws: ties when levels is small, and every value equal when it is 0.
+    Distinct values at least a step apart bound the Freedman-Diaconis bin count,
+    which a nonzero IQR of a few ulp would make astronomical."""
+    n = draw(st.integers(1, 60) | st.integers(KS_BLOCK - 2, KS_BLOCK + 2_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.floats(-1e4, 1e4)) + 0.0  # no -0.0: a sort and a min may pick either signed zero
+    if draw(st.booleans()):
+        return base + rng.exponential(draw(st.floats(1e-3, 1e3)), n)
+    levels = draw(st.sampled_from([0, 1, 2, 5, 100, 10**6]))
+    return base + draw(st.floats(1e-3, 1e3)) * rng.integers(0, levels + 1, n)
+
+
+def assert_numpy_histogram(values):
+    """histogram(sorted values) gives np.histogram's FD edges and counts, and its
+    quartiles are np.percentile's, all bit for bit."""
+    counts, edges = np.histogram(values, np.histogram_bin_edges(values, "fd"))
+    data = np.sort(values)
+    h = histogram(data)
+    assert h.edges.dtype == edges.dtype and h.edges.tobytes() == edges.tobytes()
+    assert h.counts.dtype == counts.dtype and h.counts.tobytes() == counts.tobytes()
+    assert h.densities.tobytes() == (counts / (values.size * np.diff(edges))).tobytes()
+    quartiles = np.array([_sorted_quantile(data, 0.75), _sorted_quantile(data, 0.25)])
+    assert quartiles.tobytes() == np.percentile(values, [75, 25]).tobytes()
+
+
 class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(EstimationError):
@@ -131,7 +168,7 @@ class TestHistogram:
 
     def test_exponential_densities_within_poisson_bands(self):
         rng = np.random.default_rng(31)
-        data = rng.exponential(1.0, 1_000_000)
+        data = np.sort(rng.exponential(1.0, 1_000_000))
         h = histogram(data)
         outside = 0
         for (left, right, _), count in zip(h.tsv_rows(), h.counts):
@@ -142,10 +179,30 @@ class TestHistogram:
 
     def test_freedman_diaconis_covers_data(self):
         rng = np.random.default_rng(8)
-        data = rng.exponential(2.0, 10_000)
+        data = np.sort(rng.exponential(2.0, 10_000))
         h = histogram(data)
         assert h.edges[0] <= data.min() and h.edges[-1] >= data.max()
         assert np.sum(h.counts) == data.size
+
+    def test_unsorted_samples_are_rejected(self):
+        with pytest.raises(EstimationError, match="sorted"):
+            histogram([1.0, 3.0, 2.0])
+
+    @pytest.mark.parametrize("values", [
+        [3.0],
+        [-1.5, 2.25],
+        [0.1] * 7,  # one bin, 0.5 either side
+        [0.0] * 30 + [1.0] * 3 + [2.5],  # a zero IQR under a nonzero range: one bin
+        list(np.random.default_rng(5).integers(0, 3, 999) * 0.1 - 7.0),  # ties below a negative floor
+        list(np.random.default_rng(6).exponential(2.0, KS_BLOCK + 17) - 4.0),
+    ], ids=["n1", "n2", "all_equal", "zero_iqr", "ties", "beyond_a_block"])
+    def test_matches_numpy_at_the_edge_cases(self, values):
+        assert_numpy_histogram(np.array(values))
+
+    @settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True, database=None)
+    @given(values=fd_samples())
+    def test_matches_numpy_bit_for_bit(self, values):
+        assert_numpy_histogram(values)
 
 
 class TestThermoResiduals:

@@ -346,9 +346,9 @@ class TestStreamedOutputs:
         forks = count_forks(monkeypatch)
         calls = []
         for cls in (SampleSet, IncomeSampleSet):
-            def counted(self, start=0, stop=None, inner=cls.csv_bytes):
+            def counted(self, start=0, stop=None, inner=cls.csv_bytes, **kwargs):
                 calls.append((os.getpid(), start, stop))
-                return inner(self, start, stop)
+                return inner(self, start, stop, **kwargs)
             monkeypatch.setattr(cls, "csv_bytes", counted)
         monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", BLOCK_VALUES)
         document, block = STREAMED[task]
@@ -379,10 +379,10 @@ class TestStreamedOutputs:
 
     @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
     def test_a_failing_block_leaves_no_tmp_file_and_no_manifest(self, tmp_path, monkeypatch, error):
-        def failing(self, start=0, stop=None, inner=SampleSet.csv_bytes):
+        def failing(self, start=0, stop=None, inner=SampleSet.csv_bytes, **kwargs):
             if start > 0:  # the second block
                 raise error("formatting failed here")
-            return inner(self, start, stop)
+            return inner(self, start, stop, **kwargs)
 
         monkeypatch.setattr(SampleSet, "csv_bytes", failing)
         monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", BLOCK_VALUES)
@@ -611,6 +611,30 @@ class TestCli:
         path.write_bytes(b"\xff\xfe")  # not UTF-8
         assert main(["simulate", "-c", str(path)]) == 2
         assert main(["check", "-r", str(path), "-e", str(path)]) == 2
+
+    @pytest.mark.parametrize("verb,document", [("simulate", simulate_config()),
+                                               ("sweep", {"task": "sweep", "base": simulate_config(),
+                                                          "grid": {"run.total": [250.0, 500.0]}})])
+    def test_an_output_path_at_or_under_a_file_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                                        verb, document):
+        # It used to run the whole chain, then exit 1 with a NotADirectoryError traceback.
+        monkeypatch.setattr(runner, "run_chain", lambda *args, **kwargs: pytest.fail("the chain ran"))
+        config_path = write_config(tmp_path, document)
+        (tmp_path / "file").write_text("not a directory")
+        for out in (tmp_path / "file", tmp_path / "file" / "out"):
+            assert main([verb, "-c", str(config_path), "-o", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"configuration error: cannot write to {out}: {tmp_path / 'file'} is not a directory\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "file"]
+
+    def test_an_output_directory_that_cannot_be_made_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, simulate_config())
+        out = tmp_path / ("x" * 300)  # a name longer than any file system allows
+        assert main(["simulate", "-c", str(config_path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot create the output directory {out}:")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
 
     def test_task_command_mismatch(self, tmp_path):
         config_path = write_config(tmp_path, simulate_config())
