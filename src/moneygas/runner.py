@@ -113,7 +113,7 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 
 def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: float,
-                    draw_histogram: bool = False) -> tuple[dict, SampleSet, Histogram | None]:
+                    draw_histogram: bool) -> tuple[dict, SampleSet, Histogram | None]:
     """One replica's report and samples, and, when ``draw_histogram``, the
     histogram of its primary marginal (the first)."""
     samples = run_chain(
@@ -169,7 +169,7 @@ def _run_simulate(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
 
     def replica(index: int) -> tuple[dict, tuple[SampleSet, Histogram] | None]:
         keep = index == 0 and write_samples
-        report, samples, hist = _replica_report(spec, run_block, seeds[index], predicted, draw_histogram=keep)
+        report, samples, hist = _replica_report(spec, run_block, seeds[index], predicted, keep)
         return report, (samples, hist) if keep else None
 
     # The even replicas run here, the odd ones in the forked worker, which
