@@ -585,6 +585,18 @@ def csv_records(draw):
     return steps, coords
 
 
+CSV_CASES = [
+    pytest.param([0, 2**63 - 1], {"x": np.array([[1.5, 0.0], [-2.0, 3.25]])}, id="widest-steps"),
+    pytest.param([4], {"x": np.array([[1e-5, -5e-324, 1e16, -1e300, math.nan, math.inf, -math.inf]])},
+                 id="every-value-by-repr"),
+    pytest.param([1, 2], {"y_0": np.arange(4.0).reshape(2, 2), "x": np.arange(10.0).reshape(2, 5) / 3,
+                          "e": np.empty((2, 0))}, id="widths-5-2-0"),
+    pytest.param([], {"x": np.empty((0, 3)), "y": np.empty((0, 1))}, id="no-records"),
+    pytest.param(list(range(0, 400_000, 10_000)), {"x": np.random.default_rng(2).exponential(7.0, (40, 1000))},
+                 id="more-than-one-block"),
+]
+
+
 class TestSamplesCsv:
     @settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True, database=None)
     @given(records=csv_records(), header=st.booleans())
@@ -610,21 +622,16 @@ class TestSamplesCsv:
                                                         header=False)
 
     @pytest.mark.parametrize("header", [True, False])
-    @pytest.mark.parametrize("steps,coords", [
-        pytest.param([0, 2**63 - 1], {"x": np.array([[1.5, 0.0], [-2.0, 3.25]])}, id="widest-steps"),
-        pytest.param([4], {"x": np.array([[1e-5, -5e-324, 1e16, -1e300, math.nan, math.inf, -math.inf]])},
-                     id="every-value-by-repr"),
-        pytest.param([1, 2], {"y_0": np.arange(4.0).reshape(2, 2), "x": np.arange(10.0).reshape(2, 5) / 3,
-                              "e": np.empty((2, 0))}, id="widths-5-2-0"),
-        pytest.param([], {"x": np.empty((0, 3)), "y": np.empty((0, 1))}, id="no-records"),
-        pytest.param(list(range(0, 400_000, 10_000)), {"x": np.random.default_rng(2).exponential(7.0, (40, 1000))},
-                     id="more-than-one-block"),
-    ])
-    @pytest.mark.parametrize("buffer", [None, b"", b"\xa5" * 3, b"\xa5" * 2_000_000],
-                             ids=["no-buffer", "empty-buffer", "short-buffer", "long-buffer"])
-    def test_cases_equal_the_repr_writer(self, steps, coords, header, buffer):
-        buffer = None if buffer is None else bytearray(buffer)
-        assert samples_csv(steps, coords, header, buffer=buffer) == reference_csv(steps, coords, header)
+    @pytest.mark.parametrize("steps,coords", CSV_CASES)
+    def test_cases_equal_the_repr_writer(self, steps, coords, header):
+        assert samples_csv(steps, coords, header) == reference_csv(steps, coords, header)
+
+    def test_one_buffer_serves_every_case(self):
+        buffer = bytearray(b"\xa5" * 3)  # too short for any case; each case reuses what the others left in it
+        for case in [*CSV_CASES, *CSV_CASES[::-1]]:
+            steps, coords = case.values
+            assert samples_csv(steps, coords, buffer=buffer) == reference_csv(steps, coords)
+        assert len(buffer) > 1_000_000
 
     def test_chunks_share_one_row_buffer(self, monkeypatch):
         samples = run_chain(ModelSpec.multi_asset(10, 3), "uniform-random", 60.0, 20_000, 2_000, 100, seed=5)
