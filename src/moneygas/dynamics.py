@@ -447,8 +447,7 @@ class ChainMeta:
     max_drift: float
 
 
-def samples_csv(record_steps, coords: dict[str, np.ndarray], header: bool = True, *,
-                buffer: bytearray | None = None) -> bytes:
+def samples_csv(record_steps, coords: dict[str, np.ndarray], header: bool = True) -> bytes:
     """Long-format CSV ``step,agent,coord_name,value``: records, then names, then agents.
 
     ``coords`` maps each coordinate name to an (n_records, N) array, N per
@@ -463,9 +462,6 @@ def samples_csv(record_steps, coords: dict[str, np.ndarray], header: bool = True
     repr itself. ``moneygas_csv_rows`` in the compiled library then writes
     each row in one pass: the step, the column's ``,agent,name,`` prefix,
     the literal (repr's, for those values) and a newline.
-
-    The rows are written into ``buffer``, grown as needed, so that the blocks
-    of one file can reuse its pages; without one, into a new buffer.
     """
     import orjson  # here, not at module level: runs that write no CSV never load it
 
@@ -489,11 +485,7 @@ def samples_csv(record_steps, coords: dict[str, np.ndarray], header: bool = True
     prefix_bytes = sum(w * (len(b"%d" % w) + len(name) + 4) for w, name in zip(widths.tolist(), encoded))
     capacity = (sum(len(b"%d" % step) for step in steps.tolist()) * int(widths.sum())
                 + steps.size * prefix_bytes + literals.size + int(alt_ends[-1]))
-    size = len(head) + capacity
-    buffer = bytearray() if buffer is None else buffer
-    if len(buffer) < size:
-        buffer.extend(bytes(size - len(buffer)))
-    out = np.frombuffer(buffer, np.uint8, size)
+    out = np.empty(len(head) + capacity, np.uint8)
     out[:len(head)] = np.frombuffer(head, np.uint8)
     used = _native().moneygas_csv_rows(
         out.ctypes.data + len(head), capacity, _address(steps, np.int64, steps.size), steps.size, b"".join(encoded),
@@ -524,23 +516,18 @@ class SampleSet:
         flat = [self.coords[k].ravel() for k in (self.coords if names is None else names)]
         return flat[0] if len(flat) == 1 else np.concatenate(flat)
 
-    def csv_bytes(self, start: int = 0, stop: int | None = None, *, buffer: bytearray | None = None) -> bytes:
+    def csv_bytes(self, start: int = 0, stop: int | None = None) -> bytes:
         """``samples_csv`` of records start..stop; the header only when start is 0."""
         return samples_csv(self.record_steps[start:stop].tolist(),
                            {name: v[start:stop] for name, v in self.coords.items()},
-                           header=start == 0, buffer=buffer)
+                           header=start == 0)
 
     def csv_chunks(self) -> Iterator[bytes]:
         """``csv_bytes`` over consecutive record ranges of about CSV_BLOCK_VALUES
-        values, in file order; the chunks concatenate to ``csv_bytes()``.
-
-        One row buffer serves every block and is freed with the generator: a
-        buffer kept alive keeps the allocator from returning its pages, and
-        faulting them in again, between blocks."""
+        values, in file order; the chunks concatenate to ``csv_bytes()``."""
         block = max(1, CSV_BLOCK_VALUES // sum(v.shape[1] for v in self.coords.values()))
-        buffer = bytearray()
         for start in range(0, max(self.n_records, 1), block):  # no records: the header alone
-            yield self.csv_bytes(start, start + block, buffer=buffer)
+            yield self.csv_bytes(start, start + block)
 
 
 def recording_window(n_agents: int, steps: int, burn_in: int | None, thin: int | None) -> tuple[int, int, int]:

@@ -18,7 +18,6 @@ from moneygas.dynamics import (
     ConservationError,
     DynamicsError,
     PairEpoch,
-    SampleSet,
     advance,
     init_population,
     recorded_coordinates,
@@ -585,18 +584,6 @@ def csv_records(draw):
     return steps, coords
 
 
-CSV_CASES = [
-    pytest.param([0, 2**63 - 1], {"x": np.array([[1.5, 0.0], [-2.0, 3.25]])}, id="widest-steps"),
-    pytest.param([4], {"x": np.array([[1e-5, -5e-324, 1e16, -1e300, math.nan, math.inf, -math.inf]])},
-                 id="every-value-by-repr"),
-    pytest.param([1, 2], {"y_0": np.arange(4.0).reshape(2, 2), "x": np.arange(10.0).reshape(2, 5) / 3,
-                          "e": np.empty((2, 0))}, id="widths-5-2-0"),
-    pytest.param([], {"x": np.empty((0, 3)), "y": np.empty((0, 1))}, id="no-records"),
-    pytest.param(list(range(0, 400_000, 10_000)), {"x": np.random.default_rng(2).exponential(7.0, (40, 1000))},
-                 id="more-than-one-block"),
-]
-
-
 class TestSamplesCsv:
     @settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True, database=None)
     @given(records=csv_records(), header=st.booleans())
@@ -622,31 +609,18 @@ class TestSamplesCsv:
                                                         header=False)
 
     @pytest.mark.parametrize("header", [True, False])
-    @pytest.mark.parametrize("steps,coords", CSV_CASES)
+    @pytest.mark.parametrize("steps,coords", [
+        pytest.param([0, 2**63 - 1], {"x": np.array([[1.5, 0.0], [-2.0, 3.25]])}, id="widest-steps"),
+        pytest.param([4], {"x": np.array([[1e-5, -5e-324, 1e16, -1e300, math.nan, math.inf, -math.inf]])},
+                     id="every-value-by-repr"),
+        pytest.param([1, 2], {"y_0": np.arange(4.0).reshape(2, 2), "x": np.arange(10.0).reshape(2, 5) / 3,
+                              "e": np.empty((2, 0))}, id="widths-5-2-0"),
+        pytest.param([], {"x": np.empty((0, 3)), "y": np.empty((0, 1))}, id="no-records"),
+        pytest.param(list(range(0, 400_000, 10_000)), {"x": np.random.default_rng(2).exponential(7.0, (40, 1000))},
+                     id="more-than-one-block"),
+    ])
     def test_cases_equal_the_repr_writer(self, steps, coords, header):
         assert samples_csv(steps, coords, header) == reference_csv(steps, coords, header)
-
-    def test_one_buffer_serves_every_case(self):
-        buffer = bytearray(b"\xa5" * 3)  # too short for any case; each case reuses what the others left in it
-        for case in [*CSV_CASES, *CSV_CASES[::-1]]:
-            steps, coords = case.values
-            assert samples_csv(steps, coords, buffer=buffer) == reference_csv(steps, coords)
-        assert len(buffer) > 1_000_000
-
-    def test_chunks_share_one_row_buffer(self, monkeypatch):
-        samples = run_chain(ModelSpec.multi_asset(10, 3), "uniform-random", 60.0, 20_000, 2_000, 100, seed=5)
-        whole = samples.csv_bytes()
-        buffers = []
-
-        def recorded(self, start=0, stop=None, *, buffer=None, inner=SampleSet.csv_bytes):
-            buffers.append(buffer)
-            return inner(self, start, stop, buffer=buffer)
-
-        monkeypatch.setattr(SampleSet, "csv_bytes", recorded)
-        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 600)  # 20 of the 180 records of 30 values
-        assert b"".join(samples.csv_chunks()) == whole
-        assert len(buffers) == 9 and isinstance(buffers[0], bytearray)
-        assert all(buffer is buffers[0] for buffer in buffers)
 
     def test_rows_stay_inside_their_capacity_and_literals(self):
         expected = reference_csv([5, 2**63 - 1], {"x": np.array([[0.5, 1e-5], [2.0, 3.0]])}, header=False)

@@ -17,11 +17,6 @@ RUN = {"policy": "uniform-random", "total": 500.0, "steps": 40_000, "burn_in": 5
 CASES = {
     "cash_only": {"task": "simulate", "seed": 7, "replicas": 2, "run": RUN,
                   "model": {"kind": "cash_only", "n_agents": 50, "volume_y": 10.0}},
-    "multi_asset": {
-        "report.json": "sha256:4b9b05c25dc64f5a34614b1553fdbd14f50f6045ea76779b4d6ea60531639370",
-        "samples.csv": "sha256:3459fab777696af306f8570305910de90971cafb340fc2c459e2a02b6576dc4f",
-        "histogram.tsv": "sha256:6944fa632e1b487b797dc58ba6238c29d9dbff5613e64a256bc5f86825ed5850",
-    },
     "overdraft": {"task": "simulate", "seed": 8, "run": dict(RUN, policy="equal", total=100.0),
                   "model": {"kind": "overdraft", "n_agents": 50, "volume_x": 10.0, "overdraft": 2.0}},
     "multi_account": {"task": "simulate", "seed": 9, "run": dict(RUN, total=30.0),

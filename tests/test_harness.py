@@ -346,9 +346,9 @@ class TestStreamedOutputs:
         forks = count_forks(monkeypatch)
         calls = []
         for cls in (SampleSet, IncomeSampleSet):
-            def counted(self, start=0, stop=None, inner=cls.csv_bytes, **kwargs):
+            def counted(self, start=0, stop=None, inner=cls.csv_bytes):
                 calls.append((os.getpid(), start, stop))
-                return inner(self, start, stop, **kwargs)
+                return inner(self, start, stop)
             monkeypatch.setattr(cls, "csv_bytes", counted)
         monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", BLOCK_VALUES)
         document, block = STREAMED[task]
@@ -379,10 +379,10 @@ class TestStreamedOutputs:
 
     @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
     def test_a_failing_block_leaves_no_tmp_file_and_no_manifest(self, tmp_path, monkeypatch, error):
-        def failing(self, start=0, stop=None, inner=SampleSet.csv_bytes, **kwargs):
+        def failing(self, start=0, stop=None, inner=SampleSet.csv_bytes):
             if start > 0:  # the second block
                 raise error("formatting failed here")
-            return inner(self, start, stop, **kwargs)
+            return inner(self, start, stop)
 
         monkeypatch.setattr(SampleSet, "csv_bytes", failing)
         monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", BLOCK_VALUES)
