@@ -8,10 +8,16 @@ the implementation version, the derived per-replica seeds and SHA-256
 digests of every written file. Nothing in the outputs depends on wall-clock
 time, so re-running a configuration reproduces the bytes exactly.
 
-A pipeline hands each companion file over as bytes or as an iterable of
-byte chunks; ``samples.csv`` is formatted a block of records at a time, in
-the run's process, while it is written and hashed, so it is never held whole
-in memory.
+Every file is staged first: written, as bytes or as byte chunks, to
+``<name>.tmp`` and hashed on the way; the first one makes the directory.
+``report.json`` and ``manifest.json`` are staged last. Then any old manifest
+is removed and each file renamed into place, the manifest last. A failure
+removes the ``.tmp`` files and the directory levels the run made, and an
+OSError exits as a MoneygasError naming the file. A run killed part-way can
+leave ``.tmp`` files, or new files with no manifest, but no manifest of
+other files. ``simulate`` stages ``samples.csv`` a block of records at a time
+right after replica 0's chain, then sorts each pool in place, so its peak
+memory is the records plus one CSV block (or the KS check's blocks, if larger).
 
 The replicas of ``simulate`` run on two cores through one forked worker
 process (``worker``): the worker runs the odd replicas and sends back their
@@ -21,6 +27,7 @@ same as from one process.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import itertools
@@ -53,7 +60,7 @@ from .config import (
     set_by_path,
     string,
 )
-from .dynamics import KERNELS, SampleSet, run_chain
+from .dynamics import KERNELS, run_chain
 from .ensembles import (
     ModelSpec,
     MoneygasError,
@@ -62,7 +69,6 @@ from .ensembles import (
     thermo_state,
 )
 from .estimation import (
-    Histogram,
     fit_shifted_exponential,
     hill_default_k,
     hill_tail_index,
@@ -95,6 +101,8 @@ _MASK64 = (1 << 64) - 1
 
 # A companion file: its bytes, or byte chunks to be written in order.
 FileData = bytes | Iterable[bytes]
+# Stages one output file of a run, by name, to be put in place with the rest.
+Stage = Callable[[str, FileData], None]
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -113,9 +121,10 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 
 def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: float,
-                    draw_histogram: bool) -> tuple[dict, SampleSet, Histogram | None]:
-    """One replica's report and samples, and, when ``draw_histogram``, the
-    histogram of its primary marginal (the first)."""
+                    stage: Stage | None) -> dict:
+    """One replica's report; with ``stage``, its samples.csv and its primary
+    marginal's histogram are staged too. Each pool is sorted in place, out of
+    chain order, so the fits, the money per agent and the CSV come first."""
     samples = run_chain(
         spec,
         run_block["policy"],
@@ -126,15 +135,26 @@ def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: floa
         seed=seed,
     )
     kernel = KERNELS[spec.kind]
-    fits, hist = {}, None
-    for label, names, floor in kernel.marginals(spec):
+    marginals = kernel.marginals(spec)
+    fits = [fit_shifted_exponential(samples.pooled(names), floor) for _, names, floor in marginals]
+    report = {
+        "seed": seed,
+        "fits": {},
+        "mean_money_per_agent": kernel.money_per_agent(spec, samples.coords),
+        "max_drift": samples.meta.max_drift,
+        "rejected_events": samples.meta.rejected_events,
+        "events_run": samples.meta.events_run,
+        "n_records": samples.n_records,
+    }
+    if stage:
+        stage("samples.csv", samples.csv_chunks())
+    for (label, names, floor), fit in zip(marginals, fits):
         data = samples.pooled(names)
-        fit = fit_shifted_exponential(data, floor)
-        data = np.sort(data)  # the pool's one sorted copy, for the KS check and the histogram
+        data.sort()  # in place: a view of the records, or multi_asset's concatenated copy
         ks_d, ks_ok = ks_statistic_exponential(data, floor, predicted)
-        if draw_histogram and not fits:  # the primary marginal, the first
-            hist = histogram(data)
-        fits[label] = {
+        if stage and not report["fits"]:  # the primary marginal, the first
+            stage("histogram.tsv", _tsv(("bin_left", "bin_right", "density"), histogram(data).tsv_rows()))
+        report["fits"][label] = {
             "t_hat": fit.t_hat,
             "stderr": fit.stderr,
             "floor": floor,
@@ -142,16 +162,7 @@ def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: floa
             "ks_d": ks_d,
             "ks_pass_1pct": ks_ok,
         }
-    report = {
-        "seed": seed,
-        "fits": fits,
-        "mean_money_per_agent": kernel.money_per_agent(spec, samples.coords),
-        "max_drift": samples.meta.max_drift,
-        "rejected_events": samples.meta.rejected_events,
-        "events_run": samples.meta.events_run,
-        "n_records": samples.n_records,
-    }
-    return report, samples, hist
+    return report
 
 
 def _tsv(header: tuple[str, ...], rows) -> bytes:
@@ -159,7 +170,7 @@ def _tsv(header: tuple[str, ...], rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _run_simulate(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
+def _run_simulate(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
     spec = build_model(raw["model"])
     run_block = raw["run"]
     replicas = raw.get("replicas", 1)
@@ -167,16 +178,14 @@ def _run_simulate(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
     write_samples = raw.get("write_samples", True)
     seeds = [derive_seed(raw.get("seed", 0), i) for i in range(replicas)]
 
-    def replica(index: int) -> tuple[dict, tuple[SampleSet, Histogram] | None]:
+    def replica(index: int) -> dict:
         keep = index == 0 and write_samples
-        report, samples, hist = _replica_report(spec, run_block, seeds[index], predicted, keep)
-        return report, (samples, hist) if keep else None
+        return _replica_report(spec, run_block, seeds[index], predicted, stage if keep else None)
 
     # The even replicas run here, the odd ones in the forked worker, which
-    # sends back only their reports. Only replica 0's samples and histogram
-    # are kept, and only when they are written.
-    results = list(interleaved(replica, range(replicas)))
-    replica_reports, kept = [report for report, _ in results], results[0][1]
+    # sends back their reports. Replica 0, run here, stages samples.csv and
+    # histogram.tsv when they are written.
+    replica_reports = list(interleaved(replica, range(replicas)))
 
     primary = KERNELS[spec.kind].marginals(spec)[0][0]
     t_hats = [r["fits"][primary]["t_hat"] for r in replica_reports]
@@ -202,16 +211,10 @@ def _run_simulate(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
             "replicas": replicas,
         },
     }
-
-    files: dict[str, FileData] = {}
-    if write_samples:
-        first_samples, hist = kept
-        files["samples.csv"] = first_samples.csv_chunks()
-        files["histogram.tsv"] = _tsv(("bin_left", "bin_right", "density"), hist.tsv_rows())
-    return report, seeds, files
+    return report, seeds
 
 
-def _run_analytic(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
+def _run_analytic(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
     spec = build_model(raw["model"])
     points = []
     overall = 0.0
@@ -228,22 +231,21 @@ def _run_analytic(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
                 "max_residual": worst,
             }
         )
-    return {"task": "analytic", "model": raw["model"], "points": points, "max_residual": overall}, [], {}
+    return {"task": "analytic", "model": raw["model"], "points": points, "max_residual": overall}, []
 
 
-def _transform_relations(spec: ModelSpec, raw: dict) -> tuple[dict, dict[str, FileData]]:
-    """The cycle, free-expansion and reserve entries of a transform report, and
-    path.tsv. ``_check_transform`` runs it too, so that no run of a sweep
-    starts on a block that these closed forms reject."""
+def _transform_relations(spec: ModelSpec, raw: dict, stage: Stage) -> dict:
+    """The cycle, free-expansion and reserve entries of a transform report;
+    path.tsv is staged. ``_check_transform`` runs it too, staging nothing, so
+    that no run of a sweep starts on a block that these closed forms reject."""
     report: dict = {}
-    files: dict[str, FileData] = {}
     if "cycle" in raw:
         cyc = raw["cycle"]
         t_hot, t_cold = float(cyc["t_hot"]), float(cyc["t_cold"])
         v1, v2 = float(cyc["v1"]), float(cyc["v2"])
         report["cycle"] = asdict(carnot_cycle(spec, t_hot, t_cold, v1, v2))
         rows = path_table(spec, t_hot, t_cold, v1, v2)
-        files["path.tsv"] = _tsv(("volume", "temperature", "pressure", "entropy"), rows)
+        stage("path.tsv", _tsv(("volume", "temperature", "pressure", "entropy"), rows))
         if "free_expansion_factor" in raw:
             spoiled = carnot_cycle(spec, t_hot, t_cold, v1, v2, float(raw["free_expansion_factor"]))
             verdict = policy_bound_check(spoiled.credit_out_cold, spoiled.credit_in_hot, t_cold, t_hot)
@@ -261,13 +263,12 @@ def _transform_relations(spec: ModelSpec, raw: dict) -> tuple[dict, dict[str, Fi
             entry["volume_new"] = volume_new
             entry["identity_residual"] = abs((volume_new - volume) - (volume_new / ratio_new - volume / ratio))
         report["fractional_reserve"] = entry
-    return report, files
+    return report
 
 
-def _run_transform(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
+def _run_transform(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
     spec = build_model(raw["model"])
-    relations, files = _transform_relations(spec, raw)
-    report: dict = {"task": "transform", "model": raw["model"], **relations}
+    report: dict = {"task": "transform", "model": raw["model"], **_transform_relations(spec, raw, stage)}
     if "identity_grid" in raw:
         grid = raw["identity_grid"]
         h = FD_STEP
@@ -289,7 +290,7 @@ def _run_transform(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
             "max_first_law": worst_fl,
             "max_state_residual": worst_state,
         }
-    return report, [], files
+    return report, []
 
 
 def _mean_log_ratio(values: np.ndarray, floor: float) -> float:
@@ -298,7 +299,7 @@ def _mean_log_ratio(values: np.ndarray, floor: float) -> float:
     return float(np.mean(np.log(ratios, out=ratios)))
 
 
-def _run_pareto(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
+def _run_pareto(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
     spec = build_pareto(raw["pareto"])
     temperature = float(raw["temperature"])
     exponent = spec.t_max / temperature
@@ -316,7 +317,6 @@ def _run_pareto(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
             "tail_index": exponent - 1.0,
         },
     }
-    files: dict[str, FileData] = {}
     n_direct = raw.get("direct_samples", 0)
     if n_direct > 0:
         draws = pareto_direct_sample(spec, temperature, n_direct, seed=seeds[0])
@@ -347,10 +347,10 @@ def _run_pareto(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
             "matched_temperature": temperature_from_log_excess(spec, theta),
         }
         if raw.get("write_samples", True):
-            files["samples.csv"] = chain.csv_chunks()
+            stage("samples.csv", chain.csv_chunks())
     if "scan" in raw:
         rows = transition_scan(spec, [float(t) for t in raw["scan"]["temperatures"]])
-        files["scan.tsv"] = _tsv(("temperature", "entropy", "t_dS_dT"), rows)
+        stage("scan.tsv", _tsv(("temperature", "entropy", "t_dS_dT"), rows))
         increasing = all(b[2] > a[2] for a, b in zip(rows, rows[1:]))
         report["scan"] = {
             "rows": len(rows),
@@ -358,7 +358,7 @@ def _run_pareto(raw: dict) -> tuple[dict, list[int], dict[str, FileData]]:
             "first": {"temperature": rows[0][0], "t_dS_dT": rows[0][2]},
             "last": {"temperature": rows[-1][0], "t_dS_dT": rows[-1][2]},
         }
-    return report, seeds, files
+    return report, seeds
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def _check_transform(doc: dict) -> None:
         raise ConfigError(f"a cycle or identity_grid volumes need a model with a volume;"
                           f" {model.kind.value!r} has none")
     try:
-        _transform_relations(model, doc)
+        _transform_relations(model, doc, lambda name, data: None)
     except MoneygasError as exc:
         raise ConfigError(f"infeasible transform: {exc}") from exc
 
@@ -443,9 +443,9 @@ class Task:
     help: str
     schema: dict  # key -> checker; "key?" is optional, a dict is a nested block
     check: Callable[[dict], None]  # on the checked, converted fields
-    # Returns (report, replica seeds, companion files); None for sweep, which
-    # run_experiment runs itself.
-    pipeline: Callable[[dict], tuple[dict, list[int], dict[str, FileData]]] | None
+    # Stages its companion files through the given Stage and returns (report,
+    # replica seeds); None for sweep, which run_experiment runs itself.
+    pipeline: Callable[[dict, Stage], tuple[dict, list[int]]] | None
 
 
 _COMMON = {"task": string, "seed?": integer, "outputs?": string}
@@ -524,25 +524,31 @@ def _json_bytes(document: dict) -> bytes:
 
 
 def _write(path: Path, data: FileData) -> str:
-    """Write bytes or byte chunks to ``path`` through ``<name>.tmp``, hashing
-    them on the way; returns the SHA-256 digest. A failure removes the
-    ``.tmp`` file and leaves ``path`` as it was."""
-    tmp = path.with_name(path.name + ".tmp")
+    """Write bytes or byte chunks to ``path``, hashing them on the way; returns
+    the SHA-256 digest. A failure removes ``path``."""
     digest = hashlib.sha256()
     chunks = iter([data] if isinstance(data, bytes) else data)
     try:
-        with open(tmp, "wb") as handle:
+        with open(path, "wb") as handle:
             for chunk in chunks:
                 digest.update(chunk)
                 handle.write(chunk)
-        os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        path.unlink(missing_ok=True)
         raise
     finally:
         if hasattr(chunks, "close"):
             chunks.close()  # a chunk generator's cleanup runs now, not when collected
     return "sha256:" + digest.hexdigest()
+
+
+@contextlib.contextmanager
+def _naming(path: Path):
+    """``path``, for a block whose OSError becomes a one-line MoneygasError that names it."""
+    try:
+        yield path
+    except OSError as exc:
+        raise MoneygasError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def resolve_out_dir(out: str | os.PathLike) -> Path:
@@ -572,24 +578,47 @@ def run_experiment(config: dict, out_dir) -> dict:
 
 
 def _run_in(config: dict, out_path: Path) -> dict:
-    task = config["task"]
-    if task == "sweep":
-        return _run_sweep(config, out_path)  # its runs make the directory
-    report, seeds, files = TASKS[task].pipeline(config)
-    outputs = {"report.json": _json_bytes(report), **files}  # encoded before anything is written
+    """Run one configuration into ``out_path``, staging its files (see the module docstring)."""
+    task, digests = config["task"], {}
+    made = [level for level in (out_path, *out_path.parents) if not os.path.exists(level)]  # deepest first
+
+    def stage(name: str, data: FileData) -> None:
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise MoneygasError(f"cannot create the output directory {out_path}: {exc.strerror or exc}") from exc
+        with _naming(out_path / f"{name}.tmp") as tmp:
+            digests[name] = _write(tmp, data)
+
     try:
-        out_path.mkdir(parents=True, exist_ok=True)  # only now: a run that fails leaves no directory
-    except OSError as exc:
-        raise MoneygasError(f"cannot create the output directory {out_path}: {exc.strerror or exc}") from exc
-    manifest = {
-        "version": __version__,
-        "task": task,
-        "config": config,
-        "base_seed": config.get("seed", 0),
-        "replica_seeds": seeds,
-        "files": {name: _write(out_path / name, data) for name, data in outputs.items()},
-    }
-    _write(out_path / "manifest.json", _json_bytes(manifest))
+        if task == "sweep":
+            with _naming(out_path / "manifest.json") as path:
+                path.unlink(missing_ok=True)  # the runs replace the files that it names
+            manifest = _run_sweep(config, out_path)  # its runs make the directory
+        else:
+            report, seeds = TASKS[task].pipeline(config, stage)
+            stage("report.json", _json_bytes(report))
+            manifest = {
+                "version": __version__,
+                "task": task,
+                "config": config,
+                "base_seed": config.get("seed", 0),
+                "replica_seeds": seeds,
+                "files": dict(digests),
+            }
+        stage("manifest.json", _json_bytes(manifest))
+        with _naming(out_path / "manifest.json") as path:
+            path.unlink(missing_ok=True)  # from here on, a failure leaves no manifest
+        for name in digests:  # manifest.json, staged last, comes last
+            with _naming(out_path / name) as path:
+                os.replace(out_path / f"{name}.tmp", path)
+    except BaseException:
+        for name in digests:
+            (out_path / f"{name}.tmp").unlink(missing_ok=True)
+        for level in made:
+            with contextlib.suppress(OSError):  # not empty, or already removed
+                level.rmdir()
+        raise
     return manifest
 
 
@@ -613,7 +642,6 @@ def _run_sweep(config: dict, out_path: Path) -> dict:
         "base_seed": config.get("seed", 0),
         "runs": entries,
     }
-    _write(out_path / "manifest.json", _json_bytes(top))
     return top
 
 

@@ -4,16 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from moneygas import dynamics, runner
 from moneygas.cli import main
 from moneygas.config import MAX_REPLICAS, ConfigError, build_model, build_pareto
-from moneygas.dynamics import ConservationError, SampleSet, run_chain
-from moneygas.ensembles import MoneygasError
+from moneygas.dynamics import KERNELS, ConservationError, SampleSet, run_chain
+from moneygas.ensembles import ModelKind, MoneygasError, temperature_closed_form
+from moneygas.estimation import EstimationError, fit_shifted_exponential, histogram, ks_statistic_exponential
 from moneygas.pareto import IncomeSampleSet, run_income_chain
 from moneygas.runner import compare_report, derive_seed, load_config, run_experiment, validate_config
 from moneygas.worker import interleaved
@@ -389,14 +392,15 @@ class TestStreamedOutputs:
         out = tmp_path / "out"
         with pytest.raises(error, match="formatting failed here"):
             run_experiment(load_config(write_config(tmp_path, STREAMED["simulate"][0])), out)
-        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+        assert not out.exists()  # the run removes the directory it made
 
     def test_a_failing_chunk_stream_leaves_no_tmp_file_and_no_manifest(self, tmp_path, monkeypatch):
-        def pipeline(config):
+        def pipeline(config, stage):
             def chunks():
                 yield b"step,agent,coord_name,value\n"
                 raise RuntimeError("formatting failed")
-            return {"task": "simulate"}, [], {"samples.csv": chunks()}
+            stage("samples.csv", chunks())
+            return {"task": "simulate"}, []
 
         monkeypatch.setitem(runner.TASKS, "simulate",
                             dataclasses.replace(runner.TASKS["simulate"], pipeline=pipeline))
@@ -405,8 +409,179 @@ class TestStreamedOutputs:
         (out / "samples.csv").write_bytes(b"an earlier run")
         with pytest.raises(RuntimeError, match="formatting failed"):
             run_experiment(load_config(write_config(tmp_path, simulate_config())), out)
-        assert sorted(p.name for p in out.iterdir()) == ["report.json", "samples.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["samples.csv"]
         assert (out / "samples.csv").read_bytes() == b"an earlier run"
+
+    def test_a_failure_after_samples_csv_was_staged_leaves_no_directory(self, tmp_path, monkeypatch, capsys):
+        staged = []
+
+        def ks(*args):
+            staged.extend(p.name for p in out.iterdir())
+            raise EstimationError("the KS check failed")
+
+        monkeypatch.setattr(runner, "ks_statistic_exponential", ks)
+        out = tmp_path / "made" / "out"
+        code = main(["simulate", "-c", str(write_config(tmp_path, simulate_config())), "-o", str(out)])
+        assert code == 2 and capsys.readouterr().err == "configuration error: the KS check failed\n"
+        assert staged == ["samples.csv.tmp"]  # replica 0's KS check, after its samples.csv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def assert_no_tmp_and_no_stale_manifest(out: Path) -> None:
+    """No ``.tmp`` file under ``out``, and a manifest only where every digest
+    it holds is that of the file it names."""
+    assert not list(out.rglob("*.tmp"))
+    if (out / "manifest.json").exists():
+        for name, digest in json.loads((out / "manifest.json").read_text())["files"].items():
+            assert digest == "sha256:" + hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
+class TestWriteFailures:
+    """A file that cannot be written or put in place exits 2 with one line that
+    names it, and leaves no ``.tmp`` file and no manifest of other files. Each
+    of these runs used to exit 1 with a traceback."""
+
+    @staticmethod
+    def run(tmp_path, out, seed):
+        return main(["simulate", "-c", str(write_config(tmp_path, simulate_config(seed=seed))), "-o", str(out)])
+
+    @pytest.mark.parametrize("taken", ["report.json", "histogram.tsv"])
+    def test_an_output_name_held_by_a_directory_exits_2(self, tmp_path, capsys, taken):
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        assert self.run(tmp_path, out, 7) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {out / taken}: ") and err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+        assert_no_tmp_and_no_stale_manifest(out)
+
+    def test_a_failed_rerun_leaves_no_manifest_of_the_earlier_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, out, 1) == 0
+        (out / "histogram.tsv").unlink()
+        (out / "histogram.tsv").mkdir()
+        assert self.run(tmp_path, out, 2) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: cannot write {out / 'histogram.tsv'}: ")
+        assert not (out / "manifest.json").exists()
+        assert_no_tmp_and_no_stale_manifest(out)
+
+    def test_a_failed_sweep_rerun_leaves_no_manifest_of_the_earlier_runs(self, tmp_path, capsys):
+        document = {"task": "sweep", "base": simulate_config(write_samples=False), "grid": {"run.total": [250.0, 500.0]}}
+        out = tmp_path / "out"
+        assert main(["sweep", "-c", str(write_config(tmp_path, document)), "-o", str(out)]) == 0
+        (out / "run_001" / "report.json").unlink()
+        (out / "run_001" / "report.json").mkdir()
+        document["base"]["seed"] = 8  # run_000 is replaced, then run_001 fails
+        assert main(["sweep", "-c", str(write_config(tmp_path, document)), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: cannot write ")
+        assert not (out / "manifest.json").exists()
+        for run in ("run_000", "run_001"):
+            assert_no_tmp_and_no_stale_manifest(out / run)
+
+
+# One small model block per kind in KERNELS, with a total that its closed form accepts.
+KIND_RUNS = {
+    "cash_only": ({"kind": "cash_only", "n_agents": 20, "volume_y": 10.0}, 200.0),
+    "overdraft": ({"kind": "overdraft", "n_agents": 20, "volume_x": 10.0, "overdraft": 2.0}, 100.0),
+    "multi_account": ({"kind": "multi_account", "n_agents": 6, "accounts_per_agent": [1, 2, 3, 1, 2, 3],
+                       "account_overdrafts": [[0.5 * (i % 4)] * (1 + i % 3) for i in range(6)]}, 30.0),
+    "combined": (COMBINED, 100.0),
+    "restricted": ({"kind": "restricted", "n_agents": 20, "overdraft": 1.0}, 5.0),
+    "credit_market": ({"kind": "credit_market", "n_agents": 20, "volume_x": 1000.0}, 250.0),
+    "multi_asset": ({"kind": "multi_asset", "n_agents": 10, "asset_classes": 3}, 100.0),
+}
+
+
+class TestPoolsSortedInPlace:
+    """simulate sorts each pool in place once its order-dependent values are taken."""
+
+    @staticmethod
+    def untouched(document, index):
+        """Replica ``index``'s report entry, histogram.tsv and samples.csv, from its
+        chain left as recorded: the KS check and the histogram on ``np.sort`` copies."""
+        spec, run = build_model(document["model"]), document["run"]
+        seed = derive_seed(document["seed"], index)
+        samples = run_chain(spec, run["policy"], run["total"], run["steps"], run["burn_in"], run["thin"], seed=seed)
+        predicted = temperature_closed_form(spec, run["total"])
+        kernel = KERNELS[spec.kind]
+        fits, hist = {}, None
+        for label, names, floor in kernel.marginals(spec):
+            data = samples.pooled(names)
+            fit = fit_shifted_exponential(data, floor)
+            ks_d, ks_ok = ks_statistic_exponential(np.sort(data), floor, predicted)
+            if hist is None:
+                hist = histogram(np.sort(data))
+            fits[label] = {"t_hat": fit.t_hat, "stderr": fit.stderr, "floor": floor, "n": fit.n,
+                           "ks_d": ks_d, "ks_pass_1pct": ks_ok}
+        report = {"seed": seed, "fits": fits, "mean_money_per_agent": kernel.money_per_agent(spec, samples.coords),
+                  "max_drift": samples.meta.max_drift, "rejected_events": samples.meta.rejected_events,
+                  "events_run": samples.meta.events_run, "n_records": samples.n_records}
+        return report, runner._tsv(("bin_left", "bin_right", "density"), hist.tsv_rows()), samples.csv_bytes()
+
+    def test_every_kind_is_covered(self):
+        assert set(KIND_RUNS) == {kind.value for kind in KERNELS}
+
+    @pytest.mark.parametrize("kind", sorted(KIND_RUNS))
+    def test_outputs_equal_those_of_an_untouched_chain(self, tmp_path, kind):
+        model, total = KIND_RUNS[kind]
+        document = simulate_config(model=model, run=dict(RUN, total=total), replicas=2)  # replica 1 keeps nothing
+        out = tmp_path / "out"
+        run_experiment(load_config(write_config(tmp_path, document)), out)
+        (first, tsv, csv), (second, _, _) = (self.untouched(document, index) for index in (0, 1))
+        assert json.loads((out / "report.json").read_text())["replicas"] == [first, second]
+        assert (out / "histogram.tsv").read_bytes() == tsv
+        assert (out / "samples.csv").read_bytes() == csv
+
+    @pytest.mark.parametrize("kind", sorted(KIND_RUNS))
+    def test_the_fits_and_the_money_per_agent_read_the_chain_order(self, tmp_path, monkeypatch, kind):
+        # Their sums can round alike in either order, so the reports alone may not tell.
+        pools, seen, kernel = [], [], KERNELS[ModelKind(kind)]
+
+        def fit(data, floor, inner=runner.fit_shifted_exponential):
+            pools.append(data.copy())
+            return inner(data, floor)
+
+        def money(spec, coords, inner=kernel.money_per_agent):
+            seen.append({name: values.copy() for name, values in coords.items()})
+            return inner(spec, coords)
+
+        monkeypatch.setattr(runner, "fit_shifted_exponential", fit)
+        monkeypatch.setitem(KERNELS, ModelKind(kind), dataclasses.replace(kernel, money_per_agent=money))
+        model, total = KIND_RUNS[kind]
+        run = dict(RUN, total=total)
+        run_experiment(load_config(write_config(tmp_path, simulate_config(model=model, run=run))), tmp_path / "out")
+        [coords] = seen
+        spec = build_model(model)
+        chain = run_chain(spec, run["policy"], total, run["steps"], run["burn_in"], run["thin"], seed=derive_seed(7, 0))
+        assert coords.keys() == chain.coords.keys()
+        assert all(np.array_equal(coords[name], values) for name, values in chain.coords.items())
+        assert len(pools) == len(kernel.marginals(spec))
+        for pool, (_, names, _) in zip(pools, kernel.marginals(spec)):
+            assert np.array_equal(pool, chain.pooled(names))
+
+    def test_the_peak_after_the_chain_holds_no_sorted_copy(self, tmp_path, monkeypatch):
+        # 500 records of 1000 agents, 4 MB. The KS check's three blocks of 65,536
+        # values (1.5 MiB) are the largest temporaries left; a sorted copy is 4 MB more.
+        n_agents, records = 1_000, 500
+        run = dict(RUN, total=10_000.0, steps=(records + 1) * n_agents, burn_in=n_agents, thin=n_agents)
+        config = load_config(write_config(tmp_path, simulate_config(
+            model=dict(MODEL, n_agents=n_agents), run=run, write_samples=False)))
+        run_experiment(config, tmp_path / "warm")  # the compiled library and the lazy imports load untraced
+        chain = runner.run_chain
+
+        def traced(*args, **kwargs):
+            samples = chain(*args, **kwargs)
+            tracemalloc.reset_peak()
+            return samples
+
+        monkeypatch.setattr(runner, "run_chain", traced)
+        tracemalloc.start()
+        try:
+            run_experiment(config, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * records * n_agents * 8
 
 
 class TestInterleaved:
@@ -544,7 +719,7 @@ class TestReplicaWorker:
         assert code == 2 and len(forks) == 1
         assert err == ("configuration error: the replica worker stopped at replica 3 of 4 with"
                        " ConservationError: the chain failed (exit code 1)\n")
-        assert not out.exists()  # the directory is made only once the report is encoded
+        assert not out.exists()  # replica 0 made it for samples.csv; the failure removes it
 
     def test_a_worker_exiting_non_zero_fails_the_run(self, tmp_path, monkeypatch):
         forks = count_forks(monkeypatch)
