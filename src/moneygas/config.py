@@ -149,48 +149,24 @@ def check_window(block: dict, n_agents: int, width: int) -> int:
     return records * width
 
 
-def _resolve_parent(document: dict, dotted: str):
-    """Walk a dotted path to its parent container; raises if absent."""
-    parts = dotted.split(".")
+def get_by_path(document, dotted: str):
+    """The value at a dotted path. A segment is an object's key or, when it is
+    all decimal digits, a list's index; KeyError if the path does not exist."""
     node = document
-    for part in parts[:-1]:
-        if isinstance(node, list) and part.isdecimal() and int(part) < len(node):
-            node = node[int(part)]
-        elif isinstance(node, dict) and part in node:
-            node = node[part]
-        else:
-            raise ConfigError(f"sweep path {dotted!r} does not exist in the base configuration")
-    leaf = parts[-1]
-    if isinstance(node, dict):
-        if leaf not in node:
-            raise ConfigError(f"sweep path {dotted!r} does not exist in the base configuration")
-    elif isinstance(node, list):
-        if not leaf.isdecimal() or int(leaf) >= len(node):
-            raise ConfigError(f"sweep path {dotted!r} is out of range")
-    else:
-        raise ConfigError(f"sweep path {dotted!r} does not point into a container")
-    return node, leaf
+    for part in dotted.split("."):
+        try:
+            node = node[int(part) if isinstance(node, list) and part.isdecimal() else part]
+        except (LookupError, TypeError, ValueError) as exc:  # ValueError: an index past int()'s digit limit
+            raise KeyError(f"no field {dotted!r}: missing segment {part!r}") from exc
+    return node
 
 
 def set_by_path(document: dict, dotted: str, value) -> None:
-    node, leaf = _resolve_parent(document, dotted)
-    if isinstance(node, list):
-        node[int(leaf)] = value
-    else:
-        node[leaf] = value
-
-
-def get_by_path(document, dotted: str):
-    """Dotted-path lookup with integer segments indexing into lists."""
-    node = document
-    for part in dotted.split("."):
-        if isinstance(node, list):
-            try:
-                node = node[int(part)]
-            except (ValueError, IndexError) as exc:
-                raise KeyError(f"no field {dotted!r}: bad segment {part!r}") from exc
-        elif isinstance(node, dict) and part in node:
-            node = node[part]
-        else:
-            raise KeyError(f"no field {dotted!r}: missing segment {part!r}")
-    return node
+    """Replace the value at a dotted path that exists (see ``get_by_path``)."""
+    parent, dot, leaf = dotted.rpartition(".")
+    try:
+        node = get_by_path(document, parent) if dot else document
+        get_by_path(node, leaf)
+    except KeyError as exc:
+        raise ConfigError(f"sweep path {dotted!r} does not exist in the base configuration") from exc
+    node[int(leaf) if isinstance(node, list) else leaf] = value

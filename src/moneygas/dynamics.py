@@ -82,6 +82,7 @@ from .ensembles import ModelKind, ModelSpec, MoneygasError, temperature_closed_f
 
 AUDIT_INTERVAL = 100_000
 CONSERVATION_RTOL = 1e-9
+POLICIES = ("equal", "uniform-random")  # the starting configurations of init_population
 _CAPPED_PROPOSALS = 1000  # restricted's "uniform-random" start gives up after this many
 # Recorded values formatted per samples.csv chunk (about 1 MB of CSV).
 CSV_BLOCK_VALUES = 1 << 15
@@ -273,7 +274,7 @@ def init_population(
     credit market ``total`` is the total credit; the monetary base comes
     from the model spec.
     """
-    if policy not in ("equal", "uniform-random"):
+    if policy not in POLICIES:
         raise DynamicsError(f"unknown init policy {policy!r}")
     if spec.n_agents < 2:
         raise DynamicsError("pair exchange needs at least 2 agents")

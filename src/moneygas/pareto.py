@@ -50,7 +50,8 @@ class ParetoSpec:
             raise ParetoError(f"volume must be positive, got {self.volume}")
 
 
-def _check_window(spec: ParetoSpec, temperature: float) -> float:
+def check_temperature(spec: ParetoSpec, temperature: float) -> float:
+    """The tail exponent a = t_max/T, once equilibrium's 0 < T < t_max holds."""
     if not 0.0 < temperature < spec.t_max:
         raise ParetoError(
             f"equilibrium requires 0 < T < t_max ({spec.t_max}); got T={temperature}"
@@ -60,7 +61,7 @@ def _check_window(spec: ParetoSpec, temperature: float) -> float:
 
 def pareto_log_partition(spec: ParetoSpec, temperature: float) -> float:
     """ln Z = N [a ln t_max - (a-1) ln J - ln(a-1) + ln V] - ln N!, a = t_max/T."""
-    a = _check_window(spec, temperature)
+    a = check_temperature(spec, temperature)
     per_agent = (
         a * math.log(spec.t_max)
         - (a - 1.0) * math.log(spec.floor_j)
@@ -78,7 +79,7 @@ def pareto_entropy(spec: ParetoSpec, temperature: float) -> float:
     T-independent constant -ln N!. ln(J V T) is taken as a sum of logs,
     which no product of the factors can underflow or overflow.
     """
-    _check_window(spec, temperature)
+    check_temperature(spec, temperature)
     n, t, t_max = spec.n_agents, temperature, spec.t_max
     return (
         n * (math.log(spec.floor_j) + math.log(spec.volume) + math.log(t))
@@ -90,14 +91,14 @@ def pareto_entropy(spec: ParetoSpec, temperature: float) -> float:
 
 def pareto_mean_logincome(spec: ParetoSpec, temperature: float) -> float:
     """Per-agent Legendre mean: Y/N = T + t_max ln(J/t_max) + T^2/(t_max - T)."""
-    _check_window(spec, temperature)
+    check_temperature(spec, temperature)
     t, t_max = temperature, spec.t_max
     return t + t_max * (math.log(spec.floor_j) - math.log(t_max)) + t * t / (t_max - t)
 
 
 def pareto_mean_logincome_sampling(spec: ParetoSpec, temperature: float) -> float:
     """Per-agent ensemble average of ln I: ln J + T/(t_max - T)."""
-    _check_window(spec, temperature)
+    check_temperature(spec, temperature)
     return math.log(spec.floor_j) + temperature / (spec.t_max - temperature)
 
 
@@ -115,7 +116,7 @@ def pareto_direct_sample(
     spec: ParetoSpec, temperature: float, n_samples: int, seed: int = 0
 ) -> np.ndarray:
     """Inverse-CDF draws from p(I) ~ I^(-a) on [J, inf), a = t_max/T."""
-    _check_window(spec, temperature)
+    check_temperature(spec, temperature)
     if n_samples < 1:
         raise ParetoError(f"n_samples must be positive, got {n_samples}")
     rng = np.random.default_rng(seed)
@@ -124,7 +125,7 @@ def pareto_direct_sample(
 
 def pareto_quantile(spec: ParetoSpec, temperature: float, u) -> np.ndarray:
     """Quantile function I(u) = J (1-u)^(-1/(a-1)) of the income law."""
-    a = _check_window(spec, temperature)
+    a = check_temperature(spec, temperature)
     return spec.floor_j * (1.0 - np.asarray(u, dtype=float)) ** (-1.0 / (a - 1.0))
 
 
@@ -179,6 +180,6 @@ def transition_scan(spec: ParetoSpec, t_grid) -> list[tuple[float, float, float]
     rows = []
     n, t_max = spec.n_agents, spec.t_max
     for t in t_grid:
-        _check_window(spec, t)
+        check_temperature(spec, t)
         rows.append((float(t), pareto_entropy(spec, t), n * (t_max / (t_max - t)) ** 2))
     return rows

@@ -1,12 +1,15 @@
 """Experiment runner: the task table, deterministic pipelines, reports, manifests.
 
 ``TASKS`` holds one entry per CLI verb: its help line, the schema of its
-configuration document, the cross-field check run after the schema, and its
-pipeline. Every run writes ``report.json`` (and task-specific CSV/TSV
-companions) followed by ``manifest.json`` carrying the configuration echo,
-the implementation version, the derived per-replica seeds and SHA-256
-digests of every written file. Nothing in the outputs depends on wall-clock
-time, so re-running a configuration reproduces the bytes exactly.
+configuration document, the cross-field check run on the document once the
+schema passes, and its pipeline. ``analytic`` and ``transform`` are checked
+by running their pipelines, staging nothing, so that a sweep stops before
+its first run on any run whose closed forms fail. Every run writes
+``report.json`` (and task-specific CSV/TSV companions) followed by
+``manifest.json`` carrying the configuration echo, the implementation
+version, the derived per-replica seeds and SHA-256 digests of every written
+file. Nothing in the outputs depends on wall-clock time, so re-running a
+configuration reproduces the bytes exactly.
 
 Every file is staged first: written, as bytes or as byte chunks, to
 ``<name>.tmp`` and hashed on the way; the first one makes the directory.
@@ -60,11 +63,10 @@ from .config import (
     set_by_path,
     string,
 )
-from .dynamics import KERNELS, run_chain
+from .dynamics import KERNELS, POLICIES, run_chain
 from .ensembles import (
     ModelSpec,
     MoneygasError,
-    model_volume,
     temperature_closed_form,
     thermo_state,
 )
@@ -76,6 +78,8 @@ from .estimation import (
     ks_statistic_exponential,
 )
 from .pareto import (
+    ParetoError,
+    check_temperature,
     pareto_direct_sample,
     pareto_entropy,
     pareto_log_partition,
@@ -234,11 +238,9 @@ def _run_analytic(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
     return {"task": "analytic", "model": raw["model"], "points": points, "max_residual": overall}, []
 
 
-def _transform_relations(spec: ModelSpec, raw: dict, stage: Stage) -> dict:
-    """The cycle, free-expansion and reserve entries of a transform report;
-    path.tsv is staged. ``_check_transform`` runs it too, staging nothing, so
-    that no run of a sweep starts on a block that these closed forms reject."""
-    report: dict = {}
+def _run_transform(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
+    spec = build_model(raw["model"])
+    report: dict = {"task": "transform", "model": raw["model"]}
     if "cycle" in raw:
         cyc = raw["cycle"]
         t_hot, t_cold = float(cyc["t_hot"]), float(cyc["t_cold"])
@@ -263,12 +265,6 @@ def _transform_relations(spec: ModelSpec, raw: dict, stage: Stage) -> dict:
             entry["volume_new"] = volume_new
             entry["identity_residual"] = abs((volume_new - volume) - (volume_new / ratio_new - volume / ratio))
         report["fractional_reserve"] = entry
-    return report
-
-
-def _run_transform(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
-    spec = build_model(raw["model"])
-    report: dict = {"task": "transform", "model": raw["model"], **_transform_relations(spec, raw, stage)}
     if "identity_grid" in raw:
         grid = raw["identity_grid"]
         h = FD_STEP
@@ -302,7 +298,7 @@ def _mean_log_ratio(values: np.ndarray, floor: float) -> float:
 def _run_pareto(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
     spec = build_pareto(raw["pareto"])
     temperature = float(raw["temperature"])
-    exponent = spec.t_max / temperature
+    exponent = check_temperature(spec, temperature)
     seeds = [derive_seed(raw.get("seed", 0), index) for index in (0, 1)]  # direct sampler, chain
     report: dict = {
         "task": "pareto",
@@ -328,6 +324,7 @@ def _run_pareto(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
             "hill_k": k,
             "mean_log_excess": _mean_log_ratio(draws, spec.floor_j),
         }
+        del draws  # nothing below reads them; the chain and its CSV need the memory
     if "dynamics" in raw:
         dyn = raw["dynamics"]
         chain = run_income_chain(
@@ -366,23 +363,25 @@ def _run_pareto(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _check_transform(doc: dict) -> None:
-    model = doc["model"]
-    if ("cycle" in doc or "volumes" in doc.get("identity_grid", {})) and model_volume(model) is None:
-        raise ConfigError(f"a cycle or identity_grid volumes need a model with a volume;"
-                          f" {model.kind.value!r} has none")
-    try:
-        _transform_relations(model, doc, lambda name, data: None)
-    except MoneygasError as exc:
-        raise ConfigError(f"infeasible transform: {exc}") from exc
+def _check_by_running(verb: str, pipeline: Callable[[dict, Stage], tuple[dict, list[int]]]):
+    """The check of a closed-form verb: its own pipeline, staging nothing, and
+    its report's encoding, so that no run of a sweep starts on a document that
+    its closed forms reject."""
+    def check(doc: dict) -> None:
+        try:
+            _json_bytes(pipeline(doc, lambda name, data: None)[0])
+        except MoneygasError as exc:
+            raise ConfigError(f"infeasible {verb}: {exc}") from exc
+    return check
 
 
 def _check_simulate(doc: dict) -> None:
-    model, run = doc["model"], doc["run"]
-    if run["policy"] not in ("equal", "uniform-random"):
-        raise ConfigError(f"policy must be 'equal' or 'uniform-random', got {run['policy']!r}")
+    model, run = build_model(doc["model"]), doc["run"]
+    total = float(run["total"])
+    if run["policy"] not in POLICIES:
+        raise ConfigError(f"policy must be one of {POLICIES}, got {run['policy']!r}")
     try:
-        temperature_closed_form(model, run["total"])
+        temperature_closed_form(model, total)
     except MoneygasError as exc:
         raise ConfigError(f"infeasible run: {exc}") from exc
     # A record holds one value per slot (ModelSpec.n_slots).
@@ -390,7 +389,7 @@ def _check_simulate(doc: dict) -> None:
     # A recorded value is at most |total| + 2·Σd in size (Σd = N·overdraft with
     # one account per agent), and the fit's mean and the histogram's densities
     # sum or scale all of them.
-    if not math.isfinite(values * (abs(run["total"]) + 2 * model.total_overdraft)):
+    if not math.isfinite(values * (abs(total) + 2 * model.total_overdraft)):
         raise ConfigError(f"total {run['total']} is too large: the sums over {values} recorded"
                           f" values leave the floating-point range")
     if not 1 <= doc.get("replicas", 1) <= MAX_REPLICAS:
@@ -398,10 +397,12 @@ def _check_simulate(doc: dict) -> None:
 
 
 def _check_pareto(doc: dict) -> None:
-    spec = doc["pareto"]
+    spec = build_pareto(doc["pareto"])
     for temperature in (doc["temperature"], *doc.get("scan", {}).get("temperatures", ())):
-        if not 0 < temperature < spec.t_max:
-            raise ConfigError(f"temperature must lie in (0, t_max), got {temperature}")
+        try:
+            check_temperature(spec, float(temperature))
+        except ParetoError as exc:
+            raise ConfigError(str(exc)) from exc
     if "dynamics" in doc:
         excess = doc["dynamics"]["mean_log_excess"]
         if not excess > 0:
@@ -442,7 +443,7 @@ class Task:
 
     help: str
     schema: dict  # key -> checker; "key?" is optional, a dict is a nested block
-    check: Callable[[dict], None]  # on the checked, converted fields
+    check: Callable[[dict], None]  # on the document as read, once its schema has passed
     # Stages its companion files through the given Stage and returns (report,
     # replica seeds); None for sweep, which run_experiment runs itself.
     pipeline: Callable[[dict, Stage], tuple[dict, list[int]]] | None
@@ -456,7 +457,7 @@ TASKS: dict[str, Task] = {
     "analytic": Task(
         "closed-form states and identity residuals",
         {**_MODEL, "temperatures": positive_numbers},
-        lambda doc: None,
+        _check_by_running("analytic", _run_analytic),
         _run_analytic,
     ),
     "simulate": Task(
@@ -473,7 +474,7 @@ TASKS: dict[str, Task] = {
          "fractional_reserve?": {"reserve_ratio": number, "volume": number, "n_agents": integer,
                                  "reserve_ratio_new?": number},
          "identity_grid?": {"temperatures": positive_numbers, "volumes?": positive_numbers}},
-        _check_transform,
+        _check_by_running("transform", _run_transform),
         _run_transform,
     ),
     "pareto": Task(
@@ -498,7 +499,8 @@ def validate_config(raw: dict) -> None:
     task = json_object(raw, "configuration").get("task")
     if not isinstance(task, str) or task not in TASKS:
         raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
-    TASKS[task].check(check_document(raw, _COMMON | TASKS[task].schema, "configuration"))
+    check_document(raw, _COMMON | TASKS[task].schema, "configuration")
+    TASKS[task].check(raw)
 
 
 def load_config(path) -> dict:

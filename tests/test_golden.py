@@ -30,6 +30,11 @@ CASES = {
     "multi_asset": {"task": "simulate", "seed": 12, "run": dict(RUN, total=400.0, steps=24_000, burn_in=4_000,
                                                                    thin=40),
                     "model": {"kind": "multi_asset", "n_agents": 40, "asset_classes": 4}},
+    # The two kinds whose records hold both x and y; restricted starts from its capped draw.
+    "combined": {"task": "simulate", "seed": 13, "run": dict(RUN, total=100.0),
+                 "model": {"kind": "combined", "n_agents": 50, "overdraft": 2.0}},
+    "restricted": {"task": "simulate", "seed": 14, "run": dict(RUN, total=-20.0),
+                   "model": {"kind": "restricted", "n_agents": 50, "overdraft": 1.0}},
     "analytic_restricted": {"task": "analytic", "temperatures": [0.5, 1.0, 2.0],
                             "model": {"kind": "restricted", "n_agents": 100, "overdraft": 1.5}},
     # configs/analytic_grid.json: a volume model, so the report carries T_dS_dV_vs_P and dF_dV_vs_P.
@@ -64,6 +69,8 @@ CASES = {
 # analytic_restricted, when the entropy became N·(k·ln T + ln V) + N·k + N·s with each
 # floor's share s taken in one stable expression: state.entropy moved by at most
 # 8.3e-16 relative, toward the exact value, and the residuals at their 1e-11 noise.
+# combined and restricted were added later, pinned on the code before the closed-form
+# verbs were checked by running them.
 GOLDEN = {
     "analytic_credit_market": {
         "report.json": "sha256:2f346e05b3e411d156696bcc8085c3611178d9a549e85c91b7e7a7b0c6ac7c0f",
@@ -78,6 +85,11 @@ GOLDEN = {
         "report.json": "sha256:7b2e3f46606a55e772c6f52eec0321445396b823a4da1f1d7d2bfdae391f0bb9",
         "samples.csv": "sha256:ecfd0e1020868a5c0f7c370da0bcb8b38c0d4aebd7ae68c56a7eedbc81519b15",
         "histogram.tsv": "sha256:6cb91dc6974ca1c2a59df74abf6da4c09891f847ef0ef59dadd0523a203a9390",
+    },
+    "combined": {
+        "report.json": "sha256:150bc7ec2c5b8fd0c0345b8cf746e61f6346a773c3c995ca6c18d5cb65f227cb",
+        "samples.csv": "sha256:a0d6e7827f20e1fca6756af4d6bbba0c32feb477ccffbd74f537c7cd206f459d",
+        "histogram.tsv": "sha256:68798e76eb4f122c2c135c60b128fe867a91e2513cc44e1e1297d43d566f3ca2",
     },
     "credit_market": {
         "report.json": "sha256:d32decccec3f9664a488e2f602f08d83a8356b802926f488f414096374d24fc4",
@@ -103,6 +115,11 @@ GOLDEN = {
         "report.json": "sha256:7936d955971b6f246b2a7cf0ea99ef8965ec37f4f2524f6ee293563dbf1643b7",
         "samples.csv": "sha256:d91e9930923a47271e03a5eb00ba4494922139f450087b35a53cffa73fc6e860",
         "scan.tsv": "sha256:4492fd1d49e66f46dfe16397f45eeb4ec82d098f6017a56ca43b15dcddcea5f4",
+    },
+    "restricted": {
+        "report.json": "sha256:da5bb786d901ace09619e91b5bd05fc08a98ac7dc0cd94e7ae5a349563800c1d",
+        "samples.csv": "sha256:01d628d116c877ff6071448fc578f25f41df03c21fbe84c59b03b4b17fcaf383",
+        "histogram.tsv": "sha256:2326cd96760980c2fdf463b6995d4a646f9f0e399870ddad5af2722612e04bd4",
     },
     "transform": {
         "report.json": "sha256:19c7072f7efa3332c7af24c16c40f435943bab50be070045351069ac5d345ef4",

@@ -993,6 +993,24 @@ class TestCli:
         assert main(["check", "-r", str(report), "-e", str(expect)]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
 
+    @pytest.mark.parametrize("index, accepted", [("1", True), ("-1", False), (" 1", False)])
+    def test_only_decimal_digits_index_a_list(self, tmp_path, capsys, index, accepted):
+        # check used to read "-1" and " 1" through int(), which a sweep path rejected.
+        sweep = {"task": "sweep", "base": {"task": "analytic", "model": MODEL, "temperatures": [1.0, 2.0]},
+                 "grid": {f"temperatures.{index}": [3.0]}}
+        if accepted:
+            validate_config(sweep)
+        else:
+            with pytest.raises(ConfigError, match="sweep path"):
+                validate_config(sweep)
+        report = write_config(tmp_path, {"replicas": [{"max_drift": 0.0}, {"max_drift": 0.0}]}, "report.json")
+        expect = write_config(tmp_path, {"expectations": [
+            {"name": f"replicas.{index}.max_drift", "value": 0.0, "tolerance": 0.0, "absolute": True}]},
+            "expect.json")
+        assert main(["check", "-r", str(report), "-e", str(expect)]) == (0 if accepted else 2)
+        err = capsys.readouterr().err
+        assert err == "" if accepted else err.startswith("configuration error: ")
+
     def test_sweep_checks_every_run_before_the_first(self, tmp_path, capsys):
         document = {"task": "sweep", "base": simulate_config(write_samples=False),
                     "grid": {"run.thin": [10, 2.5]}}
@@ -1006,9 +1024,20 @@ class TestCli:
          "grid": {"run.total": [100.0, -100.0]}},
         {"task": "sweep", "base": {"task": "transform", "model": MODEL, "cycle": CYCLE},
          "grid": {"cycle.t_cold": [2.0, 5.0]}},
-    ], ids=["negative_total", "cold_above_hot"])
+        # The finite differences at a subnormal temperature give a non-finite residual.
+        {"task": "sweep", "base": {"task": "analytic", "model": MODEL, "temperatures": [1.0]},
+         "grid": {"temperatures": [[1.0], [1e-310]]}},
+        {"task": "sweep", "base": {"task": "transform", "model": CREDIT_MARKET,
+                                   "identity_grid": {"temperatures": [1.0]}},
+         "grid": {"identity_grid.temperatures": [[1.0], [1e-310]]}},
+        # Money V·(1/r - 1) past the float range: the closed form runs, but the report has no JSON form.
+        {"task": "sweep", "base": {"task": "transform", "model": MODEL,
+                                   "fractional_reserve": {"reserve_ratio": 0.2, "volume": 100.0, "n_agents": 50}},
+         "grid": {"fractional_reserve.reserve_ratio": [0.2, 1e-320]}},
+    ], ids=["negative_total", "cold_above_hot", "analytic_residual_overflow", "transform_grid_residual_overflow",
+            "transform_reserve_past_float_range"])
     def test_sweep_with_an_infeasible_run_writes_no_run(self, tmp_path, capsys, document):
-        # Each used to write run_000/, and an empty run_001/, before exiting 2.
+        # Each used to write run_000/ before exiting 2; the first two an empty run_001/ too.
         out = tmp_path / "sweep"
         assert main(["sweep", "-c", str(write_config(tmp_path, document)), "-o", str(out)]) == 2
         err = capsys.readouterr().err
