@@ -448,13 +448,15 @@ class ChainMeta:
     max_drift: float
 
 
-def samples_csv(record_steps, coords: dict[str, np.ndarray], header: bool = True) -> bytes:
+def samples_csv(record_steps, coords: dict[str, np.ndarray], header: bool = True,
+                buffer: bytearray | None = None) -> bytes | memoryview:
     """Long-format CSV ``step,agent,coord_name,value``: records, then names, then agents.
 
     ``coords`` maps each coordinate name to an (n_records, N) array, N per
     name. Values are Python float literals (``repr``), so ``float(value)``
     restores every recorded double exactly. ``header`` False leaves out the
-    header line, so the CSV of consecutive record ranges concatenates.
+    header line, so the CSV of consecutive record ranges concatenates. With
+    ``buffer`` (a bytearray, grown if too small) the result is a memoryview of it.
 
     The literals come from one ``orjson.dumps`` of all the values, which writes
     repr's shortest round-trip digits (Ryu) about ten times faster. The two
@@ -486,18 +488,21 @@ def samples_csv(record_steps, coords: dict[str, np.ndarray], header: bool = True
     prefix_bytes = sum(w * (len(b"%d" % w) + len(name) + 4) for w, name in zip(widths.tolist(), encoded))
     capacity = (sum(len(b"%d" % step) for step in steps.tolist()) * int(widths.sum())
                 + steps.size * prefix_bytes + literals.size + int(alt_ends[-1]))
-    out = np.empty(len(head) + capacity, np.uint8)
+    size = len(head) + capacity
+    if buffer is not None:
+        buffer.extend(bytes(max(0, size - len(buffer))))  # grown only when too small
+    out = np.empty(size, np.uint8) if buffer is None else np.frombuffer(buffer, np.uint8, size)
     out[:len(head)] = np.frombuffer(head, np.uint8)
     used = _native().moneygas_csv_rows(
         out.ctypes.data + len(head), capacity, _address(steps, np.int64, steps.size), steps.size, b"".join(encoded),
         _address(name_ends, np.intp, len(names) + 1), _address(widths, np.intp, len(names)), len(names),
         _address(literals, np.uint8, literals.size), literals.size,
         b"".join(alt), _address(alt_ends, np.intp, len(alt) + 1), _address(by_repr, np.intp, len(alt)), len(alt))
-    # Freed before the copy below, which then reuses their pages: a third fewer page faults per block.
+    # Freed before the copy made when no buffer is given, which then reuses their pages.
     del literals, magnitude
     if used < 0:
         raise DynamicsError(f"samples.csv rows overran {capacity} bytes or {values.size} literals")
-    return out[:len(head) + used].tobytes()
+    return out[:len(head) + used].tobytes() if buffer is None else memoryview(buffer)[:len(head) + used]
 
 
 @dataclass
@@ -517,18 +522,24 @@ class SampleSet:
         flat = [self.coords[k].ravel() for k in (self.coords if names is None else names)]
         return flat[0] if len(flat) == 1 else np.concatenate(flat)
 
-    def csv_bytes(self, start: int = 0, stop: int | None = None) -> bytes:
+    def csv_bytes(self, start: int = 0, stop: int | None = None,
+                  buffer: bytearray | None = None) -> bytes | memoryview:
         """``samples_csv`` of records start..stop; the header only when start is 0."""
         return samples_csv(self.record_steps[start:stop].tolist(),
                            {name: v[start:stop] for name, v in self.coords.items()},
-                           header=start == 0)
+                           header=start == 0, buffer=buffer)
 
-    def csv_chunks(self) -> Iterator[bytes]:
+    def csv_chunks(self) -> Iterator[memoryview]:
         """``csv_bytes`` over consecutive record ranges of about CSV_BLOCK_VALUES
-        values, in file order; the chunks concatenate to ``csv_bytes()``."""
+        values, in file order; written out one at a time, the chunks concatenate
+        to ``csv_bytes()``. Each is a view of one row buffer, released before the next."""
         block = max(1, CSV_BLOCK_VALUES // sum(v.shape[1] for v in self.coords.values()))
+        rows = bytearray()
         for start in range(0, max(self.n_records, 1), block):  # no records: the header alone
-            yield self.csv_bytes(start, start + block)
+            with self.csv_bytes(start, start + block, rows) as chunk:
+                yield chunk
+            rows.append(0)  # resizing raises a BufferError while a view taken from the chunk remains
+            rows.pop()
 
 
 def recording_window(n_agents: int, steps: int, burn_in: int | None, thin: int | None) -> tuple[int, int, int]:

@@ -135,10 +135,13 @@ def hill_tail_index(samples, k: int | None = None) -> float:
         k = hill_default_k(n)
     if not 1 <= k < n:
         raise EstimationError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    # The (k+1)-th largest at its sorted index and the k above it, sorted: the values a full sort gives.
-    data = np.partition(data, n - k - 1)
-    reference = data[n - k - 1]
-    top = np.sort(data[n - k :])
+    # The k + 1 largest, kept a KS_BLOCK at a time, sorted: the (k+1)-th largest and the k above it.
+    kept = data[:0]
+    for start in range(0, n, KS_BLOCK):
+        kept = np.concatenate([kept, data[start:start + KS_BLOCK]])
+        kept = np.partition(kept, kept.size - k - 1)[kept.size - k - 1:] if kept.size > k + 1 else kept
+    kept = np.sort(kept)
+    reference, top = kept[0], kept[1:]
     if reference <= 0:
         raise EstimationError("top order statistics must be strictly positive")
     mean_log_excess = float(np.mean(np.log(top / reference)))

@@ -18,9 +18,10 @@ is removed and each file renamed into place, the manifest last. A failure
 removes the ``.tmp`` files and the directory levels the run made, and an
 OSError exits as a MoneygasError naming the file. A run killed part-way can
 leave ``.tmp`` files, or new files with no manifest, but no manifest of
-other files. ``simulate`` stages ``samples.csv`` a block of records at a time
-right after replica 0's chain, then sorts each pool in place, so its peak
-memory is the records plus one CSV block (or the KS check's blocks, if larger).
+other files. ``samples.csv`` is staged as views of one row buffer, a block of
+records each. ``simulate`` stages it right after replica 0's chain, then sorts
+each pool in place, and ``pareto`` after its Hill estimate, then takes theta in
+place, so the peak is the records plus one CSV block (or the KS check's blocks).
 
 The replicas of ``simulate`` run on two cores through one forked worker
 process (``worker``): the worker runs the odd replicas and sends back their
@@ -104,7 +105,7 @@ from .worker import interleaved
 _MASK64 = (1 << 64) - 1
 
 # A companion file: its bytes, or byte chunks to be written in order.
-FileData = bytes | Iterable[bytes]
+FileData = bytes | bytearray | memoryview | Iterable[bytes | bytearray | memoryview]
 # Stages one output file of a run, by name, to be put in place with the rest.
 Stage = Callable[[str, FileData], None]
 
@@ -290,9 +291,8 @@ def _run_transform(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
 
 
 def _mean_log_ratio(values: np.ndarray, floor: float) -> float:
-    """mean(log(values / floor)) through one temporary, the log taken in place."""
-    ratios = np.divide(values, floor)
-    return float(np.mean(np.log(ratios, out=ratios)))
+    """mean(log(values / floor)), taken in place: ``values`` holds the logs afterwards."""
+    return float(np.mean(np.log(np.divide(values, floor, out=values), out=values)))
 
 
 def _run_pareto(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
@@ -322,7 +322,7 @@ def _run_pareto(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
             "seed": seeds[0],
             "hill": hill_tail_index(draws, k),
             "hill_k": k,
-            "mean_log_excess": _mean_log_ratio(draws, spec.floor_j),
+            "mean_log_excess": _mean_log_ratio(draws, spec.floor_j),  # in place, after the Hill estimate
         }
         del draws  # nothing below reads them; the chain and its CSV need the memory
     if "dynamics" in raw:
@@ -336,15 +336,16 @@ def _run_pareto(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
             seed=seeds[1],
         )
         pooled = chain.pooled()
-        theta = _mean_log_ratio(pooled, spec.floor_j)
+        hill = hill_tail_index(pooled)
+        if raw.get("write_samples", True):
+            stage("samples.csv", chain.csv_chunks())
+        theta = _mean_log_ratio(pooled, spec.floor_j)  # in place: nothing reads the records after this
         report["dynamics"] = {
             "theta": theta,
-            "hill": hill_tail_index(pooled),
+            "hill": hill,
             "y_drift": chain.meta.max_drift,
             "matched_temperature": temperature_from_log_excess(spec, theta),
         }
-        if raw.get("write_samples", True):
-            stage("samples.csv", chain.csv_chunks())
     if "scan" in raw:
         rows = transition_scan(spec, [float(t) for t in raw["scan"]["temperatures"]])
         stage("scan.tsv", _tsv(("temperature", "entropy", "t_dS_dT"), rows))
@@ -529,7 +530,7 @@ def _write(path: Path, data: FileData) -> str:
     """Write bytes or byte chunks to ``path``, hashing them on the way; returns
     the SHA-256 digest. A failure removes ``path``."""
     digest = hashlib.sha256()
-    chunks = iter([data] if isinstance(data, bytes) else data)
+    chunks = iter([data] if isinstance(data, (bytes, bytearray, memoryview)) else data)
     try:
         with open(path, "wb") as handle:
             for chunk in chunks:

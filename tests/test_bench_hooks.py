@@ -61,6 +61,9 @@ def test_traced_runs_record_every_span_and_keep_the_writers_apart(tmp_path, monk
         assert main([verb, "-c", str(config), "-o", str(tmp_path / verb)]) == 0
     spans = tracer.spans
     assert {span["name"] for span in spans} == set(wrapped)
+    for verb, name in (("simulate", "dynamics.samples_csv"), ("pareto", "pareto.samples_csv")):
+        counted = sum(span["bytes"] for span in spans if span["name"] == name)  # len() of each chunk
+        assert counted == (tmp_path / verb / "samples.csv").stat().st_size
     for span in spans:
         assert span["end"] >= span["start"]
         parent = span["parent"]

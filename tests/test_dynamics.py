@@ -15,9 +15,11 @@ from moneygas import dynamics
 from moneygas.cli import main
 from moneygas.dynamics import (
     KERNELS,
+    ChainMeta,
     ConservationError,
     DynamicsError,
     PairEpoch,
+    SampleSet,
     advance,
     init_population,
     recorded_coordinates,
@@ -632,6 +634,37 @@ class TestSamplesCsv:
                                  (len(expected) + 40, literals + b",4.0")]:
             used, out = csv_rows(capacity, stream)
             assert used == -1 and out[capacity:].tobytes() == GUARD
+
+    @pytest.mark.parametrize("spec,total", [
+        pytest.param(ModelSpec.cash_only(50, 1.0), 100.0, id="one-coordinate"),
+        pytest.param(ModelSpec.multi_asset(10, 3), 60.0, id="multi_asset"),
+    ])
+    def test_chunks_written_one_at_a_time_are_the_whole_file(self, spec, total, monkeypatch):
+        samples = run_chain(spec, "equal", total, 20_000, 2_000, 500, seed=4)
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 200)
+        chunks = [bytes(chunk) for chunk in samples.csv_chunks()]  # each copied before the next is taken
+        assert len(chunks) > 2 and b"".join(chunks) == samples.csv_bytes()
+
+    def test_a_later_block_that_needs_more_room_grows_the_buffer(self, monkeypatch):
+        # Each record's steps and literals are longer than the last one's, so each block needs more room.
+        values = np.array([[1.0] * 3, [0.123456789] * 3, [-1.2345678901234567e-300] * 3])
+        samples = SampleSet({"x": values}, np.array([1, 10**9, 10**18]), ChainMeta(0, 1, 3, 0, 0.0))
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 3)  # one record per block
+        chunks = [bytes(chunk) for chunk in samples.csv_chunks()]
+        assert len(chunks[0]) < len(chunks[1]) < len(chunks[2])
+        assert b"".join(chunks) == samples.csv_bytes() == reference_csv([1, 10**9, 10**18], {"x": values})
+
+    def test_a_kept_chunk_raises_instead_of_reading_the_next_block(self, monkeypatch):
+        samples = run_chain(ModelSpec.cash_only(50, 1.0), "equal", 100.0, 20_000, 2_000, 500, seed=4)
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 200)
+        with pytest.raises(TypeError, match="memoryview"):  # each chunk was released before join read it
+            b"".join(samples.csv_chunks())
+        chunks = samples.csv_chunks()
+        held = np.frombuffer(next(chunks), np.uint8)  # a view of the rows that outlives the chunk
+        with pytest.raises(BufferError):
+            next(chunks)
+        assert held.tobytes() == samples.csv_bytes(0, 4)  # the next block was not written over it
+        assert type(samples.csv_bytes()) is bytes and type(samples.csv_bytes(3, 9)) is bytes
 
     def test_short_literal_stream_raises(self, monkeypatch):
         import orjson

@@ -102,6 +102,13 @@ class TestKolmogorovSmirnov:
         assert data.tobytes() == kept.tobytes()  # the sorted values are read, not overwritten
 
 
+def full_partition_hill(samples, k):
+    """The Hill estimate through one np.partition of every value: the reference for the blocked one."""
+    data = np.partition(np.asarray(samples, dtype=float).ravel(), samples.size - k - 1)
+    reference, top = data[samples.size - k - 1], np.sort(data[samples.size - k:])
+    return 1.0 / float(np.mean(np.log(top / reference)))
+
+
 class TestHillEstimator:
     @staticmethod
     def exact_pareto(n, gamma, seed):
@@ -123,6 +130,18 @@ class TestHillEstimator:
         for seed in range(5):
             samples = self.exact_pareto(n, 2.0, seed=9000 + seed)
             assert hill_tail_index(samples, k) == pytest.approx(2.0, rel=0.05)
+
+    @pytest.mark.parametrize("which_k", ["1", "default", "n - 1"])
+    def test_blocked_estimate_is_bit_identical_to_the_full_partition(self, which_k):
+        """The k + 1 largest kept a KS_BLOCK at a time give the full partition's result,
+        over four blocks with ties. A k close to n keeps almost every value, and each block
+        then partitions them all again, so it costs more time; no pipeline asks for that."""
+        n = 3 * KS_BLOCK + 7
+        samples = np.round(self.exact_pareto(n, 1.7, seed=11), 1)  # ties in the body and in the tail
+        k = {"1": 1, "default": hill_default_k(n), "n - 1": n - 1}[which_k]
+        kept = samples.copy()
+        assert hill_tail_index(samples, k) == full_partition_hill(samples, k)
+        assert samples.tobytes() == kept.tobytes()
 
     def test_errors(self):
         with pytest.raises(EstimationError):

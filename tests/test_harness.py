@@ -349,9 +349,9 @@ class TestStreamedOutputs:
         forks = count_forks(monkeypatch)
         calls = []
         for cls in (SampleSet, IncomeSampleSet):
-            def counted(self, start=0, stop=None, inner=cls.csv_bytes):
+            def counted(self, start=0, stop=None, buffer=None, inner=cls.csv_bytes):
                 calls.append((os.getpid(), start, stop))
-                return inner(self, start, stop)
+                return inner(self, start, stop, buffer)
             monkeypatch.setattr(cls, "csv_bytes", counted)
         monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", BLOCK_VALUES)
         document, block = STREAMED[task]
@@ -382,10 +382,10 @@ class TestStreamedOutputs:
 
     @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
     def test_a_failing_block_leaves_no_tmp_file_and_no_manifest(self, tmp_path, monkeypatch, error):
-        def failing(self, start=0, stop=None, inner=SampleSet.csv_bytes):
+        def failing(self, start=0, stop=None, buffer=None, inner=SampleSet.csv_bytes):
             if start > 0:  # the second block
                 raise error("formatting failed here")
-            return inner(self, start, stop)
+            return inner(self, start, stop, buffer)
 
         monkeypatch.setattr(SampleSet, "csv_bytes", failing)
         monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", BLOCK_VALUES)
@@ -411,6 +411,21 @@ class TestStreamedOutputs:
             run_experiment(load_config(write_config(tmp_path, simulate_config())), out)
         assert sorted(p.name for p in out.iterdir()) == ["samples.csv"]
         assert (out / "samples.csv").read_bytes() == b"an earlier run"
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_a_bytes_like_file_is_written_as_one_chunk(self, tmp_path, monkeypatch, kind):
+        text = b"step,agent,coord_name,value\n0,0,x,1.5\n"
+
+        def pipeline(config, stage):
+            stage("samples.csv", kind(text))
+            return {"task": "simulate"}, []
+
+        monkeypatch.setitem(runner.TASKS, "simulate",
+                            dataclasses.replace(runner.TASKS["simulate"], pipeline=pipeline))
+        out = tmp_path / "out"
+        manifest = runner._run_in(simulate_config(), out)
+        assert (out / "samples.csv").read_bytes() == text
+        assert manifest["files"]["samples.csv"] == "sha256:" + hashlib.sha256(text).hexdigest()
 
     def test_a_failure_after_samples_csv_was_staged_leaves_no_directory(self, tmp_path, monkeypatch, capsys):
         staged = []
