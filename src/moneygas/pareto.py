@@ -102,16 +102,6 @@ def pareto_mean_logincome_sampling(spec: ParetoSpec, temperature: float) -> floa
     return math.log(spec.floor_j) + temperature / (spec.t_max - temperature)
 
 
-def temperature_from_log_excess(spec: ParetoSpec, mean_log_excess: float) -> float:
-    """T with canonical <ln(I/J)> equal to the given value theta.
-
-    Inverts theta = T/(t_max - T): T = t_max * theta / (1 + theta).
-    """
-    if not mean_log_excess > 0:
-        raise ParetoError(f"mean log excess must be positive, got {mean_log_excess}")
-    return spec.t_max * mean_log_excess / (1.0 + mean_log_excess)
-
-
 def pareto_direct_sample(
     spec: ParetoSpec, temperature: float, n_samples: int, seed: int = 0
 ) -> np.ndarray:

@@ -20,8 +20,8 @@ OSError exits as a MoneygasError naming the file. A run killed part-way can
 leave ``.tmp`` files, or new files with no manifest, but no manifest of
 other files. ``samples.csv`` is staged as views of one row buffer, a block of
 records each. ``simulate`` stages it right after replica 0's chain, then sorts
-each pool in place, and ``pareto`` after its Hill estimate, then takes theta in
-place, so the peak is the records plus one CSV block (or the KS check's blocks).
+each pool in place, so the peak is the records plus one CSV block (or the KS
+check's blocks); ``pareto`` reads its records only for Hill and the CSV.
 
 The replicas of ``simulate`` run on two cores through one forked worker
 process (``worker``): the worker runs the odd replicas and sends back their
@@ -87,7 +87,6 @@ from .pareto import (
     pareto_mean_logincome,
     pareto_mean_logincome_sampling,
     run_income_chain,
-    temperature_from_log_excess,
     transition_scan,
 )
 from .transform import (
@@ -255,6 +254,8 @@ def _run_transform(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
             report["free_expansion_cycle"] = asdict(spoiled)
             report["policy_bound"] = {**asdict(verdict),
                                       "eta_below_carnot": spoiled.eta < spoiled.carnot_eta}
+    elif "free_expansion_factor" in raw:
+        raise MoneygasError("free_expansion_factor needs a cycle")
     if "fractional_reserve" in raw:
         fr = raw["fractional_reserve"]
         ratio, volume = float(fr["reserve_ratio"]), float(fr["volume"])
@@ -290,11 +291,6 @@ def _run_transform(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
     return report, []
 
 
-def _mean_log_ratio(values: np.ndarray, floor: float) -> float:
-    """mean(log(values / floor)), taken in place: ``values`` holds the logs afterwards."""
-    return float(np.mean(np.log(np.divide(values, floor, out=values), out=values)))
-
-
 def _run_pareto(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
     spec = build_pareto(raw["pareto"])
     temperature = float(raw["temperature"])
@@ -322,7 +318,8 @@ def _run_pareto(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
             "seed": seeds[0],
             "hill": hill_tail_index(draws, k),
             "hill_k": k,
-            "mean_log_excess": _mean_log_ratio(draws, spec.floor_j),  # in place, after the Hill estimate
+            # ln(I/J) taken in place, after the Hill estimate
+            "mean_log_excess": float(np.mean(np.log(np.divide(draws, spec.floor_j, out=draws), out=draws))),
         }
         del draws  # nothing below reads them; the chain and its CSV need the memory
     if "dynamics" in raw:
@@ -335,16 +332,13 @@ def _run_pareto(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
             dyn.get("thin"),
             seed=seeds[1],
         )
-        pooled = chain.pooled()
-        hill = hill_tail_index(pooled)
+        hill = hill_tail_index(chain.pooled())
         if raw.get("write_samples", True):
             stage("samples.csv", chain.csv_chunks())
-        theta = _mean_log_ratio(pooled, spec.floor_j)  # in place: nothing reads the records after this
         report["dynamics"] = {
-            "theta": theta,
+            "theta": float(dyn["mean_log_excess"]),  # the conserved input, which y_drift audits
             "hill": hill,
             "y_drift": chain.meta.max_drift,
-            "matched_temperature": temperature_from_log_excess(spec, theta),
         }
     if "scan" in raw:
         rows = transition_scan(spec, [float(t) for t in raw["scan"]["temperatures"]])
@@ -420,7 +414,7 @@ def _sweep_documents(raw: dict):
     combination of grid values (paths in sorted order) and one seed."""
     base, paths = raw["base"], sorted(raw["grid"])
     for values in itertools.product(*(raw["grid"][path] for path in paths)):
-        for seed in raw.get("seeds") or [base.get("seed", raw.get("seed", 0))]:
+        for seed in raw.get("seeds", [base.get("seed", raw.get("seed", 0))]):
             document = copy.deepcopy(base)
             for path, value in zip(paths, values):  # copied: a deeper path may write into it
                 set_by_path(document, path, copy.deepcopy(value))
@@ -432,6 +426,8 @@ def _check_sweep(doc: dict) -> None:
     """Every run document is checked before the first run."""
     if not doc["grid"] or not all(isinstance(v, list) and v for v in doc["grid"].values()):
         raise ConfigError("sweep grid must map dotted paths to non-empty value lists")
+    if doc.get("seeds") == []:
+        raise ConfigError("sweep seeds must be a non-empty list when given")
     for document in _sweep_documents(doc):
         if document.get("task") == "sweep":
             raise ConfigError("sweep runs must be non-sweep configurations")

@@ -70,7 +70,8 @@ CASES = {
 # floor's share s taken in one stable expression: state.entropy moved by at most
 # 8.3e-16 relative, toward the exact value, and the residuals at their 1e-11 noise.
 # combined and restricted were added later, pinned on the code before the closed-form
-# verbs were checked by running them.
+# verbs were checked by running them. pareto's report.json, when dynamics.theta became
+# the input mean_log_excess (0.5, not 0.49999999999999983) and matched_temperature went.
 GOLDEN = {
     "analytic_credit_market": {
         "report.json": "sha256:2f346e05b3e411d156696bcc8085c3611178d9a549e85c91b7e7a7b0c6ac7c0f",
@@ -112,7 +113,7 @@ GOLDEN = {
         "histogram.tsv": "sha256:3e36dd0d6fde94f883eda5595c0b816f5ae905512e483579260ed689cc6da9c0",
     },
     "pareto": {
-        "report.json": "sha256:7936d955971b6f246b2a7cf0ea99ef8965ec37f4f2524f6ee293563dbf1643b7",
+        "report.json": "sha256:6db6ac48ee98a044f4d89d84198dee11806380f45575aac2195473a93f867215",
         "samples.csv": "sha256:d91e9930923a47271e03a5eb00ba4494922139f450087b35a53cffa73fc6e860",
         "scan.tsv": "sha256:4492fd1d49e66f46dfe16397f45eeb4ec82d098f6017a56ca43b15dcddcea5f4",
     },

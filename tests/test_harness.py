@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -920,6 +921,31 @@ class TestCli:
         assert report["scan"]["strictly_increasing"]
         assert (out / "scan.tsv").exists()
 
+    def test_pareto_theta_is_the_input_that_samples_csv_averages(self, tmp_path):
+        # The benchmark's samples_csv_mean check of a pareto run; theta used to be
+        # taken again from the records and read 0.4999... for 0.5.
+        document = dict(PARETO, seed=5, dynamics=DYNAMICS)
+        out = tmp_path / "par"
+        assert main(["pareto", "-c", str(write_config(tmp_path, document)), "-o", str(out)]) == 0
+        dyn = json.loads((out / "report.json").read_text())["dynamics"]
+        assert dyn["theta"] == DYNAMICS["mean_log_excess"]
+        assert "matched_temperature" not in dyn
+        rows = (out / "samples.csv").read_text().splitlines()[1:]
+        floor = PARETO["pareto"]["floor_j"]
+        logs = [math.log(float(row.split(",")[3]) / floor) for row in rows]
+        assert len(logs) == 30 * PARETO["pareto"]["n_agents"]
+        assert math.fsum(logs) / len(logs) == pytest.approx(dyn["theta"], rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("factor", [1.5, 0.5])
+    def test_free_expansion_without_a_cycle_exits_2_before_writing(self, tmp_path, capsys, factor):
+        # It used to exit 0 with no free_expansion_cycle in the report, whatever the factor.
+        document = {"task": "transform", "model": MODEL, "free_expansion_factor": factor}
+        out = tmp_path / "tra"
+        assert main(["transform", "-c", str(write_config(tmp_path, document)), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == ("configuration error: infeasible transform: "
+                                           "free_expansion_factor needs a cycle\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", sorted(UNRUNNABLE_SIMULATE))
     def test_unrunnable_simulate_exits_2(self, tmp_path, case):
         config_path = write_config(tmp_path, simulate_config(**UNRUNNABLE_SIMULATE[case]))
@@ -1026,6 +1052,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "" if accepted else err.startswith("configuration error: ")
 
+    def test_sweep_with_no_seeds_exits_2(self, tmp_path, capsys):
+        # An empty list used to run every combination at the base's seed.
+        document = {"task": "sweep", "seeds": [], "grid": {"temperatures": [[1.0], [2.0]]},
+                    "base": {"task": "analytic", "seed": 3, "model": MODEL, "temperatures": [1.0]}}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "-c", str(write_config(tmp_path, document)), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sweep seeds") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_sweep_checks_every_run_before_the_first(self, tmp_path, capsys):
         document = {"task": "sweep", "base": simulate_config(write_samples=False),
                     "grid": {"run.thin": [10, 2.5]}}
@@ -1049,8 +1085,11 @@ class TestCli:
         {"task": "sweep", "base": {"task": "transform", "model": MODEL,
                                    "fractional_reserve": {"reserve_ratio": 0.2, "volume": 100.0, "n_agents": 50}},
          "grid": {"fractional_reserve.reserve_ratio": [0.2, 1e-320]}},
+        # It used to run both, ignoring the factor.
+        {"task": "sweep", "base": {"task": "transform", "model": MODEL, "free_expansion_factor": 1.5},
+         "grid": {"free_expansion_factor": [1.5, 2.0]}},
     ], ids=["negative_total", "cold_above_hot", "analytic_residual_overflow", "transform_grid_residual_overflow",
-            "transform_reserve_past_float_range"])
+            "transform_reserve_past_float_range", "free_expansion_without_cycle"])
     def test_sweep_with_an_infeasible_run_writes_no_run(self, tmp_path, capsys, document):
         # Each used to write run_000/ before exiting 2; the first two an empty run_001/ too.
         out = tmp_path / "sweep"

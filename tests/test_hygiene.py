@@ -2,7 +2,9 @@
 
 Every dict literal in the package and the tests has distinct constant keys
 (a repeated key silently drops the first value), and every imported name is
-used, or is listed in its module's ``__all__``.
+used, or is listed in its module's ``__all__``. Every public function, class
+and method of the package is read somewhere in the package or the benchmark,
+so that a name with no caller is deleted rather than kept.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "moneygas").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "moneygas").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def duplicate_keys(tree: ast.AST) -> list[str]:
@@ -42,6 +45,43 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """'name' or 'Class.method' -> line for each public module-level function or
+    class and each public method. ModelSpec's classmethods are left out: the
+    README quick tour documents them as its constructors."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found[node.name] = node.lineno
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
+                continue
+            decorators = {getattr(d, "id", None) for d in item.decorator_list}
+            if not (node.name == "ModelSpec" and "classmethod" in decorators):
+                found[f"{node.name}.{item.name}"] = item.lineno
+    return found
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Every name the module reads as an ast Name or Attribute, or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.split(".")[-1] for alias in node.names}
+    return names
+
+
+def uncalled(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """'module:line: name' for each public definition in ``modules`` that no reader references."""
+    read = set().union(*map(references, readers))
+    return [f"{module}:{line}: {name}" for module, tree in modules.items()
+            for name, line in public_definitions(tree).items() if name.split(".")[-1] not in read]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_duplicate_keys_or_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -53,3 +93,17 @@ def test_the_scan_finds_a_planted_defect():
     tree = ast.parse("import os\nimport json\nTABLE = {'a': 1, 'b': 2, 'a': 3}\njson.dumps(TABLE)\n")
     assert duplicate_keys(tree) == ["line 3: 'a'"]
     assert unused_imports(tree) == ["line 1: os"]
+
+
+def test_every_public_name_has_a_caller():
+    # __init__ only re-exports the quick tour's names, so its imports are no callers.
+    package = {path.name: ast.parse(path.read_text()) for path in PACKAGE if path.name != "__init__.py"}
+    bench = [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))]
+    assert uncalled(package, [*package.values(), *bench]) == []
+
+
+def test_the_caller_scan_finds_a_planted_defect():
+    module = ast.parse("def used():\n    pass\n\n\ndef unused():\n    used()\n\n\n"
+                       "class Box:\n    def open(self):\n        pass\n\n    def shut(self):\n        pass\n")
+    reader = ast.parse('from m import Box\nBox().open()\n"""shut"""\n')
+    assert uncalled({"m.py": module}, [module, reader]) == ["m.py:5: unused", "m.py:13: Box.shut"]

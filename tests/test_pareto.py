@@ -19,7 +19,6 @@ from moneygas.pareto import (
     pareto_mean_logincome_sampling,
     pareto_quantile,
     run_income_chain,
-    temperature_from_log_excess,
     transition_scan,
 )
 
@@ -195,9 +194,8 @@ class TestIncomeDynamics:
         pooled = chain.pooled()
         measured_theta = float(np.mean(np.log(pooled / spec.floor_j)))
         assert measured_theta == pytest.approx(theta, rel=0.02)
-        # canonical temperature with the same mean log excess
-        t_matched = temperature_from_log_excess(spec, measured_theta)
-        canonical_index = spec.t_max / t_matched - 1.0
+        # the canonical index at the same mean log excess, t_max/T_matched - 1 = 1/theta
+        canonical_index = 1.0 / measured_theta
         assert hill_tail_index(pooled) == pytest.approx(canonical_index, rel=0.05)
         assert canonical_index == pytest.approx(1.0 / theta, rel=0.03)
 
@@ -258,9 +256,3 @@ class TestValidation:
             ParetoSpec(1, 1.0, 0.0)
         with pytest.raises(ParetoError):
             ParetoSpec(1, 1.0, 2.0, 0.0)
-
-    def test_matched_temperature_inverts_theta(self):
-        spec = ParetoSpec(1, 1.0, 3.0)
-        for t in (0.5, 1.0, 2.0, 2.9):
-            theta = t / (spec.t_max - t)
-            assert temperature_from_log_excess(spec, theta) == pytest.approx(t, rel=1e-12)
