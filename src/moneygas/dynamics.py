@@ -84,8 +84,10 @@ AUDIT_INTERVAL = 100_000
 CONSERVATION_RTOL = 1e-9
 POLICIES = ("equal", "uniform-random")  # the starting configurations of init_population
 _CAPPED_PROPOSALS = 1000  # restricted's "uniform-random" start gives up after this many
-# Recorded values formatted per samples.csv chunk (about 1 MB of CSV).
-CSV_BLOCK_VALUES = 1 << 15
+# Values per block (64 KiB of doubles) of every streamed pass over the records: a
+# samples.csv chunk here, and the sort check, the KS check and Hill's selection in
+# ``estimation``, which imports it.
+STREAM_BLOCK = 8192
 
 
 class DynamicsError(MoneygasError):
@@ -489,8 +491,11 @@ def samples_csv(record_steps, coords: dict[str, np.ndarray], header: bool = True
     capacity = (sum(len(b"%d" % step) for step in steps.tolist()) * int(widths.sum())
                 + steps.size * prefix_bytes + literals.size + int(alt_ends[-1]))
     size = len(head) + capacity
-    if buffer is not None:
-        buffer.extend(bytes(max(0, size - len(buffer))))  # grown only when too small
+    if buffer is not None and len(buffer) < size:
+        # Grown only when too small, with no temporary of the growth: every old row is
+        # written over, so the buffer is cut to one byte and that byte repeated in place.
+        buffer[:] = b"\0"
+        buffer *= size
     out = np.empty(size, np.uint8) if buffer is None else np.frombuffer(buffer, np.uint8, size)
     out[:len(head)] = np.frombuffer(head, np.uint8)
     used = _native().moneygas_csv_rows(
@@ -530,10 +535,10 @@ class SampleSet:
                            header=start == 0, buffer=buffer)
 
     def csv_chunks(self) -> Iterator[memoryview]:
-        """``csv_bytes`` over consecutive record ranges of about CSV_BLOCK_VALUES
+        """``csv_bytes`` over consecutive record ranges of about STREAM_BLOCK
         values, in file order; written out one at a time, the chunks concatenate
         to ``csv_bytes()``. Each is a view of one row buffer, released before the next."""
-        block = max(1, CSV_BLOCK_VALUES // sum(v.shape[1] for v in self.coords.values()))
+        block = max(1, STREAM_BLOCK // sum(v.shape[1] for v in self.coords.values()))
         rows = bytearray()
         for start in range(0, max(self.n_records, 1), block):  # no records: the header alone
             with self.csv_bytes(start, start + block, rows) as chunk:

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import STREAM_BLOCK
 from .ensembles import MoneygasError
 
 # Asymptotic 1% critical value of the Kolmogorov distribution, sqrt(n)-scaled.
 # Used with a fully specified null; with an estimated scale it is conservative.
 KS_1PCT_CONSTANT = 1.63
-# Values per block of the KS check and the sort check, bounding their temporaries at 512 KiB each.
-KS_BLOCK = 65_536
 
 
 class EstimationError(MoneygasError):
@@ -56,10 +55,10 @@ def fit_shifted_exponential(samples, floor: float = 0.0) -> FitReport:
 
 def _sorted_values(sorted_samples) -> np.ndarray:
     """``sorted_samples`` as a flat float array; EstimationError unless no value
-    is below the one before it. The check reads KS_BLOCK + 1 values at a time."""
+    is below the one before it. The check reads STREAM_BLOCK + 1 values at a time."""
     data = np.asarray(sorted_samples, dtype=float).ravel()
-    for start in range(0, data.size - 1, KS_BLOCK):
-        block = data[start:start + KS_BLOCK + 1]
+    for start in range(0, data.size - 1, STREAM_BLOCK):
+        block = data[start:start + STREAM_BLOCK + 1]
         if np.any(block[1:] < block[:-1]):
             raise EstimationError("the samples must be sorted in ascending order")
     return data
@@ -70,9 +69,11 @@ def ks_statistic_exponential(sorted_samples, floor: float, temperature: float) -
 
     ``sorted_samples`` must be in ascending order, as ``np.sort`` leaves them;
     they are not changed. Returns (D, pass) where pass means
-    D < 1.63/sqrt(n), the asymptotic 1% critical value. The CDF and the rank
-    differences are taken a block at a time, in three arrays of KS_BLOCK
-    values.
+    D < 1.63/sqrt(n), the asymptotic 1% critical value. The distances are
+    taken a block of STREAM_BLOCK values at a time, in four arrays of about
+    that size: with e = expm1((floor - x_i)/T) = -F(x_i), D+ = max(i/n + e)
+    and D- = -min((i - 1)/n + e), the same doubles as i/n - F(x_i) and
+    F(x_i) - (i - 1)/n, since fl(a - b) = -fl(b - a).
 
     The exponential is a slot's N -> infinity law. At K slots summing to S
     the exact law is S·Beta(1, K - 1), whose CDF is at most 0.23/K from the
@@ -84,28 +85,24 @@ def ks_statistic_exponential(sorted_samples, floor: float, temperature: float) -
     n = data.size
     if n < 10:
         raise EstimationError(f"need at least 10 samples for the KS check, got {n}")
-    cdf, gap = np.empty((2, min(n, KS_BLOCK)))
-    ranks = np.arange(1.0, cdf.size + 1)  # the block's ranks, moved on a block at a time
-    d_plus = d_minus = -np.inf  # np.maximum, unlike max(), keeps a NaN as np.max would
-    for start in range(0, n, KS_BLOCK):
-        size = min(KS_BLOCK, n - start)
-        block, diff, rank = cdf[:size], gap[:size], ranks[:size]
-        # -expm1(-(x - floor) / T), one operation at a time in the same order.
-        np.subtract(data[start:start + size], floor, out=block)
-        np.negative(block, out=block)
-        np.divide(block, temperature, out=block)
-        np.expm1(block, out=block)
-        np.negative(block, out=block)
-        # i/n - F(x_i), then F(x_i) - (i - 1)/n.
-        np.divide(rank, n, out=diff)
-        np.subtract(diff, block, out=diff)
+    width = min(n, STREAM_BLOCK)
+    tails, sums = np.empty((2, width))
+    ranks = np.arange(0.0, width + 1)  # 0, ..., width, moved on a block at a time
+    steps = np.empty(width + 1)
+    d_plus, low = -np.inf, np.inf  # np.maximum and np.minimum, unlike max(), keep a NaN as np.max would
+    for start in range(0, n, STREAM_BLOCK):
+        size = min(STREAM_BLOCK, n - start)
+        e, diff, quotients = tails[:size], sums[:size], steps[:size + 1]
+        np.subtract(floor, data[start:start + size], out=e)
+        np.divide(e, temperature, out=e)
+        np.expm1(e, out=e)
+        np.divide(ranks[:size + 1], n, out=quotients)  # (i - 1)/n for each rank i, then one more: [1:] holds i/n
+        np.add(quotients[1:], e, out=diff)
         d_plus = np.maximum(d_plus, np.max(diff))
-        np.subtract(rank, 1.0, out=diff)
-        np.divide(diff, n, out=diff)
-        np.subtract(block, diff, out=diff)
-        d_minus = np.maximum(d_minus, np.max(diff))
-        ranks += KS_BLOCK
-    d = max(float(d_plus), float(d_minus))
+        np.add(quotients[:-1], e, out=diff)
+        low = np.minimum(low, np.min(diff))
+        ranks += STREAM_BLOCK
+    d = max(float(d_plus), -float(low))
     return d, d < KS_1PCT_CONSTANT / math.sqrt(n)
 
 
@@ -135,10 +132,10 @@ def hill_tail_index(samples, k: int | None = None) -> float:
         k = hill_default_k(n)
     if not 1 <= k < n:
         raise EstimationError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    # The k + 1 largest, kept a KS_BLOCK at a time, sorted: the (k+1)-th largest and the k above it.
+    # The k + 1 largest, kept a STREAM_BLOCK at a time, sorted: the (k+1)-th largest and the k above it.
     kept = data[:0]
-    for start in range(0, n, KS_BLOCK):
-        kept = np.concatenate([kept, data[start:start + KS_BLOCK]])
+    for start in range(0, n, STREAM_BLOCK):
+        kept = np.concatenate([kept, data[start:start + STREAM_BLOCK]])
         kept = np.partition(kept, kept.size - k - 1)[kept.size - k - 1:] if kept.size > k + 1 else kept
     kept = np.sort(kept)
     reference, top = kept[0], kept[1:]

@@ -109,14 +109,16 @@ def pareto_direct_sample(
     check_temperature(spec, temperature)
     if n_samples < 1:
         raise ParetoError(f"n_samples must be positive, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    return pareto_quantile(spec, temperature, rng.random(n_samples))
+    uniforms = np.random.default_rng(seed).random(n_samples)
+    return pareto_quantile(spec, temperature, uniforms, out=uniforms)  # in place: no n-sized temporary
 
 
-def pareto_quantile(spec: ParetoSpec, temperature: float, u) -> np.ndarray:
-    """Quantile function I(u) = J (1-u)^(-1/(a-1)) of the income law."""
+def pareto_quantile(spec: ParetoSpec, temperature: float, u, out: np.ndarray | None = None) -> np.ndarray:
+    """Quantile function I(u) = J (1-u)^(-1/(a-1)) of the income law, into
+    ``out`` when given (which may be ``u`` itself)."""
     a = check_temperature(spec, temperature)
-    return spec.floor_j * (1.0 - np.asarray(u, dtype=float)) ** (-1.0 / (a - 1.0))
+    q = np.subtract(1.0, np.asarray(u, dtype=float), out=out)
+    return np.multiply(spec.floor_j, np.power(q, -1.0 / (a - 1.0), out=out), out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,11 @@ OSError exits as a MoneygasError naming the file. A run killed part-way can
 leave ``.tmp`` files, or new files with no manifest, but no manifest of
 other files. ``samples.csv`` is staged as views of one row buffer, a block of
 records each. ``simulate`` stages it right after replica 0's chain, then sorts
-each pool in place, so the peak is the records plus one CSV block (or the KS
-check's blocks); ``pareto`` reads its records only for Hill and the CSV.
+each pool in place; ``pareto`` reads its records only for Hill and the CSV.
+So the peak is the records plus one block: the CSV, the sort and KS checks and
+Hill's selection each stream over the records ``dynamics.STREAM_BLOCK`` values
+at a time (``configs/cash_only_simulate.json`` peaks at 52.6 MiB and
+``configs/pareto_full.json`` at 43.6 MiB, ``ru_maxrss``).
 
 The replicas of ``simulate`` run on two cores through one forked worker
 process (``worker``): the worker runs the odd replicas and sends back their

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import timedelta
 from pathlib import Path
 
@@ -641,7 +642,7 @@ class TestSamplesCsv:
     ])
     def test_chunks_written_one_at_a_time_are_the_whole_file(self, spec, total, monkeypatch):
         samples = run_chain(spec, "equal", total, 20_000, 2_000, 500, seed=4)
-        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 200)
+        monkeypatch.setattr(dynamics, "STREAM_BLOCK", 200)
         chunks = [bytes(chunk) for chunk in samples.csv_chunks()]  # each copied before the next is taken
         assert len(chunks) > 2 and b"".join(chunks) == samples.csv_bytes()
 
@@ -649,14 +650,30 @@ class TestSamplesCsv:
         # Each record's steps and literals are longer than the last one's, so each block needs more room.
         values = np.array([[1.0] * 3, [0.123456789] * 3, [-1.2345678901234567e-300] * 3])
         samples = SampleSet({"x": values}, np.array([1, 10**9, 10**18]), ChainMeta(0, 1, 3, 0, 0.0))
-        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 3)  # one record per block
+        monkeypatch.setattr(dynamics, "STREAM_BLOCK", 3)  # one record per block
         chunks = [bytes(chunk) for chunk in samples.csv_chunks()]
         assert len(chunks[0]) < len(chunks[1]) < len(chunks[2])
         assert b"".join(chunks) == samples.csv_bytes() == reference_csv([1, 10**9, 10**18], {"x": values})
 
+    def test_the_first_block_peaks_no_higher_than_the_later_ones(self):
+        # 40 records of 1000 values, five blocks, whose steps all have six digits: only the
+        # first block grows the buffer, and growing it makes no temporary of the growth.
+        values = np.random.default_rng(3).exponential(10.0, (40, 1000))
+        samples = SampleSet({"x": values}, 100_000 + 1000 * np.arange(40), ChainMeta(0, 1, 40, 0, 0.0))
+        samples.csv_bytes(0, 1)  # orjson and the compiled library load untraced
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in samples.csv_chunks():
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 5 and peaks[0] <= max(peaks[1:])
+
     def test_a_kept_chunk_raises_instead_of_reading_the_next_block(self, monkeypatch):
         samples = run_chain(ModelSpec.cash_only(50, 1.0), "equal", 100.0, 20_000, 2_000, 500, seed=4)
-        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 200)
+        monkeypatch.setattr(dynamics, "STREAM_BLOCK", 200)
         with pytest.raises(TypeError, match="memoryview"):  # each chunk was released before join read it
             b"".join(samples.csv_chunks())
         chunks = samples.csv_chunks()

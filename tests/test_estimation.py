@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moneygas.dynamics import STREAM_BLOCK
 from moneygas.ensembles import ModelSpec
 from moneygas.estimation import (
     KS_1PCT_CONSTANT,
-    KS_BLOCK,
     EstimationError,
     _sorted_quantile,
     fit_shifted_exponential,
@@ -83,20 +83,23 @@ class TestKolmogorovSmirnov:
             ks_statistic_exponential([1.0] * 20, 0.0, 0.0)
 
     def test_unsorted_samples_are_rejected(self):
-        data = np.sort(np.random.default_rng(4).exponential(1.0, KS_BLOCK + 5))
-        data[[KS_BLOCK - 1, KS_BLOCK]] = data[[KS_BLOCK, KS_BLOCK - 1]]  # out of order across a block edge
+        data = np.sort(np.random.default_rng(4).exponential(1.0, STREAM_BLOCK + 5))
+        data[[STREAM_BLOCK - 1, STREAM_BLOCK]] = data[[STREAM_BLOCK, STREAM_BLOCK - 1]]  # out of order across a block edge
         with pytest.raises(EstimationError, match="sorted"):
             ks_statistic_exponential(data, 0.0, 1.0)
 
-    @pytest.mark.parametrize("n", [10, KS_BLOCK, KS_BLOCK + 1, 3 * KS_BLOCK + 3_392])
+    # Within one block, one full block, a block and one value, and 4, 25 and 243 blocks.
+    @pytest.mark.parametrize("n", [10, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1,
+                                   3 * STREAM_BLOCK + 3_392, 25 * STREAM_BLOCK, 242 * STREAM_BLOCK + 5])
     @pytest.mark.parametrize("floor", [0.0, -2.5])
-    def test_blocked_statistic_is_bit_identical_to_the_full_expression(self, n, floor):
+    @pytest.mark.parametrize("temperature", [2.9, 3.2])  # D- sets D, then D+ does
+    def test_blocked_statistic_is_bit_identical_to_the_full_expression(self, n, floor, temperature):
         data = np.sort(floor + np.random.default_rng(n).exponential(3.0, n))
         kept = data.copy()
-        cdf = -np.expm1(-(data - floor) / 3.2)
+        cdf = -np.expm1(-(data - floor) / temperature)
         ranks = np.arange(1, n + 1, dtype=float)
         expected = max(float(np.max(ranks / n - cdf)), float(np.max(cdf - (ranks - 1.0) / n)))
-        d, ok = ks_statistic_exponential(data, floor, 3.2)
+        d, ok = ks_statistic_exponential(data, floor, temperature)
         assert d == expected
         assert ok == (expected < KS_1PCT_CONSTANT / math.sqrt(n))
         assert data.tobytes() == kept.tobytes()  # the sorted values are read, not overwritten
@@ -131,14 +134,15 @@ class TestHillEstimator:
             samples = self.exact_pareto(n, 2.0, seed=9000 + seed)
             assert hill_tail_index(samples, k) == pytest.approx(2.0, rel=0.05)
 
-    @pytest.mark.parametrize("which_k", ["1", "default", "n - 1"])
+    @pytest.mark.parametrize("which_k", ["1", "default", "beyond a block", "n - 1"])
     def test_blocked_estimate_is_bit_identical_to_the_full_partition(self, which_k):
-        """The k + 1 largest kept a KS_BLOCK at a time give the full partition's result,
-        over four blocks with ties. A k close to n keeps almost every value, and each block
-        then partitions them all again, so it costs more time; no pipeline asks for that."""
-        n = 3 * KS_BLOCK + 7
+        """The k + 1 largest kept a STREAM_BLOCK at a time give the full partition's result,
+        over four blocks with ties, also when k is more than a block (as for the pareto
+        pipeline's records). A k close to n keeps almost every value, and each block then
+        partitions them all again, so it costs more time; no pipeline asks for that."""
+        n = 3 * STREAM_BLOCK + 7
         samples = np.round(self.exact_pareto(n, 1.7, seed=11), 1)  # ties in the body and in the tail
-        k = {"1": 1, "default": hill_default_k(n), "n - 1": n - 1}[which_k]
+        k = {"1": 1, "default": hill_default_k(n), "beyond a block": STREAM_BLOCK + 100, "n - 1": n - 1}[which_k]
         kept = samples.copy()
         assert hill_tail_index(samples, k) == full_partition_hill(samples, k)
         assert samples.tobytes() == kept.tobytes()
@@ -158,7 +162,7 @@ def fd_samples(draw):
     draws: ties when levels is small, and every value equal when it is 0.
     Distinct values at least a step apart bound the Freedman-Diaconis bin count,
     which a nonzero IQR of a few ulp would make astronomical."""
-    n = draw(st.integers(1, 60) | st.integers(KS_BLOCK - 2, KS_BLOCK + 2_000))
+    n = draw(st.integers(1, 60) | st.integers(STREAM_BLOCK - 2, STREAM_BLOCK + 2_000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = draw(st.floats(-1e4, 1e4)) + 0.0  # no -0.0: a sort and a min may pick either signed zero
     if draw(st.booleans()):
@@ -213,7 +217,7 @@ class TestHistogram:
         [0.1] * 7,  # one bin, 0.5 either side
         [0.0] * 30 + [1.0] * 3 + [2.5],  # a zero IQR under a nonzero range: one bin
         list(np.random.default_rng(5).integers(0, 3, 999) * 0.1 - 7.0),  # ties below a negative floor
-        list(np.random.default_rng(6).exponential(2.0, KS_BLOCK + 17) - 4.0),
+        list(np.random.default_rng(6).exponential(2.0, STREAM_BLOCK + 17) - 4.0),
     ], ids=["n1", "n2", "all_equal", "zero_iqr", "ties", "beyond_a_block"])
     def test_matches_numpy_at_the_edge_cases(self, values):
         assert_numpy_histogram(np.array(values))

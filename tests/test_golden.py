@@ -25,8 +25,8 @@ CASES = {
                                 "account_overdrafts": [[0.5 * (i % 4)] * (1 + i % 3) for i in range(20)]}},
     "credit_market": {"task": "simulate", "seed": 10, "replicas": 2, "run": dict(RUN, total=250.0),
                       "model": {"kind": "credit_market", "n_agents": 50, "volume_x": 1000.0}},
-    # 500 records of 160 values: the pooled y_pooled (80,000 values) spans two KS blocks, and
-    # samples.csv three CSV blocks.
+    # 500 records of 160 values: the pooled y_pooled (80,000 values) spans ten blocks of
+    # STREAM_BLOCK values in the KS check, and samples.csv ten blocks of 51 records.
     "multi_asset": {"task": "simulate", "seed": 12, "run": dict(RUN, total=400.0, steps=24_000, burn_in=4_000,
                                                                    thin=40),
                     "model": {"kind": "multi_asset", "n_agents": 40, "asset_classes": 4}},

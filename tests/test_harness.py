@@ -342,8 +342,49 @@ def assert_reaped(pid: int) -> None:
         os.waitpid(pid, os.WNOHANG)
 
 
+# 500 records of 1000 agents (3.8 MiB, 61 blocks of STREAM_BLOCK doubles), for the peak after the chain.
+PEAK_AGENTS, PEAK_RECORDS = 1_000, 500
+PEAK_RUN = dict(RUN, total=10_000.0, steps=(PEAK_RECORDS + 1) * PEAK_AGENTS, burn_in=PEAK_AGENTS, thin=PEAK_AGENTS)
+PEAK_RECORDS_BYTES = PEAK_RECORDS * PEAK_AGENTS * 8
+BLOCK_BYTES = dynamics.STREAM_BLOCK * 8
+
+
+def post_chain_peak(tmp_path, monkeypatch, document) -> int:
+    """The traced peak of a run of ``document`` from the moment its chain returns;
+    the records are already held then, and counted."""
+    config = load_config(write_config(tmp_path, document))
+    run_experiment(config, tmp_path / "warm")  # the compiled library and the lazy imports load untraced
+    name = "run_chain" if document["task"] == "simulate" else "run_income_chain"
+    chain = getattr(runner, name)
+
+    def traced(*args, **kwargs):
+        samples = chain(*args, **kwargs)
+        tracemalloc.reset_peak()
+        return samples
+
+    monkeypatch.setattr(runner, name, traced)
+    tracemalloc.start()
+    try:
+        run_experiment(config, tmp_path / "out")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamedOutputs:
     """samples.csv is formatted a block at a time, in the run's process."""
+
+    @pytest.mark.parametrize("task", ["simulate", "pareto"])
+    def test_the_peak_after_the_chain_is_the_records_plus_a_few_blocks(self, tmp_path, monkeypatch, task):
+        # A samples.csv block of STREAM_BLOCK values is about 4 blocks of text in the row
+        # buffer and 2.5 of orjson's literals; 10.1 (simulate) and 10.6 blocks (pareto) were
+        # measured, against 52 and 57 with the former 32,768-value CSV and 65,536-value KS blocks.
+        if task == "simulate":
+            document = simulate_config(model=dict(MODEL, n_agents=PEAK_AGENTS), run=PEAK_RUN)
+        else:
+            dyn = dict(DYNAMICS, steps=PEAK_RUN["steps"], burn_in=PEAK_AGENTS, thin=PEAK_AGENTS)
+            document = dict(PARETO, seed=3, pareto=dict(PARETO["pareto"], n_agents=PEAK_AGENTS), dynamics=dyn)
+        assert post_chain_peak(tmp_path, monkeypatch, document) < PEAK_RECORDS_BYTES + 12 * BLOCK_BYTES
 
     @pytest.mark.parametrize("task", sorted(STREAMED))
     def test_samples_stream_in_blocks_through_tmp_files(self, tmp_path, monkeypatch, task):
@@ -354,7 +395,7 @@ class TestStreamedOutputs:
                 calls.append((os.getpid(), start, stop))
                 return inner(self, start, stop, buffer)
             monkeypatch.setattr(cls, "csv_bytes", counted)
-        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        monkeypatch.setattr(dynamics, "STREAM_BLOCK", BLOCK_VALUES)
         document, block = STREAMED[task]
         out = tmp_path / "out"
         manifest = run_experiment(load_config(write_config(tmp_path, document)), out)
@@ -374,7 +415,7 @@ class TestStreamedOutputs:
         document, _ = STREAMED[task]
         whole = whole_samples(document)
         per_record = BLOCK_VALUES // STREAMED[task][1]
-        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", -(-whole.n_records // blocks) * per_record)
+        monkeypatch.setattr(dynamics, "STREAM_BLOCK", -(-whole.n_records // blocks) * per_record)
         out = tmp_path / "out"
         manifest = run_experiment(load_config(write_config(tmp_path, document)), out)
         assert (out / "samples.csv").read_bytes() == whole.csv_bytes()
@@ -389,7 +430,7 @@ class TestStreamedOutputs:
             return inner(self, start, stop, buffer)
 
         monkeypatch.setattr(SampleSet, "csv_bytes", failing)
-        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", BLOCK_VALUES)
+        monkeypatch.setattr(dynamics, "STREAM_BLOCK", BLOCK_VALUES)
         out = tmp_path / "out"
         with pytest.raises(error, match="formatting failed here"):
             run_experiment(load_config(write_config(tmp_path, STREAMED["simulate"][0])), out)
@@ -576,28 +617,10 @@ class TestPoolsSortedInPlace:
             assert np.array_equal(pool, chain.pooled(names))
 
     def test_the_peak_after_the_chain_holds_no_sorted_copy(self, tmp_path, monkeypatch):
-        # 500 records of 1000 agents, 4 MB. The KS check's three blocks of 65,536
-        # values (1.5 MiB) are the largest temporaries left; a sorted copy is 4 MB more.
-        n_agents, records = 1_000, 500
-        run = dict(RUN, total=10_000.0, steps=(records + 1) * n_agents, burn_in=n_agents, thin=n_agents)
-        config = load_config(write_config(tmp_path, simulate_config(
-            model=dict(MODEL, n_agents=n_agents), run=run, write_samples=False)))
-        run_experiment(config, tmp_path / "warm")  # the compiled library and the lazy imports load untraced
-        chain = runner.run_chain
-
-        def traced(*args, **kwargs):
-            samples = chain(*args, **kwargs)
-            tracemalloc.reset_peak()
-            return samples
-
-        monkeypatch.setattr(runner, "run_chain", traced)
-        tracemalloc.start()
-        try:
-            run_experiment(config, tmp_path / "out")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * records * n_agents * 8
+        # The KS check's four arrays of a block each are the largest temporaries left
+        # (4.2 blocks measured); a sorted copy would be 61 blocks more.
+        document = simulate_config(model=dict(MODEL, n_agents=PEAK_AGENTS), run=PEAK_RUN, write_samples=False)
+        assert post_chain_peak(tmp_path, monkeypatch, document) < PEAK_RECORDS_BYTES + 6 * BLOCK_BYTES
 
 
 class TestInterleaved:
@@ -673,7 +696,7 @@ class TestReplicaWorker:
     @pytest.mark.parametrize("replicas", [1, 2, 3, 5])
     def test_outputs_do_not_depend_on_fork(self, tmp_path, monkeypatch, replicas, write_samples):
         # 110 records of 50 agents in blocks of 40 records: samples.csv has 3 blocks.
-        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 40 * MODEL["n_agents"])
+        monkeypatch.setattr(dynamics, "STREAM_BLOCK", 40 * MODEL["n_agents"])
         document = simulate_config(replicas=replicas, write_samples=write_samples)
         forks = count_forks(monkeypatch)
         forked = self.outputs(tmp_path, document, "forked")

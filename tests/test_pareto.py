@@ -139,6 +139,16 @@ class TestDirectSampler:
         assert pareto_quantile(spec, 1.0, 0.75) == pytest.approx(3.0, rel=1e-12)  # 2J
         assert pareto_quantile(spec, 1.0, 0.0) == pytest.approx(1.5, rel=1e-12)
 
+    @pytest.mark.parametrize("temperature", [1.0, 1.5, 0.7, 2.1])  # exponents -0.5, -1, -0.30, -2.33
+    def test_draws_are_the_quantile_expression_of_the_uniforms(self, temperature):
+        spec = ParetoSpec(1, 1.5, 3.0)
+        uniforms = np.random.default_rng(13).random(10_000)
+        kept = uniforms.copy()
+        expected = 1.5 * (1.0 - uniforms) ** (-1.0 / (3.0 / temperature - 1.0))
+        assert pareto_quantile(spec, temperature, uniforms).tobytes() == expected.tobytes()
+        assert uniforms.tobytes() == kept.tobytes()  # the caller's array is read, not written
+        assert pareto_direct_sample(spec, temperature, 10_000, seed=13).tobytes() == expected.tobytes()
+
     def test_floor_respected(self):
         draws = pareto_direct_sample(ParetoSpec(1, 2.5, 3.0), 1.0, 10_000, seed=3)
         assert draws.min() >= 2.5
