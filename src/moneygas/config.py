@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import sys
 
-import numpy as np
-
 from .dynamics import DynamicsError, recording_window
 from .ensembles import ModelKind, ModelSpec, ModelValidationError, MoneygasError
 from .pareto import ParetoError, ParetoSpec
@@ -119,8 +117,9 @@ def build_pareto(block: dict) -> ParetoSpec:
         raise ConfigError(f"infeasible income model: {exc}") from exc
 
 
-# numpy refuses an array of more bytes than its largest index; chains and samplers hold 8-byte values.
-MAX_ARRAY_VALUES = np.iinfo(np.intp).max // 8
+# numpy refuses an array of more bytes than its largest index, sys.maxsize (np.intp's
+# maximum); chains and samplers hold 8-byte values.
+MAX_ARRAY_VALUES = sys.maxsize // 8
 # Each replica adds one report entry and one manifest seed, so both stay finite.
 MAX_REPLICAS = 10**6
 

@@ -294,25 +294,12 @@ def init_population(
 # ---------------------------------------------------------------------------
 
 
-def _slot_money(spec: ModelSpec, coords: dict[str, np.ndarray]) -> float:
-    """(Σz - Σd)/N: the mean slot times K/N, less the overdrafts per agent."""
-    (slots,) = coords.values()
-    return float(slots.mean()) * (spec.n_slots / spec.n_agents) - spec.total_overdraft / spec.n_agents
-
-
-def _sum_of_means(spec: ModelSpec, coords: dict[str, np.ndarray]) -> float:
-    """Money per agent when each coordinate holds one unshifted value per agent."""
-    return float(sum(v.mean() for v in coords.values()))
-
-
 @dataclass(frozen=True)
 class Kernel:
     """Everything the chains and the runner need to know about one model kind."""
 
     coordinates: Callable[[Population], dict[str, np.ndarray]]  # recorded copies
     marginals: Callable[[ModelSpec], list[tuple[str, list[str], float]]]  # (label, names, floor)
-    # The recorded money per agent, averaged over the records.
-    money_per_agent: Callable[[ModelSpec, dict[str, np.ndarray]], float] = _sum_of_means
     init: Callable[[Population, str, np.random.Generator], None] = _init_slots
     # One move name per slot row; sweep number p splits the pairs of row p % len(moves).
     moves: tuple[str, ...] = ("pair_reshuffle",)
@@ -320,7 +307,7 @@ class Kernel:
 
 def _slots_as(name: str) -> Kernel:
     """The slot kernel recording the slots themselves as coordinate ``name``."""
-    return Kernel(lambda pop: {name: pop.cash.copy()}, lambda spec: [(name, [name], 0.0)], _slot_money)
+    return Kernel(lambda pop: {name: pop.cash.copy()}, lambda spec: [(name, [name], 0.0)])
 
 
 def _cash_and_accounts(pop: Population) -> dict[str, np.ndarray]:
@@ -512,15 +499,15 @@ def samples_csv(record_steps, coords: dict[str, np.ndarray], header: bool = True
 
 @dataclass
 class SampleSet:
-    """Thinned equilibrium records: one array (n_records, N) per coordinate."""
+    """Thinned equilibrium records: one array (n_records, N) per coordinate.
+    Record k (from 0) is the state after burn_in + (k+1)·thin events of ``meta``'s window."""
 
     coords: dict[str, np.ndarray]
-    record_steps: np.ndarray
     meta: ChainMeta
 
     @property
     def n_records(self) -> int:
-        return int(self.record_steps.size)
+        return next(iter(self.coords.values())).shape[0]
 
     def pooled(self, names: list[str] | None = None) -> np.ndarray:
         """The picked coordinates' values in one array; a view when one is picked."""
@@ -530,7 +517,8 @@ class SampleSet:
     def csv_bytes(self, start: int = 0, stop: int | None = None,
                   buffer: bytearray | None = None) -> bytes | memoryview:
         """``samples_csv`` of records start..stop; the header only when start is 0."""
-        return samples_csv(self.record_steps[start:stop].tolist(),
+        burn_in, thin = self.meta.burn_in, self.meta.thin
+        return samples_csv([burn_in + (k + 1) * thin for k in range(self.n_records)[start:stop]],
                            {name: v[start:stop] for name, v in self.coords.items()},
                            header=start == 0, buffer=buffer)
 
@@ -631,7 +619,6 @@ def run_chain(
 
     coords = {name: np.empty((n_records, *values.shape)) for name, values in
               recorded_coordinates(pop).items()}
-    record_steps = np.empty(n_records, dtype=np.int64)
     events = phase = next_record = 0
     next_audit = AUDIT_INTERVAL
     max_drift = 0.0
@@ -643,7 +630,6 @@ def run_chain(
         done, phase = advance(pop, rng, min(due, next_audit) - events, phase)
         events += done
         while next_record < n_records and burn_in + (next_record + 1) * thin <= events:
-            record_steps[next_record] = burn_in + (next_record + 1) * thin
             for name, values in recorded_coordinates(pop).items():
                 coords[name][next_record] = values
             next_record += 1
@@ -654,4 +640,4 @@ def run_chain(
 
     meta = ChainMeta(burn_in=burn_in, thin=thin, events_run=events,
                      rejected_events=pop.rejected_events, max_drift=max_drift)
-    return SampleSet(coords=coords, record_steps=record_steps, meta=meta)
+    return SampleSet(coords=coords, meta=meta)

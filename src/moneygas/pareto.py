@@ -147,13 +147,13 @@ def run_income_chain(
                       steps, burn_in, thin, seed)
     incomes = np.exp(chain.coords["x"], out=chain.coords["x"])  # in place: no full-size copy
     incomes *= spec.floor_j
-    return IncomeSampleSet({"income": incomes}, chain.record_steps, chain.meta, spec, steps)
+    return IncomeSampleSet({"income": incomes}, chain.meta, spec, steps)
 
 
 @dataclass
 class IncomeSampleSet(SampleSet):
-    """The income chain's records, coordinate "income", with its record steps and
-    ChainMeta (``max_drift`` is the audited relative drift of the z total)."""
+    """The income chain's records, coordinate "income", with its ChainMeta
+    (``max_drift`` is the audited relative drift of the z total)."""
 
     spec: ParetoSpec
     steps: int  # the events asked of the chain

@@ -131,7 +131,7 @@ def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: floa
                     stage: Stage | None) -> dict:
     """One replica's report; with ``stage``, its samples.csv and its primary
     marginal's histogram are staged too. Each pool is sorted in place, out of
-    chain order, so the fits, the money per agent and the CSV come first."""
+    chain order, so the fits and the CSV come first."""
     samples = run_chain(
         spec,
         run_block["policy"],
@@ -141,13 +141,13 @@ def _replica_report(spec: ModelSpec, run_block: dict, seed: int, predicted: floa
         run_block.get("thin"),
         seed=seed,
     )
-    kernel = KERNELS[spec.kind]
-    marginals = kernel.marginals(spec)
+    marginals = KERNELS[spec.kind].marginals(spec)
     fits = [fit_shifted_exponential(samples.pooled(names), floor) for _, names, floor in marginals]
     report = {
         "seed": seed,
         "fits": {},
-        "mean_money_per_agent": kernel.money_per_agent(spec, samples.coords),
+        # The conserved input total/N, not a measurement: max_drift audits it.
+        "mean_money_per_agent": float(run_block["total"]) / spec.n_agents,
         "max_drift": samples.meta.max_drift,
         "rejected_events": samples.meta.rejected_events,
         "events_run": samples.meta.events_run,

@@ -24,6 +24,7 @@ from moneygas.dynamics import (
     advance,
     init_population,
     recorded_coordinates,
+    recording_window,
     run_chain,
     samples_csv,
 )
@@ -417,7 +418,7 @@ class TestRunChain:
         parsed = [(int(s), int(a), name, float(v)) for s, a, name, v in (r.split(",") for r in rows)]
         assert parsed == [
             (step_index, agent, name, value)
-            for r, step_index in enumerate(samples.record_steps.tolist())
+            for r, step_index in enumerate(window_steps(20, 20000, 2000, 1000))
             for name in ("x", "y")
             for agent, value in enumerate(samples.coords[name][r].tolist())
         ]
@@ -475,7 +476,7 @@ class TestRunChain:
                 max_drift = audit()
                 next_audit += dynamics.AUDIT_INTERVAL
         max_drift = audit()
-        assert samples.record_steps.tolist() == [burn_in + (r + 1) * thin for r in range(n_records)]
+        assert csv_steps(samples) == window_steps(spec.n_agents, steps, burn_in, thin)
         assert list(samples.coords) == list(snapshots[0])
         for name, records in samples.coords.items():
             assert records.tobytes() == np.stack([snap[name] for snap in snapshots]).tobytes()
@@ -529,14 +530,6 @@ class TestRunChain:
         fit = fit_shifted_exponential(samples.pooled(["x"]), 0.0)
         assert fit.t_hat == pytest.approx(0.5 * (total / n + d), rel=0.03)
 
-    @pytest.mark.parametrize("spec,total", all_dynamic_specs(20))
-    def test_money_per_agent_is_the_conserved_total_per_agent(self, spec, total):
-        samples = run_chain(spec, "uniform-random", total, 20_000, 2_000, 1_000, seed=3)
-        money = KERNELS[spec.kind].money_per_agent(spec, samples.coords)
-        assert money == pytest.approx(total / spec.n_agents, rel=1e-9)
-        if spec.kind is ModelKind.CASH_ONLY:
-            assert money == float(samples.coords["x"].mean())  # exactly the mean cash
-
     def test_credit_market_accounting(self):
         spec = ModelSpec.credit_market(100, 100_000.0)
         pop = init_population(spec, "equal", 500.0, seed=12)
@@ -551,6 +544,18 @@ class TestRunChain:
         assert np.array_equal(pop.net, net)
         drift = np.abs(cash + assets - liabilities - net)
         assert drift.max() <= 1e-9 * np.abs(net).max()
+
+
+def window_steps(n_agents, steps, burn_in, thin) -> list[int]:
+    """The record steps that ``recording_window`` fires: burn_in + k·thin, k = 1..records."""
+    burn_in, thin, n_records = recording_window(n_agents, steps, burn_in, thin)
+    return [burn_in + (k + 1) * thin for k in range(n_records)]
+
+
+def csv_steps(samples) -> list[int]:
+    """The step column of ``samples.csv``, one entry per record."""
+    rows = samples.csv_bytes().split(b"\n")[1:-1]
+    return [int(row.split(b",", 1)[0]) for row in rows[::sum(v.shape[1] for v in samples.coords.values())]]
 
 
 def reference_csv(record_steps, coords, header=True) -> bytes:
@@ -606,7 +611,7 @@ class TestSamplesCsv:
     def test_combined_records_with_negative_accounts(self):
         samples = run_chain(ModelSpec.combined(20, 1.0), "uniform-random", 60.0, 20_000, 2_000, 1_000, seed=5)
         assert samples.coords["y"].min() < 0
-        steps = samples.record_steps.tolist()
+        steps = window_steps(20, 20_000, 2_000, 1_000)
         assert samples.csv_bytes() == reference_csv(steps, samples.coords)
         assert samples.csv_bytes(3, 9) == reference_csv(steps[3:9], {k: v[3:9] for k, v in samples.coords.items()},
                                                         header=False)
@@ -647,19 +652,23 @@ class TestSamplesCsv:
         assert len(chunks) > 2 and b"".join(chunks) == samples.csv_bytes()
 
     def test_a_later_block_that_needs_more_room_grows_the_buffer(self, monkeypatch):
-        # Each record's steps and literals are longer than the last one's, so each block needs more room.
-        values = np.array([[1.0] * 3, [0.123456789] * 3, [-1.2345678901234567e-300] * 3])
-        samples = SampleSet({"x": values}, np.array([1, 10**9, 10**18]), ChainMeta(0, 1, 3, 0, 0.0))
+        # Each record's literals are longer than the last one's, and its step no shorter, so each
+        # block needs more room. The steps are the window's 9, 10 and 11.
+        values = np.array([[1.0] * 3, [0.12345678901234566] * 3, [-1.2345678901234567e-300] * 3])
+        samples = SampleSet({"x": values}, ChainMeta(8, 1, 11, 0, 0.0))
         monkeypatch.setattr(dynamics, "STREAM_BLOCK", 3)  # one record per block
         chunks = [bytes(chunk) for chunk in samples.csv_chunks()]
         assert len(chunks[0]) < len(chunks[1]) < len(chunks[2])
-        assert b"".join(chunks) == samples.csv_bytes() == reference_csv([1, 10**9, 10**18], {"x": values})
+        steps = window_steps(3, 11, 8, 1)
+        assert steps == [9, 10, 11]
+        assert b"".join(chunks) == samples.csv_bytes() == reference_csv(steps, {"x": values})
 
     def test_the_first_block_peaks_no_higher_than_the_later_ones(self):
         # 40 records of 1000 values, five blocks, whose steps all have six digits: only the
         # first block grows the buffer, and growing it makes no temporary of the growth.
         values = np.random.default_rng(3).exponential(10.0, (40, 1000))
-        samples = SampleSet({"x": values}, 100_000 + 1000 * np.arange(40), ChainMeta(0, 1, 40, 0, 0.0))
+        samples = SampleSet({"x": values}, ChainMeta(99_000, 1000, 139_000, 0, 0.0))
+        assert csv_steps(samples) == window_steps(1000, 139_000, 99_000, 1000)
         samples.csv_bytes(0, 1)  # orjson and the compiled library load untraced
         peaks = []
         tracemalloc.start()

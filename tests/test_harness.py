@@ -14,7 +14,7 @@ import pytest
 
 from moneygas import dynamics, runner
 from moneygas.cli import main
-from moneygas.config import MAX_REPLICAS, ConfigError, build_model, build_pareto
+from moneygas.config import MAX_ARRAY_VALUES, MAX_REPLICAS, ConfigError, build_model, build_pareto
 from moneygas.dynamics import KERNELS, ConservationError, SampleSet, run_chain
 from moneygas.ensembles import ModelKind, MoneygasError, temperature_closed_form
 from moneygas.estimation import EstimationError, fit_shifted_exponential, histogram, ks_statistic_exponential
@@ -215,6 +215,9 @@ class TestConfigValidation:
         assert "\n" not in str(info.value)
         with pytest.raises(ConfigError, match="records"):
             validate_config(dict(PARETO, dynamics=dict(DYNAMICS, steps=2**62, burn_in=0, thin=1)))
+
+    def test_the_array_bound_is_numpys_largest_index_over_8_bytes(self):
+        assert MAX_ARRAY_VALUES == np.iinfo(np.intp).max // 8
 
     def test_sweep_path_must_exist(self):
         with pytest.raises(ConfigError, match="sweep path"):
@@ -549,6 +552,15 @@ KIND_RUNS = {
 }
 
 
+@pytest.mark.parametrize("kind", sorted(KIND_RUNS))
+def test_money_per_agent_is_the_conserved_total_per_agent(tmp_path, kind):
+    model, total = KIND_RUNS[kind]
+    document = simulate_config(model=model, run=dict(RUN, total=total), replicas=2, write_samples=False)
+    run_experiment(load_config(write_config(tmp_path, document)), tmp_path / "out")
+    replicas = json.loads((tmp_path / "out" / "report.json").read_text())["replicas"]
+    assert [r["mean_money_per_agent"] for r in replicas] == [total / build_model(model).n_agents] * 2
+
+
 class TestPoolsSortedInPlace:
     """simulate sorts each pool in place once its order-dependent values are taken."""
 
@@ -570,7 +582,7 @@ class TestPoolsSortedInPlace:
                 hist = histogram(np.sort(data))
             fits[label] = {"t_hat": fit.t_hat, "stderr": fit.stderr, "floor": floor, "n": fit.n,
                            "ks_d": ks_d, "ks_pass_1pct": ks_ok}
-        report = {"seed": seed, "fits": fits, "mean_money_per_agent": kernel.money_per_agent(spec, samples.coords),
+        report = {"seed": seed, "fits": fits, "mean_money_per_agent": run["total"] / spec.n_agents,
                   "max_drift": samples.meta.max_drift, "rejected_events": samples.meta.rejected_events,
                   "events_run": samples.meta.events_run, "n_records": samples.n_records}
         return report, runner._tsv(("bin_left", "bin_right", "density"), hist.tsv_rows()), samples.csv_bytes()
@@ -590,28 +602,20 @@ class TestPoolsSortedInPlace:
         assert (out / "samples.csv").read_bytes() == csv
 
     @pytest.mark.parametrize("kind", sorted(KIND_RUNS))
-    def test_the_fits_and_the_money_per_agent_read_the_chain_order(self, tmp_path, monkeypatch, kind):
+    def test_the_fits_read_the_chain_order(self, tmp_path, monkeypatch, kind):
         # Their sums can round alike in either order, so the reports alone may not tell.
-        pools, seen, kernel = [], [], KERNELS[ModelKind(kind)]
+        pools, kernel = [], KERNELS[ModelKind(kind)]
 
         def fit(data, floor, inner=runner.fit_shifted_exponential):
             pools.append(data.copy())
             return inner(data, floor)
 
-        def money(spec, coords, inner=kernel.money_per_agent):
-            seen.append({name: values.copy() for name, values in coords.items()})
-            return inner(spec, coords)
-
         monkeypatch.setattr(runner, "fit_shifted_exponential", fit)
-        monkeypatch.setitem(KERNELS, ModelKind(kind), dataclasses.replace(kernel, money_per_agent=money))
         model, total = KIND_RUNS[kind]
         run = dict(RUN, total=total)
         run_experiment(load_config(write_config(tmp_path, simulate_config(model=model, run=run))), tmp_path / "out")
-        [coords] = seen
         spec = build_model(model)
         chain = run_chain(spec, run["policy"], total, run["steps"], run["burn_in"], run["thin"], seed=derive_seed(7, 0))
-        assert coords.keys() == chain.coords.keys()
-        assert all(np.array_equal(coords[name], values) for name, values in chain.coords.items())
         assert len(pools) == len(kernel.marginals(spec))
         for pool, (_, names, _) in zip(pools, kernel.marginals(spec)):
             assert np.array_equal(pool, chain.pooled(names))

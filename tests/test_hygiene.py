@@ -4,7 +4,8 @@ Every dict literal in the package and the tests has distinct constant keys
 (a repeated key silently drops the first value), and every imported name is
 used, or is listed in its module's ``__all__``. Every public function, class
 and method of the package is read somewhere in the package or the benchmark,
-so that a name with no caller is deleted rather than kept.
+so that a name with no caller is deleted rather than kept. The closed-form
+and harness modules import no numpy of their own.
 """
 
 import ast
@@ -14,6 +15,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "moneygas").glob("*.py"))
+# Modules that need no numpy themselves, so that the closed-form verbs can one day run without it.
+NUMPY_FREE = ["ensembles", "transform", "config", "cli", "worker"]
 SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
@@ -43,6 +46,17 @@ def unused_imports(tree: ast.Module) -> list[str]:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             used |= {element.value for element in node.value.elts}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level package of every module that the source imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
 
 
 def public_definitions(tree: ast.Module) -> dict[str, int]:
@@ -93,6 +107,18 @@ def test_the_scan_finds_a_planted_defect():
     tree = ast.parse("import os\nimport json\nTABLE = {'a': 1, 'b': 2, 'a': 3}\njson.dumps(TABLE)\n")
     assert duplicate_keys(tree) == ["line 3: 'a'"]
     assert unused_imports(tree) == ["line 1: os"]
+
+
+@pytest.mark.parametrize("module", NUMPY_FREE)
+def test_closed_form_and_harness_modules_import_no_numpy(module):
+    path = ROOT / "src" / "moneygas" / f"{module}.py"
+    assert "numpy" not in imported_modules(ast.parse(path.read_text()))
+
+
+def test_the_numpy_scan_finds_a_planted_import():
+    tree = ast.parse("import math\n\ndef f():\n    from numpy.linalg import norm\n    return norm\n")
+    assert imported_modules(tree) == {"math", "numpy"}
+    assert imported_modules(ast.parse("import numpy as np\nfrom . import dynamics\n")) == {"numpy"}
 
 
 def test_every_public_name_has_a_caller():
