@@ -4,12 +4,13 @@
 configuration document, the cross-field check run on the document once the
 schema passes, and its pipeline. ``analytic`` and ``transform`` are checked
 by running their pipelines, staging nothing, so that a sweep stops before
-its first run on any run whose closed forms fail. Every run writes
-``report.json`` (and task-specific CSV/TSV companions) followed by
-``manifest.json`` carrying the configuration echo, the implementation
-version, the derived per-replica seeds and SHA-256 digests of every written
-file. Nothing in the outputs depends on wall-clock time, so re-running a
-configuration reproduces the bytes exactly.
+its first run on any run whose closed forms fail. Only those two pipelines
+import ``transform``, so a ``simulate`` or ``pareto`` process never loads it.
+Every run writes ``report.json`` (and task-specific CSV/TSV companions)
+followed by ``manifest.json`` carrying the configuration echo, the
+implementation version, the derived per-replica seeds and SHA-256 digests
+of every written file. Nothing in the outputs depends on wall-clock time, so
+re-running a configuration reproduces the bytes exactly.
 
 Every file is staged first: written, as bytes or as byte chunks, to
 ``<name>.tmp`` and hashed on the way; the first one makes the directory.
@@ -23,8 +24,8 @@ records each. ``simulate`` stages it right after replica 0's chain, then sorts
 each pool in place; ``pareto`` reads its records only for Hill and the CSV.
 So the peak is the records plus one block: the CSV, the sort and KS checks and
 Hill's selection each stream over the records ``dynamics.STREAM_BLOCK`` values
-at a time (``configs/cash_only_simulate.json`` peaks at 52.6 MiB and
-``configs/pareto_full.json`` at 43.6 MiB, ``ru_maxrss``).
+at a time (``configs/cash_only_simulate.json`` peaks at 52.4 MiB and
+``configs/pareto_full.json`` at 43.5 MiB, ``ru_maxrss``).
 
 The replicas of ``simulate`` run on two cores through one forked worker
 process (``worker``): the worker runs the odd replicas and sends back their
@@ -91,16 +92,6 @@ from .pareto import (
     pareto_mean_logincome_sampling,
     run_income_chain,
     transition_scan,
-)
-from .transform import (
-    FD_STEP,
-    balance_residuals,
-    carnot_cycle,
-    finite_diff_thermo_residuals,
-    fractional_reserve,
-    isothermal_base,
-    path_table,
-    policy_bound_check,
 )
 from .worker import interleaved
 
@@ -222,6 +213,8 @@ def _run_simulate(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
 
 
 def _run_analytic(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
+    from .transform import finite_diff_thermo_residuals
+
     spec = build_model(raw["model"])
     points = []
     overall = 0.0
@@ -242,6 +235,17 @@ def _run_analytic(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
 
 
 def _run_transform(raw: dict, stage: Stage) -> tuple[dict, list[int]]:
+    from .transform import (
+        FD_STEP,
+        balance_residuals,
+        carnot_cycle,
+        finite_diff_thermo_residuals,
+        fractional_reserve,
+        isothermal_base,
+        path_table,
+        policy_bound_check,
+    )
+
     spec = build_model(raw["model"])
     report: dict = {"task": "transform", "model": raw["model"]}
     if "cycle" in raw:

@@ -6,7 +6,10 @@ item. The worker produces the odd items and sends each result through a pipe,
 while the calling process produces the even ones. Each result must be a
 pure function of its item, so that the results are the same as from one
 process.
-``runner`` uses it for the replicas of ``simulate``.
+``runner`` uses it for the replicas of ``simulate``. Under the CLI the fork is
+made from a one-thread process: ``moneygas.cli`` keeps numpy's OpenBLAS pool
+from starting, and a fork with another thread alive can deadlock the child
+(Python 3.12 and later warn of it).
 
 The frames on the pipe are pickles, one per item: (True, the result), or
 (False, the worker's failure) in place of its first failed item. No

@@ -1124,3 +1124,76 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: infeasible") and err.count("\n") == 1
         assert not out.exists()
+
+
+class TestStartup:
+    """A CLI process starts as one thread and loads only what its verb runs. Each
+    check runs in a child interpreter: this one has loaded every module, and the
+    suite's conftest has set OPENBLAS_NUM_THREADS, which the children do not inherit."""
+
+    @staticmethod
+    def last_line(script, *argv, **env):
+        environ = {key: value for key, value in child_env().items() if key != "OPENBLAS_NUM_THREADS"}
+        result = subprocess.run([sys.executable, "-c", script, *argv], env={**environ, **env},
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through /proc")
+    def test_the_replica_worker_forks_from_one_thread(self, tmp_path):
+        # numpy's OpenBLAS pool thread used to be alive at the fork; Python 3.12
+        # warns of such a fork that it may deadlock.
+        config = write_config(tmp_path, simulate_config(replicas=2, write_samples=False))
+        script = ("import os, sys\n"
+                  "threads, fork = [], os.fork\n"
+                  "def counted_fork():\n"
+                  "    threads.append(len(os.listdir('/proc/self/task')))\n"
+                  "    return fork()\n"
+                  "os.fork = counted_fork\n"
+                  "from moneygas.cli import main\n"
+                  "assert main(sys.argv[1:]) == 0\n"
+                  "print(threads, os.environ['OPENBLAS_NUM_THREADS'])\n")
+        argv = ["simulate", "-c", str(config), "-o", str(tmp_path / "out")]
+        assert self.last_line(script, *argv) == "[1] 1"
+
+    def test_a_preset_openblas_thread_count_is_kept(self):
+        script = "import os, moneygas.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        assert self.last_line(script, OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_import_moneygas_loads_no_numpy_and_no_submodule(self):
+        script = ("import sys, moneygas\n"
+                  "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('moneygas.'))\n"
+                  "names = [getattr(moneygas, name) for name in moneygas.__all__]\n"
+                  "print(loaded, set(moneygas.__all__) <= set(dir(moneygas)))\n")
+        assert self.last_line(script) == "[] True"
+
+    def test_the_namespace_names_are_their_modules_objects(self):
+        import moneygas
+        from moneygas import ensembles, estimation, transform
+
+        assert moneygas.ModelSpec is ensembles.ModelSpec
+        assert moneygas.carnot_cycle is transform.carnot_cycle
+        assert moneygas.fit_shifted_exponential is estimation.fit_shifted_exponential
+        assert moneygas.mean_money_restricted is ensembles.mean_money_restricted
+        assert moneygas.run_chain is run_chain
+        assert moneygas.temperature_closed_form is temperature_closed_form
+        assert set(moneygas.__all__) <= set(dir(moneygas))
+        with pytest.raises(AttributeError, match="no attribute 'runner_main'"):
+            moneygas.runner_main
+
+    def test_only_the_closed_form_verbs_load_transform(self, tmp_path):
+        documents = {
+            "simulate": simulate_config(replicas=2, write_samples=False),
+            "pareto": dict(PARETO, direct_samples=1_000, dynamics=DYNAMICS),
+            "analytic": {"task": "analytic", "model": CREDIT_MARKET, "temperatures": [1.0]},
+        }
+        argvs = [[verb, "-c", str(write_config(tmp_path, document, f"{verb}.json")), "-o", str(tmp_path / verb)]
+                 for verb, document in documents.items()]
+        script = ("import json, sys\n"
+                  "from moneygas.cli import main\n"
+                  "loaded = []\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    assert main(argv) == 0\n"
+                  "    loaded.append('moneygas.transform' in sys.modules)\n"
+                  "print(loaded)\n")
+        assert self.last_line(script, json.dumps(argvs)) == "[False, False, True]"

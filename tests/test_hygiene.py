@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "moneygas").glob("*.py"))
 # Modules that need no numpy themselves, so that the closed-form verbs can one day run without it.
-NUMPY_FREE = ["ensembles", "transform", "config", "cli", "worker"]
+NUMPY_FREE = ["__init__", "ensembles", "transform", "config", "cli", "worker"]
 SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
