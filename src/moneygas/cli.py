@@ -23,8 +23,10 @@ from pathlib import Path
 # No verb calls BLAS, but numpy's OpenBLAS starts a pool thread when numpy
 # loads, which spins on a core and makes the replica worker's fork one from a
 # multi-threaded process. So the process stays one thread unless the user has
-# set the variable. This must run before the first import that loads numpy.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# set the variable; OpenBLAS reads an empty value as unset, so this does too.
+# This must run before the first import that loads numpy.
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .config import ConfigError
 from .dynamics import BuildError

@@ -266,8 +266,7 @@ def _init_credit(pop: Population, policy: str, rng: np.random.Generator) -> None
 
 
 def init_population(
-    spec: ModelSpec, policy: str, total: float, seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    spec: ModelSpec, policy: str, total: float, rng: np.random.Generator | None = None,
 ) -> Population:
     """Build a valid starting configuration carrying the conserved total.
 
@@ -282,7 +281,7 @@ def init_population(
         raise DynamicsError("pair exchange needs at least 2 agents")
     kernel = KERNELS[spec.kind]
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng()
     pop = Population(spec=spec, conserved_total=float(total))
     kernel.init(pop, policy, rng)
     pop.check_invariants()

@@ -57,9 +57,10 @@ class ModelSpec:
 
     Only the fields relevant to ``kind`` are meaningful; the classmethod
     factories construct validated instances. ``volume_x`` doubles as the
-    monetary base M0 for the credit-market model. ``q0`` is the conserved
-    account total for the overdraft model and the (always zero) net credit
-    position for the credit market.
+    monetary base M0 for the credit-market model. ``q0`` is read by no
+    computation: on an overdraft model it only bounds d >= -q0/N, and on the
+    credit market it must be zero. A chain's conserved total is its run's
+    ``total``.
     """
 
     kind: ModelKind

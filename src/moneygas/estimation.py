@@ -45,9 +45,10 @@ def fit_shifted_exponential(samples, floor: float = 0.0) -> FitReport:
     n = data.size
     if n < 2:
         raise EstimationError(f"need at least 2 samples, got {n}")
-    if data.min() < floor:
-        raise EstimationError(f"samples below the floor {floor} (min {data.min()})")
-    if data.max() == data.min():
+    low, high = data.min(), data.max()
+    if low < floor:
+        raise EstimationError(f"samples below the floor {floor} (min {low})")
+    if high == low:
         raise EstimationError("degenerate input: all samples equal")
     t_hat = float(data.mean() - floor)
     return FitReport(t_hat=t_hat, stderr=t_hat / math.sqrt(n), n=n)
@@ -70,8 +71,8 @@ def ks_statistic_exponential(sorted_samples, floor: float, temperature: float) -
     ``sorted_samples`` must be in ascending order, as ``np.sort`` leaves them;
     they are not changed. Returns (D, pass) where pass means
     D < 1.63/sqrt(n), the asymptotic 1% critical value. The distances are
-    taken a block of STREAM_BLOCK values at a time, in four arrays of about
-    that size: with e = expm1((floor - x_i)/T) = -F(x_i), D+ = max(i/n + e)
+    taken a block of STREAM_BLOCK values at a time, in temporaries of that
+    size: with e = expm1((floor - x_i)/T) = -F(x_i), D+ = max(i/n + e)
     and D- = -min((i - 1)/n + e), the same doubles as i/n - F(x_i) and
     F(x_i) - (i - 1)/n, since fl(a - b) = -fl(b - a).
 
@@ -85,23 +86,15 @@ def ks_statistic_exponential(sorted_samples, floor: float, temperature: float) -
     n = data.size
     if n < 10:
         raise EstimationError(f"need at least 10 samples for the KS check, got {n}")
-    width = min(n, STREAM_BLOCK)
-    tails, sums = np.empty((2, width))
-    ranks = np.arange(0.0, width + 1)  # 0, ..., width, moved on a block at a time
-    steps = np.empty(width + 1)
     d_plus, low = -np.inf, np.inf  # np.maximum and np.minimum, unlike max(), keep a NaN as np.max would
     for start in range(0, n, STREAM_BLOCK):
-        size = min(STREAM_BLOCK, n - start)
-        e, diff, quotients = tails[:size], sums[:size], steps[:size + 1]
-        np.subtract(floor, data[start:start + size], out=e)
-        np.divide(e, temperature, out=e)
+        e = floor - data[start:start + STREAM_BLOCK]
+        e /= temperature
         np.expm1(e, out=e)
-        np.divide(ranks[:size + 1], n, out=quotients)  # (i - 1)/n for each rank i, then one more: [1:] holds i/n
-        np.add(quotients[1:], e, out=diff)
-        d_plus = np.maximum(d_plus, np.max(diff))
-        np.add(quotients[:-1], e, out=diff)
-        low = np.minimum(low, np.min(diff))
-        ranks += STREAM_BLOCK
+        quotients = np.arange(start, start + e.size + 1, dtype=float)  # rank i - 1 for each value, then one more
+        quotients /= n  # (i - 1)/n, and [1:] holds i/n
+        d_plus = np.maximum(d_plus, np.max(quotients[1:] + e))
+        low = np.minimum(low, np.min(quotients[:-1] + e))
     d = max(float(d_plus), -float(low))
     return d, d < KS_1PCT_CONSTANT / math.sqrt(n)
 

@@ -141,7 +141,7 @@ def test_criterion_3_multi_asset_diversification():
 def test_criterion_4_credit_market_accounting():
     n, base, credit = 1000, 100_000.0, 5_000.0
     spec = ModelSpec.credit_market(n, base)
-    pop = init_population(spec, "equal", credit, seed=derive_seed(BASE_SEED, 400))
+    pop = init_population(spec, "equal", credit, rng=np.random.default_rng(derive_seed(BASE_SEED, 400)))
     net = pop.net.copy()
     rng = np.random.default_rng(derive_seed(BASE_SEED, 401))
     events = 0

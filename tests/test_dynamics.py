@@ -72,7 +72,7 @@ class TestInit:
     @pytest.mark.parametrize("policy", ["equal", "uniform-random"])
     def test_all_kinds_start_valid(self, policy):
         for spec, total in all_dynamic_specs(50):
-            pop = init_population(spec, policy, total, seed=web_seed(spec))
+            pop = init_population(spec, policy, total, rng=np.random.default_rng(web_seed(spec)))
             pop.check_invariants()
             assert pop.conserved_total == total
 
@@ -95,7 +95,7 @@ class TestInit:
         # account slot in [0, d] left negative cash for 53 of these seeds.
         spec = ModelSpec.restricted(10, 1.0)
         for seed in range(100):
-            pop = init_population(spec, "uniform-random", -5.0, seed=seed)
+            pop = init_population(spec, "uniform-random", -5.0, rng=np.random.default_rng(seed))
             pop.check_invariants()
             assert pop.cash[10:].max() <= 1.0
 
@@ -213,7 +213,7 @@ class TestPrimitives:
     def test_multi_account_pairs_accounts(self):
         # Three accounts of two agents: each sweep pairs one account with another.
         spec = ModelSpec.multi_account(2, (1, 2), ((1.0,), (0.0, 2.0)))
-        pop = init_population(spec, "uniform-random", 3.0, seed=2)
+        pop = init_population(spec, "uniform-random", 3.0, rng=np.random.default_rng(2))
         rng = np.random.default_rng(6)
         for _ in range(200):
             assert one_sweep(pop, rng, 0) == 1
@@ -325,7 +325,7 @@ class TestSingleEventStep:
 
     @pytest.mark.parametrize("spec,total", all_dynamic_specs(8))
     def test_invariants_hold_through_events(self, spec, total):
-        pop = init_population(spec, "uniform-random", total, seed=17)
+        pop = init_population(spec, "uniform-random", total, rng=np.random.default_rng(17))
         rng = np.random.default_rng(23)
         events = phase = 0
         while events < 3000:
@@ -340,7 +340,7 @@ class TestSingleEventStep:
         # A tight cap rejects most capped splits. At N = 2 a sweep is 2 pairs of
         # the 4 slots, and each pair that passes a cap is written back unchanged.
         spec = ModelSpec.restricted(2, 0.05)
-        pop = init_population(spec, "equal", 1.0, seed=2)
+        pop = init_population(spec, "equal", 1.0, rng=np.random.default_rng(2))
         rng = np.random.default_rng(3)
         rejected = phase = 0
         for _ in range(2000):
@@ -365,7 +365,7 @@ class TestMoveArity:
         specs = all_dynamic_specs(n)
         assert {spec.kind for spec, _ in specs} == set(KERNELS)
         for spec, total in specs:
-            pop = init_population(spec, "uniform-random", total, seed=n)
+            pop = init_population(spec, "uniform-random", total, rng=np.random.default_rng(n))
             for row in range(len(KERNELS[spec.kind].moves)):
                 before = state(pop)
                 assert one_sweep(pop, np.random.default_rng(n), row) == spec.n_slots // 2
@@ -532,7 +532,7 @@ class TestRunChain:
 
     def test_credit_market_accounting(self):
         spec = ModelSpec.credit_market(100, 100_000.0)
-        pop = init_population(spec, "equal", 500.0, seed=12)
+        pop = init_population(spec, "equal", 500.0, rng=np.random.default_rng(12))
         net = pop.net.copy()
         rng = np.random.default_rng(12)
         events, _ = advance(pop, rng, 1_000_000)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -103,6 +104,17 @@ class TestKolmogorovSmirnov:
         assert d == expected
         assert ok == (expected < KS_1PCT_CONSTANT / math.sqrt(n))
         assert data.tobytes() == kept.tobytes()  # the sorted values are read, not overwritten
+
+    def test_the_traced_peak_is_a_few_blocks(self):
+        # Each block's temporaries are freed before the next block's are made (3.0 blocks measured).
+        data = np.sort(np.random.default_rng(8).exponential(3.0, 25 * STREAM_BLOCK + 17))
+        tracemalloc.start()
+        try:
+            ks_statistic_exponential(data, 0.0, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * STREAM_BLOCK * 8
 
 
 def full_partition_hill(samples, k):

@@ -621,8 +621,8 @@ class TestPoolsSortedInPlace:
             assert np.array_equal(pool, chain.pooled(names))
 
     def test_the_peak_after_the_chain_holds_no_sorted_copy(self, tmp_path, monkeypatch):
-        # The KS check's four arrays of a block each are the largest temporaries left
-        # (4.2 blocks measured); a sorted copy would be 61 blocks more.
+        # The KS check's per-block temporaries are the largest left (3.2 blocks
+        # measured); a sorted copy would be 61 blocks more.
         document = simulate_config(model=dict(MODEL, n_agents=PEAK_AGENTS), run=PEAK_RUN, write_samples=False)
         assert post_chain_peak(tmp_path, monkeypatch, document) < PEAK_RECORDS_BYTES + 6 * BLOCK_BYTES
 
@@ -1159,6 +1159,13 @@ class TestStartup:
     def test_a_preset_openblas_thread_count_is_kept(self):
         script = "import os, moneygas.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
         assert self.last_line(script, OPENBLAS_NUM_THREADS="2") == "2"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through /proc")
+    def test_an_empty_openblas_thread_count_counts_as_unset(self):
+        # OpenBLAS reads an empty value as unset and starts its pool thread.
+        script = ("import os, moneygas.cli\n"
+                  "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n")
+        assert self.last_line(script, OPENBLAS_NUM_THREADS="") == "1 1"
 
     def test_import_moneygas_loads_no_numpy_and_no_submodule(self):
         script = ("import sys, moneygas\n"

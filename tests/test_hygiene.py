@@ -5,10 +5,14 @@ Every dict literal in the package and the tests has distinct constant keys
 used, or is listed in its module's ``__all__``. Every public function, class
 and method of the package is read somewhere in the package or the benchmark,
 so that a name with no caller is deleted rather than kept. The closed-form
-and harness modules import no numpy of their own.
+and harness modules import no numpy of their own. pyproject.toml declares
+as runtime dependencies exactly the package's third-party imports, and with
+its ``test`` extra covers the tests' ones.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +61,27 @@ def imported_modules(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
     return found
+
+
+def third_party(trees: list[ast.Module]) -> set[str]:
+    """The top-level imports of ``trees`` that are neither the standard library nor moneygas."""
+    return set().union(*map(imported_modules, trees)) - set(sys.stdlib_module_names) - {"moneygas"}
+
+
+def requirement_names(requirements: list[str]) -> set[str]:
+    """The import name of each requirement, read as its project name: "scipy>=1.10" -> "scipy"."""
+    return {re.match(r"[\w.-]+", requirement).group().lower().replace("-", "_") for requirement in requirements}
+
+
+def dependency_mismatches(project: dict, package: list[ast.Module], tests: list[ast.Module]) -> list[str]:
+    """What pyproject.toml's [project] table gets wrong: 'runtime: +name' for a package
+    import it does not declare, 'runtime: -name' for a declared one the package never
+    imports, and 'test: +name' for a test import that neither it nor the test extra covers."""
+    runtime, used = requirement_names(project["dependencies"]), third_party(package)
+    covered = runtime | requirement_names(project["optional-dependencies"]["test"])
+    return ([f"runtime: +{name}" for name in sorted(used - runtime)]
+            + [f"runtime: -{name}" for name in sorted(runtime - used)]
+            + [f"test: +{name}" for name in sorted(third_party(tests) - covered)])
 
 
 def public_definitions(tree: ast.Module) -> dict[str, int]:
@@ -119,6 +144,21 @@ def test_the_numpy_scan_finds_a_planted_import():
     tree = ast.parse("import math\n\ndef f():\n    from numpy.linalg import norm\n    return norm\n")
     assert imported_modules(tree) == {"math", "numpy"}
     assert imported_modules(ast.parse("import numpy as np\nfrom . import dynamics\n")) == {"numpy"}
+
+
+def test_the_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    package = [ast.parse(path.read_text()) for path in PACKAGE]
+    tests = [ast.parse(path.read_text()) for path in sorted((ROOT / "tests").glob("*.py"))]
+    assert dependency_mismatches(project, package, tests) == []
+
+
+def test_the_dependency_scan_finds_a_planted_defect():
+    project = {"dependencies": ["numpy>=1.24", "PyYAML"], "optional-dependencies": {"test": ["pytest"]}}
+    package = [ast.parse("import json\nimport numpy as np\nfrom orjson import dumps\n")]
+    tests = [ast.parse("import pytest\nfrom hypothesis import given\nimport moneygas\nimport numpy\n")]
+    assert dependency_mismatches(project, package, tests) == ["runtime: +orjson", "runtime: -pyyaml", "test: +hypothesis"]
 
 
 def test_every_public_name_has_a_caller():
